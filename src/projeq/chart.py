@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChartError, OutsideChart
+from .errors import ChartError
 from .sampling import halton_points
 
 
@@ -67,17 +67,6 @@ class Chart:
             if not (lo + margin < xi < hi - margin):
                 return False
         return True
-
-    def require_inside(self, x, margin=0.0):
-        if not self.contains(x, margin=margin):
-            raise OutsideChart(f"point {np.asarray(x)} outside chart box {self.bounds}")
-
-    def clip_inside(self, x, margin):
-        """Project x onto the closed box shrunk by margin."""
-        x = np.asarray(x, dtype=float).copy()
-        for i, (lo, hi) in enumerate(self.bounds):
-            x[i] = min(max(x[i], lo + margin), hi - margin)
-        return x
 
     def sample(self, count, seed=0, shrink=0.05):
         """Quasi-random (Halton) points strictly inside the box.

@@ -502,8 +502,8 @@ def main(argv=None) -> int:
             manifest = replace(manifest, tolerances=tols)
         if args.seed is not None:
             manifest = replace(manifest, run=replace(manifest.run, seed=args.seed))
-        scene = manifest.build_scene()
-        audits, extra, csvs = _DISPATCH[args.command](scene, manifest, out_dir)
+        manifest.run.check()
+        audits, extra, csvs = _DISPATCH[args.command](manifest.scene, manifest, out_dir)
     except ProjeqError as e:
         os.makedirs(out_dir, exist_ok=True)
         payload = {"command": args.command, "error": f"{type(e).__name__}: {e}",

@@ -18,7 +18,15 @@ class OutsideChart(ProjeqError):
     """A point lies outside the open coordinate box."""
 
 
-class SingularMetric(ProjeqError):
+class PointError(ProjeqError):
+    """A failure located at one point, kept as ``point`` and named in the text."""
+
+    def __init__(self, message, point=None):
+        self.point = None if point is None else [float(v) for v in point]
+        super().__init__(message if point is None else f"{message} at {self.point}")
+
+
+class SingularMetric(PointError):
     """Metric matrix numerically singular (condition number above cap)."""
 
 
@@ -78,8 +86,9 @@ class SingularMatrix(ProjeqError):
     """A matrix required to be invertible is singular."""
 
 
-class DomainViolation(ProjeqError):
-    """Separable-form data violates its domain margins."""
+class DomainViolation(PointError):
+    """A value leaves its domain: separable-form margins, or a math
+    function evaluated outside its domain or range."""
 
 
 class UnknownName(ProjeqError):

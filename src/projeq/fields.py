@@ -23,6 +23,7 @@ import numpy as np
 from .chart import Chart
 from .errors import (
     DerivativeNotAvailable,
+    DomainViolation,
     NotPositiveDefinite,
     NotSelfAdjoint,
     SingularMetric,
@@ -244,7 +245,13 @@ class ExpressionField(ScalarField):
         self._abs_checked = False
 
     def eval(self, x):
-        return float(self._fn(x))
+        try:
+            return float(self._fn(x))
+        except (ValueError, OverflowError) as e:
+            raise self._domain_violation(e, x) from None
+
+    def _domain_violation(self, err, x):
+        return DomainViolation(f"{err} in {self.expr.to_text()!r}", point=x)
 
     def _check_abs_arguments(self):
         # abs is differentiable away from zero only; sample each argument
@@ -291,15 +298,21 @@ class ExpressionField(ScalarField):
 
     def d1(self, x):
         self._ensure_grad()
-        return np.array([fn(x) for fn in self._grad_fns])
+        try:
+            return np.array([fn(x) for fn in self._grad_fns])
+        except (ValueError, OverflowError) as e:
+            raise self._domain_violation(e, x) from None
 
     def d2(self, x):
         self._ensure_hess()
         n = self.chart.dim
         out = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                out[i, j] = out[j, i] = self._hess_fns[i][j](x)
+        try:
+            for i in range(n):
+                for j in range(i, n):
+                    out[i, j] = out[j, i] = self._hess_fns[i][j](x)
+        except (ValueError, OverflowError) as e:
+            raise self._domain_violation(e, x) from None
         return out
 
     def __repr__(self):
@@ -507,10 +520,6 @@ def coord(chart, name_or_index):
     if isinstance(name_or_index, str):
         return CoordinateField(chart, chart.index_of(name_or_index))
     return CoordinateField(chart, name_or_index)
-
-
-def expr_field(chart, text):
-    return ExpressionField(chart, text)
 
 
 def as_field(chart, obj):

@@ -9,12 +9,23 @@ polynomial of degree n-1 in t. The adjugate coefficients come from the
 Faddeev-LeVerrier recursion, which also gives exact x-derivatives, so
 Poisson brackets here carry no finite-difference noise.
 
+Brackets are bilinear in the t-coefficients. Writing
+I_t = sum_j t^j a_j(x, p) and u_t = (1, t, ..., t^{n-1}),
+
+    {I_s, I_t} = u_s^T B u_t,   B_jk = {a_j, a_k}   (antisymmetric n x n)
+    {I_t, H}   = u_t . e,       e_j  = {a_j, H}
+
+so one pass over g, dg, L, dL per phase state gives B and e, and every
+t-pair of an audit grid costs one small bilinear form.
+
 Root structure: for fixed (x, p) the polynomial t -> I_t has n-1 real
 roots interlacing the eigenvalues of L at x; `roots` and the audits
 below test exactly that.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +76,27 @@ def _fl_adjugate_with_grad(a, da):
     return mats, dmats
 
 
+def _powers(t, n):
+    """(1, t, ..., t^{n-1}): I_t = _powers(t, n) @ a."""
+    return float(t) ** np.arange(n)
+
+
+class _StateJet(NamedTuple):
+    """Everything a bracket reads at one phase state.
+
+    Row j of ax, ap is the gradient of a_j; brackets[j, k] = {a_j, a_k}
+    and energy_brackets[j] = {a_j, H}.
+    """
+
+    a: np.ndarray
+    ax: np.ndarray
+    ap: np.ndarray
+    hx: np.ndarray
+    hp: np.ndarray
+    brackets: np.ndarray
+    energy_brackets: np.ndarray
+
+
 class IntegralFamily:
     """The family I_t attached to one (g, L) pair on a chart."""
 
@@ -87,14 +119,6 @@ class IntegralFamily:
         mats = _fl_adjugate(self.L.matrix(x))
         # adj(t I - L) = sum_k M_{k+1} t^{n-1-k}; flip sign for adj(L - t I)
         return [sign * mats[n - 1 - j] for j in range(n)]
-
-    def coeff_matrices_with_grad(self, x):
-        n = self.g.dim
-        sign = 1.0 if (n - 1) % 2 == 0 else -1.0
-        mats, dmats = _fl_adjugate_with_grad(self.L.matrix(x), self.L.dmatrix(x))
-        cs = [sign * mats[n - 1 - j] for j in range(n)]
-        dcs = [sign * dmats[n - 1 - j] for j in range(n)]
-        return cs, dcs
 
     def s_matrix(self, x, t):
         cs = self.coeff_matrices(x)
@@ -137,79 +161,81 @@ class IntegralFamily:
             )
         return np.sort(rts.real)
 
-    # -- exact gradients ------------------------------------------------------
+    # -- exact gradients and brackets ------------------------------------------
+
+    def _jet(self, state: PhaseState) -> _StateJet:
+        """Values and exact gradients of every a_j, and of H, at one state.
+
+        One evaluation of g, dg, L, dL and one Faddeev-LeVerrier pass with
+        derivatives; every bracket at this state is read off the result.
+        """
+        x, p = state.x, state.p
+        n = self.g.dim
+        sign = 1.0 if (n - 1) % 2 == 0 else -1.0
+        dg = self.g.dmatrix(x)
+        ginv = np.linalg.inv(self.g.matrix(x))
+        mats, dmats = _fl_adjugate_with_grad(self.L.matrix(x), self.L.dmatrix(x))
+        # C_j = sign * M_{n-j}: cs[j, i, l] and dcs[j, i, l, k] = d C_j[i, l] / d x_k
+        cs = sign * np.array(mats[::-1])
+        dcs = sign * np.array(dmats[::-1])
+        v = ginv @ p
+        # a_j = p^T C_j g^{-1} p; u_j = g^{-1} C_j^T p
+        u = np.einsum("jil,i->jl", cs, p) @ ginv
+        a = u @ p
+        ax = (np.einsum("i,jilk,l->jk", p, dcs, v)
+              - np.einsum("jl,lmk,m->jk", u, dg, v))
+        ap = cs @ v + u
+        hx = -0.5 * np.einsum("i,ijk,j->k", v, dg, v)
+        return _StateJet(a, ax, ap, hx, v,
+                         brackets=ax @ ap.T - ap @ ax.T,
+                         energy_brackets=ax @ v - ap @ hx)
 
     def gradients(self, state: PhaseState, t: float):
         """(dI/dx, dI/dp) at the phase point, both length n."""
-        x, p = state.x, state.p
-        gmat = self.g.matrix(x)
-        dg = self.g.dmatrix(x)
-        ginv = np.linalg.inv(gmat)
-        cs, dcs = self.coeff_matrices_with_grad(x)
-        n = self.g.dim
-        s = np.zeros((n, n))
-        ds = np.zeros((n, n, n))
-        for j in range(n):
-            s += (t ** j) * cs[j]
-            ds += (t ** j) * dcs[j]
-        dginv = -np.einsum("ia,abk,bj->ijk", ginv, dg, ginv)
-        q = s @ ginv
-        dq = np.einsum("ijk,jl->ilk", ds, ginv) + np.einsum("ij,jlk->ilk", s, dginv)
-        grad_x = np.einsum("i,ijk,j->k", p, dq, p)
-        grad_p = (q + q.T) @ p
-        return grad_x, grad_p
+        jet = self._jet(state)
+        w = _powers(t, self.g.dim)
+        return w @ jet.ax, w @ jet.ap
 
     def energy_gradients(self, state: PhaseState):
         """Gradients of H = 1/2 p^T g^{-1} p."""
-        x, p = state.x, state.p
-        gmat = self.g.matrix(x)
-        dg = self.g.dmatrix(x)
-        v = np.linalg.solve(gmat, p)
-        grad_x = -0.5 * np.einsum("i,ijk,j->k", v, dg, v)
-        return grad_x, v
+        jet = self._jet(state)
+        return jet.hx, jet.hp
 
     def poisson(self, state: PhaseState, t1: float, t2: float) -> float:
         """{I_t1, I_t2} at the phase point; zero up to rounding."""
-        ax, ap = self.gradients(state, t1)
-        bx, bp = self.gradients(state, t2)
-        return float(ax @ bp - ap @ bx)
+        n = self.g.dim
+        return float(_powers(t1, n) @ self._jet(state).brackets @ _powers(t2, n))
 
     def poisson_with_energy(self, state: PhaseState, t: float) -> float:
-        ax, ap = self.gradients(state, t)
-        hx, hp = self.energy_gradients(state)
-        return float(ax @ hp - ap @ hx)
+        return float(_powers(t, self.g.dim) @ self._jet(state).energy_brackets)
 
     def commutation_report(self, phase_points, t_values, tol=1e-8) -> dict:
-        """Pairwise brackets over the t-grid, scaled by 1 + |I_a| + |I_b|."""
+        """Pairwise brackets over the t-grid, scaled by 1 + |I_a| + |I_b|.
+
+        Per state, the pairs (t_i, t_j) with i < j come first, then each
+        {I_t, H}; the first strict maximum over that order is reported.
+        """
         worst = 0.0
         worst_detail = None
-        pairs = [
-            (t_values[i], t_values[j])
-            for i in range(len(t_values))
-            for j in range(i + 1, len(t_values))
-        ]
+        m = len(t_values)
+        ii, jj = np.triu_indices(m, 1)
+        labels = ([[t_values[i], t_values[j]] for i, j in zip(ii, jj)]
+                  + [[t, "energy"] for t in t_values])
+        w = np.array([_powers(t, self.g.dim) for t in t_values]).reshape(m, self.g.dim)
         for state in phase_points:
-            for ta, tb in pairs:
-                br = self.poisson(state, ta, tb)
-                scale = 1.0 + abs(self.value(state, ta)) + abs(self.value(state, tb))
-                rel = abs(br) / scale
-                if rel > worst:
-                    worst = rel
+            jet = self._jet(state)
+            mag = np.abs(w @ jet.a)
+            br = np.concatenate([(w @ jet.brackets @ w.T)[ii, jj],
+                                 w @ jet.energy_brackets])
+            scale = np.concatenate([1.0 + mag[ii] + mag[jj], 1.0 + mag])
+            rel = np.abs(br) / scale
+            for k in range(len(labels)):
+                if rel[k] > worst:
+                    worst = float(rel[k])
                     worst_detail = {
-                        "t_pair": [ta, tb],
+                        "t_pair": list(labels[k]),
                         "x": [float(v) for v in state.x],
-                        "bracket": br,
-                    }
-            for ta in t_values:
-                br = self.poisson_with_energy(state, ta)
-                scale = 1.0 + abs(self.value(state, ta))
-                rel = abs(br) / scale
-                if rel > worst:
-                    worst = rel
-                    worst_detail = {
-                        "t_pair": [ta, "energy"],
-                        "x": [float(v) for v in state.x],
-                        "bracket": br,
+                        "bracket": float(br[k]),
                     }
         return {
             "max_scaled_bracket": worst,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepUnderflow, OutsideChart
+from .errors import OutsideChart, SingularMetric, StepUnderflow
 from .fields import MetricField, PhaseState
 
 # Dormand-Prince 5(4) tableau. Row 7 doubles as the 5th-order weights (FSAL).
@@ -72,7 +72,10 @@ def geodesic_rhs(g: MetricField):
         p = y[n:]
         gmat = g.matrix(x)
         dg = g.dmatrix(x)
-        v = np.linalg.solve(gmat, p)
+        try:
+            v = np.linalg.solve(gmat, p)
+        except np.linalg.LinAlgError:
+            raise SingularMetric("metric singular", point=x) from None
         dp = 0.5 * np.einsum("i,ijk,j->k", v, dg, v)
         return np.concatenate([v, dp])
 
@@ -100,7 +103,6 @@ class Trajectory:
 
     ts: np.ndarray
     ys: np.ndarray
-    fs: np.ndarray
     qs: np.ndarray
     hs: np.ndarray
     status: str
@@ -125,13 +127,6 @@ class Trajectory:
         k = min(max(k, 0), len(ts) - 2)
         u = (t - ts[k]) / self.hs[k]
         return _dense_eval(self.ys[k], self.qs[k], u)
-
-    def sample_states(self, ts):
-        out = []
-        for t in ts:
-            y = self.sample(float(t))
-            out.append((float(t), PhaseState(y[: self.dim], y[self.dim:])))
-        return out
 
 
 def _dense_coeffs(h, k):
@@ -169,7 +164,6 @@ def integrate(rhs, y0, t_span, tol, inside=None, max_steps=1_000_000) -> Traject
     f = rhs(t, y)
     ts = [t]
     ys = [y.copy()]
-    fs = [f.copy()]
     qs = []
     hs = []
     accepted = 0
@@ -204,7 +198,6 @@ def integrate(rhs, y0, t_span, tol, inside=None, max_steps=1_000_000) -> Traject
                 u_cross, y_cross = _bisect_exit(inside, y, q)
                 ts.append(t + u_cross * h)
                 ys.append(y_cross)
-                fs.append(rhs(t + u_cross * h, y_cross))
                 qs.append(q)
                 hs.append(h)
                 status = "exited-chart"
@@ -213,7 +206,6 @@ def integrate(rhs, y0, t_span, tol, inside=None, max_steps=1_000_000) -> Traject
             t, y, f = t_new, y_new, f_new
             ts.append(t)
             ys.append(y.copy())
-            fs.append(f.copy())
             qs.append(q)
             hs.append(h)
             accepted += 1
@@ -228,7 +220,6 @@ def integrate(rhs, y0, t_span, tol, inside=None, max_steps=1_000_000) -> Traject
     return Trajectory(
         ts=np.array(ts),
         ys=np.array(ys),
-        fs=np.array(fs),
         qs=np.array(qs) if qs else np.empty((0, 4, y.size)),
         hs=np.array(hs),
         status=status,

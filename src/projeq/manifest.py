@@ -19,7 +19,8 @@ JSON so fixtures diff cleanly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,8 +63,23 @@ class RunParams:
         unknown = set(d) - set(known)
         if unknown:
             raise ManifestError(f"unknown run parameter(s): {sorted(unknown)}")
-        kwargs = {k: conv(d[k]) for k, conv in known.items() if k in d}
+        kwargs = {}
+        for k, conv in known.items():
+            if k in d:
+                try:
+                    kwargs[k] = conv(d[k])
+                except (ValueError, TypeError):
+                    raise ManifestError(
+                        f"run parameter {k!r} has the wrong type: {d[k]!r}") from None
         return cls(**kwargs)
+
+    def check(self):
+        """Raise ManifestError unless every budget can run an audit."""
+        for k in ("samples", "geodesics"):
+            if getattr(self, k) < 1:
+                raise ManifestError(f"run.{k} must be >= 1, got {getattr(self, k)}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ManifestError(f"run.horizon must be finite and > 0, got {self.horizon}")
 
 
 @dataclass
@@ -101,6 +117,8 @@ class Manifest:
     vector_field: tuple
     run: RunParams
     tolerances: Tolerances
+    # built by from_dict while validating; the CLI runs on it
+    scene: Scene = field(default=None, compare=False, repr=False)
 
     @classmethod
     def load(cls, path) -> "Manifest":
@@ -147,8 +165,8 @@ class Manifest:
             run=run,
             tolerances=tols,
         )
-        m.build_scene()  # validate eagerly: all expressions must parse
-        return m
+        # validate eagerly: all expressions must parse
+        return replace(m, scene=m.build_scene())
 
     def _chart(self) -> Chart:
         try:

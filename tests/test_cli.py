@@ -109,6 +109,65 @@ def test_tol_and_seed_overrides_are_echoed(tmp_path):
     assert rep["tolerances"]["drift_bound"] == 1e-7
 
 
+LC3 = {
+    "chart": {"names": ["x1", "x2", "x3"],
+              "bounds": [[-1.0, 1.0], [-1.0, 1.0], [0.5, 1.5]]},
+    "geometry": {"kind": "lc", "block_sizes": [1, 1, 1],
+                 "phis": ["1 + 0.3*tanh(x1)", "3", "6 + x3^2"]},
+}
+FLAT2 = {
+    "chart": {"names": ["x", "y"], "bounds": [[-1.0, 1.0], [-1.0, 1.0]]},
+    "geometry": {"kind": "metric", "entries": [["1", "0"], ["0", "1"]]},
+}
+
+
+@pytest.mark.parametrize("command, manifest, error, names", [
+    ("check-bm", {**LC3, "run": {"seed": 0, "samples": 0}},
+     "ManifestError", "run.samples"),
+    ("check-bm", {**LC3, "run": {"samples": "abc"}},
+     "ManifestError", "'samples'"),
+    ("geodesic", {**LC3, "run": {"seed": 0, "geodesics": 2, "horizon": -1}},
+     "ManifestError", "run.horizon"),
+    ("geodesic", {**LC3, "run": {"geodesics": 2, "horizon": "inf"}},
+     "ManifestError", "run.horizon"),
+    ("geodesic", {**LC3, "run": {"geodesics": 0}},
+     "ManifestError", "run.geodesics"),
+    ("check-bm", {**FLAT2, "endomorphism": [["log(x)", "0"], ["0", "2"]],
+                  "run": {"seed": 0, "samples": 200}},
+     "DomainViolation", "log(x)"),
+    ("geodesic", {**FLAT2, "geometry": {"kind": "metric", "entries": [
+        ["1+x^2", "0"], ["0", "exp(1000*y)"]]},
+        "run": {"seed": 0, "geodesics": 2, "horizon": 5.0}},
+     "SingularMetric", "singular at ["),
+], ids=["samples-0", "samples-abc", "horizon-negative", "horizon-inf",
+        "geodesics-0", "log-domain", "singular-metric"])
+def test_bad_input_exits_2_with_named_error(tmp_path, command, manifest, error, names):
+    m = write_manifest(tmp_path, manifest)
+    out = tmp_path / "out"
+    assert run(command, m, out) == 2
+    rep = report_of(out)
+    assert rep["pass"] is False
+    assert rep["error"].startswith(f"{error}:")
+    assert names in rep["error"]
+
+
+def test_each_command_builds_its_scene_once(tmp_path, monkeypatch):
+    from projeq.manifest import Manifest
+
+    calls = []
+    build = Manifest.build_scene
+
+    def counting(self):
+        calls.append(1)
+        return build(self)
+
+    monkeypatch.setattr(Manifest, "build_scene", counting)
+    m = write_manifest(tmp_path, lc_manifest())
+    assert run("check-bm", m, tmp_path / "out", "--seed", "3",
+               "--tol", "bm_tol=1e-05") == 0
+    assert len(calls) == 1
+
+
 # -- CSV contracts ----------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ import pytest
 from projeq.chart import Chart, box_chart
 from projeq.errors import (
     DerivativeNotAvailable,
+    DomainViolation,
     NotPositiveDefinite,
     NotSelfAdjoint,
     SingularMetric,
@@ -151,6 +152,15 @@ def test_sample_range_brackets_extremes():
     lo, hi = f.sample_range(count=400, seed=0)
     assert -1.0 <= lo < -0.9
     assert 0.9 < hi <= 1.0
+
+
+@pytest.mark.parametrize("method", ["eval", "d1", "d2"])
+def test_domain_error_names_the_expression_and_point(method):
+    f = ExpressionField(CHART2, "sqrt(x) + y")
+    with pytest.raises(DomainViolation) as exc:
+        getattr(f, method)(np.array([-0.5, 1.0]))
+    assert exc.value.point == [-0.5, 1.0]
+    assert "sqrt(x)" in str(exc.value) and "[-0.5, 1.0]" in str(exc.value)
 
 
 def test_reindexed_field_lifts_with_correct_slots():

@@ -14,7 +14,7 @@ from projeq.flows import (
     interlacing_audit,
     ordering_audit,
 )
-from projeq.levicivita import LeviCivitaSpec, build_lc_pair
+from projeq.levicivita import LeviCivitaSpec, build_lc_pair, random_spec
 
 
 def lc_family_3d():
@@ -190,6 +190,89 @@ def test_bracket_detects_incompatible_tensor():
     br = fam.poisson(state, 0.0, 1.0)
     assert br == pytest.approx(-4.0, rel=1e-12)
     assert fam.poisson(state, 1.0, 0.0) == pytest.approx(4.0, rel=1e-12)
+
+
+# L = diag(y, x) with the flat metric: I_t = (x - t) px^2 + (y - t) py^2,
+# {I_s, I_t} = 2 (s - t) (px^3 + py^3) and {I_t, H} = px^3 + py^3.
+
+def incompatible_family():
+    g = MetricField.euclidean(CONST2)
+    L = EndomorphismField.from_rows(CONST2, [["y", "0"], ["0", "x"]])
+    return IntegralFamily(g, L)
+
+
+def closed_form_brackets(state, t_values):
+    """(label, bracket, scale) in the audit's scan order, from the formulas above."""
+    (x, y), (px, py) = state.x, state.p
+    cube = px ** 3 + py ** 3
+
+    def value(t):
+        return (x - t) * px ** 2 + (y - t) * py ** 2
+
+    out = []
+    for i, s in enumerate(t_values):
+        for t in t_values[i + 1:]:
+            out.append(([s, t], 2.0 * (s - t) * cube,
+                        1.0 + abs(value(s)) + abs(value(t))))
+    out += [([t, "energy"], cube, 1.0 + abs(value(t))) for t in t_values]
+    return out
+
+
+@pytest.mark.parametrize("s, t", [(0.0, 1.0), (-2.5, 0.7), (3.0, 10.0),
+                                  (10.0, -10.0), (0.25, 0.25)])
+def test_poisson_matches_closed_form_on_incompatible_tensor(s, t):
+    fam = incompatible_family()
+    for state in phase_sample(CONST2, 4, seed=10):
+        want = 2.0 * (s - t) * float(np.sum(state.p ** 3))
+        assert fam.poisson(state, s, t) == pytest.approx(want, rel=1e-12, abs=1e-13)
+        assert fam.poisson_with_energy(state, t) == pytest.approx(
+            float(np.sum(state.p ** 3)), rel=1e-12)
+
+
+def test_commutation_report_names_worst_pair_on_incompatible_tensor():
+    fam = incompatible_family()
+    t_values = [0.0, 1.0, 10.0]
+    states = phase_sample(CONST2, 6, seed=12)
+    rep = fam.commutation_report(states, t_values)
+    assert not rep["pass"]
+    worst, want = 0.0, None
+    for state in states:
+        for label, br, scale in closed_form_brackets(state, t_values):
+            if abs(br) / scale > worst:
+                worst = abs(br) / scale
+                want = (label, [float(v) for v in state.x], br)
+    assert rep["max_scaled_bracket"] == pytest.approx(worst, rel=1e-12)
+    assert rep["worst"]["t_pair"] == want[0]
+    assert rep["worst"]["x"] == want[1]
+    assert rep["worst"]["bracket"] == pytest.approx(want[2], rel=1e-12)
+
+
+def test_commutation_report_builds_the_metric_once_per_state(monkeypatch):
+    fam, spec = lc_family_3d()
+    states = phase_sample(spec.chart, 7, seed=13)
+    calls = []
+    matrix = fam.g.matrix
+
+    def counting(x):
+        calls.append(1)
+        return matrix(x)
+
+    monkeypatch.setattr(fam.g, "matrix", counting)
+    rep = fam.commutation_report(states, [0.0, 2.0, 4.5, 10.0, -3.0])
+    assert rep["pass"]
+    assert len(calls) <= len(states)
+
+
+def test_gradients_match_finite_differences_in_4d():
+    g, _, L = build_lc_pair(random_spec(2, 4), partner=False)
+    fam = IntegralFamily(g, L)
+    for state in phase_sample(g.chart, 3, seed=14):
+        for t in (-1.0, 10.0):
+            gx, gp = fam.gradients(state, t)
+            fx, fp = fd_gradients(fam, state, t)
+            scale = 1.0 + max(np.abs(gx).max(), np.abs(gp).max())
+            assert np.allclose(gx, fx, atol=2e-6 * scale)
+            assert np.allclose(gp, fp, atol=2e-6 * scale)
 
 
 def test_poisson_with_energy_vanishes_on_normal_form():

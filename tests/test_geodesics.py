@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from projeq.chart import Chart, box_chart
-from projeq.errors import OutsideChart, StepUnderflow
+from projeq.errors import OutsideChart, SingularMetric, StepUnderflow
 from projeq.fields import MetricField, PhaseState
 from projeq.geodesics import (
     Trajectory,
@@ -157,6 +157,14 @@ def test_rhs_momentum_equation_matches_hamilton():
         assert f[2 + k] == pytest.approx(-dH, abs=1e-8)
     # dx/dt = dH/dp = g^{-1} p
     assert np.allclose(f[:2], np.linalg.solve(SPHERE.matrix(st.x), st.p))
+
+
+def test_rhs_names_a_singular_metric_and_its_point():
+    g = MetricField.diagonal(box_chart(("x", "y")), ["1", "x^2"], validate=False)
+    rhs = geodesic_rhs(g)
+    with pytest.raises(SingularMetric) as exc:
+        rhs(0.0, np.array([0.0, 0.5, 1.0, 1.0]))
+    assert exc.value.point == [0.0, 0.5]
 
 
 def test_monitor_reports_span_fields():
