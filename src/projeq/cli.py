@@ -10,6 +10,7 @@ fails, 2 on structural errors (bad manifest, unsatisfiable geometry).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -143,25 +144,17 @@ def _cmd_geodesic(scene, m, out_dir):
     tols = m.tolerances
     monitored = _monitored(scene, m.run, tols)
     g = scene.metric
-    audits = []
-    csvs = []
-    statuses = []
+    audits, tables, statuses = [], [], []
     for idx, (state, traj) in enumerate(_run_trajectories(scene, m)):
         ts = np.linspace(traj.ts[0], traj.t_end, 201)
         rows = []
-        for t in ts:
-            y = traj.sample(float(t))
+        for t, y in zip(ts, traj.sample(ts)):
             x, p = y[: traj.dim], y[traj.dim:]
             row = [float(t), *map(float, x), *map(float, p),
                    hamiltonian(g, x, p)]
             row.extend(fn(x, p) for _, fn in monitored)
             rows.append(row)
-        cols = (["t"] + [f"x_{nm}" for nm in scene.chart.names]
-                + [f"p_{nm}" for nm in scene.chart.names] + ["H"]
-                + [name for name, _ in monitored])
-        path = os.path.join(out_dir, f"trajectory_{idx:03d}.csv")
-        reports.write_csv(path, cols, rows)
-        csvs.append(path)
+        tables.append(np.array(rows))  # held compactly until every run is done
         drift = monitor_along(traj, lambda x, p: hamiltonian(g, x, p))
         bound = tols.energy_drift_factor * tols.integrator_tol
         audits.append(reports.audit(
@@ -169,6 +162,13 @@ def _cmd_geodesic(scene, m, out_dir):
             drift["drift"] <= bound, status=traj.status,
             t_end=traj.t_end))
         statuses.append(traj.status)
+    # written once every trajectory has finished: a structural error leaves no CSV
+    cols = (["t"] + [f"x_{nm}" for nm in scene.chart.names]
+            + [f"p_{nm}" for nm in scene.chart.names] + ["H"]
+            + [name for name, _ in monitored])
+    csvs = [os.path.join(out_dir, f"trajectory_{idx:03d}.csv") for idx in range(len(tables))]
+    for path, rows in zip(csvs, tables):
+        reports.write_csv(path, cols, rows)
     return audits, {"trajectories": len(statuses), "statuses": statuses}, csvs
 
 
@@ -465,10 +465,14 @@ def _parse_tol_overrides(items):
         if "=" not in item:
             raise ManifestError(f"--tol expects KEY=VALUE, got {item!r}")
         key, _, val = item.partition("=")
+        key = key.strip()
         try:
-            out[key.strip()] = float(val)
+            value = float(val)
         except ValueError:
             raise ManifestError(f"--tol value for {key!r} is not numeric") from None
+        if not (math.isfinite(value) and value > 0.0):
+            raise ManifestError(f"--tol {key} must be finite and > 0, got {val!r}")
+        out[key] = value
     return out
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .errors import (
     ArityError,
-    DerivativeNotAvailable,
     ExpressionSyntaxError,
     UnknownIdentifier,
 )
@@ -57,6 +56,27 @@ FUNCTIONS = {
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
+# f(u), f'(u) and f''(u) of each function, as code in the argument u, the
+# value v = f(u) and the first derivative d = f'(u): the one table of chain
+# rules, read by Call.diff (f') and by the generated field code (jets.py);
+# "recip" (1/u) serves field algebra only
+CHAIN_RULES = {
+    "sin": ("sin({u})", "cos({u})", "-{v}"),
+    "cos": ("cos({u})", "-sin({u})", "-{v}"),
+    "tan": ("tan({u})", "1.0 + {v} * {v}", "2.0 * {v} * {d}"),
+    "sinh": ("sinh({u})", "cosh({u})", "{v}"),
+    "cosh": ("cosh({u})", "sinh({u})", "{v}"),
+    "tanh": ("tanh({u})", "1.0 - {v} * {v}", "-2.0 * {v} * {d}"),
+    "exp": ("exp({u})", "{v}", "{v}"),
+    "log": ("log({u})", "1.0 / {u}", "-{d} * {d}"),
+    "sqrt": ("sqrt({u})", "0.5 / {v}", "-0.5 * {d} / {u}"),
+    "asin": ("asin({u})", "1.0 / sqrt(1.0 - {u} * {u})", "{u} * {d} ** 3"),
+    "atan": ("atan({u})", "1.0 / (1.0 + {u} * {u})", "-2.0 * {u} * {d} * {d}"),
+    # sign(u); abs is refused where its argument crosses zero on the chart
+    "abs": ("abs({u})", "{u} / {v}", "0.0"),
+    "recip": ("1.0 / {u}", "-{v} * {v}", "-2.0 * {v} * {d}"),
+}
+
 # printing precedence levels, higher binds tighter
 _PREC_ADD = 1
 _PREC_MUL = 2
@@ -71,7 +91,8 @@ class Expression:
     precedence = _PREC_ATOM
 
     def eval(self, env):
-        raise NotImplementedError
+        """Value at the point env = {name: value}, by the compiled code."""
+        return self.compile(tuple(env))(list(env.values()))
 
     def diff(self, name):
         raise NotImplementedError
@@ -88,8 +109,13 @@ class Expression:
         pass
 
     def compile(self, names):
-        """Build a closure ndarray -> float with coordinates bound by position."""
-        raise NotImplementedError
+        """Build a function ndarray -> float with coordinates bound by
+        position: the generated code of jets.py at order 0."""
+        from .jets import Jets
+
+        jets = Jets(names, (self,))
+        jets.function(0)
+        return lambda x: jets(x, 0)[0][0]
 
     def __str__(self):
         return self.to_text()
@@ -104,9 +130,6 @@ class Num(Expression):
 
     precedence = _PREC_ATOM
 
-    def eval(self, env):
-        return self.value
-
     def diff(self, name):
         return Num(0.0)
 
@@ -116,22 +139,12 @@ class Num(Expression):
             return str(int(v))
         return repr(v)
 
-    def compile(self, names):
-        v = self.value
-        return lambda x: v
-
 
 @dataclass(frozen=True)
 class Var(Expression):
     name: str
 
     precedence = _PREC_ATOM
-
-    def eval(self, env):
-        try:
-            return env[self.name]
-        except KeyError:
-            raise UnknownIdentifier(self.name) from None
 
     def diff(self, name):
         return Num(1.0) if name == self.name else Num(0.0)
@@ -141,13 +154,6 @@ class Var(Expression):
 
     def _collect_vars(self, out):
         out.add(self.name)
-
-    def compile(self, names):
-        try:
-            k = names.index(self.name)
-        except ValueError:
-            raise UnknownIdentifier(self.name) from None
-        return lambda x: x[k]
 
 
 @dataclass(frozen=True)
@@ -159,19 +165,6 @@ class BinOp(Expression):
     @property
     def precedence(self):
         return {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "^": _PREC_POW}[self.op]
-
-    def eval(self, env):
-        a = self.left.eval(env)
-        b = self.right.eval(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            return a / b
-        return a ** b
 
     def diff(self, name):
         a, b = self.left, self.right
@@ -219,29 +212,12 @@ class BinOp(Expression):
         self.left._collect_vars(out)
         self.right._collect_vars(out)
 
-    def compile(self, names):
-        fa = self.left.compile(names)
-        fb = self.right.compile(names)
-        op = self.op
-        if op == "+":
-            return lambda x: fa(x) + fb(x)
-        if op == "-":
-            return lambda x: fa(x) - fb(x)
-        if op == "*":
-            return lambda x: fa(x) * fb(x)
-        if op == "/":
-            return lambda x: fa(x) / fb(x)
-        return lambda x: fa(x) ** fb(x)
-
 
 @dataclass(frozen=True)
 class Neg(Expression):
     arg: Expression
 
     precedence = _PREC_NEG
-
-    def eval(self, env):
-        return -self.arg.eval(env)
 
     def diff(self, name):
         return _neg(self.arg.diff(name))
@@ -255,10 +231,6 @@ class Neg(Expression):
     def _collect_vars(self, out):
         self.arg._collect_vars(out)
 
-    def compile(self, names):
-        fa = self.arg.compile(names)
-        return lambda x: -fa(x)
-
 
 @dataclass(frozen=True)
 class Call(Expression):
@@ -267,42 +239,11 @@ class Call(Expression):
 
     precedence = _PREC_ATOM
 
-    def eval(self, env):
-        return FUNCTIONS[self.fn](self.args[0].eval(env))
-
     def diff(self, name):
         u = self.args[0]
-        du = u.diff(name)
-        fn = self.fn
-        if fn == "sin":
-            outer = Call("cos", (u,))
-        elif fn == "cos":
-            outer = _neg(Call("sin", (u,)))
-        elif fn == "tan":
-            outer = _div(Num(1.0), _pow(Call("cos", (u,)), Num(2.0)))
-        elif fn == "sinh":
-            outer = Call("cosh", (u,))
-        elif fn == "cosh":
-            outer = Call("sinh", (u,))
-        elif fn == "tanh":
-            outer = _sub(Num(1.0), _pow(Call("tanh", (u,)), Num(2.0)))
-        elif fn == "exp":
-            outer = Call("exp", (u,))
-        elif fn == "log":
-            outer = _div(Num(1.0), u)
-        elif fn == "sqrt":
-            outer = _div(Num(0.5), Call("sqrt", (u,)))
-        elif fn == "asin":
-            outer = _div(Num(1.0), Call("sqrt", (_sub(Num(1.0), _pow(u, Num(2.0))),)))
-        elif fn == "atan":
-            outer = _div(Num(1.0), _add(Num(1.0), _pow(u, Num(2.0))))
-        elif fn == "abs":
-            # sign(u) * u'; undefined where u crosses zero, checked by the
-            # field layer by domain sampling before derivatives are served
-            outer = _div(u, Call("abs", (u,)))
-        else:  # pragma: no cover
-            raise DerivativeNotAvailable(f"no derivative rule for {fn}")
-        return _mul(outer, du)
+        # f'(u) from the chain-rule table, written out in u and v = f(u)
+        outer = CHAIN_RULES[self.fn][1].format(u=f"({u.to_text()})", v=f"({self.to_text()})")
+        return _mul(parse_expression(outer), u.diff(name))
 
     def to_text(self):
         return f"{self.fn}({', '.join(a.to_text() for a in self.args)})"
@@ -310,11 +251,6 @@ class Call(Expression):
     def _collect_vars(self, out):
         for a in self.args:
             a._collect_vars(out)
-
-    def compile(self, names):
-        f = FUNCTIONS[self.fn]
-        fa = self.args[0].compile(names)
-        return lambda x: f(fa(x))
 
 
 # --- light constant folding for derivative trees -------------------------

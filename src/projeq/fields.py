@@ -1,12 +1,13 @@
 """Differentiable fields on a chart.
 
 A ScalarField is a map point -> real together with *exact* first and second
-partial derivatives. Exactness is kept through an operator algebra: sums,
-products, quotients, powers and elementary functions of fields propagate
-gradients and Hessians by the chain/product rules, so a metric assembled
-from closed-form pieces differentiates to machine precision. Fields defined
-only by a black-box callable fall back to central finite differences and are
-tagged as such in their provenance.
+partial derivatives. Sums, products, quotients, powers and elementary
+functions of fields build a DAG of field nodes over parsed expressions,
+constants and coordinates; jets.py compiles that DAG once per derivative
+order into straight-line code, so a metric assembled from closed-form
+pieces differentiates to machine precision. Fields defined only by a
+black-box callable (NumericField) fall back to central finite differences
+and are tagged as such in their provenance.
 
 Matrix-valued fields (MetricField, EndomorphismField) are thin containers
 of scalar entries plus the assembly routines everything downstream uses:
@@ -15,7 +16,6 @@ g(x), its entry gradients dg(x), entry Hessians d2g(x).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,71 +23,45 @@ import numpy as np
 from .chart import Chart
 from .errors import (
     DerivativeNotAvailable,
-    DomainViolation,
     NotPositiveDefinite,
     NotSelfAdjoint,
     SingularMetric,
 )
-from .expressions import Call, Expression, parse_expression
+from .expressions import FUNCTIONS, Expression, parse_expression
+from .jets import Jets, require_one_sign
 
 _EPS = np.finfo(float).eps
 _FD_STEP1 = _EPS ** (1.0 / 3.0)   # central first differences
 _FD_STEP2 = _EPS ** 0.25          # central second differences
 
-# value, first and second derivative evaluators for unary functions
-_UNARY_RULES = {
-    "sin": (math.sin, math.cos, lambda u: -math.sin(u)),
-    "cos": (math.cos, lambda u: -math.sin(u), lambda u: -math.cos(u)),
-    "tan": (
-        math.tan,
-        lambda u: 1.0 + math.tan(u) ** 2,
-        lambda u: 2.0 * math.tan(u) * (1.0 + math.tan(u) ** 2),
-    ),
-    "sinh": (math.sinh, math.cosh, math.sinh),
-    "cosh": (math.cosh, math.sinh, math.cosh),
-    "tanh": (
-        math.tanh,
-        lambda u: 1.0 - math.tanh(u) ** 2,
-        lambda u: -2.0 * math.tanh(u) * (1.0 - math.tanh(u) ** 2),
-    ),
-    "exp": (math.exp, math.exp, math.exp),
-    "log": (math.log, lambda u: 1.0 / u, lambda u: -1.0 / u ** 2),
-    "sqrt": (
-        math.sqrt,
-        lambda u: 0.5 / math.sqrt(u),
-        lambda u: -0.25 * u ** -1.5,
-    ),
-    "asin": (
-        math.asin,
-        lambda u: (1.0 - u * u) ** -0.5,
-        lambda u: u * (1.0 - u * u) ** -1.5,
-    ),
-    "atan": (
-        math.atan,
-        lambda u: 1.0 / (1.0 + u * u),
-        lambda u: -2.0 * u / (1.0 + u * u) ** 2,
-    ),
-    "abs": (abs, lambda u: math.copysign(1.0, u), lambda u: 0.0),
-}
-
 
 class ScalarField:
-    """Base class; concrete fields implement eval/d1/d2 on self.chart."""
+    """Base class of the field nodes; ``node`` names the kind for jets.py.
+
+    eval, d1 and d2 run the field's generated code, built on first use.
+    """
 
     provenance = "closed-form"
+    node = None
+    args = ()
+    _jets = None
 
     def __init__(self, chart):
         self.chart = chart
 
-    # -- required interface -------------------------------------------
+    def _jet(self, x, order):
+        if self._jets is None:
+            self._jets = Jets(self.chart.names, (self,))
+        return self._jets(x, order)
+
     def eval(self, x):
-        raise NotImplementedError
+        return self._jet(x, 0)[0][0]
 
     def d1(self, x):
-        raise NotImplementedError
+        return np.array(self._jet(x, 1)[1])
 
     def d2(self, x):
-        raise NotImplementedError
+        return np.array(self._jet(x, 2)[2]).reshape((self.chart.dim,) * 2)
 
     def __call__(self, x):
         return self.eval(x)
@@ -108,7 +82,7 @@ class ScalarField:
             return self
         if isinstance(self, ConstantField) and self.value == 0.0:
             return other
-        return _SumField(self, other, 1.0)
+        return _OpField("sum", self, other, sign=1.0)
 
     __radd__ = __add__
 
@@ -118,7 +92,7 @@ class ScalarField:
             return ConstantField(self.chart, self.value - other.value)
         if isinstance(other, ConstantField) and other.value == 0.0:
             return self
-        return _SumField(self, other, -1.0)
+        return _OpField("sum", self, other, sign=-1.0)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
@@ -133,7 +107,7 @@ class ScalarField:
                     return ConstantField(self.chart, 0.0)
                 if a.value == 1.0:
                     return b
-        return _ProductField(self, other)
+        return _OpField("product", self, other)
 
     __rmul__ = __mul__
 
@@ -141,7 +115,7 @@ class ScalarField:
         other = self._coerce(other)
         if isinstance(other, ConstantField):
             return self * (1.0 / other.value)
-        return self * _ReciprocalField(other)
+        return self * _OpField("unary", other, fn_name="recip")
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
@@ -157,13 +131,15 @@ class ScalarField:
             return self
         if isinstance(self, ConstantField):
             return ConstantField(self.chart, self.value ** e)
-        return _PowerField(self, e)
+        return _OpField("power", self, exponent=e)
 
     def apply(self, fn_name):
         """Compose with a named elementary function (exact chain rule)."""
-        if fn_name not in _UNARY_RULES:
+        if fn_name not in FUNCTIONS:
             raise KeyError(f"no unary rule for {fn_name!r}")
-        return _UnaryField(fn_name, self)
+        if fn_name == "abs":
+            require_one_sign(*self.sample_range(count=256, seed=17))
+        return _OpField("unary", self, fn_name=fn_name)
 
     def sqrt(self):
         return self.apply("sqrt")
@@ -176,44 +152,26 @@ class ScalarField:
 
 
 class ConstantField(ScalarField):
+    node = "constant"
+
     def __init__(self, chart, value):
         super().__init__(chart)
         self.value = float(value)
-        self._zero1 = np.zeros(chart.dim)
-        self._zero2 = np.zeros((chart.dim, chart.dim))
-
-    def eval(self, x):
-        return self.value
-
-    def d1(self, x):
-        return self._zero1.copy()
-
-    def d2(self, x):
-        return self._zero2.copy()
 
     def __repr__(self):
         return f"ConstantField({self.value})"
 
 
 class CoordinateField(ScalarField):
+    node = "coordinate"
+
     def __init__(self, chart, index):
         super().__init__(chart)
         self.index = int(index)
 
-    def eval(self, x):
-        return float(x[self.index])
-
-    def d1(self, x):
-        out = np.zeros(self.chart.dim)
-        out[self.index] = 1.0
-        return out
-
-    def d2(self, x):
-        return np.zeros((self.chart.dim, self.chart.dim))
-
 
 class ExpressionField(ScalarField):
-    """Field backed by a parsed expression; derivatives are symbolic.
+    """Field backed by a parsed expression.
 
     Parameters
     ----------
@@ -225,6 +183,7 @@ class ExpressionField(ScalarField):
     """
 
     provenance = "expression-AST"
+    node = "expression"
 
     def __init__(self, chart, expr):
         super().__init__(chart)
@@ -238,82 +197,6 @@ class ExpressionField(ScalarField):
                 f"expression uses non-chart variables {sorted(unknown)}"
             )
         self.expr = expr
-        self._fn = expr.compile(chart.names)
-        self._grad_exprs = None
-        self._grad_fns = None
-        self._hess_fns = None
-        self._abs_checked = False
-
-    def eval(self, x):
-        try:
-            return float(self._fn(x))
-        except (ValueError, OverflowError) as e:
-            raise self._domain_violation(e, x) from None
-
-    def _domain_violation(self, err, x):
-        return DomainViolation(f"{err} in {self.expr.to_text()!r}", point=x)
-
-    def _check_abs_arguments(self):
-        # abs is differentiable away from zero only; sample each argument
-        if self._abs_checked:
-            return
-        self._abs_checked = True
-        stack = [self.expr]
-        args = []
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Call) and node.fn == "abs":
-                args.append(node.args[0])
-            stack.extend(getattr(node, "args", ()) or [])
-            for attr in ("left", "right", "arg"):
-                child = getattr(node, attr, None)
-                if child is not None:
-                    stack.append(child)
-        if not args:
-            return
-        pts = self.chart.sample(256, seed=17)
-        for arg in args:
-            fn = arg.compile(self.chart.names)
-            vals = np.array([fn(x) for x in pts])
-            if vals.min() < 1e-12 and vals.max() > -1e-12:
-                raise DerivativeNotAvailable(
-                    "abs() argument crosses zero on the chart; derivative refused"
-                )
-
-    def _ensure_grad(self):
-        if self._grad_fns is None:
-            self._check_abs_arguments()
-            names = self.chart.names
-            self._grad_exprs = [self.expr.diff(s) for s in names]
-            self._grad_fns = [e.compile(names) for e in self._grad_exprs]
-
-    def _ensure_hess(self):
-        if self._hess_fns is None:
-            self._ensure_grad()
-            names = self.chart.names
-            self._hess_fns = [
-                [self._grad_exprs[i].diff(s).compile(names) for s in names]
-                for i in range(len(names))
-            ]
-
-    def d1(self, x):
-        self._ensure_grad()
-        try:
-            return np.array([fn(x) for fn in self._grad_fns])
-        except (ValueError, OverflowError) as e:
-            raise self._domain_violation(e, x) from None
-
-    def d2(self, x):
-        self._ensure_hess()
-        n = self.chart.dim
-        out = np.empty((n, n))
-        try:
-            for i in range(n):
-                for j in range(i, n):
-                    out[i, j] = out[j, i] = self._hess_fns[i][j](x)
-        except (ValueError, OverflowError) as e:
-            raise self._domain_violation(e, x) from None
-        return out
 
     def __repr__(self):
         return f"ExpressionField({self.expr.to_text()!r})"
@@ -325,10 +208,12 @@ class NumericField(ScalarField):
     First derivatives use steps cbrt(machine eps)*max(1,|x_i|); second
     derivatives use the quarter-power step. Good to roughly 1e-10 on smooth
     inputs, which is why closed-form provenance is preferred wherever the
-    construction allows it.
+    construction allows it. Inside field algebra it is an opaque leaf whose
+    eval, d1 and d2 the generated code calls.
     """
 
     provenance = "finite-difference"
+    node = "leaf"
 
     def __init__(self, chart, fn):
         super().__init__(chart)
@@ -337,142 +222,44 @@ class NumericField(ScalarField):
     def eval(self, x):
         return float(self._fn(np.asarray(x, dtype=float)))
 
+    def _at(self, x, *shifts):
+        """fn at x moved by h along each coordinate i of shifts (i, h)."""
+        y = x.copy()
+        for i, h in shifts:
+            y[i] += h
+        return self._fn(y)
+
     def d1(self, x):
         x = np.asarray(x, dtype=float)
-        n = self.chart.dim
-        out = np.empty(n)
-        for i in range(n):
-            h = _FD_STEP1 * max(1.0, abs(x[i]))
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            out[i] = (self._fn(xp) - self._fn(xm)) / (2.0 * h)
-        return out
+        steps = [_FD_STEP1 * max(1.0, abs(v)) for v in x]
+        return np.array([(self._at(x, (i, h)) - self._at(x, (i, -h))) / (2.0 * h)
+                         for i, h in enumerate(steps)])
 
     def d2(self, x):
         x = np.asarray(x, dtype=float)
         n = self.chart.dim
         out = np.empty((n, n))
         f0 = self._fn(x)
-        steps = [_FD_STEP2 * max(1.0, abs(x[i])) for i in range(n)]
-        for i in range(n):
-            h = steps[i]
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            out[i, i] = (self._fn(xp) - 2.0 * f0 + self._fn(xm)) / (h * h)
-        for i in range(n):
+        steps = [_FD_STEP2 * max(1.0, abs(v)) for v in x]
+        for i, hi in enumerate(steps):
+            out[i, i] = (self._at(x, (i, hi)) - 2.0 * f0 + self._at(x, (i, -hi))) / (hi * hi)
             for j in range(i + 1, n):
-                hi, hj = steps[i], steps[j]
-                xpp, xpm, xmp, xmm = (x.copy() for _ in range(4))
-                xpp[i] += hi
-                xpp[j] += hj
-                xpm[i] += hi
-                xpm[j] -= hj
-                xmp[i] -= hi
-                xmp[j] += hj
-                xmm[i] -= hi
-                xmm[j] -= hj
-                val = (self._fn(xpp) - self._fn(xpm) - self._fn(xmp) + self._fn(xmm)) / (
-                    4.0 * hi * hj
-                )
-                out[i, j] = out[j, i] = val
+                hj = steps[j]
+                out[i, j] = out[j, i] = (
+                    self._at(x, (i, hi), (j, hj)) - self._at(x, (i, hi), (j, -hj))
+                    - self._at(x, (i, -hi), (j, hj)) + self._at(x, (i, -hi), (j, -hj))
+                ) / (4.0 * hi * hj)
         return out
 
 
-class _SumField(ScalarField):
-    def __init__(self, a, b, sign):
-        super().__init__(a.chart)
-        self.a, self.b, self.sign = a, b, sign
+class _OpField(ScalarField):
+    """Operator node of the field DAG: sum (a + sign * b), product, power
+    (constant exponent) or unary (fn_name, "recip" for 1/a)."""
 
-    def eval(self, x):
-        return self.a.eval(x) + self.sign * self.b.eval(x)
-
-    def d1(self, x):
-        return self.a.d1(x) + self.sign * self.b.d1(x)
-
-    def d2(self, x):
-        return self.a.d2(x) + self.sign * self.b.d2(x)
-
-
-class _ProductField(ScalarField):
-    def __init__(self, a, b):
-        super().__init__(a.chart)
-        self.a, self.b = a, b
-
-    def eval(self, x):
-        return self.a.eval(x) * self.b.eval(x)
-
-    def d1(self, x):
-        return self.a.d1(x) * self.b.eval(x) + self.a.eval(x) * self.b.d1(x)
-
-    def d2(self, x):
-        av, bv = self.a.eval(x), self.b.eval(x)
-        a1, b1 = self.a.d1(x), self.b.d1(x)
-        return self.a.d2(x) * bv + av * self.b.d2(x) + np.outer(a1, b1) + np.outer(b1, a1)
-
-
-class _ReciprocalField(ScalarField):
-    def __init__(self, a):
-        super().__init__(a.chart)
-        self.a = a
-
-    def eval(self, x):
-        return 1.0 / self.a.eval(x)
-
-    def d1(self, x):
-        v = self.a.eval(x)
-        return -self.a.d1(x) / (v * v)
-
-    def d2(self, x):
-        v = self.a.eval(x)
-        g = self.a.d1(x)
-        return (2.0 * np.outer(g, g) - v * self.a.d2(x)) / v ** 3
-
-
-class _PowerField(ScalarField):
-    def __init__(self, a, exponent):
-        super().__init__(a.chart)
-        self.a = a
-        self.exponent = exponent
-
-    def eval(self, x):
-        return self.a.eval(x) ** self.exponent
-
-    def d1(self, x):
-        c = self.exponent
-        return c * self.a.eval(x) ** (c - 1.0) * self.a.d1(x)
-
-    def d2(self, x):
-        c = self.exponent
-        v = self.a.eval(x)
-        g = self.a.d1(x)
-        return c * (c - 1.0) * v ** (c - 2.0) * np.outer(g, g) + c * v ** (c - 1.0) * self.a.d2(x)
-
-
-class _UnaryField(ScalarField):
-    def __init__(self, fn_name, a):
-        super().__init__(a.chart)
-        self.fn_name = fn_name
-        self.a = a
-        self._f, self._df, self._d2f = _UNARY_RULES[fn_name]
-        if fn_name == "abs":
-            lo, hi = a.sample_range(count=256, seed=17)
-            if lo < 1e-12 and hi > -1e-12:
-                raise DerivativeNotAvailable(
-                    "abs() argument crosses zero on the chart; derivative refused"
-                )
-
-    def eval(self, x):
-        return self._f(self.a.eval(x))
-
-    def d1(self, x):
-        return self._df(self.a.eval(x)) * self.a.d1(x)
-
-    def d2(self, x):
-        u = self.a.eval(x)
-        g = self.a.d1(x)
-        return self._d2f(u) * np.outer(g, g) + self._df(u) * self.a.d2(x)
+    def __init__(self, node, *args, **params):
+        super().__init__(args[0].chart)
+        self.node, self.args = node, args
+        self.__dict__.update(params)
 
 
 class ReindexedField(ScalarField):
@@ -483,33 +270,14 @@ class ReindexedField(ScalarField):
     into product charts.
     """
 
+    node = "reindexed"
+
     def __init__(self, chart, inner, index_map):
         super().__init__(chart)
         self.inner = inner
         self.index_map = tuple(int(i) for i in index_map)
         if len(self.index_map) != inner.chart.dim:
             raise ValueError("index_map length must match the inner chart dim")
-
-    def _project(self, x):
-        return np.array([x[i] for i in self.index_map])
-
-    def eval(self, x):
-        return self.inner.eval(self._project(x))
-
-    def d1(self, x):
-        out = np.zeros(self.chart.dim)
-        inner = self.inner.d1(self._project(x))
-        for k, i in enumerate(self.index_map):
-            out[i] += inner[k]
-        return out
-
-    def d2(self, x):
-        out = np.zeros((self.chart.dim, self.chart.dim))
-        inner = self.inner.d2(self._project(x))
-        for k, i in enumerate(self.index_map):
-            for l, j in enumerate(self.index_map):
-                out[i, j] += inner[k, l]
-        return out
 
 
 def const(chart, value):
@@ -536,7 +304,26 @@ def as_field(chart, obj):
 # --- matrix-valued fields --------------------------------------------------
 
 
-class MetricField:
+class _EntryTable:
+    """An n x n table of scalar fields on a chart, evaluated by one
+    generated function per derivative order."""
+
+    def __init__(self, chart, entries):
+        self.chart = chart
+        self.entries = entries
+        self._jets = Jets(chart.names, [f for row in entries for f in row])
+
+    @property
+    def dim(self):
+        return self.chart.dim
+
+    def jet(self, x, order=1):
+        """(matrix, dmatrix) at x, and d2matrix at order 2, from one call."""
+        n = self.dim
+        return tuple(np.array(p).reshape((n,) * (k + 2)) for k, p in enumerate(self._jets(x, order)))
+
+
+class MetricField(_EntryTable):
     """A symmetric matrix of scalar fields, policed for positive-definiteness.
 
     Parameters
@@ -553,25 +340,19 @@ class MetricField:
     """
 
     def __init__(self, chart, entries, validate=True, pd_samples=1500, eps_pd=1e-10):
-        self.chart = chart
         n = chart.dim
-        table = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                f = entries[i][j]
-                if not isinstance(f, ScalarField):
-                    raise TypeError("metric entries must be ScalarFields")
-                table[i][j] = f
+        table = [[entries[i][j] for j in range(n)] for i in range(n)]
+        if not all(isinstance(f, ScalarField) for row in table for f in row):
+            raise TypeError("metric entries must be ScalarFields")
         for i in range(n):
             for j in range(i + 1, n):
                 if table[i][j] is not table[j][i]:
                     # distinct objects allowed only if they agree numerically
-                    pts = chart.sample(16, seed=3)
-                    for x in pts:
-                        if abs(table[i][j].eval(x) - table[j][i].eval(x)) > 1e-12:
-                            raise ValueError(f"metric entries ({i},{j}) vs ({j},{i}) differ")
+                    if any(abs(table[i][j].eval(x) - table[j][i].eval(x)) > 1e-12
+                           for x in chart.sample(16, seed=3)):
+                        raise ValueError(f"metric entries ({i},{j}) vs ({j},{i}) differ")
                     table[j][i] = table[i][j]
-        self.entries = tuple(tuple(row) for row in table)
+        super().__init__(chart, tuple(tuple(row) for row in table))
         self.eps_pd = eps_pd
         if validate:
             rep = self.pd_report(samples=pd_samples)
@@ -581,39 +362,16 @@ class MetricField:
                     f" at {rep['worst_point']}"
                 )
 
-    @property
-    def dim(self):
-        return self.chart.dim
-
     def matrix(self, x):
-        n = self.dim
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                out[i, j] = out[j, i] = self.entries[i][j].eval(x)
-        return out
+        return self.jet(x, 0)[0]
 
     def dmatrix(self, x):
         """D[i, j, k] = d g_ij / d x_k."""
-        n = self.dim
-        out = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                d = self.entries[i][j].d1(x)
-                out[i, j, :] = d
-                out[j, i, :] = d
-        return out
+        return self.jet(x, 1)[1]
 
     def d2matrix(self, x):
         """D[i, j, k, l] = d^2 g_ij / (d x_k d x_l)."""
-        n = self.dim
-        out = np.empty((n, n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                h = self.entries[i][j].d2(x)
-                out[i, j] = h
-                out[j, i] = h
-        return out
+        return self.jet(x, 2)[2]
 
     def inverse(self, x, cond_cap=1e12):
         m = self.matrix(x)
@@ -666,11 +424,7 @@ class MetricField:
     @classmethod
     def conformal(cls, chart, factor, **kw):
         """factor * (dx_1^2 + ... + dx_n^2)."""
-        f = as_field(chart, factor)
-        zero = ConstantField(chart, 0.0)
-        n = chart.dim
-        entries = [[f if i == j else zero for j in range(n)] for i in range(n)]
-        return cls(chart, entries, **kw)
+        return cls.diagonal(chart, [as_field(chart, factor)] * chart.dim, **kw)
 
     @classmethod
     def diagonal(cls, chart, diag_fields, **kw):
@@ -681,45 +435,26 @@ class MetricField:
         return cls(chart, entries, **kw)
 
 
-class EndomorphismField:
+class EndomorphismField(_EntryTable):
     """A (1,1)-tensor field: matrix L^i_j of scalar entries, row = upper index."""
 
     def __init__(self, chart, entries):
-        self.chart = chart
         n = chart.dim
-        self.entries = tuple(
-            tuple(
-                e if isinstance(e, ScalarField) else as_field(chart, e)
-                for e in row
-            )
-            for row in entries
-        )
-        if len(self.entries) != n or any(len(r) != n for r in self.entries):
+        entries = tuple(tuple(as_field(chart, e) for e in row) for row in entries)
+        if len(entries) != n or any(len(r) != n for r in entries):
             raise ValueError("entries must be an n x n table")
-
-    @property
-    def dim(self):
-        return self.chart.dim
+        super().__init__(chart, entries)
 
     def matrix(self, x):
-        n = self.dim
-        return np.array([[self.entries[i][j].eval(x) for j in range(n)] for i in range(n)])
+        return self.jet(x, 0)[0]
 
     def dmatrix(self, x):
         """D[i, j, k] = d L^i_j / d x_k."""
-        n = self.dim
-        out = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                out[i, j, :] = self.entries[i][j].d1(x)
-        return out
+        return self.jet(x, 1)[1]
 
     def trace_d1(self, x):
         """Gradient of trace L."""
-        out = np.zeros(self.dim)
-        for i in range(self.dim):
-            out += self.entries[i][i].d1(x)
-        return out
+        return np.trace(self.dmatrix(x))
 
     def self_adjoint_defect(self, g, x):
         gl = g.matrix(x) @ self.matrix(x)
@@ -760,13 +495,14 @@ class VectorField:
         if len(comps) != self.chart.dim:
             raise ValueError("need one component per coordinate")
         object.__setattr__(self, "components", comps)
+        self._jets = Jets(self.chart.names, comps)
 
     def values(self, x):
-        return np.array([c.eval(x) for c in self.components])
+        return np.array(self._jets(x, 0)[0])
 
     def jacobian(self, x):
         """J[i, k] = d v^i / d x_k."""
-        return np.array([c.d1(x) for c in self.components])
+        return np.array(self._jets(x, 1)[1]).reshape((self.chart.dim,) * 2)
 
 
 @dataclass(frozen=True)
@@ -797,18 +533,14 @@ def g_orthonormal_frame(g_matrix):
 
 def fmat_mul(a, b):
     """Product of two matrices of fields (lists of lists)."""
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for s in range(1, k):
-                acc = acc + a[i][s] * b[s][j]
-            row.append(acc)
-        out.append(row)
+    for row in a:
+        out.append([])
+        for j in range(len(b[0])):
+            acc = row[0] * b[0][j]
+            for s in range(1, len(b)):
+                acc = acc + row[s] * b[s][j]
+            out[-1].append(acc)
     return out
 
 
@@ -838,12 +570,7 @@ def fmat_adjugate(a):
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            minor = [
-                [a[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = fmat_det(minor)
+            cof = fmat_det([[a[r][c] for c in range(n) if c != j] for r in range(n) if r != i])
             if (i + j) % 2 == 1:
                 cof = -cof
             out[j][i] = cof

@@ -34,46 +34,29 @@ from .fields import PhaseState
 from .pairs import pencil_spectrum, spectrum_at
 
 
-def _fl_adjugate(a):
+def _fl_adjugate(a, da=None):
     """Coefficient matrices of adj(t I - A) = sum_k M_{k+1} t^{n-1-k}.
 
     Faddeev-LeVerrier: M_1 = I, c_{n-k} = -tr(A M_k)/k,
-    M_{k+1} = A M_k + c_{n-k} I. Returns the list [M_1 .. M_n].
+    M_{k+1} = A M_k + c_{n-k} I. Returns the list [M_1 .. M_n]; given
+    da[i, j, d] = d A_ij / d x_d, returns (mats, dmats) with dmats[k][i, j, d]
+    the matching partials of M_{k+1}.
     """
     n = a.shape[0]
     eye = np.eye(n)
-    m = eye.copy()
-    mats = [m]
+    m, dm = eye.copy(), np.zeros((n, n, n))
+    mats, dmats = [m], [dm]
     for k in range(1, n):
         am = a @ m
         c = -np.trace(am) / k
+        if da is not None:
+            dam = np.einsum("isd,sj->ijd", da, m) + np.einsum("is,sjd->ijd", a, dm)
+            dc = -np.einsum("iid->d", dam) / k
+            dm = dam + np.einsum("d,ij->ijd", dc, eye)
+            dmats.append(dm)
         m = am + c * eye
         mats.append(m)
-    return mats
-
-
-def _fl_adjugate_with_grad(a, da):
-    """The recursion above with derivative propagation.
-
-    da[i, j, d] = d A_ij / d x_d. Returns (mats, dmats) with
-    dmats[k][i, j, d] the matching partials of M_{k+1}.
-    """
-    n = a.shape[0]
-    eye = np.eye(n)
-    m = eye.copy()
-    dm = np.zeros((n, n, n))
-    mats = [m]
-    dmats = [dm]
-    for k in range(1, n):
-        am = a @ m
-        dam = np.einsum("isd,sj->ijd", da, m) + np.einsum("is,sjd->ijd", a, dm)
-        c = -np.trace(am) / k
-        dc = -np.einsum("iid->d", dam) / k
-        m = am + c * eye
-        dm = dam + np.einsum("d,ij->ijd", dc, eye)
-        mats.append(m)
-        dmats.append(dm)
-    return mats, dmats
+    return mats if da is None else (mats, dmats)
 
 
 def _powers(t, n):
@@ -172,9 +155,9 @@ class IntegralFamily:
         x, p = state.x, state.p
         n = self.g.dim
         sign = 1.0 if (n - 1) % 2 == 0 else -1.0
-        dg = self.g.dmatrix(x)
-        ginv = np.linalg.inv(self.g.matrix(x))
-        mats, dmats = _fl_adjugate_with_grad(self.L.matrix(x), self.L.dmatrix(x))
+        gmat, dg = self.g.jet(x, 1)
+        ginv = np.linalg.inv(gmat)
+        mats, dmats = _fl_adjugate(*self.L.jet(x, 1))
         # C_j = sign * M_{n-j}: cs[j, i, l] and dcs[j, i, l, k] = d C_j[i, l] / d x_k
         cs = sign * np.array(mats[::-1])
         dcs = sign * np.array(dmats[::-1])

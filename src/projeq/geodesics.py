@@ -69,24 +69,24 @@ def geodesic_rhs(g: MetricField):
 
     def rhs(t, y):
         x = y[:n]
-        p = y[n:]
-        gmat = g.matrix(x)
-        dg = g.dmatrix(x)
+        gmat, dg = g.jet(x, 1)
         try:
-            v = np.linalg.solve(gmat, p)
+            v = np.linalg.solve(gmat, y[n:])
         except np.linalg.LinAlgError:
             raise SingularMetric("metric singular", point=x) from None
-        dp = 0.5 * np.einsum("i,ijk,j->k", v, dg, v)
-        return np.concatenate([v, dp])
+        return np.concatenate([v, 0.5 * np.einsum("i,ijk,j->k", v, dg, v)])
 
     return rhs
 
 
 def hamiltonian(g: MetricField, x, p) -> float:
     """Kinetic energy 1/2 p^T g^{-1} p."""
-    gmat = g.matrix(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    return 0.5 * float(p @ np.linalg.solve(gmat, p))
+    try:
+        return 0.5 * float(p @ np.linalg.solve(g.matrix(x), p))
+    except np.linalg.LinAlgError:
+        raise SingularMetric("metric singular", point=x) from None
 
 
 @dataclass
@@ -118,15 +118,16 @@ class Trajectory:
         y = self.ys[index]
         return PhaseState(y[: self.dim], y[self.dim:])
 
-    def sample(self, t: float) -> np.ndarray:
-        """Dense-output evaluation at t within the covered span."""
+    def sample(self, t) -> np.ndarray:
+        """Dense-output state at time t, or states (N, size) at an array of
+        N times, within the covered span."""
+        t = np.asarray(t, dtype=float)
         ts = self.ts
-        if not (ts[0] <= t <= ts[-1]):
+        if not np.all((ts[0] <= t) & (t <= ts[-1])):
             raise ValueError(f"t={t} outside covered span [{ts[0]}, {ts[-1]}]")
-        k = int(np.searchsorted(ts, t, side="right") - 1)
-        k = min(max(k, 0), len(ts) - 2)
+        k = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
         u = (t - ts[k]) / self.hs[k]
-        return _dense_eval(self.ys[k], self.qs[k], u)
+        return _dense_eval(self.ys[k], self.qs[k], u[..., None])
 
 
 def _dense_coeffs(h, k):
@@ -135,9 +136,10 @@ def _dense_coeffs(h, k):
 
 
 def _dense_eval(y0, q, u):
-    acc = q[3]
+    """Horner pass over the coefficients q[..., m, :], one row per u."""
+    acc = q[..., 3, :]
     for m in (2, 1, 0):
-        acc = acc * u + q[m]
+        acc = acc * u + q[..., m, :]
     return y0 + u * acc
 
 
@@ -263,11 +265,8 @@ def monitor_along(traj: Trajectory, fn, samples: int = 201) -> dict:
     The reported ``drift`` is (max - min) / max(1, max |value|), a
     relative span that stays meaningful for near-zero quantities.
     """
-    ts = np.linspace(traj.ts[0], traj.t_end, samples)
-    vals = np.empty(samples)
-    for idx, t in enumerate(ts):
-        y = traj.sample(float(t))
-        vals[idx] = fn(y[: traj.dim], y[traj.dim:])
+    ys = traj.sample(np.linspace(traj.ts[0], traj.t_end, samples))
+    vals = np.array([fn(y[: traj.dim], y[traj.dim:]) for y in ys])
     vmax = float(vals.max())
     vmin = float(vals.min())
     scale = max(1.0, float(np.abs(vals).max()))

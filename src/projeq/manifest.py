@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chart import Chart
-from .errors import ExpressionError, ManifestError, ProjeqError
+from .errors import ExpressionError, ManifestError, ProjeqError, SingularMetric
 from .fields import EndomorphismField, MetricField, PhaseState, VectorField
 from .flows import IntegralFamily
 from .levicivita import LeviCivitaSpec, build_lc_pair
@@ -267,7 +267,10 @@ def seeded_states(metric: MetricField, box: Chart, count: int, seed: int):
         if np.linalg.norm(d) < 1e-6:
             d = np.zeros(n)
             d[0] = 1.0
-        ginv = np.linalg.inv(metric.matrix(x))
+        try:
+            ginv = np.linalg.inv(metric.matrix(x))
+        except np.linalg.LinAlgError:
+            raise SingularMetric("metric singular", point=x) from None
         p = d / np.sqrt(float(d @ ginv @ d))
         states.append(PhaseState(x, p))
     return states

@@ -45,6 +45,7 @@ from .fields import (
     fmat_mul,
     fmat_scale,
 )
+from .jets import Jets
 from .pairs import MetricPair, lie_derivative_metric
 
 
@@ -62,6 +63,7 @@ class QuadraticIntegral2D:
             raise WrongDimension("quadratic integrals live on 2-D charts")
         for name in ("re_a", "im_a", "b"):
             object.__setattr__(self, name, as_field(self.chart, getattr(self, name)))
+        object.__setattr__(self, "_jets", Jets(self.chart.names, (self.re_a, self.im_a, self.b)))
 
     @classmethod
     def from_quadratic_form(cls, chart, cxx, cxy, cyy):
@@ -89,9 +91,7 @@ class QuadraticIntegral2D:
 
     def value(self, x, p) -> float:
         px, py = float(p[0]), float(p[1])
-        ra = self.re_a.eval(x)
-        ia = self.im_a.eval(x)
-        bb = self.b.eval(x)
+        ra, ia, bb = self._jets(x, 0)[0]
         return (
             (bb + 2.0 * ra) * px * px
             + 4.0 * ia * px * py

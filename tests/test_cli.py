@@ -151,6 +151,28 @@ def test_bad_input_exits_2_with_named_error(tmp_path, command, manifest, error, 
     assert names in rep["error"]
 
 
+def test_structural_error_leaves_no_trajectory_csv(tmp_path):
+    # the first trajectory finishes, the second meets the singular metric
+    m = write_manifest(tmp_path, {**FLAT2, "geometry": {"kind": "metric", "entries": [
+        ["1+x^2", "0"], ["0", "exp(1000*y)"]]},
+        "run": {"seed": 0, "geodesics": 2, "horizon": 5.0}})
+    out = tmp_path / "out"
+    assert run("geodesic", m, out) == 2
+    assert report_of(out)["error"].startswith("SingularMetric:")
+    assert not list(out.glob("trajectory_*.csv"))
+
+
+@pytest.mark.parametrize("item, key", [("integrator_tol=-1", "integrator_tol"),
+                                       ("bm_tol=nan", "bm_tol")])
+def test_tol_override_must_be_finite_and_positive(tmp_path, item, key):
+    m = write_manifest(tmp_path, lc_manifest())
+    out = tmp_path / "out"
+    assert run("check-bm", m, out, "--tol", item) == 2
+    rep = report_of(out)
+    assert rep["error"].startswith("ManifestError:") and key in rep["error"]
+    assert "audits" not in rep
+
+
 def test_each_command_builds_its_scene_once(tmp_path, monkeypatch):
     from projeq.manifest import Manifest
 

@@ -167,6 +167,30 @@ def test_rhs_names_a_singular_metric_and_its_point():
     assert exc.value.point == [0.0, 0.5]
 
 
+def test_hamiltonian_names_a_singular_metric_and_its_point():
+    g = MetricField.diagonal(box_chart(("x", "y")), ["1", "x^2"], validate=False)
+    with pytest.raises(SingularMetric) as exc:
+        hamiltonian(g, [0.0, 0.5], [1.0, 1.0])
+    assert exc.value.point == [0.0, 0.5]
+
+
+def test_sample_on_a_time_array_matches_elementwise_dense_output():
+    st = PhaseState(np.array([1.0, 0.3]), np.array([0.4, -0.2]))
+    traj = integrate_geodesic(SPHERE, st, 3.0, tol=1e-8)
+    ts = np.linspace(traj.ts[0], traj.t_end, 37)
+    batch = traj.sample(ts)
+    assert batch.shape == (37, 4)
+    for t, row in zip(ts, batch):
+        k = min(max(int(np.searchsorted(traj.ts, t, side="right") - 1), 0), len(traj.ts) - 2)
+        u = (t - traj.ts[k]) / traj.hs[k]
+        q = traj.qs[k]
+        want = traj.ys[k] + u * (((q[3] * u + q[2]) * u + q[1]) * u + q[0])
+        assert np.array_equal(row, want)
+        assert np.array_equal(traj.sample(float(t)), want)
+    with pytest.raises(ValueError):
+        traj.sample(np.array([0.0, traj.t_end + 1.0]))
+
+
 def test_monitor_reports_span_fields():
     st = PhaseState(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
     traj = integrate_geodesic(FLAT, st, 2.0, tol=1e-8)
