@@ -144,7 +144,9 @@ def _cmd_geodesic(scene, m, out_dir):
     tols = m.tolerances
     monitored = _monitored(scene, m.run, tols)
     g = scene.metric
-    audits, tables, statuses = [], [], []
+    audits = []
+    tables = []
+    statuses = []
     for idx, (state, traj) in enumerate(_run_trajectories(scene, m)):
         ts = np.linspace(traj.ts[0], traj.t_end, 201)
         rows = []
@@ -465,14 +467,13 @@ def _parse_tol_overrides(items):
         if "=" not in item:
             raise ManifestError(f"--tol expects KEY=VALUE, got {item!r}")
         key, _, val = item.partition("=")
-        key = key.strip()
         try:
             value = float(val)
         except ValueError:
             raise ManifestError(f"--tol value for {key!r} is not numeric") from None
         if not (math.isfinite(value) and value > 0.0):
-            raise ManifestError(f"--tol {key} must be finite and > 0, got {val!r}")
-        out[key] = value
+            raise ManifestError(f"--tol {key.strip()} must be finite and > 0, got {val!r}")
+        out[key.strip()] = value
     return out
 
 

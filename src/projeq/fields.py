@@ -341,16 +341,21 @@ class MetricField(_EntryTable):
 
     def __init__(self, chart, entries, validate=True, pd_samples=1500, eps_pd=1e-10):
         n = chart.dim
-        table = [[entries[i][j] for j in range(n)] for i in range(n)]
-        if not all(isinstance(f, ScalarField) for row in table for f in row):
-            raise TypeError("metric entries must be ScalarFields")
+        table = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                f = entries[i][j]
+                if not isinstance(f, ScalarField):
+                    raise TypeError("metric entries must be ScalarFields")
+                table[i][j] = f
         for i in range(n):
             for j in range(i + 1, n):
                 if table[i][j] is not table[j][i]:
                     # distinct objects allowed only if they agree numerically
-                    if any(abs(table[i][j].eval(x) - table[j][i].eval(x)) > 1e-12
-                           for x in chart.sample(16, seed=3)):
-                        raise ValueError(f"metric entries ({i},{j}) vs ({j},{i}) differ")
+                    pts = chart.sample(16, seed=3)
+                    for x in pts:
+                        if abs(table[i][j].eval(x) - table[j][i].eval(x)) > 1e-12:
+                            raise ValueError(f"metric entries ({i},{j}) vs ({j},{i}) differ")
                     table[j][i] = table[i][j]
         super().__init__(chart, tuple(tuple(row) for row in table))
         self.eps_pd = eps_pd
@@ -533,14 +538,18 @@ def g_orthonormal_frame(g_matrix):
 
 def fmat_mul(a, b):
     """Product of two matrices of fields (lists of lists)."""
+    n = len(a)
+    m = len(b[0])
+    k = len(b)
     out = []
-    for row in a:
-        out.append([])
-        for j in range(len(b[0])):
-            acc = row[0] * b[0][j]
-            for s in range(1, len(b)):
-                acc = acc + row[s] * b[s][j]
-            out[-1].append(acc)
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = a[i][0] * b[0][j]
+            for s in range(1, k):
+                acc = acc + a[i][s] * b[s][j]
+            row.append(acc)
+        out.append(row)
     return out
 
 
@@ -570,7 +579,12 @@ def fmat_adjugate(a):
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            cof = fmat_det([[a[r][c] for c in range(n) if c != j] for r in range(n) if r != i])
+            minor = [
+                [a[r][c] for c in range(n) if c != j]
+                for r in range(n)
+                if r != i
+            ]
+            cof = fmat_det(minor)
             if (i + j) % 2 == 1:
                 cof = -cof
             out[j][i] = cof

@@ -69,12 +69,14 @@ def geodesic_rhs(g: MetricField):
 
     def rhs(t, y):
         x = y[:n]
+        p = y[n:]
         gmat, dg = g.jet(x, 1)
         try:
-            v = np.linalg.solve(gmat, y[n:])
+            v = np.linalg.solve(gmat, p)
         except np.linalg.LinAlgError:
             raise SingularMetric("metric singular", point=x) from None
-        return np.concatenate([v, 0.5 * np.einsum("i,ijk,j->k", v, dg, v)])
+        dp = 0.5 * np.einsum("i,ijk,j->k", v, dg, v)
+        return np.concatenate([v, dp])
 
     return rhs
 

@@ -13,7 +13,8 @@ subexpression shared by several outputs (det L in every partner entry)
 costs one evaluation. Any other field (NumericField) is an opaque leaf
 whose own eval, d1 and d2 the code calls. A division by zero, a math
 domain or range error, or a negative base to a fractional power becomes
-DomainViolation at the point, naming the field that failed.
+DomainViolation at the point, naming the field that failed; a power that
+overflows gives an infinity.
 """
 
 from __future__ import annotations
@@ -28,10 +29,14 @@ from .expressions import CHAIN_RULES, FUNCTIONS, BinOp, Call, Expression, Neg, N
 
 
 def _pow(base, exponent):
-    """base ** exponent on floats, refusing the complex power of a negative base."""
+    """base ** exponent on floats, refusing the complex power of a negative
+    base; an overflow gives an infinity, as numpy's power does."""
     if base < 0.0 and not exponent.is_integer():
         raise ValueError(f"negative base {base!r} to the power {exponent!r}")
-    return base ** exponent
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.copysign(math.inf, base) if exponent % 2.0 == 1.0 else math.inf
 
 
 _NAMESPACE = dict(FUNCTIONS, _pow=_pow, _array=np.array, inf=math.inf, nan=math.nan)
@@ -179,15 +184,15 @@ class _Writer:
     def power(self, u, c):
         c = float(c)
 
-        def pw(e):
-            if e in (0.0, 1.0):
-                return u[0] if e else 1.0
-            form = "{u} ** %s" if e.is_integer() else "_pow({u}, %s)"
-            return self.code(form % _fmt(e), u=u[0])
+        def pw(coeff, e):  # coeff * u ** e, written only when coeff is nonzero
+            if coeff == 0.0 or e == 0.0:
+                return coeff
+            form = "{u} * {u}" if e == 2.0 else "_pow({u}, %s)" % _fmt(e)
+            return self.comb([(coeff, u[0] if e == 1.0 else self.code(form, u=u[0]))])
 
-        d = self.comb([(c, pw(c - 1.0))]) if self.order else None
-        dd = self.comb([(c * (c - 1.0), pw(c - 2.0))]) if self.order > 1 else None
-        return self.chain(u, pw(c), d, dd)
+        d = pw(c, c - 1.0) if self.order else None
+        dd = pw(c * (c - 1.0), c - 2.0) if self.order > 1 else None
+        return self.chain(u, pw(1.0, c), d, dd)
 
     def general_power(self, a, b):
         """a ^ b = exp(b log a), valued as a ** b."""
@@ -226,10 +231,9 @@ class _Writer:
                 vals = [Jets(chart.names, e.args)(x, 0)[0][0] for x in chart.sample(256, seed=17)]
                 require_one_sign(min(vals), max(vals))
             return self.unary(e.fn, self.jet(e.args[0], names, cmap))
-        a = self.jet(e.left, names, cmap)
-        if e.op == "^" and isinstance(e.right, Num):
-            return self.power(a, e.right.value)
-        b = self.jet(e.right, names, cmap)
+        a, b = self.jet(e.left, names, cmap), self.jet(e.right, names, cmap)
+        if e.op == "^" and isinstance(b[0], float) and not any(b[1] or ()):  # as x^-2
+            return self.power(a, b[0])
         if e.op in "+-":
             sign = 1.0 if e.op == "+" else -1.0
             return self.each(lambda ta, tb: self.comb([(1.0, ta), (sign, tb)]), a, b)

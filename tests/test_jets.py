@@ -209,6 +209,39 @@ def test_fractional_power_of_a_negative_base_is_a_domain_violation(method):
         g.matrix(np.array([-0.25, 1.0]))
 
 
+@pytest.mark.parametrize("text", ["x^-2", "x^(-1)", "x^(2*3)", "(x^2 + y^2)^(-3/2)"])
+def test_constant_exponents_at_a_negative_base_match_sympy(text):
+    # a constant exponent that is not a literal number never takes log(x)
+    f = as_field(CHART2, text)
+    x = np.array([-0.5, 0.7])
+    val, d1, d2 = sympy_jets([[f, f]], CHART2, x)
+    assert_close(np.array(f.eval(x)), val[0, 0])
+    assert_close(f.d1(x), d1[0, 0])
+    assert_close(f.d2(x), d2[0, 0])
+
+
+@pytest.mark.parametrize("text", ["x^0", "x^1", "x^2"])
+def test_derivatives_of_small_powers_at_zero(text):
+    # the zero coefficients of lower powers write no 0 ** -1 that would raise
+    f = as_field(CHART2, text)
+    c = float(text[-1])
+    x = np.array([0.0, 0.3])
+    assert f.eval(x) == (1.0 if c == 0 else 0.0)
+    assert f.d1(x).tolist() == [float(c == 1), 0.0]
+    assert f.d2(x).tolist() == [[float(c == 2) * 2.0, 0.0], [0.0, 0.0]]
+
+
+def test_power_overflow_is_infinite_not_a_domain_violation():
+    # far outside a chart, as at an overlong trial step, a power overflows
+    # to an infinity that the integrator rejects, as with numpy
+    far = np.array([1e200, 0.0])
+    for f in (as_field(CHART2, "x^3"), coord(CHART2, "x") ** 3):
+        assert f.eval(far) == f.d1(far)[0] == math.inf  # 3 x^2 overflows too
+    assert as_field(CHART2, "x^2.5").eval(far) == math.inf
+    assert as_field(CHART2, "x^3").eval(np.array([-1e120, 0.0])) == -math.inf
+    assert as_field(CHART2, "x^2").eval(np.array([-1e200, 0.0])) == math.inf
+
+
 def test_a_long_sum_compiles_without_deep_recursion():
     # parses into a left-deep tree 900 operations high
     f = as_field(CHART2, "x" + " + x*y" * 900)
