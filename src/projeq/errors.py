@@ -30,7 +30,7 @@ class SingularMetric(PointError):
     """Metric matrix numerically singular (condition number above cap)."""
 
 
-class NotPositiveDefinite(ProjeqError):
+class NotPositiveDefinite(PointError):
     """A matrix required to be positive-definite is not."""
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from .chart import Chart
 from .errors import (
     DerivativeNotAvailable,
+    DomainViolation,
     NotPositiveDefinite,
     NotSelfAdjoint,
     SingularMetric,
@@ -322,6 +323,11 @@ class _EntryTable:
         n = self.dim
         return tuple(np.array(p).reshape((n,) * (k + 2)) for k, p in enumerate(self._jets(x, order)))
 
+    def matrices(self, points):
+        """The matrix at each point, stacked: shape (N, n, n)."""
+        n = self.dim
+        return np.array([self.matrix(x) for x in points]).reshape(len(points), n, n)
+
 
 class MetricField(_EntryTable):
     """A symmetric matrix of scalar fields, policed for positive-definiteness.
@@ -363,9 +369,8 @@ class MetricField(_EntryTable):
             rep = self.pd_report(samples=pd_samples)
             if not rep["positive_definite"]:
                 raise NotPositiveDefinite(
-                    f"metric loses definiteness: min eigenvalue {rep['min_eigenvalue']:.3e}"
-                    f" at {rep['worst_point']}"
-                )
+                    f"metric loses definiteness: min eigenvalue {rep['min_eigenvalue']:.3e}",
+                    point=rep["worst_point"])
 
     def matrix(self, x):
         return self.jet(x, 0)[0]
@@ -389,13 +394,13 @@ class MetricField(_EntryTable):
 
     def pd_report(self, samples=10_000, seed=0):
         pts = self.chart.sample(samples, seed=seed)
-        worst = None
-        worst_val = np.inf
-        for x in pts:
-            w = np.linalg.eigvalsh(self.matrix(x))
-            if w[0] < worst_val:
-                worst_val = w[0]
-                worst = x
+        mats = self.matrices(pts)
+        require_finite(mats, pts, "metric")
+        worst, worst_val = None, np.inf
+        if len(pts):
+            low = np.linalg.eigvalsh(mats)[:, 0]
+            k = int(np.argmin(low))  # the first of tied minima
+            worst, worst_val = pts[k], low[k]
         return {
             "positive_definite": bool(worst_val > self.eps_pd),
             "min_eigenvalue": float(worst_val),
@@ -522,6 +527,15 @@ class PhaseState:
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float).copy())
         if self.x.shape != self.p.shape:
             raise ValueError("x and p must have equal shapes")
+
+
+def require_finite(mats, points, what):
+    """Raise DomainViolation naming the first point whose matrix in the
+    stack ``mats`` has a non-finite entry; ``points`` may be None."""
+    if not np.isfinite(mats).all():
+        k = int(np.argmin(np.isfinite(mats).all(axis=(-2, -1))))
+        raise DomainViolation(f"non-finite {what} entry",
+                              point=None if points is None else points[k])
 
 
 def g_orthonormal_frame(g_matrix):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ComplexRoots, ZeroVelocity
 from .fields import PhaseState
-from .pairs import pencil_spectrum, spectrum_at
+from .pairs import spectra_at, spectrum_at
 
 
 def _fl_adjugate(a, da=None):
@@ -271,7 +271,7 @@ def ordering_audit(g, L, points, tau_ord=1e-8) -> dict:
     strong form needed for the roots of different phase points to be
     comparable; pointwise ordering is weaker and not what is audited.
     """
-    lams = np.array([pencil_spectrum(g.matrix(x), L.matrix(x)) for x in points])
+    lams = spectra_at(g, L, points)
     n = lams.shape[1]
     bands = []
     worst = -np.inf
@@ -305,9 +305,9 @@ def interlacing_audit(family: IntegralFamily, phase_points, slack=1e-9) -> dict:
     """
     worst = -np.inf
     worst_detail = None
-    for state in phase_points:
+    lams = spectra_at(family.g, family.L, [state.x for state in phase_points])
+    for state, lam in zip(phase_points, lams):
         rts = family.roots(state)
-        lam = spectrum_at(family.g, family.L, state.x)
         for i, t in enumerate(rts):
             viol = max(lam[i] - t, t - lam[i + 1])
             if viol > worst:

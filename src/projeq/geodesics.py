@@ -262,13 +262,18 @@ def integrate_geodesic(g: MetricField, state: PhaseState, horizon: float,
 
 
 def monitor_along(traj: Trajectory, fn, samples: int = 201) -> dict:
-    """Span statistics of fn(x, p) on a uniform time grid of the run.
+    """Span statistics (`span_stats`) of fn(x, p) on a uniform time grid
+    of the run."""
+    ys = traj.sample(np.linspace(traj.ts[0], traj.t_end, samples))
+    return span_stats(np.array([fn(y[: traj.dim], y[traj.dim:]) for y in ys]))
+
+
+def span_stats(vals) -> dict:
+    """Max, min, first, last and drift of values sampled along a run.
 
     The reported ``drift`` is (max - min) / max(1, max |value|), a
     relative span that stays meaningful for near-zero quantities.
     """
-    ys = traj.sample(np.linspace(traj.ts[0], traj.t_end, samples))
-    vals = np.array([fn(y[: traj.dim], y[traj.dim:]) for y in ys])
     vmax = float(vals.max())
     vmin = float(vals.min())
     scale = max(1.0, float(np.abs(vals).max()))
@@ -278,5 +283,5 @@ def monitor_along(traj: Trajectory, fn, samples: int = 201) -> dict:
         "first": float(vals[0]),
         "last": float(vals[-1]),
         "drift": (vmax - vmin) / scale,
-        "samples": samples,
+        "samples": len(vals),
     }

@@ -149,6 +149,8 @@ class Manifest:
                 if key not in chart_spec:
                     raise ManifestError(f'chart needs "{key}"')
         endo = data.get("endomorphism")
+        if endo and not (isinstance(endo, list) and all(isinstance(r, list) for r in endo)):
+            raise ManifestError('"endomorphism" must be a list of rows')
         vec = data.get("vector_field")
         run = RunParams.from_dict(data.get("run", {}))
         tol_over = data.get("tolerances", {})
@@ -191,21 +193,24 @@ class Manifest:
                     "geometry already provides an endomorphism; drop the manifest one"
                 )
             scene.endo = EndomorphismField.from_rows(
-                scene.chart, [list(r) for r in self.endomorphism]
-            )
+                scene.chart, _table(self.endomorphism, scene.chart.dim, "endomorphism"))
         if self.vector_field:
             scene.vector = VectorField(scene.chart, self.vector_field)
         return scene
 
     def _scene_metric(self) -> Scene:
         chart = self._chart()
-        g = MetricField.from_rows(chart, self.geometry["entries"], validate=False)
+        entries = _table(self.geometry["entries"], chart.dim, "geometry.entries")
+        g = MetricField.from_rows(chart, entries, validate=False)
         return Scene(chart=chart, metric=g)
 
     def _scene_pair(self) -> Scene:
         chart = self._chart()
-        g = MetricField.from_rows(chart, self.geometry["g"], validate=False)
-        gbar = MetricField.from_rows(chart, self.geometry["gbar"], validate=False)
+        n = chart.dim
+        g = MetricField.from_rows(chart, _table(self.geometry["g"], n, "geometry.g"),
+                                  validate=False)
+        gbar = MetricField.from_rows(chart, _table(self.geometry["gbar"], n, "geometry.gbar"),
+                                     validate=False)
         pair = MetricPair(g, gbar)
         return Scene(chart=chart, metric=g, partner=gbar,
                      endo=l_field_from_pair(pair))
@@ -243,6 +248,14 @@ class Manifest:
         if bundle.vector_fields:
             scene.vector = next(iter(bundle.vector_fields.values()))
         return scene
+
+
+def _table(rows, n, key):
+    """``rows`` if it is an n x n table, else ManifestError naming ``key``."""
+    if not (isinstance(rows, (list, tuple)) and len(rows) == n
+            and all(isinstance(r, (list, tuple)) and len(r) == n for r in rows)):
+        raise ManifestError(f"{key} must be a {n} x {n} table, got {rows!r}")
+    return rows
 
 
 def default_t_grid(scene: Scene, count=5):

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .curvature import christoffel, ricci, riemann
-from .errors import NonPositiveSpectrum, SingularMatrix
+from .errors import NonPositiveSpectrum, NotPositiveDefinite, SingularMatrix
 from .fields import (
     EndomorphismField,
     MetricField,
@@ -29,17 +28,49 @@ from .fields import (
     fmat_mul,
     fmat_scale,
     g_orthonormal_frame,
+    require_finite,
 )
 
 
-def pencil_spectrum(gmat, lmat):
-    """Eigenvalues of L, ascending. Real because g*L is symmetric."""
-    gl = gmat @ lmat
-    return scipy.linalg.eigh(0.5 * (gl + gl.T), gmat, eigvals_only=True)
+def pencil_spectrum(gmat, lmat, points=None):
+    """Eigenvalues of L with respect to g, ascending, for one n x n pair or
+    a (..., n, n) stack of them. Real because g*L is symmetric.
+
+    With g = C C^T (Cholesky) they are the eigenvalues of the symmetric
+    C^T L C^-T, which equals C^-1 (g L) C^-T; the product is symmetrised
+    against rounding. A 2-D call is the one-matrix case of the stack.
+    Non-finite entries raise DomainViolation and a g that is not
+    positive-definite raises NotPositiveDefinite; both name the point
+    when ``points`` (one per matrix, in stack order) is given.
+    """
+    g = np.asarray(gmat, dtype=float)
+    lm = np.asarray(lmat, dtype=float)
+    n = g.shape[-1]
+    lead = g.shape[:-2]
+    g = g.reshape(-1, n, n)
+    lm = lm.reshape(-1, n, n)
+    require_finite(g, points, "metric")
+    require_finite(lm, points, "endomorphism")
+    try:
+        c = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        w = np.linalg.eigvalsh(g)[:, 0]
+        k = int(np.argmin(w))
+        raise NotPositiveDefinite(f"metric not positive-definite: min eigenvalue {w[k]:.3e}",
+                                  point=None if points is None else points[k]) from None
+    m = c.transpose(0, 2, 1) @ lm @ np.linalg.inv(c).transpose(0, 2, 1)
+    return np.linalg.eigvalsh(0.5 * (m + m.transpose(0, 2, 1))).reshape(lead + (n,))
+
+
+def spectra_at(g: MetricField, L: EndomorphismField, points):
+    """Pencil spectra at each point, shape (N, n): the matrices are built
+    point by point and their eigenvalues come from one stacked call."""
+    pts = np.asarray(points, dtype=float)
+    return pencil_spectrum(g.matrices(pts), L.matrices(pts), points=pts)
 
 
 def spectrum_at(g: MetricField, L: EndomorphismField, x):
-    return pencil_spectrum(g.matrix(x), L.matrix(x))
+    return spectra_at(g, L, [x])[0]
 
 
 def covariant_endo_derivative(g, L, x):
@@ -144,16 +175,12 @@ def gbar_from_l(g, L, eig_floor=1e-12, samples=500, seed=0, validate=False):
     constructor scan is skipped by default for that reason.
     """
     chart = g.chart
-    worst = None
-    worst_val = np.inf
-    for x in chart.sample(samples, seed=seed):
-        lam = pencil_spectrum(g.matrix(x), L.matrix(x))
-        if lam[0] < worst_val:
-            worst_val = float(lam[0])
-            worst = x
-    if worst_val <= eig_floor:
+    pts = chart.sample(samples, seed=seed)
+    lam_min = spectra_at(g, L, pts)[:, 0]
+    if len(pts) and lam_min.min() <= eig_floor:
+        k = int(np.argmin(lam_min))
         raise NonPositiveSpectrum(
-            f"L eigenvalue {worst_val:.3e} <= {eig_floor:.1e} at {worst};"
+            f"L eigenvalue {lam_min[k]:.3e} <= {eig_floor:.1e} at {pts[k]};"
             " partner metric undefined"
         )
 

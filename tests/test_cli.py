@@ -139,8 +139,20 @@ FLAT2 = {
         ["1+x^2", "0"], ["0", "exp(1000*y)"]]},
         "run": {"seed": 0, "geodesics": 2, "horizon": 5.0}},
      "SingularMetric", "singular at ["),
+    ("check-bm", {**FLAT2, "geometry": {"kind": "metric", "entries": [
+        ["1 + x^2", "0"], ["0"]]}, "run": {"samples": 20}},
+     "ManifestError", "geometry.entries must be a 2 x 2 table"),
+    ("check-bm", {**FLAT2, "endomorphism": [["x", "0", "0"], ["0", "1", "0"]],
+                  "run": {"samples": 20}},
+     "ManifestError", "endomorphism must be a 2 x 2 table"),
+    ("pair", {**FLAT2, "geometry": {"kind": "pair", "g": [["1", "0"], ["0", "1"]],
+                                    "gbar": "2"}, "run": {"samples": 20}},
+     "ManifestError", "geometry.gbar must be a 2 x 2 table"),
+    ("check-bm", {**FLAT2, "endomorphism": ["xy", "00"], "run": {"samples": 20}},
+     "ManifestError", '"endomorphism" must be a list of rows'),
 ], ids=["samples-0", "samples-abc", "horizon-negative", "horizon-inf",
-        "geodesics-0", "log-domain", "singular-metric"])
+        "geodesics-0", "log-domain", "singular-metric", "entries-ragged",
+        "endomorphism-2x3", "gbar-not-a-table", "endomorphism-not-rows"])
 def test_bad_input_exits_2_with_named_error(tmp_path, command, manifest, error, names):
     m = write_manifest(tmp_path, manifest)
     out = tmp_path / "out"
@@ -188,6 +200,34 @@ def test_each_command_builds_its_scene_once(tmp_path, monkeypatch):
     assert run("check-bm", m, tmp_path / "out", "--seed", "3",
                "--tol", "bm_tol=1e-05") == 0
     assert len(calls) == 1
+
+
+def test_geodesic_evaluates_energy_once_per_grid_time(tmp_path, monkeypatch):
+    import projeq.cli as cli
+    from projeq.geodesics import monitor_along
+    from projeq.manifest import Manifest, seeded_states
+
+    m = write_manifest(tmp_path, {**LC3, "run": {"seed": 0, "geodesics": 3, "horizon": 2.0}})
+    calls = []
+    ham = cli.hamiltonian
+
+    def counting(g, x, p):
+        calls.append(1)
+        return ham(g, x, p)
+
+    monkeypatch.setattr(cli, "hamiltonian", counting)
+    out = tmp_path / "out"
+    assert run("geodesic", m, out) == 0
+    assert len(calls) == 3 * 201
+    # the drifts are the ones monitor_along gives on the same trajectories
+    monkeypatch.setattr(cli, "hamiltonian", ham)
+    man = Manifest.load(m)
+    states = seeded_states(man.scene.metric, man.scene.chart, 3, 0)
+    for audit, state in zip(report_of(out)["audits"], states):
+        traj = cli.integrate_geodesic(man.scene.metric, state, 2.0,
+                                      tol=man.tolerances.integrator_tol)
+        drift = monitor_along(traj, lambda x, p: ham(man.scene.metric, x, p))["drift"]
+        assert audit["value"] == drift
 
 
 # -- CSV contracts ----------------------------------------------------------

@@ -195,6 +195,17 @@ def test_metric_validation_rejects_indefinite():
         MetricField.diagonal(CHART2, ("x", "1"), validate=True)
 
 
+def test_pd_report_names_a_nan_metric_point():
+    nan_right = NumericField(CHART2, lambda x: math.nan if x[0] > 0.5 else 1.0)
+    g = MetricField(CHART2, [[nan_right, ConstantField(CHART2, 0.0)],
+                             [ConstantField(CHART2, 0.0), ConstantField(CHART2, 1.0)]],
+                    validate=False)
+    pts = CHART2.sample(40, seed=0)
+    with pytest.raises(DomainViolation) as err:
+        g.pd_report(samples=40, seed=0)
+    assert err.value.point == pts[int(np.argmax(pts[:, 0] > 0.5))].tolist()
+
+
 def test_metric_asymmetric_entries_rejected():
     rows = [["1", "x"], ["y", "1"]]
     with pytest.raises(ValueError):

@@ -5,17 +5,22 @@ independent hand computation frozen in the test.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from projeq.chart import Chart, box_chart
-from projeq.errors import NonPositiveSpectrum, NotSelfAdjoint
+from projeq.errors import DomainViolation, NonPositiveSpectrum, NotPositiveDefinite, NotSelfAdjoint
 from projeq.fields import (
     EndomorphismField,
     MetricField,
+    NumericField,
+    PhaseState,
     VectorField,
 )
+from projeq.flows import IntegralFamily, interlacing_audit, ordering_audit
 from projeq.levicivita import LeviCivitaSpec, build_lc_pair
 from projeq.pairs import (
     MetricPair,
@@ -135,6 +140,154 @@ def test_spectrum_at_matches_phi_values():
     g, _, L = lc_case()
     x = np.array([0.7, 0.2])
     assert np.allclose(spectrum_at(g, L, x), [0.7, 2.0], atol=1e-12)
+
+
+# -- the stacked spectrum path -----------------------------------------------
+
+def random_pencils(n, count, seed):
+    """count random (g, L) with g positive-definite and g L symmetric."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(count, n, n))
+    gm = a @ a.transpose(0, 2, 1) + n * np.eye(n)
+    s = rng.normal(size=(count, n, n))
+    return gm, np.linalg.solve(gm, s + s.transpose(0, 2, 1))
+
+
+def lc3_case():
+    spec = LeviCivitaSpec.create(
+        [1, 1, 1], ["1 + 0.3*tanh(x1)", "3", "6 + x3^2"],
+        bounds=((-1.0, 1.0), (-1.0, 1.0), (0.5, 1.5)), names=("x1", "x2", "x3"))
+    g, gbar, L = build_lc_pair(spec)
+    return spec.chart, g, gbar, L
+
+
+def first_extreme(values, better):
+    """Index a pointwise scan keeps: the first value no later one beats."""
+    k = 0
+    for j, v in enumerate(values):
+        if better(v, values[k]):
+            k = j
+    return k
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_spectrum_is_bit_identical_to_pointwise(n):
+    gm, lm = random_pencils(n, 24, seed=n)
+    stacked = pencil_spectrum(gm, lm)
+    assert stacked.shape == (24, n)
+    for k in range(24):
+        assert np.array_equal(stacked[k], pencil_spectrum(gm[k], lm[k]))
+    nested = pencil_spectrum(gm.reshape(4, 6, n, n), lm.reshape(4, 6, n, n))
+    assert np.array_equal(nested, stacked.reshape(4, 6, n))
+
+
+def test_spectrum_matches_sympy_pencil():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    g = sympy.Matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    s = sympy.Matrix([[1, 2, 0], [2, -1, 1], [0, 1, 3]])  # g L = S, L not diagonal
+    roots = sympy.Poly((s - t * g).det(), t).nroots(n=30)
+    want = np.array(sorted(float(sympy.re(r)) for r in roots))
+    lm = np.array((g.inv() * s).evalf(30).tolist(), dtype=float)
+    got = pencil_spectrum(np.array(g.tolist(), dtype=float), lm)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_diagonal_pencil_returns_its_diagonal_exactly():
+    chart, g, _, L = lc3_case()
+    assert spectrum_at(g, L, chart.center()).tolist() == [1.0, 3.0, 7.0]
+
+
+def test_scans_pick_the_pointwise_worst_point():
+    chart, g, gbar, L = lc3_case()
+    pts = chart.sample(150, seed=4)
+    lams = [pencil_spectrum(g.matrix(x), L.matrix(x)) for x in pts]
+    rep = ordering_audit(g, L, pts)
+    for band in rep["bands"]:
+        i = band["band"]
+        hi = first_extreme([lam[i] for lam in lams], lambda a, b: a > b)
+        lo = first_extreme([lam[i + 1] for lam in lams], lambda a, b: a < b)
+        assert band["argmax"] == pts[hi].tolist() and band["argmin"] == pts[lo].tolist()
+        assert band["upper_max"] == lams[hi][i] and band["next_min"] == lams[lo][i + 1]
+    pd = gbar.pd_report(samples=150, seed=4)
+    low = [np.linalg.eigvalsh(gbar.matrix(x))[0] for x in pts]
+    k = first_extreme(low, lambda a, b: a < b)
+    assert pd["worst_point"] == pts[k].tolist() and pd["min_eigenvalue"] == low[k]
+    # a shifted L fails the partner scan at the pointwise first minimum
+    shifted = EndomorphismField(chart, [[L.entries[i][j] - (2.0 if i == j else 0.0)
+                                         for j in range(3)] for i in range(3)])
+    scan = chart.sample(500, seed=0)
+    low = [pencil_spectrum(g.matrix(x), shifted.matrix(x))[0] for x in scan]
+    k = first_extreme(low, lambda a, b: a < b)
+    with pytest.raises(NonPositiveSpectrum) as err:
+        gbar_from_l(g, shifted)
+    assert f"{low[k]:.3e}" in str(err.value) and str(scan[k]) in str(err.value)
+
+
+def test_scans_keep_the_first_of_tied_points():
+    g = MetricField.euclidean(CHART2)
+    L = EndomorphismField.constant(CHART2, np.diag([1.0, 2.0]))
+    pts = CHART2.sample(30, seed=1)
+    band = ordering_audit(g, L, pts)["bands"][0]
+    assert band["argmax"] == band["argmin"] == pts[0].tolist()
+    assert g.pd_report(samples=30, seed=1)["worst_point"] == pts[0].tolist()
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, projeq, projeq.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
+# -- named errors on bad spectrum input ----------------------------------------
+
+def nan_beyond(chart, cut):
+    """A black-box entry that is NaN where x > cut and 1 elsewhere."""
+    return NumericField(chart, lambda x: math.nan if x[0] > cut else 1.0)
+
+
+def test_non_finite_pencil_input_is_a_domain_violation():
+    gm, lm = random_pencils(3, 4, seed=0)
+    pts = np.arange(12.0).reshape(4, 3)
+    lm[2, 0, 1] = np.nan
+    with pytest.raises(DomainViolation, match="endomorphism"):
+        pencil_spectrum(gm, lm)
+    gm[1, 1, 1] = np.inf
+    with pytest.raises(DomainViolation, match="metric") as err:
+        pencil_spectrum(gm, lm, points=pts)
+    assert err.value.point == [3.0, 4.0, 5.0]
+    with pytest.raises(DomainViolation):
+        pencil_spectrum(gm[1], lm[1])
+
+
+def test_spectrum_scans_name_the_non_finite_point():
+    g = MetricField.euclidean(CHART2)
+    L = EndomorphismField(CHART2, [[nan_beyond(CHART2, 1.0), 0.0], [0.0, 2.0]])
+    with pytest.raises(DomainViolation) as err:
+        spectrum_at(g, L, np.array([1.5, 0.25]))
+    assert err.value.point == [1.5, 0.25]
+    pts = CHART2.sample(60, seed=0)
+    first = pts[int(np.argmax(pts[:, 0] > 1.0))].tolist()
+    with pytest.raises(DomainViolation) as err:
+        ordering_audit(g, L, pts)
+    assert err.value.point == first
+    with pytest.raises(DomainViolation) as err:
+        interlacing_audit(IntegralFamily(g, L), [PhaseState(x, np.array([1.0, 0.5]))
+                                                 for x in pts])
+    assert err.value.point == first
+    with pytest.raises(DomainViolation):
+        gbar_from_l(g, L)
+
+
+def test_indefinite_metric_is_not_positive_definite():
+    with pytest.raises(NotPositiveDefinite):
+        pencil_spectrum(np.diag([1.0, -2.0]), np.eye(2))
+    g = MetricField.diagonal(CHART2, ("1", "y"), validate=False)
+    L = EndomorphismField.identity(CHART2)
+    with pytest.raises(NotPositiveDefinite) as err:
+        spectrum_at(g, L, np.array([1.0, -0.5]))
+    assert err.value.point == [1.0, -0.5]
 
 
 # -- infinitesimal version ---------------------------------------------------
