@@ -22,7 +22,7 @@ from .curvature import sectional
 from .errors import EnergyProportional, ManifestError, ProjeqError
 from .fields import PhaseState, as_field
 from .flows import interlacing_audit, ordering_audit
-from .geodesics import hamiltonian, integrate_geodesic, monitor_along, span_stats
+from .geodesics import hamiltonian, integrate_geodesic, span_stats
 from .levicivita import split
 from .manifest import Manifest, Scene, default_t_grid, seeded_states
 from .pairs import (
@@ -60,7 +60,8 @@ def _init_box(scene: Scene):
 
 
 def _monitored(scene: Scene, run, tols):
-    """Named (label, fn(x, p)) conserved quantities for this scene."""
+    """Named (label, fn(x, p)) conserved quantities for this scene; each fn
+    takes one point or (N, n) stacks of them."""
     out = []
     if scene.integrals:
         for name in sorted(scene.integrals):
@@ -140,24 +141,24 @@ def _run_trajectories(scene, m):
                                     tol=m.tolerances.integrator_tol)
 
 
+def _sample_columns(g, traj, monitored):
+    """The run on monitor_along's 201-point time grid as columns t, x, p, H
+    and one per monitored quantity, each filled by one stacked call."""
+    ts = np.linspace(traj.ts[0], traj.t_end, 201)
+    ys = traj.sample(ts)
+    xs, ps = ys[:, : traj.dim], ys[:, traj.dim:]
+    energy = [hamiltonian(g, x, p) for x, p in zip(xs, ps)]
+    return np.column_stack([ts, xs, ps, energy, *(fn(xs, ps) for _, fn in monitored)])
+
+
 def _cmd_geodesic(scene, m, out_dir):
     tols = m.tolerances
     monitored = _monitored(scene, m.run, tols)
-    g = scene.metric
     audits = []
     tables = []
     statuses = []
     for idx, (state, traj) in enumerate(_run_trajectories(scene, m)):
-        ts = np.linspace(traj.ts[0], traj.t_end, 201)
-        rows = []
-        for t, y in zip(ts, traj.sample(ts)):
-            x, p = y[: traj.dim], y[traj.dim:]
-            row = [float(t), *map(float, x), *map(float, p),
-                   hamiltonian(g, x, p)]
-            row.extend(fn(x, p) for _, fn in monitored)
-            rows.append(row)
-        tables.append(np.array(rows))  # held compactly until every run is done
-        # the H column holds monitor_along's energy samples: same grid, same states
+        tables.append(_sample_columns(scene.metric, traj, monitored))
         drift = span_stats(tables[-1][:, 1 + 2 * traj.dim])
         bound = tols.energy_drift_factor * tols.integrator_tol
         audits.append(reports.audit(
@@ -180,20 +181,19 @@ def _cmd_conserve(scene, m, out_dir):
     monitored = _monitored(scene, m.run, tols)
     if not monitored:
         raise ManifestError("no conserved quantities available for this geometry")
-    g = scene.metric
     worst = {name: 0.0 for name, _ in monitored}
     rows = []
     energy_worst = 0.0
     count = 0
     for idx, (state, traj) in enumerate(_run_trajectories(scene, m)):
         count += 1
-        for name, fn in monitored:
-            d = monitor_along(traj, fn)
+        table = _sample_columns(scene.metric, traj, monitored)
+        for k, (name, _) in enumerate(monitored):
+            d = span_stats(table[:, 2 + 2 * traj.dim + k])
             worst[name] = max(worst[name], d["drift"])
             rows.append([float(idx), name, d["first"], d["last"],
                          d["min"], d["max"], d["drift"]])
-        e = monitor_along(traj, lambda x, p: hamiltonian(g, x, p))
-        energy_worst = max(energy_worst, e["drift"])
+        energy_worst = max(energy_worst, span_stats(table[:, 1 + 2 * traj.dim])["drift"])
     path = os.path.join(out_dir, "conserve.csv")
     reports.write_csv(
         path, ["trajectory", "integral", "first", "last", "min", "max", "drift"],

@@ -38,23 +38,25 @@ def _fl_adjugate(a, da=None):
     """Coefficient matrices of adj(t I - A) = sum_k M_{k+1} t^{n-1-k}.
 
     Faddeev-LeVerrier: M_1 = I, c_{n-k} = -tr(A M_k)/k,
-    M_{k+1} = A M_k + c_{n-k} I. Returns the list [M_1 .. M_n]; given
-    da[i, j, d] = d A_ij / d x_d, returns (mats, dmats) with dmats[k][i, j, d]
-    the matching partials of M_{k+1}.
+    M_{k+1} = A M_k + c_{n-k} I. Returns the list [M_1 .. M_n]; a may be
+    one n x n matrix or a (..., n, n) stack, and every M_k after the
+    identity M_1 is shaped like it. Given da[i, j, d] = d A_ij / d x_d at
+    one point, returns (mats, dmats) with dmats[k][i, j, d] the matching
+    partials of M_{k+1}.
     """
-    n = a.shape[0]
+    n = a.shape[-1]
     eye = np.eye(n)
-    m, dm = eye.copy(), np.zeros((n, n, n))
+    m, dm = eye, np.zeros((n, n, n))
     mats, dmats = [m], [dm]
     for k in range(1, n):
         am = a @ m
-        c = -np.trace(am) / k
+        c = -am.trace(0, -2, -1) / k
         if da is not None:
             dam = np.einsum("isd,sj->ijd", da, m) + np.einsum("is,sjd->ijd", a, dm)
             dc = -np.einsum("iid->d", dam) / k
             dm = dam + np.einsum("d,ij->ijd", dc, eye)
             dmats.append(dm)
-        m = am + c * eye
+        m = am + c[..., None, None] * eye
         mats.append(m)
     return mats if da is None else (mats, dmats)
 
@@ -89,32 +91,50 @@ class IntegralFamily:
         self.g = g
         self.L = L
         self.chart = g.chart
+        # adj(L - t Id) = sign * adj(t Id - L)
+        self._sign = 1.0 if (g.dim - 1) % 2 == 0 else -1.0
         if check_points:
             for x in self.chart.sample(check_points, seed=11):
                 L.require_self_adjoint(g, x, eps_sym_factor)
 
     # -- coefficient data -------------------------------------------------
 
+    @staticmethod
+    def _matrices(field, x):
+        """field's matrix at one point, or the (N, n, n) stack at N points."""
+        return field.matrix(x) if np.ndim(x) == 1 else field.matrices(x)
+
     def coeff_matrices(self, x):
-        """C_j with adj(L - t Id) = sum_j t^j C_j; C_{n-1} = (-1)^{n-1} Id."""
-        n = self.g.dim
-        sign = 1.0 if (n - 1) % 2 == 0 else -1.0
-        mats = _fl_adjugate(self.L.matrix(x))
-        # adj(t I - L) = sum_k M_{k+1} t^{n-1-k}; flip sign for adj(L - t I)
-        return [sign * mats[n - 1 - j] for j in range(n)]
+        """C_j with adj(L - t Id) = sum_j t^j C_j; C_{n-1} = (-1)^{n-1} Id.
+
+        x is one point or an (N, n) stack, giving n x n or (N, n, n)
+        matrices; C_{n-1} stays n x n and broadcasts against the stack.
+        """
+        # adj(t I - L) = sum_k M_{k+1} t^{n-1-k}, so C_j = sign * M_{n-j}
+        return [self._sign * m for m in _fl_adjugate(self._matrices(self.L, x))[::-1]]
 
     def s_matrix(self, x, t):
-        cs = self.coeff_matrices(x)
-        out = np.zeros_like(cs[0])
-        for j, c in enumerate(cs):
-            out += (t ** j) * c
+        """S_t = adj(L - t Id) at one point or an (N, n) stack."""
+        mats = _fl_adjugate(self._matrices(self.L, x))[::-1]
+        out = np.zeros_like(mats[0])
+        for j, m in enumerate(mats):
+            # (sign t^j) M_{n-j} is t^j C_j bit for bit, since sign is +-1
+            out += (self._sign * t ** j) * m
         return out
 
     # -- evaluation ---------------------------------------------------------
 
-    def value(self, state: PhaseState, t: float) -> float:
-        v = np.linalg.solve(self.g.matrix(state.x), state.p)
-        return float(state.p @ (self.s_matrix(state.x, t) @ v))
+    def value(self, state: PhaseState, t: float):
+        """I_t at one phase state (a float) or at a stack of them.
+
+        With state.x and state.p shaped (N, n) the result is an (N,)
+        array: one metric build, one solve and one Faddeev-LeVerrier pass
+        over the whole stack. The one-state call is the same computation.
+        """
+        p = state.p
+        v = np.linalg.solve(self._matrices(self.g, state.x), p[..., None])
+        out = (p[..., None, :] @ (self.s_matrix(state.x, t) @ v))[..., 0, 0]
+        return float(out) if p.ndim == 1 else out
 
     def t_coefficients(self, state: PhaseState):
         """a_j with I_t = sum_j a_j t^j; leading a_{n-1} = +-2H != 0."""
@@ -153,14 +173,12 @@ class IntegralFamily:
         derivatives; every bracket at this state is read off the result.
         """
         x, p = state.x, state.p
-        n = self.g.dim
-        sign = 1.0 if (n - 1) % 2 == 0 else -1.0
         gmat, dg = self.g.jet(x, 1)
         ginv = np.linalg.inv(gmat)
         mats, dmats = _fl_adjugate(*self.L.jet(x, 1))
         # C_j = sign * M_{n-j}: cs[j, i, l] and dcs[j, i, l, k] = d C_j[i, l] / d x_k
-        cs = sign * np.array(mats[::-1])
-        dcs = sign * np.array(dmats[::-1])
+        cs = self._sign * np.array(mats[::-1])
+        dcs = self._sign * np.array(dmats[::-1])
         v = ginv @ p
         # a_j = p^T C_j g^{-1} p; u_j = g^{-1} C_j^T p
         u = np.einsum("jil,i->jl", cs, p) @ ginv

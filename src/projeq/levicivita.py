@@ -394,6 +394,11 @@ def k_constants(spec: LeviCivitaSpec, curvature: float, samples=200, seed=0):
 
 def split_matrix(g, L, r: int, x, tau_deg_factor=1e-7):
     """Pointwise h(x) for the eigenvalue split after position r (1-based)."""
+    return _split_at(g, L, r, x, tau_deg_factor)[1]
+
+
+def _split_at(g, L, r, x, tau_deg_factor):
+    """(spectrum, h) at x from one spectrum evaluation."""
     lam = spectrum_at(g, L, x)
     n = len(lam)
     if not 1 <= r <= n - 1:
@@ -414,7 +419,7 @@ def split_matrix(g, L, r: int, x, tau_deg_factor=1e-7):
         second = second @ (lam[j] * eye - lm)
     c = first + second
     h = np.linalg.solve(c, g.matrix(x).T).T  # (C^{-1})^T g, then symmetrized
-    return 0.5 * (h + h.T)
+    return lam, 0.5 * (h + h.T)
 
 
 def split(g, L, r: int, tau_deg_factor=1e-7, samples=200, seed=0):
@@ -435,9 +440,8 @@ def split(g, L, r: int, tau_deg_factor=1e-7, samples=200, seed=0):
     off_block = 0.0
     cross_d = 0.0
     for x in pts:
-        lam = spectrum_at(g, L, x)
+        lam, h = _split_at(g, L, r, x, tau_deg_factor)
         gap_min = min(gap_min, float(lam[r] - lam[r - 1]))
-        h = split_matrix(g, L, r, x, tau_deg_factor)
         h_eig_min = min(h_eig_min, float(np.linalg.eigvalsh(h)[0]))
         off = np.abs(h[:r, r:])
         if off.size:

@@ -185,7 +185,7 @@ class Manifest:
             scene = getattr(self, f"_scene_{kind}")()
         except ManifestError:
             raise
-        except (ProjeqError, ExpressionError, ValueError, KeyError) as e:
+        except (ProjeqError, ExpressionError, ValueError, KeyError, TypeError) as e:
             raise ManifestError(f"geometry {kind!r} invalid: {e}") from None
         if self.endomorphism:
             if scene.endo is not None:

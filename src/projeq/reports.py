@@ -86,7 +86,9 @@ def write_csv(path: str, columns, rows) -> None:
 
 
 def all_pass(audits) -> bool:
-    return all(a.get("pass", False) for a in audits)
+    """True when there is at least one audit and every audit passed: a run
+    that audited nothing has shown nothing."""
+    return bool(audits) and all(a.get("pass", False) for a in audits)
 
 
 def summarize(command: str, audits, tolerances, run, extra=None) -> dict:

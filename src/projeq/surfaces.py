@@ -89,9 +89,16 @@ class QuadraticIntegral2D:
     def a_value(self, x) -> complex:
         return complex(self.re_a.eval(x), self.im_a.eval(x))
 
-    def value(self, x, p) -> float:
-        px, py = float(p[0]), float(p[1])
-        ra, ia, bb = self._jets(x, 0)[0]
+    def value(self, x, p):
+        """I at (x, p) (a float), or at each row of (N, 2) stacks x and p
+        (an (N,) array)."""
+        p = np.asarray(p, dtype=float)
+        if p.ndim == 1:
+            ra, ia, bb = self._jets(x, 0)[0]
+            px, py = float(p[0]), float(p[1])
+        else:
+            ra, ia, bb = np.transpose([self._jets(xi, 0)[0] for xi in x])
+            px, py = p[:, 0], p[:, 1]
         return (
             (bb + 2.0 * ra) * px * px
             + 4.0 * ia * px * py

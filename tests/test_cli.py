@@ -8,7 +8,10 @@ header.txt carries the only timestamp and is excluded.
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from projeq.cli import main
 
@@ -230,6 +233,36 @@ def test_geodesic_evaluates_energy_once_per_grid_time(tmp_path, monkeypatch):
         assert audit["value"] == drift
 
 
+def test_monitored_columns_equal_per_point_monitoring(tmp_path):
+    import projeq.cli as cli
+    from projeq.geodesics import monitor_along
+    from projeq.manifest import Manifest, seeded_states
+
+    m = write_manifest(tmp_path, {**LC3, "run": {"seed": 0, "geodesics": 2, "horizon": 2.0}})
+    assert run("geodesic", m, tmp_path / "geo") == 0
+    assert run("conserve", m, tmp_path / "con") == 0
+    man = Manifest.load(m)
+    scene = man.scene
+    monitored = cli._monitored(scene, man.run, man.tolerances)
+    assert len(monitored) == 5
+    rows = (tmp_path / "con" / "conserve.csv").read_text().splitlines()[1:]
+    for idx, state in enumerate(seeded_states(scene.metric, scene.chart, 2, 0)):
+        traj = cli.integrate_geodesic(scene.metric, state, 2.0,
+                                      tol=man.tolerances.integrator_tol)
+        ys = traj.sample(np.linspace(traj.ts[0], traj.t_end, 201))
+        lines = (tmp_path / "geo" / f"trajectory_{idx:03d}.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        for k, (name, fn) in enumerate(monitored):
+            # each point on its own, as monitor_along evaluates it
+            assert table[:, header.index(name)].tolist() == [fn(y[:3], y[3:]) for y in ys]
+            d = monitor_along(traj, fn)
+            row = rows[idx * len(monitored) + k].split(",")
+            assert row[:2] == [repr(float(idx)), name]
+            assert [float(v) for v in row[2:]] == [
+                d["first"], d["last"], d["min"], d["max"], d["drift"]]
+
+
 # -- CSV contracts ----------------------------------------------------------
 
 
@@ -397,3 +430,60 @@ def test_unknown_command_rejected_by_parser(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--manifest", "x", "--out", "y"])
     assert exc.value.code == 2
+
+
+# -- the exit-code contract on mutated manifests ------------------------------
+
+CONTRACT_BASE = {
+    **LC3,
+    "run": {"seed": 0, "samples": 30, "geodesics": 2, "horizon": 1.0, "r": 1},
+}
+# where a value may be replaced (a missing key is added)
+MUTABLE = [
+    ("chart",), ("chart", "names"), ("chart", "names", 1), ("chart", "bounds"),
+    ("chart", "bounds", 0), ("chart", "bounds", 2, 1), ("geometry",),
+    ("geometry", "kind"), ("geometry", "block_sizes"), ("geometry", "block_sizes", 1),
+    ("geometry", "phis"), ("geometry", "phis", 0), ("geometry", "phis", 2),
+    ("geometry", "entries"), ("endomorphism",), ("run",), ("run", "seed"),
+    ("run", "samples"), ("run", "geodesics"), ("run", "horizon"), ("run", "t_grid"),
+]
+BAD_VALUES = [0, -1, "abc", None, [], [["1", "0"], ["0"]], "log(x1)"]
+
+
+def mutate(doc, path, value):
+    """Set doc[path] = value in place; a path through a value that is no
+    longer a container, or past the end of a list, is left alone."""
+    *head, last = path
+    for key in head:
+        if isinstance(doc, dict) and key in doc:
+            doc = doc[key]
+        elif isinstance(doc, list) and isinstance(key, int) and key < len(doc):
+            doc = doc[key]
+        else:
+            return
+    if isinstance(doc, dict) or (isinstance(doc, list) and isinstance(last, int)
+                                 and last < len(doc)):
+        doc[last] = value
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(MUTABLE), st.sampled_from(BAD_VALUES)),
+                min_size=1, max_size=2))
+def test_cli_contract_holds_on_mutated_manifests(tmp_path, mutations):
+    doc = json.loads(json.dumps(CONTRACT_BASE))
+    for path, value in mutations:
+        mutate(doc, path, value)
+    m = write_manifest(tmp_path, doc)
+    for command in ("check-bm", "geodesic"):
+        out = tmp_path / command
+        if out.exists():
+            for f in out.iterdir():
+                f.unlink()
+        code = run(command, m, out)
+        assert code in (0, 1, 2)
+        rep = report_of(out)
+        if code == 1:
+            assert any(a["pass"] is False for a in rep["audits"])
+        if code == 2:
+            assert "error" in rep

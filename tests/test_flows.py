@@ -334,3 +334,33 @@ def test_interlacing_roots_stay_inside_spectrum_hull():
     lam = SpectrumProfile(fam.g, fam.L).eigenvalues(state.x)
     assert lam[0] - 1e-9 <= rts[0] <= lam[1] + 1e-9
     assert lam[1] - 1e-9 <= rts[1] <= lam[2] + 1e-9
+
+
+# -- stacked evaluation -------------------------------------------------------------
+
+
+def _stack_family(label):
+    if label == "lc3":
+        return lc_family_3d()[0]
+    if label == "rand4":
+        return IntegralFamily(*build_lc_pair(random_spec(2, 4))[::2])
+    spec = LeviCivitaSpec.create([1, 1], ["x1", "2"], bounds=((0.1, 1.9), (-1, 1)))
+    return IntegralFamily(*build_lc_pair(spec)[::2])
+
+
+@pytest.mark.parametrize("label", ["lc3", "rand4", "pair2"])
+def test_stacked_value_equals_per_state_values(label):
+    fam = _stack_family(label)
+    n = fam.g.dim
+    xs = fam.chart.sample(201, seed=5)
+    ps = np.random.default_rng(5).normal(size=(201, n))
+    lam = SpectrumProfile(fam.g, fam.L).eigenvalues(xs[17])
+    for t in (-1.5, 0.0, 0.7, float(lam[0]), float(lam[-1]), 9.0):
+        stacked = fam.value(PhaseState(xs, ps), t)
+        assert stacked.shape == (201,)
+        single = [fam.value(PhaseState(x, p), t) for x, p in zip(xs, ps)]
+        assert all(type(v) is float for v in single)
+        assert stacked.tolist() == single  # bit for bit
+    for c_stack, c_first in zip(fam.coeff_matrices(xs), fam.coeff_matrices(xs[0])):
+        assert np.array_equal(np.broadcast_to(c_stack, (201, n, n))[0], c_first)
+    assert np.array_equal(fam.s_matrix(xs, 0.7)[3], fam.s_matrix(xs[3], 0.7))

@@ -186,6 +186,39 @@ def test_split_decouples_normal_form_blocks():
     assert rep["cross_derivative_max"] <= 1e-6
 
 
+def test_split_scan_computes_one_spectrum_per_point(monkeypatch):
+    import projeq.pairs as pairs
+
+    spec = LeviCivitaSpec.create(
+        [1, 1, 1], ["1 + 0.3*tanh(x1)", "3", "6 + x3^2"],
+        bounds=((-1, 1), (-1, 1), (0.5, 1.5)))
+    g, _, L = build_lc_pair(spec)
+    _, rep = split(g, L, r=1, samples=200, seed=0)
+    # the report the scan gave when it took the spectrum twice per point
+    pts = g.chart.sample(200, seed=0)
+    hs = [split_matrix(g, L, 1, x) for x in pts]
+    assert rep["gap_min"] == min(
+        float(spectrum_at(g, L, x)[1] - spectrum_at(g, L, x)[0]) for x in pts)
+    assert rep["h_min_eigenvalue"] == min(float(np.linalg.eigvalsh(h)[0]) for h in hs)
+    assert rep["off_block_max"] == max(float(np.abs(h[:1, 1:]).max()) for h in hs)
+
+    calls = []
+    spectrum = pairs.pencil_spectrum
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(pairs, "pencil_spectrum", counting)
+    counts = {}
+    for samples in (40, 80):
+        calls.clear()
+        split(g, L, r=1, samples=samples, seed=0)
+        counts[samples] = len(calls)
+    # the derivative checks after the scan look at the first 32 points either way
+    assert counts[80] - counts[40] == 40
+
+
 # -- block curvature constants -------------------------------------------------------
 
 def test_k_constants_of_constant_functions():

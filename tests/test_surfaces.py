@@ -389,3 +389,15 @@ def test_torus_swap_map_exchanges_the_pair():
     mb = b.partner.matrix(x)
     assert m[0, 0] == pytest.approx(mb[1, 1], rel=1e-12)
     assert m[1, 1] == pytest.approx(mb[0, 0], rel=1e-12)
+
+
+def test_stacked_integral_value_equals_per_point_values():
+    bundle = builtin_example("torus")
+    xs = bundle.chart.sample(201, seed=2)
+    ps = np.random.default_rng(2).normal(size=(201, 2))
+    for integral in bundle.integrals.values():
+        stacked = integral.value(xs, ps)
+        assert stacked.shape == (201,)
+        single = [integral.value(x, p) for x, p in zip(xs, ps)]
+        assert all(type(v) is float for v in single)
+        assert stacked.tolist() == single  # bit for bit
