@@ -21,7 +21,7 @@ _COND_CAP = 1e12
 
 def _inverse_checked(gmat, x):
     if np.linalg.cond(gmat) > _COND_CAP:
-        raise SingularMetric(f"metric numerically singular at {np.asarray(x)}")
+        raise SingularMetric("metric numerically singular", point=x)
     return np.linalg.inv(gmat)
 
 

@@ -5,9 +5,10 @@ partial derivatives. Sums, products, quotients, powers and elementary
 functions of fields build a DAG of field nodes over parsed expressions,
 constants and coordinates; jets.py compiles that DAG once per derivative
 order into straight-line code, so a metric assembled from closed-form
-pieces differentiates to machine precision. Fields defined only by a
-black-box callable (NumericField) fall back to central finite differences
-and are tagged as such in their provenance.
+pieces differentiates to machine precision. A black-box callable, scalar
+(NumericField) or matrix-valued (_EntryTable.from_function), is
+differentiated by finite_differences, the one central-difference stencil;
+NumericField's provenance says so.
 
 Matrix-valued fields (MetricField, EndomorphismField) are thin containers
 of scalar entries plus the assembly routines everything downstream uses:
@@ -36,10 +37,53 @@ _FD_STEP1 = _EPS ** (1.0 / 3.0)   # central first differences
 _FD_STEP2 = _EPS ** 0.25          # central second differences
 
 
+def finite_differences(fn, x, order):
+    """Central differences of a black box fn at x, up to order 2.
+
+    fn(x) may have any shape S. Returns order + 1 flat lists shaped like
+    a Jets result: the values (S), the gradients (S + (n,)) and the
+    Hessians (S + (n, n)), derivative indices last. First derivatives step
+    cbrt(machine eps) * max(1, |x_i|), second derivatives the quarter
+    power; an ArithmeticError or ValueError from fn is a DomainViolation
+    at x.
+    """
+    x = np.asarray(x, dtype=float)
+
+    def at(*shifts):
+        """fn at x moved by h along each coordinate i of shifts (i, h)."""
+        y = x.copy()
+        for i, h in shifts:
+            y[i] += h
+        return np.asarray(fn(y), dtype=float)
+
+    try:
+        f0 = at()
+        parts = [f0]
+        if order:
+            steps = [_FD_STEP1 * max(1.0, abs(v)) for v in x]
+            parts.append(np.stack([(at((i, h)) - at((i, -h))) / (2.0 * h)
+                                   for i, h in enumerate(steps)], axis=-1))
+        if order > 1:
+            steps = [_FD_STEP2 * max(1.0, abs(v)) for v in x]
+            d2 = np.empty(f0.shape + (len(x),) * 2)
+            parts.append(d2)
+            for i, hi in enumerate(steps):
+                d2[..., i, i] = (at((i, hi)) - 2.0 * f0 + at((i, -hi))) / (hi * hi)
+                for j, hj in enumerate(steps[i + 1:], i + 1):
+                    d2[..., i, j] = d2[..., j, i] = (
+                        at((i, hi), (j, hj)) - at((i, hi), (j, -hj))
+                        - at((i, -hi), (j, hj)) + at((i, -hi), (j, -hj))
+                    ) / (4.0 * hi * hj)
+    except (ArithmeticError, ValueError) as err:
+        raise DomainViolation(f"{err} in a finite-difference field", point=x) from None
+    return [p.ravel().tolist() for p in parts]
+
+
 class ScalarField:
     """Base class of the field nodes; ``node`` names the kind for jets.py.
 
-    eval, d1 and d2 run the field's generated code, built on first use.
+    eval, d1 and d2 read the field's jet: its generated code, built on
+    first use, or a NumericField's finite differences.
     """
 
     provenance = "closed-form"
@@ -206,11 +250,10 @@ class ExpressionField(ScalarField):
 class NumericField(ScalarField):
     """Field wrapping a black-box callable; derivatives by central differences.
 
-    First derivatives use steps cbrt(machine eps)*max(1,|x_i|); second
-    derivatives use the quarter-power step. Good to roughly 1e-10 on smooth
-    inputs, which is why closed-form provenance is preferred wherever the
-    construction allows it. Inside field algebra it is an opaque leaf whose
-    eval, d1 and d2 the generated code calls.
+    Its jet is finite_differences of the callable: good to roughly 1e-10 on
+    smooth inputs, which is why closed-form provenance is preferred wherever
+    the construction allows it. Inside field algebra it is an opaque leaf
+    whose jet the generated code calls once per evaluation.
     """
 
     provenance = "finite-difference"
@@ -220,37 +263,8 @@ class NumericField(ScalarField):
         super().__init__(chart)
         self._fn = fn
 
-    def eval(self, x):
-        return float(self._fn(np.asarray(x, dtype=float)))
-
-    def _at(self, x, *shifts):
-        """fn at x moved by h along each coordinate i of shifts (i, h)."""
-        y = x.copy()
-        for i, h in shifts:
-            y[i] += h
-        return self._fn(y)
-
-    def d1(self, x):
-        x = np.asarray(x, dtype=float)
-        steps = [_FD_STEP1 * max(1.0, abs(v)) for v in x]
-        return np.array([(self._at(x, (i, h)) - self._at(x, (i, -h))) / (2.0 * h)
-                         for i, h in enumerate(steps)])
-
-    def d2(self, x):
-        x = np.asarray(x, dtype=float)
-        n = self.chart.dim
-        out = np.empty((n, n))
-        f0 = self._fn(x)
-        steps = [_FD_STEP2 * max(1.0, abs(v)) for v in x]
-        for i, hi in enumerate(steps):
-            out[i, i] = (self._at(x, (i, hi)) - 2.0 * f0 + self._at(x, (i, -hi))) / (hi * hi)
-            for j in range(i + 1, n):
-                hj = steps[j]
-                out[i, j] = out[j, i] = (
-                    self._at(x, (i, hi), (j, hj)) - self._at(x, (i, hi), (j, -hj))
-                    - self._at(x, (i, -hi), (j, hj)) + self._at(x, (i, -hi), (j, -hj))
-                ) / (4.0 * hi * hj)
-        return out
+    def _jet(self, x, order):
+        return finite_differences(self._fn, x, order)
 
 
 class _OpField(ScalarField):
@@ -307,16 +321,52 @@ def as_field(chart, obj):
 
 class _EntryTable:
     """An n x n table of scalar fields on a chart, evaluated by one
-    generated function per derivative order."""
+    generated function per derivative order (or, built from_function,
+    by one finite-difference stencil)."""
 
     def __init__(self, chart, entries):
         self.chart = chart
         self.entries = entries
         self._jets = Jets(chart.names, [f for row in entries for f in row])
 
+    @classmethod
+    def from_function(cls, chart, fn, **kw):
+        """The table of a black-box matrix function fn(x), symmetric for a
+        metric, evaluated by finite_differences of fn: 2n + 1 calls of fn
+        per dmatrix. Its entries are NumericField views of fn (one per
+        symmetric pair of a metric) for field algebra."""
+        n = chart.dim
+        views = [[NumericField(chart, lambda x, k=(i, j): fn(x)[k]) for j in range(n)]
+                 for i in range(n)]
+        if issubclass(cls, MetricField):
+            views = [[views[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        table = cls(chart, views, **kw)
+        table._jets = lambda x, order: finite_differences(fn, x, order)
+        return table
+
+    @classmethod
+    def from_rows(cls, chart, rows, **kw):
+        """Rows of numbers, strings or fields. A metric's off-diagonal
+        pairs are checked for numeric agreement on a small sample
+        (asymmetric input raises), then shared."""
+        n = chart.dim
+        return cls(chart, [[as_field(chart, rows[i][j]) for j in range(n)] for i in range(n)],
+                   **kw)
+
+    @classmethod
+    def constant(cls, chart, matrix, **kw):
+        return cls.from_rows(chart, np.asarray(matrix, dtype=float).tolist(), **kw)
+
     @property
     def dim(self):
         return self.chart.dim
+
+    def matrix(self, x):
+        return self.jet(x, 0)[0]
+
+    def dmatrix(self, x):
+        """D[i, j, k] = d (entry i, j) / d x_k."""
+        return self.jet(x, 1)[1]
 
     def jet(self, x, order=1):
         """(matrix, dmatrix) at x, and d2matrix at order 2, from one call."""
@@ -372,12 +422,8 @@ class MetricField(_EntryTable):
                     f"metric loses definiteness: min eigenvalue {rep['min_eigenvalue']:.3e}",
                     point=rep["worst_point"])
 
-    def matrix(self, x):
-        return self.jet(x, 0)[0]
-
-    def dmatrix(self, x):
-        """D[i, j, k] = d g_ij / d x_k."""
-        return self.jet(x, 1)[1]
+    # bound on each class too, so that each can be wrapped apart (perfbench/tracing.py)
+    matrix, dmatrix = _EntryTable.matrix, _EntryTable.dmatrix
 
     def d2matrix(self, x):
         """D[i, j, k, l] = d^2 g_ij / (d x_k d x_l)."""
@@ -386,7 +432,7 @@ class MetricField(_EntryTable):
     def inverse(self, x, cond_cap=1e12):
         m = self.matrix(x)
         if np.linalg.cond(m) > cond_cap:
-            raise SingularMetric(f"metric condition number above {cond_cap:.1e} at {x}")
+            raise SingularMetric(f"metric condition number above {cond_cap:.1e}", point=x)
         return np.linalg.inv(m)
 
     def det(self, x):
@@ -410,22 +456,6 @@ class MetricField(_EntryTable):
         }
 
     # -- constructors ---------------------------------------------------
-    @classmethod
-    def from_rows(cls, chart, rows, **kw):
-        """Rows of numbers/strings/fields, full symmetric table.
-
-        Off-diagonal pairs are checked for numeric agreement on a small
-        sample (asymmetric input raises), then deduplicated.
-        """
-        n = chart.dim
-        entries = [[as_field(chart, rows[i][j]) for j in range(n)] for i in range(n)]
-        return cls(chart, entries, **kw)
-
-    @classmethod
-    def constant(cls, chart, matrix, **kw):
-        m = np.asarray(matrix, dtype=float)
-        return cls.from_rows(chart, m.tolist(), **kw)
-
     @classmethod
     def euclidean(cls, chart, **kw):
         kw.setdefault("validate", False)
@@ -455,12 +485,7 @@ class EndomorphismField(_EntryTable):
             raise ValueError("entries must be an n x n table")
         super().__init__(chart, entries)
 
-    def matrix(self, x):
-        return self.jet(x, 0)[0]
-
-    def dmatrix(self, x):
-        """D[i, j, k] = d L^i_j / d x_k."""
-        return self.jet(x, 1)[1]
+    matrix, dmatrix = _EntryTable.matrix, _EntryTable.dmatrix
 
     def trace_d1(self, x):
         """Gradient of trace L."""
@@ -480,17 +505,8 @@ class EndomorphismField(_EntryTable):
             )
 
     @classmethod
-    def from_rows(cls, chart, rows):
-        n = chart.dim
-        return cls(chart, [[as_field(chart, rows[i][j]) for j in range(n)] for i in range(n)])
-
-    @classmethod
     def identity(cls, chart):
-        return cls.from_rows(chart, np.eye(chart.dim).tolist())
-
-    @classmethod
-    def constant(cls, chart, matrix):
-        return cls.from_rows(chart, np.asarray(matrix, dtype=float).tolist())
+        return cls.constant(chart, np.eye(chart.dim))
 
 
 @dataclass

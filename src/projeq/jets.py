@@ -11,10 +11,10 @@ nonzero gradient and Hessian entries. Constants and structural zeros fold
 while the code is written and an identical line is written once, so a
 subexpression shared by several outputs (det L in every partner entry)
 costs one evaluation. Any other field (NumericField) is an opaque leaf
-whose own eval, d1 and d2 the code calls. A division by zero, a math
-domain or range error, or a negative base to a fractional power becomes
-DomainViolation at the point, naming the field that failed; a power that
-overflows gives an infinity.
+whose own finite-difference jet the code calls once. A division by zero,
+a math domain or range error, or a negative base to a fractional power
+becomes DomainViolation at the point, naming the field that failed; a
+power that overflows gives an infinity.
 """
 
 from __future__ import annotations
@@ -264,23 +264,21 @@ class _Writer:
         raise NotImplementedError(f"{type(f).__name__} is not a field node")
 
     def leaf(self, f, cmap):
-        """A black-box field: call its own eval, d1 and d2 on its chart."""
+        """A black-box field: one call of its own jet on its chart."""
         name = f"_leaf{len(self.ns)}"
         self.ns[name] = f
         point = "xa" if cmap == tuple(range(self.n)) else self.emit(
             "_array((%s,))" % ", ".join(f"x{i}" for i in cmap))
-        v = self.emit(f"{name}.eval({point})")
+        jet, m = self.emit(f"{name}._jet({point}, {self.order})"), len(cmap)
         g = h = None
         if self.order:
-            d1 = self.emit(f"{name}.d1({point}).tolist()")
-            g = [self.comb([(1.0, f"{d1}[{k}]") for k, c in enumerate(cmap) if c == i])
+            g = [self.comb([(1.0, f"{jet}[1][{k}]") for k, c in enumerate(cmap) if c == i])
                  for i in range(self.n)]
         if self.order > 1:
-            d2 = self.emit(f"{name}.d2({point}).tolist()")
             h = self.sym(lambda i, j: self.comb([
-                (1.0, f"{d2}[{k}][{l}]") for k, c in enumerate(cmap)
+                (1.0, f"{jet}[2][{k * m + l}]") for k, c in enumerate(cmap)
                 for l, e in enumerate(cmap) if c == i and e == j]))
-        return v, g, h
+        return f"{jet}[0][0]", g, h
 
 
 def _build(names, outputs, order):

@@ -36,6 +36,7 @@ from .fields import (
     ReindexedField,
     ScalarField,
     as_field,
+    require_finite,
 )
 from .pairs import MetricPair, spectrum_at
 
@@ -425,7 +426,7 @@ def _split_at(g, L, r, x, tau_deg_factor):
 def split(g, L, r: int, tau_deg_factor=1e-7, samples=200, seed=0):
     """(h, report) for the split after eigenvalue position r.
 
-    h comes back as a metric of finite-difference fields over the
+    h comes back as a metric differentiated by finite differences of the
     pointwise formula. The report's decoupling figures treat the first r
     coordinates as the first factor, which is meaningful on charts
     adapted to the split (normal-form builds); elsewhere they are just
@@ -447,18 +448,8 @@ def split(g, L, r: int, tau_deg_factor=1e-7, samples=200, seed=0):
         if off.size:
             off_block = max(off_block, float(off.max()))
 
-    def make(i, j):
-        return NumericField(
-            chart, lambda x, i=i, j=j: split_matrix(g, L, r, x, tau_deg_factor)[i, j]
-        )
-
-    entries = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            f = make(i, j)
-            entries[i][j] = f
-            entries[j][i] = f
-    h_field = MetricField(chart, entries, validate=False)
+    h_field = MetricField.from_function(
+        chart, lambda x: split_matrix(g, L, r, x, tau_deg_factor), validate=False)
 
     for x in pts[:32]:
         dh = h_field.dmatrix(x)
@@ -480,13 +471,13 @@ def split(g, L, r: int, tau_deg_factor=1e-7, samples=200, seed=0):
 def affine_equivalence_check(pair: MetricPair, samples=200, seed=0, tol=1e-7):
     """Max Christoffel mismatch between the pair members over a sample."""
     pts = pair.chart.sample(samples, seed=seed)
-    worst = 0.0
-    worst_pt = None
-    for x in pts:
-        d = float(np.max(np.abs(christoffel(pair.g, x) - christoffel(pair.gbar, x))))
+    devs = np.array([np.max(np.abs(christoffel(pair.g, x) - christoffel(pair.gbar, x)))
+                     for x in pts])
+    require_finite(devs.reshape(-1, 1, 1), pts, "Christoffel symbol")
+    worst, worst_pt = 0.0, None
+    for x, d in zip(pts, devs):
         if d > worst:
-            worst = d
-            worst_pt = [float(v) for v in x]
+            worst, worst_pt = float(d), [float(v) for v in x]
     return {
         "max_deviation": worst,
         "tol": tol,

@@ -21,7 +21,6 @@ from .errors import NonPositiveSpectrum, NotPositiveDefinite, SingularMatrix
 from .fields import (
     EndomorphismField,
     MetricField,
-    NumericField,
     VectorField,
     fmat_adjugate,
     fmat_det,
@@ -250,17 +249,11 @@ def bm_from_flow(spec: ProjectiveFlowSpec, x):
 def bm_from_flow_field(spec: ProjectiveFlowSpec) -> EndomorphismField:
     """bm_from_flow as an endomorphism field.
 
-    Entries are finite-difference fields over the pointwise formula; each
-    derivative costs 2n matrix builds. Accurate to ~1e-10, which is all
-    the downstream residual checks need.
+    Finite differences of the pointwise formula: each dmatrix costs 2n + 1
+    matrix builds. Accurate to ~1e-10, which is all the downstream
+    residual checks need.
     """
-    chart = spec.metric.chart
-    n = chart.dim
-
-    def make(i, j):
-        return NumericField(chart, lambda x, i=i, j=j: bm_from_flow(spec, x)[i, j])
-
-    return EndomorphismField(chart, [[make(i, j) for j in range(n)] for i in range(n)])
+    return EndomorphismField.from_function(spec.metric.chart, lambda x: bm_from_flow(spec, x))
 
 
 # --- obstructions ------------------------------------------------------
@@ -306,13 +299,13 @@ def weyl_trace_defect(w):
 
 def weyl_pair_defect(pair: MetricPair, points) -> dict:
     """Max entry difference of W between the two pair members, over points."""
-    worst = 0.0
-    worst_pt = None
-    for x in points:
-        d = float(np.max(np.abs(projective_weyl(pair.g, x) - projective_weyl(pair.gbar, x))))
+    devs = np.array([np.max(np.abs(projective_weyl(pair.g, x) - projective_weyl(pair.gbar, x)))
+                     for x in points])
+    require_finite(devs.reshape(-1, 1, 1), points, "Weyl tensor")
+    worst, worst_pt = 0.0, None
+    for x, d in zip(points, devs):
         if d > worst:
-            worst = d
-            worst_pt = [float(v) for v in x]
+            worst, worst_pt = float(d), [float(v) for v in x]
     return {"max": worst, "points": int(len(points)), "worst_point": worst_pt}
 
 

@@ -44,6 +44,7 @@ from .fields import (
     fmat_det,
     fmat_mul,
     fmat_scale,
+    require_finite,
 )
 from .jets import Jets
 from .pairs import MetricPair, lie_derivative_metric
@@ -443,13 +444,13 @@ def liouville_build(data: LiouvilleData):
 def killing_residual(g: MetricField, v: VectorField, samples=200, seed=0,
                      tol=1e-7) -> dict:
     """Max entry of the Lie derivative of g along v over a sample."""
-    worst = 0.0
-    worst_pt = None
-    for x in g.chart.sample(samples, seed=seed):
-        d = float(np.max(np.abs(lie_derivative_metric(g, v, x))))
+    pts = g.chart.sample(samples, seed=seed)
+    devs = np.array([np.max(np.abs(lie_derivative_metric(g, v, x))) for x in pts])
+    require_finite(devs.reshape(-1, 1, 1), pts, "Lie derivative")
+    worst, worst_pt = 0.0, None
+    for x, d in zip(pts, devs):
         if d > worst:
-            worst = d
-            worst_pt = [float(c) for c in x]
+            worst, worst_pt = float(d), [float(c) for c in x]
     return {
         "max_lie": worst,
         "tol": tol,

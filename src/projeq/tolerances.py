@@ -15,10 +15,8 @@ class Tolerances:
     integrator_tol: float = 1e-10      # rtol = atol of the embedded RK pair
     drift_bound: float = 1e-7          # relative span of a conserved quantity
     bm_tol: float = 1e-8               # compatibility residual, orthonormal frame
-    nijenhuis_tol: float = 1e-6        # max torsion entry
     weyl_pair_tol: float = 1e-6        # invariance defect between partner metrics
     weyl_trace_tol: float = 1e-9       # trace over (upper, last) slots
-    weyl_flat_tol: float = 1e-7        # norm on constant-curvature inputs
     commutation_tol: float = 1e-8      # Poisson bracket, scaled by integral size
     interlace_slack: float = 1e-9      # root-vs-eigenvalue slack per point
     tau_ord: float = 1e-8              # global eigenvalue ordering audit
@@ -29,8 +27,6 @@ class Tolerances:
     eps_sym_factor: float = 1e-9       # self-adjointness defect, times max(1, |gL|)
     eig_floor: float = 1e-12           # spectrum positivity floor for partners
     ordering_margin: float = 1e-6      # strict separation of block functions
-    delta_branch: float = 1e-3         # distance to branch cuts and poles
-    affine_tol: float = 1e-7           # connection mismatch for affine equivalence
     killing_tol: float = 1e-7          # max Lie-derivative entry
     energy_drift_factor: float = 100.0 # times integrator_tol along one run
 

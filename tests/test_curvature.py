@@ -15,6 +15,7 @@ from projeq.curvature import (
     riemann,
     sectional,
 )
+from projeq.errors import SingularMetric
 from projeq.fields import MetricField
 
 SPHERE = MetricField.diagonal(
@@ -87,6 +88,15 @@ def test_sphere_christoffel_frozen_value():
     assert gam[0, 1, 1] == pytest.approx(-0.43301270189221935, rel=1e-14)
     # Gamma^phi_{theta phi} = cot(theta)
     assert gam[1, 0, 1] == pytest.approx(1.0 / math.tan(math.pi / 3), rel=1e-13)
+
+
+def test_singular_metric_keeps_its_point():
+    g = MetricField.diagonal(Chart(("x", "y"), ((-2.0, 2.0),) * 2), ("1", "exp(-100*x)"),
+                             validate=False)
+    with pytest.raises(SingularMetric) as err:
+        christoffel(g, np.array([1.5, 0.25]))
+    assert err.value.point == [1.5, 0.25]
+    assert str(err.value) == "metric numerically singular at [1.5, 0.25]"
 
 
 def test_sphere_sectional_is_plus_one():

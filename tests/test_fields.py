@@ -28,6 +28,7 @@ from projeq.fields import (
     VectorField,
     as_field,
     coord,
+    finite_differences,
     fmat_adjugate,
     fmat_det,
     fmat_mul,
@@ -126,6 +127,77 @@ def test_numeric_field_matches_symbolic_to_fd_accuracy():
         assert num.eval(x) == sym.eval(x)
         assert np.allclose(num.d1(x), sym.d1(x), atol=1e-8, rtol=1e-7)
         assert np.allclose(num.d2(x), sym.d2(x), atol=1e-4, rtol=1e-4)
+
+
+def test_numeric_field_is_the_scalar_case_of_the_one_stencil():
+    assert not {"_at", "eval", "d1", "d2"} & set(vars(NumericField))
+
+    def fn(x):
+        return math.exp(x[0]) * math.sin(x[1])
+
+    num = NumericField(CHART2, fn)
+    for x in POINTS2:
+        values, grad, hess = finite_differences(fn, x, 2)
+        assert type(num.eval(x)) is float and num.eval(x) == values[0]
+        assert num.d1(x).tolist() == grad
+        assert num.d2(x).ravel().tolist() == hess
+
+
+def test_finite_differences_of_a_matrix_put_derivative_indices_last():
+    x = np.array([0.3, -0.7])
+    values, grad, hess = finite_differences(lambda y: np.outer(y, [1.0, y[0], y[1]]), x, 2)
+    assert np.array(values).reshape(2, 3).tolist() == np.outer(x, [1.0, x[0], x[1]]).tolist()
+    # d/dx_k of y_i * (1, y_0, y_1)_j, and the only nonzero second derivatives
+    want = np.zeros((2, 3, 2))
+    for i in range(2):
+        want[i, 0, i] = 1.0
+        for j in (1, 2):
+            want[i, j, i] += x[j - 1]
+            want[i, j, j - 1] += x[i]
+    assert np.allclose(np.reshape(grad, (2, 3, 2)), want, rtol=1e-9, atol=1e-9)
+    want2 = np.zeros((2, 3, 2, 2))
+    for i in range(2):
+        for j in (1, 2):
+            want2[i, j, i, j - 1] += 1.0
+            want2[i, j, j - 1, i] += 1.0
+    assert np.allclose(np.reshape(hess, (2, 3, 2, 2)), want2, atol=1e-6)
+
+
+@pytest.mark.parametrize("method", ["eval", "d1", "d2"])
+def test_black_box_domain_error_is_a_domain_violation_at_the_point(method):
+    x = np.array([-0.5, 0.25])
+    num = NumericField(CHART2, lambda y: math.log(y[0]))
+    with pytest.raises(DomainViolation) as err:
+        getattr(num, method)(x)
+    assert err.value.point == [-0.5, 0.25] and "math domain error" in str(err.value)
+    table = MetricField.from_function(CHART2, lambda y: np.diag([math.log(y[0]), 1.0]),
+                                      validate=False)
+    with pytest.raises(DomainViolation) as err:
+        {"eval": table.matrix, "d1": table.dmatrix, "d2": table.d2matrix}[method](x)
+    assert err.value.point == [-0.5, 0.25]
+
+
+def test_black_box_table_entries_are_views_of_the_matrix():
+    calls = []
+
+    def fn(y):
+        calls.append(1)
+        return np.array([[2.0 + y[0] ** 2, y[0] * y[1]], [y[0] * y[1], 1.0 + y[1] ** 2]])
+
+    g = MetricField.from_function(CHART2, fn, validate=False)
+    assert calls == []  # one view per symmetric pair: nothing sampled to check symmetry
+    assert g.entries[0][1] is g.entries[1][0]
+    x = POINTS2[0]
+    for order, want in ((0, 1), (1, 5), (2, 13)):
+        calls.clear()
+        g.jet(x, order)
+        assert len(calls) == want  # 1 + 2n, then 2n^2 more for the Hessians
+    lam = g.entries[0][0] * 3.0 + g.entries[0][1]  # field algebra on the entries
+    assert lam.eval(x) == 3.0 * fn(x)[0, 0] + fn(x)[0, 1]
+    assert np.allclose(lam.d1(x), [6.0 * x[0] + x[1], x[0]], rtol=1e-9)
+    endo = EndomorphismField.from_function(CHART2, fn)
+    assert endo.entries[0][1] is not endo.entries[1][0]
+    assert endo.matrix(x).tolist() == g.matrix(x).tolist()
 
 
 def test_abs_crossing_zero_poisons_derivatives():
@@ -262,6 +334,15 @@ def test_metric_inverse_condition_cap():
     g = MetricField.diagonal(CHART2, ("1", "1e-14"), validate=False)
     with pytest.raises(SingularMetric):
         g.inverse(CHART2.center())
+
+
+def test_singular_metric_inverse_keeps_its_point():
+    g = MetricField.diagonal(CHART2, ("1", "exp(-100*x)"), validate=False)
+    x = np.array([1.5, 0.25])
+    with pytest.raises(SingularMetric) as err:
+        g.inverse(x)
+    assert err.value.point == [1.5, 0.25]
+    assert str(err.value).endswith("at [1.5, 0.25]")
 
 
 def test_pd_report_flags_failure_point():

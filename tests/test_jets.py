@@ -173,6 +173,20 @@ def test_numeric_leaf_inside_algebra_keeps_its_finite_differences():
         assert np.allclose(f.d2(x), exact.d2(x), rtol=1e-4, atol=1e-4)
 
 
+def test_numeric_leaf_runs_one_stencil_per_evaluation():
+    calls = []
+
+    def fn(x):
+        calls.append(1)
+        return math.exp(x[0]) * math.sin(x[1])
+
+    f = NumericField(CHART2, fn) * as_field(CHART2, "x^2 + y")
+    for method, want in (("eval", 1), ("d1", 5), ("d2", 13)):
+        calls.clear()
+        getattr(f, method)(POINTS2[0])
+        assert len(calls) == want  # 1 + 2n, then 2n^2 more for the Hessian
+
+
 def test_reindexed_numeric_leaf_lands_in_its_slot():
     line = Chart(("u",), ((-3.0, 3.0),))
     chart3 = Chart(("x", "y", "z"), ((-1.5, 1.5),) * 3)

@@ -1,17 +1,20 @@
 """Block normal forms, warped builds, splitting, block curvature constants."""
 
+import math
+
 import numpy as np
 import pytest
 
 from projeq.chart import Chart, box_chart
 from projeq.curvature import christoffel, sectional
 from projeq.errors import (
+    DomainViolation,
     GapViolated,
     NonPositivePhi,
     NotPositiveDefinite,
     OrderingViolated,
 )
-from projeq.fields import EndomorphismField, MetricField
+from projeq.fields import EndomorphismField, MetricField, NumericField
 from projeq.flows import ordering_audit
 from projeq.levicivita import (
     LeviCivitaSpec,
@@ -132,6 +135,23 @@ def test_nonconstant_pair_is_not_affine():
     assert rep["worst_point"] is not None
 
 
+def test_affine_check_names_a_nan_point(monkeypatch):
+    import projeq.levicivita as levicivita
+
+    g, gbar, _ = build_lc_pair(liouville_spec())
+    pts = g.chart.sample(50, seed=0)
+    real = levicivita.christoffel
+    monkeypatch.setattr(levicivita, "christoffel",
+                        lambda h, x: real(h, x) * (math.nan if x[0] > 1.0 else 1.0))
+    with pytest.raises(DomainViolation) as err:
+        affine_equivalence_check(MetricPair(g, gbar), samples=50)
+    assert err.value.point == pts[int(np.argmax(pts[:, 0] > 1.0))].tolist()
+    monkeypatch.setattr(levicivita, "christoffel", real)
+    # equal members: every deviation is 0.0, so no point is the worst
+    rep = affine_equivalence_check(MetricPair(g, g), samples=50)
+    assert rep["max_deviation"] == 0.0 and rep["worst_point"] is None
+
+
 def test_constant_curvature_block_keeps_curvature_in_affine_pair():
     # single block of size 2 with a curved block metric: gbar = phi^-3 g
     table = [["1/(1 + x1^2 + x2^2)^2", "0"], ["0", "1/(1 + x1^2 + x2^2)^2"]]
@@ -217,6 +237,36 @@ def test_split_scan_computes_one_spectrum_per_point(monkeypatch):
         counts[samples] = len(calls)
     # the derivative checks after the scan look at the first 32 points either way
     assert counts[80] - counts[40] == 40
+
+
+def test_split_h_samples_the_matrix_once_per_stencil_point(monkeypatch):
+    import projeq.levicivita as levicivita
+
+    spec = LeviCivitaSpec.create(
+        [1, 1, 1], ["1 + 0.3*tanh(x1)", "3", "6 + x3^2"],
+        bounds=((-1, 1), (-1, 1), (0.5, 1.5)))
+    g, _, L = build_lc_pair(spec)
+    calls = []
+    split_at = levicivita._split_at
+
+    def counting(*args):
+        calls.append(1)
+        return split_at(*args)
+
+    monkeypatch.setattr(levicivita, "_split_at", counting)
+    h, _ = split(g, L, r=1, samples=200, seed=0)
+    # one per scan point, then dmatrix at 32 of them: 2n + 1 = 7 matrices each
+    assert len(calls) == 200 + 32 * 7
+    # the table as it was built before: one NumericField per symmetric pair,
+    # each re-running the whole h
+    n = g.dim
+    views = {(i, j): NumericField(g.chart, lambda y, i=i, j=j: split_matrix(g, L, 1, y)[i, j])
+             for i in range(n) for j in range(i, n)}
+    ref = MetricField(g.chart, [[views[min(i, j), max(i, j)] for j in range(n)]
+                                for i in range(n)], validate=False)
+    for y in g.chart.sample(5, seed=3):
+        for method in ("matrix", "dmatrix", "d2matrix"):
+            assert getattr(h, method)(y).tobytes() == getattr(ref, method)(y).tobytes()
 
 
 # -- block curvature constants -------------------------------------------------------

@@ -172,6 +172,15 @@ def test_bad_tolerance_override():
         Manifest.from_dict(d)
 
 
+@pytest.mark.parametrize("name", ["nijenhuis_tol", "weyl_flat_tol", "affine_tol",
+                                  "delta_branch"])
+def test_knobs_no_audit_reads_are_not_tolerances(name):
+    d = metric_manifest()
+    d["tolerances"] = {name: 1e-6}
+    with pytest.raises(ManifestError, match=f"unknown tolerance name.*{name}"):
+        Manifest.from_dict(d)
+
+
 def test_tolerance_override_applies():
     d = metric_manifest()
     d["tolerances"] = {"bm_tol": 1e-5}

@@ -349,6 +349,35 @@ def test_flow_solution_is_nontrivial_on_sphere():
     assert np.max(np.abs(bm_from_flow(spec, x))) > 1e-3
 
 
+def test_flow_field_samples_the_matrix_once_per_stencil_point(monkeypatch):
+    import projeq.pairs as pairs
+
+    gen = VectorField(
+        SPHERE.chart,
+        ("sin(theta)*cos(theta)*cos(phi)^2", "-sin(phi)*cos(phi)"))
+    spec = ProjectiveFlowSpec(SPHERE, gen)
+    a_field = bm_from_flow_field(spec)
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return bm_from_flow(*args)
+
+    monkeypatch.setattr(pairs, "bm_from_flow", counting)
+    x = np.array([1.2, 0.7])
+    a_field.dmatrix(x)
+    assert len(calls) == 2 * 2 + 1  # one per stencil point, not one per entry
+    # the table as it was built before: one NumericField per entry, each
+    # re-running the whole matrix
+    chart, n = SPHERE.chart, SPHERE.dim
+    ref = EndomorphismField(chart, [[NumericField(
+        chart, lambda y, i=i, j=j: bm_from_flow(spec, y)[i, j]) for j in range(n)]
+        for i in range(n)])
+    for y in chart.sample(5, seed=3):
+        assert a_field.matrix(y).tobytes() == ref.matrix(y).tobytes()
+        assert a_field.dmatrix(y).tobytes() == ref.dmatrix(y).tobytes()
+
+
 # -- Nijenhuis ---------------------------------------------------------------
 
 def test_nijenhuis_vanishes_for_built_structures():
@@ -413,6 +442,23 @@ def test_weyl_invariant_across_lc_pair_3d():
     g, gbar, L = build_lc_pair(spec)
     rep = weyl_pair_defect(MetricPair(g, gbar), spec.chart.sample(60, seed=11))
     assert rep["max"] <= 1e-6
+
+
+def test_weyl_pair_defect_names_a_nan_point(monkeypatch):
+    import projeq.pairs as pairs
+
+    g = MetricField.from_rows(CHART2, [["2 + x^2", "0"], ["0", "1 + y^2"]], validate=False)
+    pts = CHART2.sample(50, seed=0)
+    weyl = pairs.projective_weyl
+    monkeypatch.setattr(pairs, "projective_weyl",
+                        lambda h, x: weyl(h, x) * (math.nan if x[0] > 1.0 else 1.0))
+    with pytest.raises(DomainViolation) as err:
+        weyl_pair_defect(MetricPair(g, g), pts)
+    assert err.value.point == pts[int(np.argmax(pts[:, 0] > 1.0))].tolist()
+    monkeypatch.setattr(pairs, "projective_weyl", weyl)
+    # equal members: every defect is 0.0, so no point is the worst
+    assert weyl_pair_defect(MetricPair(g, g), pts) == {
+        "max": 0.0, "points": 50, "worst_point": None}
 
 
 def test_weyl_nonzero_for_sphere_cross_line():

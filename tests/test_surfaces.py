@@ -2,6 +2,7 @@
 the separated normal form, and the worked example bundles."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from projeq.errors import (
     UnknownName,
     WrongDimension,
 )
-from projeq.fields import MetricField, VectorField
+from projeq.fields import ConstantField, MetricField, NumericField, VectorField
 from projeq.pairs import MetricPair, bm_residual_stats, l_field_from_pair
 from projeq.surfaces import (
     LiouvilleData,
@@ -327,6 +328,21 @@ def test_example_killing_expectations():
     rep = killing_residual(b2.metric, b2.vector_fields["rotation"])
     assert not rep["pass"]
     assert rep["max_lie"] > 1e-3
+
+
+def test_killing_residual_names_a_nan_point():
+    unit = Chart(("x", "y"), ((0.0, 1.0), (0.0, 1.0)))
+    nan_right = NumericField(unit, lambda x: 2.0 if x[0] <= 0.5 else math.nan)
+    zero, one = ConstantField(unit, 0.0), ConstantField(unit, 1.0)
+    g = MetricField(unit, [[nan_right, zero], [zero, one]], validate=False)
+    pts = unit.sample(50, seed=0)
+    with pytest.raises(DomainViolation) as err:
+        killing_residual(g, VectorField(unit, ("0", "1")), samples=50)
+    assert err.value.point == pts[int(np.argmax(pts[:, 0] > 0.5))].tolist()
+    # a translation of the flat metric: every value is 0.0, so no point is the worst
+    rep = killing_residual(MetricField.euclidean(unit), VectorField(unit, ("0", "1")),
+                           samples=50)
+    assert rep["max_lie"] == 0.0 and rep["pass"] and rep["worst_point"] is None
 
 
 def test_example_integrals_are_linearly_independent():
