@@ -20,7 +20,7 @@ import numpy as np
 from . import reports
 from .curvature import sectional
 from .errors import EnergyProportional, ManifestError, ProjeqError
-from .fields import PhaseState, as_field
+from .fields import PhaseState, as_field, scan
 from .flows import interlacing_audit, ordering_audit
 from .geodesics import hamiltonian, integrate_geodesic, span_stats
 from .levicivita import split
@@ -124,9 +124,8 @@ def _cmd_pair(scene, m, out_dir):
         extra["endo_at_center"] = _entry_table(endo.matrix(center))
         extra["spectrum_at_center"] = [float(v) for v in
                                        spectrum_at(scene.metric, endo, center)]
-        worst = 0.0
-        for x in scene.chart.sample(min(m.run.samples, 200), seed=m.run.seed):
-            worst = max(worst, endo.self_adjoint_defect(scene.metric, x))
+        worst = endo.self_adjoint_defect(
+            scene.metric, scene.chart.sample(min(m.run.samples, 200), seed=m.run.seed))
         bound = 10.0 * tols.eps_sym_factor
         audits.append(reports.audit(
             "self_adjoint_defect", worst, bound, worst <= bound))
@@ -326,16 +325,12 @@ def _cmd_lc_build(scene, m, out_dir):
 
     rebuilt = gbar_from_l(g, endo, eig_floor=tols.eig_floor,
                           samples=min(m.run.samples, 300), seed=m.run.seed)
-    worst = 0.0
-    for x in pts[:50]:
-        worst = max(worst, float(np.max(np.abs(rebuilt.matrix(x) - gbar.matrix(x)))))
+    mats = scan(pts[:50], lambda p: (rebuilt.matrix(p), gbar.matrix(p)))
+    worst = float(np.max(np.abs(mats[0] - mats[1]), initial=0.0))
     audits.append(reports.audit("partner_round_trip", worst, 1e-10, worst <= 1e-10))
 
-    sep = np.inf
-    for x in pts:
-        vals = [phi.eval(x) for phi in scene.lc_spec.phis]
-        for i in range(len(vals) - 1):
-            sep = min(sep, vals[i + 1] - vals[i])
+    vals = np.array(scan(pts, lambda p: [phi.eval(p) for phi in scene.lc_spec.phis]))
+    sep = float(np.min(vals[1:] - vals[:-1], initial=np.inf))
     audits.append(reports.audit("ordering_margin", sep, tols.ordering_margin,
                                 sep >= tols.ordering_margin))
 
@@ -423,7 +418,7 @@ def _cmd_example(scene, m, out_dir):
         margin = expected.get("margin_at_least", 0.0)
         for label in ("weight", "weight_partner"):
             w = as_field(scene.chart, bundle.params[label])
-            floor = min(w.eval(x) for x in pts)
+            floor = float(np.min(w.eval(pts)))
             audits.append(reports.audit(
                 f"{label}_margin", floor, margin, floor >= margin - 1e-12))
 

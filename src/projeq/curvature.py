@@ -15,11 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularMetric
+from .fields import require_finite
 
 _COND_CAP = 1e12
 
 
 def _inverse_checked(gmat, x):
+    require_finite(gmat, [x], "metric")
     if np.linalg.cond(gmat) > _COND_CAP:
         raise SingularMetric("metric numerically singular", point=x)
     return np.linalg.inv(gmat)

@@ -30,7 +30,7 @@ from .errors import (
     SingularMetric,
 )
 from .expressions import FUNCTIONS, Expression, parse_expression
-from .jets import Jets, require_one_sign
+from .jets import Jets, per_point, require_one_sign
 
 _EPS = np.finfo(float).eps
 _FD_STEP1 = _EPS ** (1.0 / 3.0)   # central first differences
@@ -79,11 +79,29 @@ def finite_differences(fn, x, order):
     return [p.ravel().tolist() for p in parts]
 
 
+def _stencil(fn, outputs):
+    """The jet function of a black box fn with `outputs` values:
+    finite_differences at one point, point by point on a stack."""
+    def jet(x, order):
+        if np.ndim(x) == 1:
+            return finite_differences(fn, x, order)
+        return per_point(jet, np.asarray(x, dtype=float), order, outputs)
+    return jet
+
+
+def _shaped(part, shape):
+    """One part of a jet as an array of the given shape, led by N for the
+    (size, N) part of a stack of N points."""
+    a = np.array(part)
+    return a.reshape(shape) if a.ndim == 1 else a.T.reshape(a.shape[1:] + shape)
+
+
 class ScalarField:
     """Base class of the field nodes; ``node`` names the kind for jets.py.
 
     eval, d1 and d2 read the field's jet: its generated code, built on
-    first use, or a NumericField's finite differences.
+    first use, or a NumericField's finite differences. Each takes one point
+    (n,) or an (N, n) stack and gives a leading N axis to a stack's result.
     """
 
     provenance = "closed-form"
@@ -103,10 +121,10 @@ class ScalarField:
         return self._jet(x, 0)[0][0]
 
     def d1(self, x):
-        return np.array(self._jet(x, 1)[1])
+        return np.array(self._jet(x, 1)[1]).T
 
     def d2(self, x):
-        return np.array(self._jet(x, 2)[2]).reshape((self.chart.dim,) * 2)
+        return _shaped(self._jet(x, 2)[2], (self.chart.dim,) * 2)
 
     def __call__(self, x):
         return self.eval(x)
@@ -191,8 +209,7 @@ class ScalarField:
 
     # -- diagnostics -----------------------------------------------------
     def sample_range(self, count=200, seed=0):
-        pts = self.chart.sample(count, seed=seed)
-        vals = np.array([self.eval(x) for x in pts])
+        vals = self.eval(self.chart.sample(count, seed=seed))
         return float(vals.min()), float(vals.max())
 
 
@@ -261,10 +278,7 @@ class NumericField(ScalarField):
 
     def __init__(self, chart, fn):
         super().__init__(chart)
-        self._fn = fn
-
-    def _jet(self, x, order):
-        return finite_differences(self._fn, x, order)
+        self._jets = _stencil(fn, 1)
 
 
 class _OpField(ScalarField):
@@ -341,7 +355,7 @@ class _EntryTable:
         if issubclass(cls, MetricField):
             views = [[views[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
         table = cls(chart, views, **kw)
-        table._jets = lambda x, order: finite_differences(fn, x, order)
+        table._jets = _stencil(fn, n * n)
         return table
 
     @classmethod
@@ -369,14 +383,10 @@ class _EntryTable:
         return self.jet(x, 1)[1]
 
     def jet(self, x, order=1):
-        """(matrix, dmatrix) at x, and d2matrix at order 2, from one call."""
-        n = self.dim
-        return tuple(np.array(p).reshape((n,) * (k + 2)) for k, p in enumerate(self._jets(x, order)))
-
-    def matrices(self, points):
-        """The matrix at each point, stacked: shape (N, n, n)."""
-        n = self.dim
-        return np.array([self.matrix(x) for x in points]).reshape(len(points), n, n)
+        """(matrix, dmatrix) at x, and d2matrix at order 2, from one call;
+        at an (N, n) stack x each has a leading N axis."""
+        n = len(self.entries)
+        return tuple(_shaped(p, (n,) * (k + 2)) for k, p in enumerate(self._jets(x, order)))
 
 
 class MetricField(_EntryTable):
@@ -408,10 +418,12 @@ class MetricField(_EntryTable):
             for j in range(i + 1, n):
                 if table[i][j] is not table[j][i]:
                     # distinct objects allowed only if they agree numerically
-                    pts = chart.sample(16, seed=3)
-                    for x in pts:
-                        if abs(table[i][j].eval(x) - table[j][i].eval(x)) > 1e-12:
+                    def agree(diff, pts, i=i, j=j):
+                        if (np.abs(diff) > 1e-12).any():
                             raise ValueError(f"metric entries ({i},{j}) vs ({j},{i}) differ")
+
+                    scan(chart.sample(16, seed=3),
+                         lambda pts, a=table[i][j], b=table[j][i]: a.eval(pts) - b.eval(pts), agree)
                     table[j][i] = table[i][j]
         super().__init__(chart, tuple(tuple(row) for row in table))
         self.eps_pd = eps_pd
@@ -431,6 +443,7 @@ class MetricField(_EntryTable):
 
     def inverse(self, x, cond_cap=1e12):
         m = self.matrix(x)
+        require_finite(m, [x], "metric")
         if np.linalg.cond(m) > cond_cap:
             raise SingularMetric(f"metric condition number above {cond_cap:.1e}", point=x)
         return np.linalg.inv(m)
@@ -440,7 +453,7 @@ class MetricField(_EntryTable):
 
     def pd_report(self, samples=10_000, seed=0):
         pts = self.chart.sample(samples, seed=seed)
-        mats = self.matrices(pts)
+        mats = self.matrix(pts)
         require_finite(mats, pts, "metric")
         worst, worst_val = None, np.inf
         if len(pts):
@@ -492,8 +505,9 @@ class EndomorphismField(_EntryTable):
         return np.trace(self.dmatrix(x))
 
     def self_adjoint_defect(self, g, x):
+        """max |g L - (g L)^T| at x, or over an (N, n) stack of points."""
         gl = g.matrix(x) @ self.matrix(x)
-        return float(np.max(np.abs(gl - gl.T)))
+        return float(np.max(np.abs(gl - np.swapaxes(gl, -1, -2))))
 
     def require_self_adjoint(self, g, x, eps_sym_factor=1e-9):
         gl = g.matrix(x) @ self.matrix(x)
@@ -524,11 +538,11 @@ class VectorField:
         self._jets = Jets(self.chart.names, comps)
 
     def values(self, x):
-        return np.array(self._jets(x, 0)[0])
+        return np.array(self._jets(x, 0)[0]).T
 
     def jacobian(self, x):
         """J[i, k] = d v^i / d x_k."""
-        return np.array(self._jets(x, 1)[1]).reshape((self.chart.dim,) * 2)
+        return _shaped(self._jets(x, 1)[1], (self.chart.dim,) * 2)
 
 
 @dataclass(frozen=True)
@@ -552,6 +566,34 @@ def require_finite(mats, points, what):
         k = int(np.argmin(np.isfinite(mats).all(axis=(-2, -1))))
         raise DomainViolation(f"non-finite {what} entry",
                               point=None if points is None else points[k])
+
+
+def worst_point(values, points, what):
+    """(value, point) of the first strict maximum of values over points,
+    counted from 0.0, so the point is None when no value is positive; a
+    non-finite value raises DomainViolation at its point."""
+    values = np.asarray(values, dtype=float)
+    require_finite(values.reshape(-1, 1, 1), points, what)
+    if not len(values) or values.max() <= 0.0:
+        return 0.0, None
+    k = int(np.argmax(values))  # the first of tied maxima
+    return float(values[k]), [float(v) for v in points[k]]
+
+
+def scan(points, evaluate, check=lambda values, points: None):
+    """evaluate(points) from one stacked call, checked by check(values,
+    points), which raises at its first failing point. It fails as the loop
+    over points it stands for did: when a point fails to evaluate, the
+    points are replayed one at a time, so that whatever failed at an
+    earlier point, in evaluation or in the check, is raised first."""
+    try:
+        values = evaluate(points)
+    except DomainViolation:
+        for k in range(len(points)):
+            check(evaluate(points[k:k + 1]), points[k:k + 1])
+        raise
+    check(values, points)
+    return values
 
 
 def g_orthonormal_frame(g_matrix):

@@ -99,11 +99,6 @@ class IntegralFamily:
 
     # -- coefficient data -------------------------------------------------
 
-    @staticmethod
-    def _matrices(field, x):
-        """field's matrix at one point, or the (N, n, n) stack at N points."""
-        return field.matrix(x) if np.ndim(x) == 1 else field.matrices(x)
-
     def coeff_matrices(self, x):
         """C_j with adj(L - t Id) = sum_j t^j C_j; C_{n-1} = (-1)^{n-1} Id.
 
@@ -111,11 +106,11 @@ class IntegralFamily:
         matrices; C_{n-1} stays n x n and broadcasts against the stack.
         """
         # adj(t I - L) = sum_k M_{k+1} t^{n-1-k}, so C_j = sign * M_{n-j}
-        return [self._sign * m for m in _fl_adjugate(self._matrices(self.L, x))[::-1]]
+        return [self._sign * m for m in _fl_adjugate(self.L.matrix(x))[::-1]]
 
     def s_matrix(self, x, t):
         """S_t = adj(L - t Id) at one point or an (N, n) stack."""
-        mats = _fl_adjugate(self._matrices(self.L, x))[::-1]
+        mats = _fl_adjugate(self.L.matrix(x))[::-1]
         out = np.zeros_like(mats[0])
         for j, m in enumerate(mats):
             # (sign t^j) M_{n-j} is t^j C_j bit for bit, since sign is +-1
@@ -132,7 +127,7 @@ class IntegralFamily:
         over the whole stack. The one-state call is the same computation.
         """
         p = state.p
-        v = np.linalg.solve(self._matrices(self.g, state.x), p[..., None])
+        v = np.linalg.solve(self.g.matrix(state.x), p[..., None])
         out = (p[..., None, :] @ (self.s_matrix(state.x, t) @ v))[..., 0, 0]
         return float(out) if p.ndim == 1 else out
 

@@ -36,7 +36,8 @@ from .fields import (
     ReindexedField,
     ScalarField,
     as_field,
-    require_finite,
+    scan,
+    worst_point,
 )
 from .pairs import MetricPair, spectrum_at
 
@@ -130,21 +131,28 @@ class LeviCivitaSpec:
 
     def _validate(self, margin):
         pts = self.chart.sample(_ORDERING_SAMPLES, seed=5)
-        m = len(self.block_sizes)
-        for x in pts:
-            vals = [phi.eval(x) for phi in self.phis]
-            for i in range(m - 1):
-                if not vals[i] < vals[i + 1] - margin:
-                    raise OrderingViolated(
-                        f"phi_{i + 1}={vals[i]:.6g} vs phi_{i + 2}={vals[i + 1]:.6g}"
-                        f" at {x} (margin {margin:.1e})"
-                    )
+
+        def ordered(vals, pts):
+            vals = np.array(vals)  # vals[i, k] = phi_{i+1} at point k
+            bad = np.argwhere(~(vals[:-1] < vals[1:] - margin).T)
+            if len(bad):
+                k, i = bad[0]  # the first point, then the first pair there
+                raise OrderingViolated(
+                    f"phi_{i + 1}={vals[i, k]:.6g} vs phi_{i + 2}={vals[i + 1, k]:.6g}"
+                    f" at {pts[k]} (margin {margin:.1e})"
+                )
+
+        scan(pts, lambda p: [phi.eval(p) for phi in self.phis], ordered)
         for i, table in enumerate(self.block_metrics):
-            k = self.block_sizes[i]
-            for x in pts[:64]:
-                a = np.array([[table[r][c].eval(x) for c in range(k)] for r in range(k)])
-                if np.linalg.eigvalsh(0.5 * (a + a.T))[0] <= 0.0:
-                    raise NotPositiveDefinite(f"block metric {i + 1} not PD at {x}")
+
+            def definite(a, pts, i=i):
+                low = np.linalg.eigvalsh(0.5 * (a + a.transpose(0, 2, 1)))[:, 0]
+                if (low <= 0.0).any():
+                    raise NotPositiveDefinite(
+                        f"block metric {i + 1} not PD at {pts[int(np.argmax(low <= 0.0))]}")
+
+            scan(pts[:64], lambda p, t=table: np.moveaxis(
+                np.array([[e.eval(p) for e in row] for row in t]), -1, 0), definite)
 
     # -- derived fields ---------------------------------------------------
 
@@ -186,13 +194,16 @@ def build_lc_pair(spec: LeviCivitaSpec, partner=True, eig_floor=1e-12):
     offsets = spec.offsets
 
     if partner:
-        for x in chart.sample(_ORDERING_SAMPLES, seed=7):
-            for i, phi in enumerate(spec.phis):
-                v = phi.eval(x)
-                if v <= eig_floor:
-                    raise NonPositivePhi(
-                        f"phi_{i + 1} = {v:.6g} at {x}; partner weights undefined"
-                    )
+        def positive(vals, pts):
+            bad = np.argwhere(np.array(vals).T <= eig_floor)
+            if len(bad):
+                k, i = bad[0]  # the first point, then the first phi there
+                raise NonPositivePhi(
+                    f"phi_{i + 1} = {vals[i][k]:.6g} at {pts[k]}; partner weights undefined"
+                )
+
+        scan(chart.sample(_ORDERING_SAMPLES, seed=7),
+             lambda p: [phi.eval(p) for phi in spec.phis], positive)
 
     g_entries = [[zero] * n for _ in range(n)]
     gbar_entries = [[zero] * n for _ in range(n)] if partner else None
@@ -471,13 +482,8 @@ def split(g, L, r: int, tau_deg_factor=1e-7, samples=200, seed=0):
 def affine_equivalence_check(pair: MetricPair, samples=200, seed=0, tol=1e-7):
     """Max Christoffel mismatch between the pair members over a sample."""
     pts = pair.chart.sample(samples, seed=seed)
-    devs = np.array([np.max(np.abs(christoffel(pair.g, x) - christoffel(pair.gbar, x)))
-                     for x in pts])
-    require_finite(devs.reshape(-1, 1, 1), pts, "Christoffel symbol")
-    worst, worst_pt = 0.0, None
-    for x, d in zip(pts, devs):
-        if d > worst:
-            worst, worst_pt = float(d), [float(v) for v in x]
+    devs = [np.max(np.abs(christoffel(pair.g, x) - christoffel(pair.gbar, x))) for x in pts]
+    worst, worst_pt = worst_point(devs, pts, "Christoffel symbol")
     return {
         "max_deviation": worst,
         "tol": tol,

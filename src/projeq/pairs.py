@@ -28,6 +28,7 @@ from .fields import (
     fmat_scale,
     g_orthonormal_frame,
     require_finite,
+    worst_point,
 )
 
 
@@ -62,10 +63,10 @@ def pencil_spectrum(gmat, lmat, points=None):
 
 
 def spectra_at(g: MetricField, L: EndomorphismField, points):
-    """Pencil spectra at each point, shape (N, n): the matrices are built
-    point by point and their eigenvalues come from one stacked call."""
-    pts = np.asarray(points, dtype=float)
-    return pencil_spectrum(g.matrices(pts), L.matrices(pts), points=pts)
+    """Pencil spectra at each point, shape (N, n), from one stacked build
+    of each matrix and one stacked eigenvalue call."""
+    pts = np.asarray(points, dtype=float).reshape(-1, g.dim)
+    return pencil_spectrum(g.matrix(pts), L.matrix(pts), points=pts)
 
 
 def spectrum_at(g: MetricField, L: EndomorphismField, x):
@@ -299,13 +300,9 @@ def weyl_trace_defect(w):
 
 def weyl_pair_defect(pair: MetricPair, points) -> dict:
     """Max entry difference of W between the two pair members, over points."""
-    devs = np.array([np.max(np.abs(projective_weyl(pair.g, x) - projective_weyl(pair.gbar, x)))
-                     for x in points])
-    require_finite(devs.reshape(-1, 1, 1), points, "Weyl tensor")
-    worst, worst_pt = 0.0, None
-    for x, d in zip(points, devs):
-        if d > worst:
-            worst, worst_pt = float(d), [float(v) for v in x]
+    devs = [np.max(np.abs(projective_weyl(pair.g, x) - projective_weyl(pair.gbar, x)))
+            for x in points]
+    worst, worst_pt = worst_point(devs, points, "Weyl tensor")
     return {"max": worst, "points": int(len(points)), "worst_point": worst_pt}
 
 

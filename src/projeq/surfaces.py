@@ -44,7 +44,8 @@ from .fields import (
     fmat_det,
     fmat_mul,
     fmat_scale,
-    require_finite,
+    scan,
+    worst_point,
 )
 from .jets import Jets
 from .pairs import MetricPair, lie_derivative_metric
@@ -93,18 +94,9 @@ class QuadraticIntegral2D:
     def value(self, x, p):
         """I at (x, p) (a float), or at each row of (N, 2) stacks x and p
         (an (N,) array)."""
-        p = np.asarray(p, dtype=float)
-        if p.ndim == 1:
-            ra, ia, bb = self._jets(x, 0)[0]
-            px, py = float(p[0]), float(p[1])
-        else:
-            ra, ia, bb = np.transpose([self._jets(xi, 0)[0] for xi in x])
-            px, py = p[:, 0], p[:, 1]
-        return (
-            (bb + 2.0 * ra) * px * px
-            + 4.0 * ia * px * py
-            + (bb - 2.0 * ra) * py * py
-        )
+        ra, ia, bb = self._jets(x, 0)[0]
+        px, py = np.asarray(p, dtype=float).T.tolist()  # floats, or lists of them
+        return (bb + 2.0 * ra) * px * px + 4.0 * ia * px * py + (bb - 2.0 * ra) * py * py
 
     def __add__(self, other):
         if not isinstance(other, QuadraticIntegral2D):
@@ -195,8 +187,10 @@ def principal_form(integral: QuadraticIntegral2D, samples=64, seed=0,
     """
     pts = integral.chart.sample(samples, seed=seed)
     z = np.array([complex(x[0], x[1]) for x in pts])
-    a = np.array([integral.a_value(x) for x in pts])
-    b_scale = max(abs(integral.b.eval(x)) for x in pts)
+    ra, ia = scan(pts, lambda p: (integral.re_a.eval(p), integral.im_a.eval(p)))
+    a = ra.astype(complex)
+    a.imag = ia
+    b_scale = float(np.abs(integral.b.eval(pts)).max())
     a_scale = float(np.abs(a).max())
     if a_scale <= 1e-12 * max(1.0, b_scale):
         raise EnergyProportional(
@@ -392,20 +386,20 @@ class LiouvilleData:
         return data
 
     def _validate(self):
-        xs, ys = [], []
-        for x in self.chart.sample(300, seed=13):
-            xv = self.x_profile.eval(x)
-            yv = self.y_profile.eval(x)
-            if xv - yv <= self.margin:
+        def apart(vals, pts):
+            gap = vals[0] - vals[1]
+            if (gap <= self.margin).any():
+                k = int(np.argmax(gap <= self.margin))
                 raise DomainViolation(
-                    f"X - Y = {xv - yv:.6g} at {x}; needs margin {self.margin:.1e}"
+                    f"X - Y = {gap[k]:.6g} at {pts[k]}; needs margin {self.margin:.1e}"
                 )
-            xs.append(xv)
-            ys.append(yv)
+
+        xs, ys = scan(self.chart.sample(300, seed=13),
+                      lambda p: (self.x_profile.eval(p), self.y_profile.eval(p)), apart)
         # a sign change across the sample proves a zero of the profile even
         # when no sample point lands within margin of it
         for name, vals in (("X", xs), ("Y", ys)):
-            lo, hi = min(vals), max(vals)
+            lo, hi = vals.min(), vals.max()
             if lo * hi <= 0.0 or min(abs(lo), abs(hi)) <= self.margin:
                 raise DomainViolation(
                     f"profile {name} reaches [{lo:.6g}, {hi:.6g}];"
@@ -445,12 +439,8 @@ def killing_residual(g: MetricField, v: VectorField, samples=200, seed=0,
                      tol=1e-7) -> dict:
     """Max entry of the Lie derivative of g along v over a sample."""
     pts = g.chart.sample(samples, seed=seed)
-    devs = np.array([np.max(np.abs(lie_derivative_metric(g, v, x))) for x in pts])
-    require_finite(devs.reshape(-1, 1, 1), pts, "Lie derivative")
-    worst, worst_pt = 0.0, None
-    for x, d in zip(pts, devs):
-        if d > worst:
-            worst, worst_pt = float(d), [float(c) for c in x]
+    devs = [np.max(np.abs(lie_derivative_metric(g, v, x))) for x in pts]
+    worst, worst_pt = worst_point(devs, pts, "Lie derivative")
     return {
         "max_lie": worst,
         "tol": tol,

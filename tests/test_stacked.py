@@ -1,0 +1,194 @@
+"""One point API: an (N, n) stack runs the generated code on columns.
+
+A stacked call must equal, bit for bit, the one-point calls stacked; it
+must fail with the same DomainViolation (message and point) as the
+one-point call at the first failing point; and a one-point call keeps its
+Python types.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from projeq import jets
+from projeq.chart import Chart
+from projeq.curvature import christoffel
+from projeq.errors import DomainViolation, OrderingViolated
+from projeq.fields import (
+    ConstantField,
+    ExpressionField,
+    MetricField,
+    NumericField,
+    as_field,
+    scan,
+    worst_point,
+)
+from projeq.levicivita import LeviCivitaSpec, affine_equivalence_check, build_lc_pair, random_spec
+from projeq.pairs import MetricPair, gbar_from_l, weyl_pair_defect
+from projeq.surfaces import builtin_example
+
+UNIT = Chart(("x", "y"), ((0.0, 1.0), (0.0, 1.0)))
+MIXED = Chart(("x", "y"), ((0.1, 0.9), (0.2, 1.5)))
+# asin (whose Hessian code has a float power), abs, sqrt, a general power
+# and a constant fractional power
+MIXED_TEXT = "asin(0.9*x) + abs(y - 2)*sqrt(x + y) + x^y + (x + 1)^1.5"
+
+
+def _lc3():
+    spec = LeviCivitaSpec.create(
+        [1, 1, 1], ("1 + 0.3*tanh(x1)", "3", "6 + x3^2"),
+        bounds=((-1.0, 1.0), (-1.0, 1.0), (0.5, 1.5)))
+    return build_lc_pair(spec)
+
+
+def _tables(case):
+    if case == "lc3":
+        return _lc3()
+    if case == "random_spec(2, 4)":
+        g, _, L = build_lc_pair(random_spec(2, 4))
+        return g, gbar_from_l(g, L), L
+    bundle = builtin_example(case)
+    return tuple(t for t in (bundle.metric, bundle.partner) if t is not None)
+
+
+def _per_point(fn, xs):
+    """fn at each point, stacked along a leading axis, part by part."""
+    rows = [fn(x) for x in xs]
+    return tuple(np.array(p) for p in zip(*rows)) if isinstance(rows[0], tuple) else np.array(rows)
+
+
+@pytest.fixture
+def columns_only(monkeypatch):
+    """Fail a stacked call that falls back to point-by-point evaluation."""
+    def refuse(*args):
+        raise AssertionError("stack evaluated point by point")
+
+    monkeypatch.setattr(jets, "per_point", refuse)
+
+
+@pytest.mark.parametrize("count", [1, 201])
+@pytest.mark.parametrize("case", ["lc3", "random_spec(2, 4)", "torus", "sphere_beltrami",
+                                  "example1", "example2"])
+def test_stacked_table_jets_equal_the_one_point_jets(case, count, columns_only):
+    for table in _tables(case):
+        xs = table.chart.sample(count, seed=4)
+        for order in (0, 1, 2):
+            stacked = table.jet(xs, order)
+            single = _per_point(lambda x: table.jet(x, order), xs)
+            assert len(stacked) == order + 1
+            for s, p in zip(stacked, single):
+                assert s.shape == (count,) + (table.dim,) * (s.ndim - 1)
+                assert np.array_equal(s, p)
+
+
+@pytest.mark.parametrize("count", [1, 201])
+def test_stacked_scalar_jets_equal_the_one_point_jets(count, columns_only):
+    f = ExpressionField(MIXED, MIXED_TEXT) * as_field(MIXED, "tanh(x*y)") + ConstantField(MIXED, 2.0)
+    xs = MIXED.sample(count, seed=8)
+    for method in ("eval", "d1", "d2"):
+        stacked = getattr(f, method)(xs)
+        assert np.array_equal(stacked, _per_point(getattr(f, method), xs))
+        assert stacked.shape[0] == count
+
+
+def test_a_one_point_call_keeps_its_types():
+    f = ExpressionField(MIXED, MIXED_TEXT)
+    x = MIXED.center()
+    assert type(f.eval(x)) is float
+    assert f.d1(x).shape == (2,) and f.d2(x).shape == (2, 2)
+    g = _lc3()[0]
+    assert g.matrix(g.chart.center()).shape == (3, 3)
+
+
+@pytest.mark.parametrize("text, bad", [("1/(x - 0.5) + y", [0.5, 0.3]),
+                                       ("log(x) * y", [-0.25, 0.3])])
+def test_a_failing_stack_raises_as_its_first_failing_point(text, bad):
+    chart = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
+    f = ExpressionField(chart, text)
+    g = MetricField.diagonal(chart, [as_field(chart, "1 + x^2"), f], validate=False)
+    xs = chart.sample(20, seed=2)
+    xs[:, 0] = np.abs(xs[:, 0]) + 0.55  # every other point is fine
+    xs[7] = bad
+    xs[12] = [-0.75, 0.1] if text.startswith("log") else [0.5, 0.1]
+    for stacked, single in ((f.eval, f.eval), (f.d2, f.d2), (g.matrix, g.matrix),
+                            (lambda p: g.jet(p, 2), lambda p: g.jet(p, 2))):
+        with pytest.raises(DomainViolation) as one:
+            single(xs[7])
+        with pytest.raises(DomainViolation) as many:
+            stacked(xs)
+        assert str(many.value) == str(one.value)
+        assert many.value.point == one.value.point == list(bad)
+
+
+def test_black_box_stacks_equal_their_one_point_calls():
+    num = NumericField(UNIT, lambda x: math.exp(x[0]) * math.sin(x[1]))
+    f = num * as_field(UNIT, "x^2 + y")
+    table = MetricField.from_function(
+        UNIT, lambda x: np.array([[2.0 + x[0] ** 2, x[0] * x[1]], [x[0] * x[1], 1.0 + x[1]]]),
+        validate=False)
+    xs = UNIT.sample(31, seed=1)
+    for method in ("eval", "d1", "d2"):
+        assert np.array_equal(getattr(num, method)(xs), _per_point(getattr(num, method), xs))
+        assert np.array_equal(getattr(f, method)(xs), _per_point(getattr(f, method), xs))
+    for order in (0, 1, 2):
+        for s, p in zip(table.jet(xs, order), _per_point(lambda x: table.jet(x, order), xs)):
+            assert np.array_equal(s, p)
+
+
+# -- NaN in the curvature kernels -----------------------------------------------------
+
+
+def _nan_right_metric():
+    nan_right = NumericField(UNIT, lambda x: 2.0 if x[0] <= 0.5 else math.nan)
+    zero, one = ConstantField(UNIT, 0.0), ConstantField(UNIT, 1.0)
+    return MetricField(UNIT, [[nan_right, zero], [zero, one]], validate=False)
+
+
+def test_a_nan_metric_is_a_domain_violation_in_the_curvature_kernels():
+    g = _nan_right_metric()
+    with pytest.raises(DomainViolation, match=r"non-finite metric entry at \[0.75, 0.5\]"):
+        christoffel(g, np.array([0.75, 0.5]))
+    with pytest.raises(DomainViolation, match=r"non-finite metric entry at \[0.75, 0.5\]"):
+        g.inverse(np.array([0.75, 0.5]))
+    pts = UNIT.sample(50, seed=0)
+    for audit in (lambda: weyl_pair_defect(MetricPair(g, g), pts),
+                  lambda: affine_equivalence_check(MetricPair(g, g), samples=50)):
+        with pytest.raises(DomainViolation) as err:
+            audit()
+        assert err.value.point in pts.tolist()
+
+
+# -- the shared scan helpers ------------------------------------------------------------
+
+
+def test_worst_point_keeps_the_first_of_tied_maxima():
+    pts = np.arange(10.0).reshape(5, 2)
+    assert worst_point([0.5, 2.0, 1.0, 2.0, 0.0], pts, "value") == (2.0, [2.0, 3.0])
+
+
+def test_worst_point_of_an_all_zero_scan_names_no_point():
+    pts = np.arange(10.0).reshape(5, 2)
+    assert worst_point(np.zeros(5), pts, "value") == (0.0, None)
+    assert worst_point([], pts[:0], "value") == (0.0, None)
+    with pytest.raises(DomainViolation, match=r"non-finite value entry at \[4.0, 5.0\]"):
+        worst_point([0.0, 1.0, math.nan, 3.0, 0.0], pts, "value")
+
+
+def test_scan_raises_an_earlier_check_failure_before_a_later_domain_error():
+    line = Chart(("x",), ((-1.0, 1.0),))
+    f = ExpressionField(line, "log(x)")
+    pts = np.array([[0.5], [0.05], [-0.5], [0.9]])
+
+    def above(vals, p):
+        if (vals < -2.0).any():
+            raise OrderingViolated(f"below -2 at {p[int(np.argmax(vals < -2.0))]}")
+
+    with pytest.raises(OrderingViolated, match=r"below -2 at \[0.05\]"):
+        scan(pts, f.eval, above)
+    with pytest.raises(DomainViolation) as one:
+        f.eval(pts[2])
+    with pytest.raises(DomainViolation) as many:
+        scan(pts[[0, 2, 3]], f.eval, above)
+    assert str(many.value) == str(one.value)
+    assert np.array_equal(scan(pts[[0, 3]], f.eval, above), f.eval(pts[[0, 3]]))
