@@ -20,7 +20,7 @@ import numpy as np
 from . import reports
 from .curvature import sectional
 from .errors import EnergyProportional, ManifestError, ProjeqError
-from .fields import PhaseState, as_field, scan
+from .fields import PhaseState, as_field, scan, worst_point
 from .flows import interlacing_audit, ordering_audit
 from .geodesics import hamiltonian, integrate_geodesic, span_stats
 from .levicivita import split
@@ -146,8 +146,8 @@ def _sample_columns(g, traj, monitored):
     ts = np.linspace(traj.ts[0], traj.t_end, 201)
     ys = traj.sample(ts)
     xs, ps = ys[:, : traj.dim], ys[:, traj.dim:]
-    energy = [hamiltonian(g, x, p) for x, p in zip(xs, ps)]
-    return np.column_stack([ts, xs, ps, energy, *(fn(xs, ps) for _, fn in monitored)])
+    return np.column_stack([ts, xs, ps, hamiltonian(g, xs, ps),
+                            *(fn(xs, ps) for _, fn in monitored)])
 
 
 def _cmd_geodesic(scene, m, out_dir):
@@ -235,10 +235,8 @@ def _cmd_weyl(scene, m, out_dir):
     pts = scene.chart.sample(min(m.run.samples, 500), seed=m.run.seed)
     audits = []
     extra = {}
-    trace_worst = 0.0
-    for x in pts[:20]:
-        trace_worst = max(trace_worst,
-                          weyl_trace_defect(projective_weyl(scene.metric, x)))
+    trace_worst, _ = worst_point(weyl_trace_defect(projective_weyl(scene.metric, pts[:20])),
+                                 pts[:20], "Weyl trace")
     audits.append(reports.audit("weyl_trace_defect", trace_worst,
                                 tols.weyl_trace_tol,
                                 trace_worst <= tols.weyl_trace_tol))
@@ -250,9 +248,9 @@ def _cmd_weyl(scene, m, out_dir):
                                     rep["max"] <= tols.weyl_pair_tol,
                                     worst_point=rep["worst_point"]))
     else:
-        norm = max(float(np.max(np.abs(projective_weyl(scene.metric, x))))
-                   for x in pts[:50])
-        extra["weyl_max_entry"] = norm
+        entries = np.abs(projective_weyl(scene.metric, pts[:50]))
+        extra["weyl_max_entry"], _ = worst_point(np.max(entries, axis=(-4, -3, -2, -1)),
+                                                 pts[:50], "Weyl tensor")
     return audits, extra, []
 
 

@@ -8,6 +8,11 @@ Index conventions used throughout the package:
   Antisymmetric in (k, l). The unit round sphere has sectional +1.
 * ricci: Ric[j, l] = sum_k R[k, j, k, l], positive on spheres.
 * lowering: R_low[i, j, k, l] = g_im R[m, j, k, l].
+
+Every kernel but `sectional` takes one point x (n,) or an (N, n) stack,
+which leads each result with an N axis. Each einsum has a leading ``...``
+and sums as at one point, so a stack equals its points bit for bit; it
+fails at its first failing point (fields.pointwise_errors).
 """
 
 from __future__ import annotations
@@ -15,28 +20,37 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularMetric
-from .fields import require_finite
+from .fields import pointwise_errors, require_finite
 
 _COND_CAP = 1e12
 
 
 def _inverse_checked(gmat, x):
-    require_finite(gmat, [x], "metric")
-    if np.linalg.cond(gmat) > _COND_CAP:
-        raise SingularMetric("metric numerically singular", point=x)
+    """Inverse of the metric matrix at x, one point or an (N, n) stack,
+    refusing a non-finite or numerically singular one at its first point."""
+    points = np.reshape(x, (-1, gmat.shape[-1]))
+    require_finite(gmat, points, "metric")
+    singular = np.linalg.cond(gmat) > _COND_CAP
+    if singular.any():
+        raise SingularMetric("metric numerically singular", point=points[int(np.argmax(singular))])
     return np.linalg.inv(gmat)
 
 
+def _term(dg):
+    """term[m, j, k] = d_j g_mk + d_k g_mj - d_m g_jk."""
+    return np.einsum("...mkj->...mjk", dg) + dg - np.einsum("...jkm->...mjk", dg)
+
+
+@pointwise_errors(1)
 def christoffel(g, x):
     """Levi-Civita connection coefficients Gamma^i_{jk} at x."""
     gmat = g.matrix(x)
     ginv = _inverse_checked(gmat, x)
     dg = g.dmatrix(x)  # dg[i, j, k] = d g_ij / d x_k
-    # term[m, j, k] = d_j g_mk + d_k g_mj - d_m g_jk
-    term = np.einsum("mkj->mjk", dg) + dg - np.einsum("jkm->mjk", dg)
-    return 0.5 * np.einsum("im,mjk->ijk", ginv, term)
+    return 0.5 * np.einsum("...im,...mjk->...ijk", ginv, _term(dg))
 
 
+@pointwise_errors(1)
 def christoffel_with_derivative(g, x):
     """Gamma and its partials dGamma[i, j, k, l] = d_l Gamma^i_{jk}."""
     gmat = g.matrix(x)
@@ -44,20 +58,20 @@ def christoffel_with_derivative(g, x):
     dg = g.dmatrix(x)
     d2g = g.d2matrix(x)  # d2g[i, j, k, l] = d_k d_l g_ij
 
-    term = np.einsum("mkj->mjk", dg) + dg - np.einsum("jkm->mjk", dg)
-    gam = 0.5 * np.einsum("im,mjk->ijk", ginv, term)
+    term = _term(dg)
+    gam = 0.5 * np.einsum("...im,...mjk->...ijk", ginv, term)
 
     # d_l g^{im} = -g^{ia} (d_l g_ab) g^{bm}
-    dginv = -np.einsum("ia,abl,bm->iml", ginv, dg, ginv)
+    dginv = -np.einsum("...ia,...abl,...bm->...iml", ginv, dg, ginv)
     # d_l term[m, j, k] = d2(g_mk)_{jl} + d2(g_mj)_{kl} - d2(g_jk)_{ml}
     dterm = (
-        np.einsum("mkjl->mjkl", d2g)
-        + np.einsum("mjkl->mjkl", d2g)
-        - np.einsum("jkml->mjkl", d2g)
+        np.einsum("...mkjl->...mjkl", d2g)
+        + d2g
+        - np.einsum("...jkml->...mjkl", d2g)
     )
     dgam = 0.5 * (
-        np.einsum("iml,mjk->ijkl", dginv, term)
-        + np.einsum("im,mjkl->ijkl", ginv, dterm)
+        np.einsum("...iml,...mjk->...ijkl", dginv, term)
+        + np.einsum("...im,...mjkl->...ijkl", ginv, dterm)
     )
     return gam, dgam
 
@@ -68,10 +82,10 @@ def riemann(g, x):
     # R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
     #             + Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} Gamma^m_{kj}
     r = (
-        np.einsum("iljk->ijkl", dgam)
-        - np.einsum("ikjl->ijkl", dgam)
-        + np.einsum("ikm,mlj->ijkl", gam, gam)
-        - np.einsum("ilm,mkj->ijkl", gam, gam)
+        np.einsum("...iljk->...ijkl", dgam)
+        - np.einsum("...ikjl->...ijkl", dgam)
+        + np.einsum("...ikm,...mlj->...ijkl", gam, gam)
+        - np.einsum("...ilm,...mkj->...ijkl", gam, gam)
     )
     return r
 
@@ -80,14 +94,14 @@ def ricci(g, x, riem=None):
     """Ricci tensor Ric[j, l], symmetric, positive on round spheres."""
     if riem is None:
         riem = riemann(g, x)
-    ric = np.einsum("kjkl->jl", riem)
-    return 0.5 * (ric + ric.T)
+    ric = np.einsum("...kjkl->...jl", riem)
+    return 0.5 * (ric + np.swapaxes(ric, -1, -2))
 
 
 def lower_riemann(g, x, riem=None):
     if riem is None:
         riem = riemann(g, x)
-    return np.einsum("im,mjkl->ijkl", g.matrix(x), riem)
+    return np.einsum("...im,...mjkl->...ijkl", g.matrix(x), riem)
 
 
 def sectional(g, x, u, v, riem=None):

@@ -17,6 +17,7 @@ g(x), its entry gradients dg(x), entry Hessians d2g(x).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import (
     DomainViolation,
     NotPositiveDefinite,
     NotSelfAdjoint,
+    ProjeqError,
     SingularMetric,
 )
 from .expressions import FUNCTIONS, Expression, parse_expression
@@ -94,6 +96,25 @@ def _shaped(part, shape):
     (size, N) part of a stack of N points."""
     a = np.array(part)
     return a.reshape(shape) if a.ndim == 1 else a.T.reshape(a.shape[1:] + shape)
+
+
+def pointwise_errors(*at):
+    """Decorate a kernel whose arguments at positions ``at`` are one point
+    each, or (N, ...) stacks of N points. A stacked call that raises fails
+    as the loop over its points would: the points are replayed one at a
+    time, so the first failing point raises its one-point error."""
+    def decorate(kernel):
+        @functools.wraps(kernel)
+        def run(*args, **kw):
+            try:
+                return kernel(*args, **kw)
+            except (ProjeqError, np.linalg.LinAlgError):
+                if np.ndim(args[at[0]]) > 1:
+                    for k in range(len(args[at[0]])):
+                        kernel(*(a[k] if i in at else a for i, a in enumerate(args)), **kw)
+                raise
+        return run
+    return decorate
 
 
 class ScalarField:
@@ -241,7 +262,9 @@ class ExpressionField(ScalarField):
     expr : str or Expression
         Uses the chart's coordinate names. An ``abs`` whose argument
         crosses zero on the chart poisons differentiation and is rejected
-        the first time a derivative is requested (detected by sampling).
+        the first time a derivative is requested (detected by sampling;
+        ``one_signed`` keeps the text of each argument that passed, so
+        each is sampled once).
     """
 
     provenance = "expression-AST"
@@ -259,6 +282,7 @@ class ExpressionField(ScalarField):
                 f"expression uses non-chart variables {sorted(unknown)}"
             )
         self.expr = expr
+        self.one_signed = set()
 
     def __repr__(self):
         return f"ExpressionField({self.expr.to_text()!r})"
@@ -376,7 +400,7 @@ class _EntryTable:
         return self.chart.dim
 
     def matrix(self, x):
-        return self.jet(x, 0)[0]
+        return _shaped(self._jets(x, 0)[0], (len(self.entries),) * 2)
 
     def dmatrix(self, x):
         """D[i, j, k] = d (entry i, j) / d x_k."""
@@ -502,20 +526,28 @@ class EndomorphismField(_EntryTable):
 
     def trace_d1(self, x):
         """Gradient of trace L."""
-        return np.trace(self.dmatrix(x))
+        return np.trace(self.dmatrix(x), axis1=-3, axis2=-2)
 
     def self_adjoint_defect(self, g, x):
         """max |g L - (g L)^T| at x, or over an (N, n) stack of points."""
         gl = g.matrix(x) @ self.matrix(x)
         return float(np.max(np.abs(gl - np.swapaxes(gl, -1, -2))))
 
+    @pointwise_errors(2)
     def require_self_adjoint(self, g, x, eps_sym_factor=1e-9):
+        """Raise NotSelfAdjoint at the first point of x (one point or an
+        (N, n) stack) where g L is asymmetric beyond eps_sym_factor times
+        max(1, |g L|), |.| the Frobenius norm."""
         gl = g.matrix(x) @ self.matrix(x)
-        tol = eps_sym_factor * max(1.0, float(np.linalg.norm(gl)))
-        defect = float(np.max(np.abs(gl - gl.T)))
-        if defect > tol:
+        flat = gl.reshape(gl.shape[:-2] + (1, -1))
+        norm = np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])  # as np.linalg.norm
+        tol = eps_sym_factor * np.fmax(1.0, norm)
+        defect = np.max(np.abs(gl - np.swapaxes(gl, -1, -2)), axis=(-2, -1))
+        if (defect > tol).any():
+            k = int(np.argmax(defect > tol))
             raise NotSelfAdjoint(
-                f"g*L asymmetric by {defect:.3e} (tol {tol:.3e}) at {np.asarray(x)}"
+                f"g*L asymmetric by {defect.flat[k]:.3e} (tol {tol.flat[k]:.3e})"
+                f" at {np.reshape(x, (-1, self.dim))[k]}"
             )
 
     @classmethod
@@ -583,12 +615,13 @@ def worst_point(values, points, what):
 def scan(points, evaluate, check=lambda values, points: None):
     """evaluate(points) from one stacked call, checked by check(values,
     points), which raises at its first failing point. It fails as the loop
-    over points it stands for did: when a point fails to evaluate, the
-    points are replayed one at a time, so that whatever failed at an
-    earlier point, in evaluation or in the check, is raised first."""
+    over points it stands for did: when the stacked evaluation raises a
+    ProjeqError, the points are replayed one at a time, so that whatever
+    failed at an earlier point, in evaluation or in the check, is raised
+    first."""
     try:
         values = evaluate(points)
-    except DomainViolation:
+    except ProjeqError:
         for k in range(len(points)):
             check(evaluate(points[k:k + 1]), points[k:k + 1])
         raise
@@ -597,12 +630,13 @@ def scan(points, evaluate, check=lambda values, points: None):
 
 
 def g_orthonormal_frame(g_matrix):
-    """Columns e_a with e_a^T g e_b = delta_ab, from a Cholesky factor."""
+    """Columns e_a with e_a^T g e_b = delta_ab, from a Cholesky factor; of
+    one matrix or of each of an (N, n, n) stack."""
     try:
         low = np.linalg.cholesky(g_matrix)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("metric not positive-definite; no frame") from None
-    return np.linalg.inv(low).T
+    return np.swapaxes(np.linalg.inv(low), -1, -2)
 
 
 # --- matrices of fields ----------------------------------------------------

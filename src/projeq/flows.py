@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ComplexRoots, ZeroVelocity
+from .errors import ComplexRoots, DomainViolation, ZeroVelocity
 from .fields import PhaseState
 from .pairs import spectra_at, spectrum_at
 
@@ -94,8 +94,7 @@ class IntegralFamily:
         # adj(L - t Id) = sign * adj(t Id - L)
         self._sign = 1.0 if (g.dim - 1) % 2 == 0 else -1.0
         if check_points:
-            for x in self.chart.sample(check_points, seed=11):
-                L.require_self_adjoint(g, x, eps_sym_factor)
+            L.require_self_adjoint(g, self.chart.sample(check_points, seed=11), eps_sym_factor)
 
     # -- coefficient data -------------------------------------------------
 
@@ -209,7 +208,8 @@ class IntegralFamily:
         """Pairwise brackets over the t-grid, scaled by 1 + |I_a| + |I_b|.
 
         Per state, the pairs (t_i, t_j) with i < j come first, then each
-        {I_t, H}; the first strict maximum over that order is reported.
+        {I_t, H}; the first strict maximum over that order is reported. A
+        non-finite scaled bracket raises DomainViolation at its state's x.
         """
         worst = 0.0
         worst_detail = None
@@ -225,14 +225,16 @@ class IntegralFamily:
                                  w @ jet.energy_brackets])
             scale = np.concatenate([1.0 + mag[ii] + mag[jj], 1.0 + mag])
             rel = np.abs(br) / scale
-            for k in range(len(labels)):
-                if rel[k] > worst:
-                    worst = float(rel[k])
-                    worst_detail = {
-                        "t_pair": list(labels[k]),
-                        "x": [float(v) for v in state.x],
-                        "bracket": float(br[k]),
-                    }
+            if not np.isfinite(rel).all():
+                raise DomainViolation("non-finite commutation bracket", point=state.x)
+            k = int(np.argmax(rel))  # the first of tied maxima
+            if rel[k] > worst:
+                worst = float(rel[k])
+                worst_detail = {
+                    "t_pair": list(labels[k]),
+                    "x": [float(v) for v in state.x],
+                    "bracket": float(br[k]),
+                }
         return {
             "max_scaled_bracket": worst,
             "tol": tol,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideChart, SingularMetric, StepUnderflow
-from .fields import MetricField, PhaseState
+from .fields import MetricField, PhaseState, pointwise_errors
 
 # Dormand-Prince 5(4) tableau. Row 7 doubles as the 5th-order weights (FSAL).
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -81,14 +81,22 @@ def geodesic_rhs(g: MetricField):
     return rhs
 
 
-def hamiltonian(g: MetricField, x, p) -> float:
-    """Kinetic energy 1/2 p^T g^{-1} p."""
-    x = np.asarray(x, dtype=float)
+@pointwise_errors(1, 2)
+def hamiltonian(g: MetricField, x, p):
+    """Kinetic energy 1/2 p^T g^{-1} p: a float at one point, an (N,) array
+    along (N, n) stacks of points x and covectors p."""
     p = np.asarray(p, dtype=float)
     try:
-        return 0.5 * float(p @ np.linalg.solve(g.matrix(x), p))
+        # numpy's solve reads a 1-D right side as one vector, any other as matrices
+        v = np.linalg.solve(g.matrix(x), p if p.ndim == 1 else p[..., None])
     except np.linalg.LinAlgError:
+        if p.ndim > 1:
+            raise  # replayed point by point
         raise SingularMetric("metric singular", point=x) from None
+    if p.ndim == 1:  # the vector dot, the cheapest one-point contraction
+        return 0.5 * float(p @ v)
+    # a matmul of a row by a column sums as that dot does; einsum and sum do not
+    return 0.5 * (p[..., None, :] @ v)[..., 0, 0]
 
 
 @dataclass

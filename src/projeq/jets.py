@@ -256,9 +256,12 @@ class _Writer:
             return self.each(lambda t, _: self.comb([(-1.0, t)]), a, a)
         if isinstance(e, Call):
             if e.fn == "abs" and self.order:  # derivatives come from fields, on charts
-                chart = self.site.chart
-                vals = Jets(chart.names, e.args)(chart.sample(256, seed=17), 0)[0][0]
-                require_one_sign(vals.min(), vals.max())
+                field, arg = self.site, e.args[0].to_text()
+                if arg not in field.one_signed:
+                    chart = field.chart
+                    vals = Jets(chart.names, e.args)(chart.sample(256, seed=17), 0)[0][0]
+                    require_one_sign(vals.min(), vals.max())
+                    field.one_signed.add(arg)
             return self.unary(e.fn, self.jet(e.args[0], names, cmap))
         a, b = self.jet(e.left, names, cmap), self.jet(e.right, names, cmap)
         if e.op == "^" and isinstance(b[0], float) and not any(b[1] or ()):  # as x^-2

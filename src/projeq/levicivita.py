@@ -482,7 +482,8 @@ def split(g, L, r: int, tau_deg_factor=1e-7, samples=200, seed=0):
 def affine_equivalence_check(pair: MetricPair, samples=200, seed=0, tol=1e-7):
     """Max Christoffel mismatch between the pair members over a sample."""
     pts = pair.chart.sample(samples, seed=seed)
-    devs = [np.max(np.abs(christoffel(pair.g, x) - christoffel(pair.gbar, x))) for x in pts]
+    devs = scan(pts, lambda p: np.max(np.abs(
+        christoffel(pair.g, p) - christoffel(pair.gbar, p)), axis=(-3, -2, -1)))
     worst, worst_pt = worst_point(devs, pts, "Christoffel symbol")
     return {
         "max_deviation": worst,

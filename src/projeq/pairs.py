@@ -27,7 +27,9 @@ from .fields import (
     fmat_mul,
     fmat_scale,
     g_orthonormal_frame,
+    pointwise_errors,
     require_finite,
+    scan,
     worst_point,
 )
 
@@ -73,6 +75,7 @@ def spectrum_at(g: MetricField, L: EndomorphismField, x):
     return spectra_at(g, L, [x])[0]
 
 
+@pointwise_errors(2)
 def covariant_endo_derivative(g, L, x):
     """(nabla L)[i, j, k] = (nabla_k L)^i_j."""
     gam = christoffel(g, x)
@@ -80,11 +83,12 @@ def covariant_endo_derivative(g, L, x):
     lm = L.matrix(x)
     return (
         dL
-        + np.einsum("ikm,mj->ijk", gam, lm)
-        - np.einsum("mkj,im->ijk", gam, lm)
+        + np.einsum("...ikm,...mj->...ijk", gam, lm)
+        - np.einsum("...mkj,...im->...ijk", gam, lm)
     )
 
 
+@pointwise_errors(2)
 def bm_residual(g, L, x, eps_sym_factor=1e-9):
     """Max defect of the compatibility identity at x, orthonormal frame.
 
@@ -93,29 +97,30 @@ def bm_residual(g, L, x, eps_sym_factor=1e-9):
         g((nabla_u L) v, w) = 1/2 g(v, u) dtr(w) + 1/2 g(w, u) dtr(v)
 
     where dtr is the differential of trace L. The frame makes the result
-    scale-honest: residuals from different metrics are comparable.
+    scale-honest: residuals from different metrics are comparable. A float
+    at one point x, an (N,) array on an (N, n) stack.
     """
     L.require_self_adjoint(g, x, eps_sym_factor)
     gmat = g.matrix(x)
     frame = g_orthonormal_frame(gmat)  # columns e_a
     cov = covariant_endo_derivative(g, L, x)
-    tau = frame.T @ L.trace_d1(x)
+    tau = (np.swapaxes(frame, -1, -2) @ L.trace_d1(x)[..., None])[..., 0]
 
     # lhs[a, b, c] = g((nabla_{e_a} L) e_b, e_c)
-    m = np.einsum("ijk,ka->aij", cov, frame)
-    gm = np.einsum("im,amj->aij", gmat, m)
-    lhs = np.einsum("aij,ic,jb->abc", gm, frame, frame)
+    m = np.einsum("...ijk,...ka->...aij", cov, frame)
+    gm = np.einsum("...im,...amj->...aij", gmat, m)
+    lhs = np.einsum("...aij,...ic,...jb->...abc", gm, frame, frame)
 
-    n = g.dim
-    eye = np.eye(n)
-    rhs = 0.5 * np.einsum("ab,c->abc", eye, tau) + 0.5 * np.einsum(
-        "ac,b->abc", eye, tau
+    eye = np.eye(g.dim)
+    rhs = 0.5 * np.einsum("ab,...c->...abc", eye, tau) + 0.5 * np.einsum(
+        "ac,...b->...abc", eye, tau
     )
-    return float(np.max(np.abs(lhs - rhs)))
+    res = np.max(np.abs(lhs - rhs), axis=(-3, -2, -1))
+    return res if res.ndim else float(res)
 
 
 def bm_residual_stats(g, L, points, eps_sym_factor=1e-9) -> dict:
-    vals = np.array([bm_residual(g, L, x, eps_sym_factor) for x in points])
+    vals = bm_residual(g, L, np.reshape(points, (-1, g.dim)), eps_sym_factor)
     worst = int(np.argmax(vals))
     return {
         "max": float(vals.max()),
@@ -286,24 +291,27 @@ def projective_weyl(g, x, riem=None):
     ric = ricci(g, x, riem=riem)
     eye = np.eye(n)
     corr = (
-        np.einsum("il,jk->ijkl", eye, ric) - np.einsum("ik,jl->ijkl", eye, ric)
+        np.einsum("il,...jk->...ijkl", eye, ric) - np.einsum("ik,...jl->...ijkl", eye, ric)
     ) / (n - 1)
     return riem + corr
 
 
 def weyl_trace_defect(w):
-    """Max of the two contractions that must vanish for a Weyl-type tensor."""
-    t1 = np.einsum("ijki->jk", w)
-    t2 = np.einsum("ijil->jl", w)
-    return float(max(np.max(np.abs(t1)), np.max(np.abs(t2))))
+    """Max of the two contractions that must vanish for a Weyl-type tensor:
+    a float for one tensor, an (N,) array for an (N, n, n, n, n) stack."""
+    t1 = np.max(np.abs(np.einsum("...ijki->...jk", w)), axis=(-2, -1))
+    t2 = np.max(np.abs(np.einsum("...ijil->...jl", w)), axis=(-2, -1))
+    out = np.where(t2 > t1, t2, t1)  # Python's max(t1, t2) at each point
+    return out if out.ndim else float(out)
 
 
 def weyl_pair_defect(pair: MetricPair, points) -> dict:
     """Max entry difference of W between the two pair members, over points."""
-    devs = [np.max(np.abs(projective_weyl(pair.g, x) - projective_weyl(pair.gbar, x)))
-            for x in points]
-    worst, worst_pt = worst_point(devs, points, "Weyl tensor")
-    return {"max": worst, "points": int(len(points)), "worst_point": worst_pt}
+    pts = np.reshape(points, (-1, pair.g.dim))
+    devs = scan(pts, lambda p: np.max(np.abs(
+        projective_weyl(pair.g, p) - projective_weyl(pair.gbar, p)), axis=(-4, -3, -2, -1)))
+    worst, worst_pt = worst_point(devs, pts, "Weyl tensor")
+    return {"max": worst, "points": int(len(pts)), "worst_point": worst_pt}
 
 
 # --- linear sphere-to-sphere maps ---------------------------------------

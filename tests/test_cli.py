@@ -215,13 +215,14 @@ def test_geodesic_evaluates_energy_once_per_grid_time(tmp_path, monkeypatch):
     ham = cli.hamiltonian
 
     def counting(g, x, p):
-        calls.append(1)
+        calls.append(len(np.reshape(x, (-1, 3))))  # points evaluated in this call
         return ham(g, x, p)
 
     monkeypatch.setattr(cli, "hamiltonian", counting)
     out = tmp_path / "out"
     assert run("geodesic", m, out) == 0
-    assert len(calls) == 3 * 201
+    # one stacked call per trajectory, over its 201 grid times
+    assert calls == [201] * 3
     # the drifts are the ones monitor_along gives on the same trajectories
     monkeypatch.setattr(cli, "hamiltonian", ham)
     man = Manifest.load(m)

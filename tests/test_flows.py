@@ -1,12 +1,14 @@
 """Integral families: values, roots, brackets, and the two audits."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projeq.chart import Chart, box_chart
-from projeq.errors import ComplexRoots, ZeroVelocity
+from projeq.errors import ComplexRoots, DomainViolation, ZeroVelocity
 from projeq.fields import EndomorphismField, MetricField, PhaseState
 from projeq.flows import (
     IntegralFamily,
@@ -245,6 +247,25 @@ def test_commutation_report_names_worst_pair_on_incompatible_tensor():
     assert rep["worst"]["t_pair"] == want[0]
     assert rep["worst"]["x"] == want[1]
     assert rep["worst"]["bracket"] == pytest.approx(want[2], rel=1e-12)
+
+
+def test_commutation_report_names_a_nan_bracket():
+    unit = Chart(("x", "y"), ((0.0, 1.0), (0.0, 1.0)))
+    g = MetricField.from_function(
+        unit, lambda x: np.array([[2.0 if x[0] <= 0.5 else math.nan, 0.0], [0.0, 1.0]]),
+        validate=False)
+    fam = IntegralFamily(g, EndomorphismField.constant(unit, np.diag([1.0, 2.0])))
+    pts = unit.sample(20, seed=0)
+    assert (pts[:, 0] > 0.5).sum() == 10
+    states = [PhaseState(x, np.array([0.3, -0.7])) for x in pts]
+    # skipped by the old first-strict-maximum loop: pass True, max 0.0, worst None
+    with pytest.raises(DomainViolation, match="non-finite commutation bracket") as err:
+        fam.commutation_report(states, [0.0, 1.5, 3.0])
+    assert err.value.point == pts[int(np.argmax(pts[:, 0] > 0.5))].tolist()
+    # the finite half keeps the report and its keys
+    rep = fam.commutation_report([s for s in states if s.x[0] <= 0.5], [0.0, 1.5, 3.0])
+    assert rep["pass"] and rep["states"] == 10
+    assert set(rep) == {"max_scaled_bracket", "tol", "pass", "states", "t_grid", "worst"}
 
 
 def test_commutation_report_builds_the_metric_once_per_state(monkeypatch):

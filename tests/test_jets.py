@@ -18,7 +18,7 @@ from test_curvature import sympy_curvature
 from projeq import jets
 from projeq.chart import Chart
 from projeq.curvature import christoffel, riemann
-from projeq.errors import DomainViolation
+from projeq.errors import DerivativeNotAvailable, DomainViolation
 from projeq.expressions import FUNCTIONS
 from projeq.fields import (
     ExpressionField,
@@ -283,3 +283,21 @@ def test_repeated_calls_reuse_the_generated_function(monkeypatch):
     entries = tuple(id(e) for row in g.entries for e in row)
     assert {(entries, k) for k in range(3)} <= set(builds)
     assert {((id(f),), k) for k in range(3)} <= set(builds)
+
+
+def test_the_abs_sign_scan_runs_once_per_argument_and_chart(monkeypatch):
+    calls = []
+    scan = jets.require_one_sign
+    monkeypatch.setattr(jets, "require_one_sign", lambda lo, hi: calls.append(1) or scan(lo, hi))
+    chart = Chart(("x", "y"), ((0.5, 2.0), (-1.0, 1.0)))
+    g = MetricField.from_rows(chart, [["2 + abs(x)", "0"], ["0", "1 + y^2*abs(x)"]],
+                              validate=False)
+    x = np.array([1.0, 0.5])
+    g.jet(x, 1), g.jet(x, 2), g.entries[0][0].d1(x), g.entries[0][0].d2(x)
+    assert len(calls) == 2  # once per entry's argument x: was once per node and order
+    # an argument that reaches zero is refused by every derivative order that compiles it
+    bad = MetricField.from_rows(CHART2, [["2 + abs(x)", "0"], ["0", "1"]], validate=False)
+    for order in (1, 2):
+        with pytest.raises(DerivativeNotAvailable):
+            bad.jet(np.array([1.0, 0.5]), order)
+    assert bad.matrix(np.array([-1.0, 0.5])).tolist() == [[3.0, 0.0], [0.0, 1.0]]

@@ -142,7 +142,8 @@ def test_affine_check_names_a_nan_point(monkeypatch):
     pts = g.chart.sample(50, seed=0)
     real = levicivita.christoffel
     monkeypatch.setattr(levicivita, "christoffel",
-                        lambda h, x: real(h, x) * (math.nan if x[0] > 1.0 else 1.0))
+                        lambda h, x: real(h, x) * np.where(x[..., 0] > 1.0, math.nan,
+                                                           1.0)[..., None, None, None])
     with pytest.raises(DomainViolation) as err:
         affine_equivalence_check(MetricPair(g, gbar), samples=50)
     assert err.value.point == pts[int(np.argmax(pts[:, 0] > 1.0))].tolist()

@@ -451,7 +451,8 @@ def test_weyl_pair_defect_names_a_nan_point(monkeypatch):
     pts = CHART2.sample(50, seed=0)
     weyl = pairs.projective_weyl
     monkeypatch.setattr(pairs, "projective_weyl",
-                        lambda h, x: weyl(h, x) * (math.nan if x[0] > 1.0 else 1.0))
+                        lambda h, x: weyl(h, x) * np.where(x[..., 0] > 1.0, math.nan,
+                                                           1.0)[..., None, None, None, None])
     with pytest.raises(DomainViolation) as err:
         weyl_pair_defect(MetricPair(g, g), pts)
     assert err.value.point == pts[int(np.argmax(pts[:, 0] > 1.0))].tolist()

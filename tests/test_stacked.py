@@ -1,9 +1,10 @@
-"""One point API: an (N, n) stack runs the generated code on columns.
+"""One point API: an (N, n) stack runs the generated code on columns, and
+the curvature kernels contract it with a leading axis.
 
 A stacked call must equal, bit for bit, the one-point calls stacked; it
-must fail with the same DomainViolation (message and point) as the
-one-point call at the first failing point; and a one-point call keeps its
-Python types.
+must fail with the same error (class, message and point) as the one-point
+call at the first failing point; and a one-point call keeps its Python
+types.
 """
 
 import math
@@ -13,10 +14,17 @@ import pytest
 
 from projeq import jets
 from projeq.chart import Chart
-from projeq.curvature import christoffel
-from projeq.errors import DomainViolation, OrderingViolated
+from projeq.curvature import christoffel, riemann
+from projeq.errors import (
+    DomainViolation,
+    NotPositiveDefinite,
+    NotSelfAdjoint,
+    OrderingViolated,
+    SingularMetric,
+)
 from projeq.fields import (
     ConstantField,
+    EndomorphismField,
     ExpressionField,
     MetricField,
     NumericField,
@@ -24,8 +32,20 @@ from projeq.fields import (
     scan,
     worst_point,
 )
+from projeq.geodesics import hamiltonian
 from projeq.levicivita import LeviCivitaSpec, affine_equivalence_check, build_lc_pair, random_spec
-from projeq.pairs import MetricPair, gbar_from_l, weyl_pair_defect
+from projeq.pairs import (
+    MetricPair,
+    ProjectiveFlowSpec,
+    bm_from_flow_field,
+    bm_residual,
+    bm_residual_stats,
+    covariant_endo_derivative,
+    gbar_from_l,
+    l_field_from_pair,
+    projective_weyl,
+    weyl_pair_defect,
+)
 from projeq.surfaces import builtin_example
 
 UNIT = Chart(("x", "y"), ((0.0, 1.0), (0.0, 1.0)))
@@ -134,6 +154,108 @@ def test_black_box_stacks_equal_their_one_point_calls():
     for order in (0, 1, 2):
         for s, p in zip(table.jet(xs, order), _per_point(lambda x: table.jet(x, order), xs)):
             assert np.array_equal(s, p)
+
+
+# -- the curvature kernels on stacks ---------------------------------------------------
+
+
+def _linked(case):
+    """(metrics, L, eps_sym_factor): g (and its partner) with the field L
+    that links them, or the sphere flow's finite-difference L."""
+    if case == "lc3":
+        g, gbar, L = _lc3()
+        return (g, gbar), L, 1e-9
+    if case == "random_spec(2, 4)":
+        g, _, L = build_lc_pair(random_spec(2, 4))
+        return (g, gbar_from_l(g, L)), L, 1e-9
+    bundle = builtin_example(case)
+    if case == "torus":
+        pair = MetricPair(bundle.metric, bundle.partner)
+        return (pair.g, pair.gbar), l_field_from_pair(pair), 1e-9
+    gen = bundle.vector_fields["projective_generator"]
+    return (bundle.metric,), bm_from_flow_field(ProjectiveFlowSpec(bundle.metric, gen)), 1e-3
+
+
+@pytest.mark.parametrize("count", [1, 200])
+@pytest.mark.parametrize("case", ["lc3", "random_spec(2, 4)", "torus", "sphere_beltrami"])
+def test_stacked_curvature_kernels_equal_the_one_point_kernels(case, count):
+    metrics, L, eps = _linked(case)
+    xs = metrics[0].chart.sample(count, seed=6)
+    ps = np.random.default_rng(count).standard_normal(xs.shape)
+    for g in metrics:
+        for kernel in (christoffel, riemann, projective_weyl):
+            stacked = kernel(g, xs)
+            assert stacked.shape[0] == count
+            assert np.array_equal(stacked, _per_point(lambda x: kernel(g, x), xs))
+    g = metrics[0]
+    for kernel in (covariant_endo_derivative, lambda g, L, x: bm_residual(g, L, x, eps)):
+        assert np.array_equal(kernel(g, L, xs), _per_point(lambda x: kernel(g, L, x), xs))
+    energy = hamiltonian(g, xs, ps)
+    assert np.array_equal(energy, [hamiltonian(g, x, p) for x, p in zip(xs, ps)])
+    assert type(bm_residual(g, L, xs[0], eps)) is float
+    assert type(hamiltonian(g, xs[0], ps[0])) is float
+
+
+_CHECKS = [NotSelfAdjoint, NotPositiveDefinite, SingularMetric, DomainViolation]
+
+
+def _faulty(xs, faults):
+    """g = diag(2 + x, 1 + y) and L = diag(1 + xy, 2) on UNIT, made to fail
+    at each point xs[k] of faults {k: error class} the check raising it."""
+    at = {tuple(xs[k]): err for k, err in faults.items()}
+
+    def metric(x):
+        fault = at.get(tuple(x))
+        if fault is DomainViolation:
+            raise ValueError("math domain error")
+        g00 = {NotPositiveDefinite: -1.0, SingularMetric: 1e-14}.get(fault, 2.0 + x[0])
+        return np.diag([g00, 1.0 + x[1]])
+
+    def endo(x):
+        asymmetric = at.get(tuple(x)) is NotSelfAdjoint
+        return np.array([[1.0 + x[0] * x[1], 0.5 if asymmetric else 0.0], [0.0, 2.0]])
+
+    return (MetricField.from_function(UNIT, metric, validate=False),
+            EndomorphismField.from_function(UNIT, endo))
+
+
+@pytest.mark.parametrize("err", _CHECKS)
+@pytest.mark.parametrize("other", [None] + _CHECKS)
+def test_a_failing_curvature_stack_raises_as_its_first_failing_point(err, other):
+    xs = UNIT.sample(20, seed=9)
+    # err at the 8th point, alone or with another check failing at the 4th or the 13th
+    cases = [({7: err}, 7)] if other is None else [({3: other, 7: err}, 3),
+                                                  ({7: err, 12: other}, 7)]
+    for faults, first in cases:
+        g, L = _faulty(xs, faults)
+        with pytest.raises(faults[first]) as one:
+            bm_residual(g, L, xs[first])
+        for audit in (lambda: bm_residual(g, L, xs), lambda: bm_residual_stats(g, L, xs)):
+            with pytest.raises(type(one.value)) as many:
+                audit()
+            assert str(many.value) == str(one.value)
+            assert getattr(many.value, "point", None) == getattr(one.value, "point", None)
+        assert getattr(one.value, "point", None) in (None, xs[first].tolist())
+
+
+def test_a_failing_energy_stack_raises_as_its_first_failing_point():
+    xs = UNIT.sample(20, seed=9)
+    ps = np.ones_like(xs)
+    singular, undefined = tuple(xs[7]), tuple(xs[12])
+
+    def metric(x):
+        if tuple(x) == undefined:
+            raise ValueError("math domain error")
+        return np.diag([0.0 if tuple(x) == singular else 2.0 + x[0], 1.0])
+
+    g = MetricField.from_function(UNIT, metric, validate=False)
+    # a stacked build fails at the 13th point first; the loop meets the 8th
+    with pytest.raises(SingularMetric) as err:
+        hamiltonian(g, xs, ps)
+    assert err.value.point == xs[7].tolist()
+    with pytest.raises(DomainViolation) as err:
+        hamiltonian(g, xs[8:], ps[8:])
+    assert err.value.point == xs[12].tolist()
 
 
 # -- NaN in the curvature kernels -----------------------------------------------------
