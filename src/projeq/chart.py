@@ -7,7 +7,7 @@ and coordinate names, and hands out reproducible quasi-random sample points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

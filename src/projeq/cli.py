@@ -59,7 +59,7 @@ def _init_box(scene: Scene):
     return scene.chart
 
 
-def _monitored(scene: Scene, run, tols):
+def _monitored(scene: Scene, run):
     """Named (label, fn(x, p)) conserved quantities for this scene; each fn
     takes one point or (N, n) stacks of them."""
     out = []
@@ -112,11 +112,10 @@ def _cmd_pair(scene, m, out_dir):
         audits.append(reports.audit(
             "partner_positive_definite", rep["min_eigenvalue"], tols.eps_pd,
             rep["positive_definite"], worst_point=rep["worst_point"]))
-        worst = 0.0
-        for x in scene.chart.sample(50, seed=m.run.seed + 1):
-            d = float(np.max(np.abs(
-                l_from_pair(scene.metric, gbar, x) - scene.endo.matrix(x))))
-            worst = max(worst, d)
+        pts = scene.chart.sample(50, seed=m.run.seed + 1)
+        worst, _ = worst_point(np.max(np.abs(
+            l_from_pair(scene.metric, gbar, pts) - scene.endo.matrix(pts)), axis=(-2, -1)),
+            pts, "round-trip endomorphism")
         audits.append(reports.audit("round_trip_endo", worst, 1e-10, worst <= 1e-10))
     else:
         endo = _ensure_endo(scene)
@@ -136,8 +135,8 @@ def _run_trajectories(scene, m):
     box = _init_box(scene)
     states = seeded_states(scene.metric, box, m.run.geodesics, m.run.seed)
     for s in states:
-        yield s, integrate_geodesic(scene.metric, s, m.run.horizon,
-                                    tol=m.tolerances.integrator_tol)
+        yield integrate_geodesic(scene.metric, s, m.run.horizon,
+                                 tol=m.tolerances.integrator_tol)
 
 
 def _sample_columns(g, traj, monitored):
@@ -152,11 +151,11 @@ def _sample_columns(g, traj, monitored):
 
 def _cmd_geodesic(scene, m, out_dir):
     tols = m.tolerances
-    monitored = _monitored(scene, m.run, tols)
+    monitored = _monitored(scene, m.run)
     audits = []
     tables = []
     statuses = []
-    for idx, (state, traj) in enumerate(_run_trajectories(scene, m)):
+    for idx, traj in enumerate(_run_trajectories(scene, m)):
         tables.append(_sample_columns(scene.metric, traj, monitored))
         drift = span_stats(tables[-1][:, 1 + 2 * traj.dim])
         bound = tols.energy_drift_factor * tols.integrator_tol
@@ -177,14 +176,14 @@ def _cmd_geodesic(scene, m, out_dir):
 
 def _cmd_conserve(scene, m, out_dir):
     tols = m.tolerances
-    monitored = _monitored(scene, m.run, tols)
+    monitored = _monitored(scene, m.run)
     if not monitored:
         raise ManifestError("no conserved quantities available for this geometry")
     worst = {name: 0.0 for name, _ in monitored}
     rows = []
     energy_worst = 0.0
     count = 0
-    for idx, (state, traj) in enumerate(_run_trajectories(scene, m)):
+    for idx, traj in enumerate(_run_trajectories(scene, m)):
         count += 1
         table = _sample_columns(scene.metric, traj, monitored)
         for k, (name, _) in enumerate(monitored):
@@ -283,7 +282,7 @@ def _cmd_classify2d(scene, m, out_dir):
     audits = []
     extra = {"integral": name}
     try:
-        pf = principal_form(integral, samples=max(50, 64), seed=m.run.seed,
+        pf = principal_form(integral, samples=64, seed=m.run.seed,
                             fit_tol_factor=tols.fit_tol_factor)
     except EnergyProportional:
         extra["model"] = "EnergyProportional"
@@ -353,6 +352,8 @@ def _cmd_split(scene, m, out_dir):
     r = m.run.r
     if r < 1:
         raise ManifestError("split needs run.r >= 1 (eigenvalues in the first factor)")
+    if r >= scene.chart.dim:
+        raise ManifestError(f"split needs run.r <= {scene.chart.dim - 1}, got {r}")
     h, rep = split(scene.metric, scene.endo, r,
                    tau_deg_factor=tols.tau_deg_factor,
                    samples=min(m.run.samples, 200), seed=m.run.seed)

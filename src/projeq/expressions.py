@@ -70,7 +70,7 @@ CHAIN_RULES = {
     "exp": ("exp({u})", "{v}", "{v}"),
     "log": ("log({u})", "1.0 / {u}", "-{d} * {d}"),
     "sqrt": ("sqrt({u})", "0.5 / {v}", "-0.5 * {d} / {u}"),
-    "asin": ("asin({u})", "1.0 / sqrt(1.0 - {u} * {u})", "{u} * {d} ** 3"),
+    "asin": ("asin({u})", "1.0 / sqrt(1.0 - {u} * {u})", "{u} * _pow({d}, 3.0)"),
     "atan": ("atan({u})", "1.0 / (1.0 + {u} * {u})", "-2.0 * {u} * {d} * {d}"),
     # sign(u); abs is refused where its argument crosses zero on the chart
     "abs": ("abs({u})", "{u} / {v}", "0.0"),

@@ -333,10 +333,6 @@ class ReindexedField(ScalarField):
             raise ValueError("index_map length must match the inner chart dim")
 
 
-def const(chart, value):
-    return ConstantField(chart, value)
-
-
 def coord(chart, name_or_index):
     if isinstance(name_or_index, str):
         return CoordinateField(chart, chart.index_of(name_or_index))
@@ -616,12 +612,12 @@ def scan(points, evaluate, check=lambda values, points: None):
     """evaluate(points) from one stacked call, checked by check(values,
     points), which raises at its first failing point. It fails as the loop
     over points it stands for did: when the stacked evaluation raises a
-    ProjeqError, the points are replayed one at a time, so that whatever
-    failed at an earlier point, in evaluation or in the check, is raised
-    first."""
+    ProjeqError or LinAlgError, the points are replayed one at a time, so
+    that whatever failed at an earlier point, in evaluation or in the
+    check, is raised first."""
     try:
         values = evaluate(points)
-    except ProjeqError:
+    except (ProjeqError, np.linalg.LinAlgError):
         for k in range(len(points)):
             check(evaluate(points[k:k + 1]), points[k:k + 1])
         raise

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ComplexRoots, DomainViolation, ZeroVelocity
-from .fields import PhaseState
+from .fields import PhaseState, scan
 from .pairs import spectra_at, spectrum_at
 
 
@@ -40,25 +40,28 @@ def _fl_adjugate(a, da=None):
     Faddeev-LeVerrier: M_1 = I, c_{n-k} = -tr(A M_k)/k,
     M_{k+1} = A M_k + c_{n-k} I. Returns the list [M_1 .. M_n]; a may be
     one n x n matrix or a (..., n, n) stack, and every M_k after the
-    identity M_1 is shaped like it. Given da[i, j, d] = d A_ij / d x_d at
-    one point, returns (mats, dmats) with dmats[k][i, j, d] the matching
-    partials of M_{k+1}.
+    identity M_1 is shaped like it. Given da[..., i, j, d] = d A_ij / d x_d
+    as well, returns (mats, dmats) as arrays: mats[..., k, i, j] is M_{k+1}
+    and dmats[..., k, i, j, d] its partials.
     """
     n = a.shape[-1]
     eye = np.eye(n)
-    m, dm = eye, np.zeros((n, n, n))
+    m, dm = eye, None if da is None else np.zeros(da.shape)
     mats, dmats = [m], [dm]
     for k in range(1, n):
         am = a @ m
         c = -am.trace(0, -2, -1) / k
         if da is not None:
-            dam = np.einsum("isd,sj->ijd", da, m) + np.einsum("is,sjd->ijd", a, dm)
-            dc = -np.einsum("iid->d", dam) / k
-            dm = dam + np.einsum("d,ij->ijd", dc, eye)
+            dam = np.einsum("...isd,...sj->...ijd", da, m) + np.einsum("...is,...sjd->...ijd", a, dm)
+            dc = -np.einsum("...iid->...d", dam) / k
+            dm = dam + np.einsum("...d,ij->...ijd", dc, eye)
             dmats.append(dm)
         m = am + c[..., None, None] * eye
         mats.append(m)
-    return mats if da is None else (mats, dmats)
+    if da is None:
+        return mats
+    mats[0] = eye + np.zeros(a.shape)  # the identity of each matrix of a stack
+    return np.array(mats).swapaxes(0, -3), np.array(dmats).swapaxes(0, -4)
 
 
 def _powers(t, n):
@@ -67,10 +70,10 @@ def _powers(t, n):
 
 
 class _StateJet(NamedTuple):
-    """Everything a bracket reads at one phase state.
+    """Everything a bracket reads at one phase state, or at a stack of them.
 
-    Row j of ax, ap is the gradient of a_j; brackets[j, k] = {a_j, a_k}
-    and energy_brackets[j] = {a_j, H}.
+    Row j of ax, ap is the gradient of a_j and (hx, hp) that of H; read off
+    them, brackets[j, k] = {a_j, a_k} and energy_brackets[j] = {a_j, H}.
     """
 
     a: np.ndarray
@@ -78,8 +81,14 @@ class _StateJet(NamedTuple):
     ap: np.ndarray
     hx: np.ndarray
     hp: np.ndarray
-    brackets: np.ndarray
-    energy_brackets: np.ndarray
+
+    @property
+    def brackets(self):
+        return self.ax @ self.ap.swapaxes(-1, -2) - self.ap @ self.ax.swapaxes(-1, -2)
+
+    @property
+    def energy_brackets(self):
+        return (self.ax @ self.hp[..., None] - self.ap @ self.hx[..., None])[..., 0]
 
 
 class IntegralFamily:
@@ -161,29 +170,28 @@ class IntegralFamily:
     # -- exact gradients and brackets ------------------------------------------
 
     def _jet(self, state: PhaseState) -> _StateJet:
-        """Values and exact gradients of every a_j, and of H, at one state.
+        """Values and exact gradients of every a_j, and of H, at one state,
+        or with a leading N axis at a state whose x and p are (N, n) stacks.
 
         One evaluation of g, dg, L, dL and one Faddeev-LeVerrier pass with
-        derivatives; every bracket at this state is read off the result.
+        derivatives; every bracket at a state is read off the result.
         """
         x, p = state.x, state.p
         gmat, dg = self.g.jet(x, 1)
         ginv = np.linalg.inv(gmat)
         mats, dmats = _fl_adjugate(*self.L.jet(x, 1))
         # C_j = sign * M_{n-j}: cs[j, i, l] and dcs[j, i, l, k] = d C_j[i, l] / d x_k
-        cs = self._sign * np.array(mats[::-1])
-        dcs = self._sign * np.array(dmats[::-1])
-        v = ginv @ p
+        cs = self._sign * mats[..., ::-1, :, :]
+        dcs = self._sign * dmats[..., ::-1, :, :, :]
+        v = (ginv @ p[..., None])[..., 0]
         # a_j = p^T C_j g^{-1} p; u_j = g^{-1} C_j^T p
-        u = np.einsum("jil,i->jl", cs, p) @ ginv
-        a = u @ p
-        ax = (np.einsum("i,jilk,l->jk", p, dcs, v)
-              - np.einsum("jl,lmk,m->jk", u, dg, v))
-        ap = cs @ v + u
-        hx = -0.5 * np.einsum("i,ijk,j->k", v, dg, v)
-        return _StateJet(a, ax, ap, hx, v,
-                         brackets=ax @ ap.T - ap @ ax.T,
-                         energy_brackets=ax @ v - ap @ hx)
+        u = np.einsum("...jil,...i->...jl", cs, p) @ ginv
+        a = (u @ p[..., None])[..., 0]
+        ax = (np.einsum("...i,...jilk,...l->...jk", p, dcs, v)
+              - np.einsum("...jl,...lmk,...m->...jk", u, dg, v))
+        ap = (cs @ v[..., None, :, None])[..., 0] + u
+        hx = -0.5 * np.einsum("...i,...ijk,...j->...k", v, dg, v)
+        return _StateJet(a, ax, ap, hx, v)
 
     def gradients(self, state: PhaseState, t: float):
         """(dI/dx, dI/dp) at the phase point, both length n."""
@@ -208,33 +216,41 @@ class IntegralFamily:
         """Pairwise brackets over the t-grid, scaled by 1 + |I_a| + |I_b|.
 
         Per state, the pairs (t_i, t_j) with i < j come first, then each
-        {I_t, H}; the first strict maximum over that order is reported. A
-        non-finite scaled bracket raises DomainViolation at its state's x.
+        {I_t, H}; the first strict maximum over the states in order, and
+        that order within each, is reported. A non-finite scaled bracket
+        raises DomainViolation at its state's x.
         """
-        worst = 0.0
-        worst_detail = None
-        m = len(t_values)
+        n, m = self.g.dim, len(t_values)
         ii, jj = np.triu_indices(m, 1)
         labels = ([[t_values[i], t_values[j]] for i, j in zip(ii, jj)]
                   + [[t, "energy"] for t in t_values])
-        w = np.array([_powers(t, self.g.dim) for t in t_values]).reshape(m, self.g.dim)
-        for state in phase_points:
-            jet = self._jet(state)
-            mag = np.abs(w @ jet.a)
-            br = np.concatenate([(w @ jet.brackets @ w.T)[ii, jj],
-                                 w @ jet.energy_brackets])
-            scale = np.concatenate([1.0 + mag[ii] + mag[jj], 1.0 + mag])
-            rel = np.abs(br) / scale
-            if not np.isfinite(rel).all():
-                raise DomainViolation("non-finite commutation bracket", point=state.x)
-            k = int(np.argmax(rel))  # the first of tied maxima
-            if rel[k] > worst:
-                worst = float(rel[k])
-                worst_detail = {
-                    "t_pair": list(labels[k]),
-                    "x": [float(v) for v in state.x],
-                    "bracket": float(br[k]),
-                }
+        w = np.array([_powers(t, n) for t in t_values]).reshape(m, n)
+
+        def scaled(rows):
+            """(scaled brackets, brackets) of phase rows (x, p), per state."""
+            x = rows[:, :n]
+            jet = self._jet(PhaseState(x, rows[:, n:]))
+            mag = np.abs((w @ jet.a[:, :, None])[..., 0])
+            br = np.concatenate([(w @ jet.brackets @ w.T)[:, ii, jj],
+                                 (w @ jet.energy_brackets[:, :, None])[..., 0]], axis=1)
+            rel = np.abs(br) / np.concatenate([1.0 + mag[:, ii] + mag[:, jj], 1.0 + mag], 1)
+            bad = ~np.isfinite(rel).all(axis=1)
+            if bad.any():
+                raise DomainViolation("non-finite commutation bracket",
+                                      point=x[int(np.argmax(bad))])
+            return rel, br
+
+        rows = np.reshape([np.concatenate([s.x, s.p]) for s in phase_points], (-1, 2 * n))
+        rel, br = scan(rows, scaled)
+        worst, worst_detail = 0.0, None
+        if np.max(rel, initial=0.0) > 0.0:
+            s, k = np.unravel_index(np.argmax(rel), rel.shape)  # the first of tied maxima
+            worst = float(rel[s, k])
+            worst_detail = {
+                "t_pair": list(labels[k]),
+                "x": [float(v) for v in rows[s, :n]],
+                "bracket": float(br[s, k]),
+            }
         return {
             "max_scaled_bracket": worst,
             "tol": tol,

@@ -19,9 +19,7 @@ power that overflows gives an infinity.
 
 from __future__ import annotations
 
-import ast
 import math
-import operator
 import traceback
 
 import numpy as np
@@ -58,17 +56,7 @@ _NAMESPACE = dict(FUNCTIONS, _pow=_pow, _array=np.array, inf=math.inf, nan=math.
                   _coords=np.ndarray.tolist)
 # the same code on (N,) columns: + - * / are numpy's, every call is mapped
 _COLUMNS = dict(_NAMESPACE, **{k: _mapped(f) for k, f in FUNCTIONS.items()},
-                _pow=_mapped(_pow), _power=_mapped(operator.pow), _coords=np.transpose)
-
-
-class _PowerCalls(ast.NodeTransformer):
-    """a ** b as _power(a, b), the mapped float power, for the column code."""
-
-    def visit_BinOp(self, node):
-        node = self.generic_visit(node)
-        if isinstance(node.op, ast.Pow):
-            return ast.Call(ast.Name("_power", ast.Load()), [node.left, node.right], [])
-        return node
+                _pow=_mapped(_pow), _coords=np.transpose)
 
 
 def require_one_sign(lo, hi):
@@ -337,9 +325,6 @@ def _build(names, outputs, order):
     fn.sites = [outputs[0]] * 2 + w.sites + [outputs[0]]  # the field of each line
     fn.columns = None  # a black-box leaf is evaluated point by point
     if not any(name.startswith("_leaf") for name in w.ns):
-        if " ** " in src:
-            code = compile(ast.fix_missing_locations(_PowerCalls().visit(ast.parse(src))),
-                           "<jet>", "exec")
         ns = dict(_COLUMNS)
         exec(code, ns)
         fn.columns = ns["jet"]

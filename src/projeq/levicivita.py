@@ -34,12 +34,12 @@ from .fields import (
     MetricField,
     NumericField,
     ReindexedField,
-    ScalarField,
     as_field,
+    pointwise_errors,
     scan,
     worst_point,
 )
-from .pairs import MetricPair, spectrum_at
+from .pairs import MetricPair, spectra_at
 
 _ORDERING_MARGIN = 1e-6
 _ORDERING_SAMPLES = 400
@@ -409,29 +409,30 @@ def split_matrix(g, L, r: int, x, tau_deg_factor=1e-7):
     return _split_at(g, L, r, x, tau_deg_factor)[1]
 
 
+@pointwise_errors(3)
 def _split_at(g, L, r, x, tau_deg_factor):
-    """(spectrum, h) at x from one spectrum evaluation."""
-    lam = spectrum_at(g, L, x)
-    n = len(lam)
+    """(spectrum, h) from one spectrum evaluation, at one point x or with a
+    leading N axis at an (N, n) stack."""
+    lam = spectra_at(g, L, x).reshape(np.shape(x))
+    n = lam.shape[-1]
     if not 1 <= r <= n - 1:
         raise ValueError(f"split position r must be in 1..{n - 1}")
-    tau = tau_deg_factor * (1.0 + float(np.abs(lam).max()))
-    gap = lam[r] - lam[r - 1]
-    if gap < tau:
-        raise GapViolated(
-            f"eigenvalue gap {gap:.3e} below {tau:.3e} at {np.asarray(x)}"
-        )
+    tau = tau_deg_factor * (1.0 + np.abs(lam).max(axis=-1))
+    gap = lam[..., r] - lam[..., r - 1]
+    if (gap < tau).any():
+        k = int(np.argmax(gap < tau))
+        raise GapViolated(f"eigenvalue gap {np.ravel(gap)[k]:.3e} below {np.ravel(tau)[k]:.3e}"
+                          f" at {np.reshape(x, (-1, n))[k]}")
     lm = L.matrix(x)
     eye = np.eye(n)
-    first = eye.copy()
+    first = second = eye
     for j in range(r):
-        first = first @ (lm - lam[j] * eye)
-    second = eye.copy()
+        first = first @ (lm - lam[..., j, None, None] * eye)
     for j in range(r, n):
-        second = second @ (lam[j] * eye - lm)
+        second = second @ (lam[..., j, None, None] * eye - lm)
     c = first + second
-    h = np.linalg.solve(c, g.matrix(x).T).T  # (C^{-1})^T g, then symmetrized
-    return lam, 0.5 * (h + h.T)
+    h = np.linalg.solve(c, g.matrix(x).swapaxes(-1, -2)).swapaxes(-1, -2)  # (C^-1)^T g
+    return lam, 0.5 * (h + h.swapaxes(-1, -2))
 
 
 def split(g, L, r: int, tau_deg_factor=1e-7, samples=200, seed=0):
@@ -444,36 +445,18 @@ def split(g, L, r: int, tau_deg_factor=1e-7, samples=200, seed=0):
     numbers. GapViolated fires on the sample scan or at any later
     pointwise evaluation.
     """
-    chart = g.chart
-    n = chart.dim
-    pts = chart.sample(samples, seed=seed)
-    gap_min = np.inf
-    h_eig_min = np.inf
-    off_block = 0.0
-    cross_d = 0.0
-    for x in pts:
-        lam, h = _split_at(g, L, r, x, tau_deg_factor)
-        gap_min = min(gap_min, float(lam[r] - lam[r - 1]))
-        h_eig_min = min(h_eig_min, float(np.linalg.eigvalsh(h)[0]))
-        off = np.abs(h[:r, r:])
-        if off.size:
-            off_block = max(off_block, float(off.max()))
-
+    pts = g.chart.sample(samples, seed=seed)
+    lam, h = _split_at(g, L, r, pts, tau_deg_factor)
     h_field = MetricField.from_function(
-        chart, lambda x: split_matrix(g, L, r, x, tau_deg_factor), validate=False)
-
-    for x in pts[:32]:
-        dh = h_field.dmatrix(x)
-        if r < n:
-            cross_d = max(cross_d, float(np.abs(dh[:r, :r, r:]).max()))
-            cross_d = max(cross_d, float(np.abs(dh[r:, r:, :r]).max()))
-
+        g.chart, lambda x: split_matrix(g, L, r, x, tau_deg_factor), validate=False)
+    dh = np.abs(h_field.dmatrix(pts[:32]))
     report = {
         "r": int(r),
-        "gap_min": float(gap_min),
-        "h_min_eigenvalue": float(h_eig_min),
-        "off_block_max": float(off_block),
-        "cross_derivative_max": float(cross_d),
+        "gap_min": float(np.min(lam[:, r] - lam[:, r - 1], initial=np.inf)),
+        "h_min_eigenvalue": float(np.min(np.linalg.eigvalsh(h)[:, 0], initial=np.inf)),
+        "off_block_max": float(np.max(np.abs(h[:, :r, r:]), initial=0.0)),
+        "cross_derivative_max": float(max(np.max(dh[:, :r, :r, r:], initial=0.0),
+                                          np.max(dh[:, r:, r:, :r], initial=0.0))),
         "samples": int(samples),
     }
     return h_field, report

@@ -74,7 +74,9 @@ class RunParams:
         return cls(**kwargs)
 
     def check(self):
-        """Raise ManifestError unless every budget can run an audit."""
+        """Raise ManifestError unless the seed and every budget can run an audit."""
+        if not 0 <= self.seed < 2 ** 31:
+            raise ManifestError(f"run.seed must be in [0, 2**31), got {self.seed}")
         for k in ("samples", "geodesics"):
             if getattr(self, k) < 1:
                 raise ManifestError(f"run.{k} must be >= 1, got {getattr(self, k)}")
@@ -141,6 +143,9 @@ class Manifest:
             raise ManifestError(
                 f"geometry kind {kind!r} not one of {_GEOMETRY_KINDS}"
             )
+        for key, want in (("chart", dict), ("run", dict), ("vector_field", list)):
+            if data.get(key) is not None and not isinstance(data[key], want):
+                raise ManifestError(f'"{key}" must be {"an object" if want is dict else "a list"}')
         chart_spec = data.get("chart")
         if kind != "example":
             if not chart_spec:
@@ -152,7 +157,7 @@ class Manifest:
         if endo and not (isinstance(endo, list) and all(isinstance(r, list) for r in endo)):
             raise ManifestError('"endomorphism" must be a list of rows')
         vec = data.get("vector_field")
-        run = RunParams.from_dict(data.get("run", {}))
+        run = RunParams.from_dict(data.get("run") or {})
         tol_over = data.get("tolerances", {})
         try:
             tols = DEFAULT.override(**tol_over)
@@ -187,15 +192,17 @@ class Manifest:
             raise
         except (ProjeqError, ExpressionError, ValueError, KeyError, TypeError) as e:
             raise ManifestError(f"geometry {kind!r} invalid: {e}") from None
-        if self.endomorphism:
-            if scene.endo is not None:
-                raise ManifestError(
-                    "geometry already provides an endomorphism; drop the manifest one"
-                )
-            scene.endo = EndomorphismField.from_rows(
-                scene.chart, _table(self.endomorphism, scene.chart.dim, "endomorphism"))
-        if self.vector_field:
-            scene.vector = VectorField(scene.chart, self.vector_field)
+        try:
+            if self.endomorphism:
+                if scene.endo is not None:
+                    raise ManifestError(
+                        "geometry already provides an endomorphism; drop the manifest one")
+                scene.endo = EndomorphismField.from_rows(
+                    scene.chart, _table(self.endomorphism, scene.chart.dim, "endomorphism"))
+            if self.vector_field:
+                scene.vector = VectorField(scene.chart, self.vector_field)
+        except (ValueError, TypeError) as e:
+            raise ManifestError(f"bad endomorphism or vector field: {e}") from None
         return scene
 
     def _scene_metric(self) -> Scene:

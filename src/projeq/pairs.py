@@ -32,6 +32,7 @@ from .fields import (
     scan,
     worst_point,
 )
+from .jets import _mapped, _pow
 
 
 def pencil_spectrum(gmat, lmat, points=None):
@@ -146,15 +147,20 @@ class MetricPair:
         return self.g.chart
 
 
+@pointwise_errors(2)
 def l_from_pair(g, gbar, x):
-    """Linking endomorphism at x: (det gbar / det g)^{1/(n+1)} gbar^{-1} g."""
+    """Linking endomorphism at x: (det gbar / det g)^{1/(n+1)} gbar^{-1} g,
+    at one point x or with a leading N axis at an (N, n) stack."""
     gmat = g.matrix(x)
     gbmat = gbar.matrix(x)
-    n = g.dim
-    ratio = np.linalg.det(gbmat) / np.linalg.det(gmat)
-    if ratio <= 0.0:
+    n = gmat.shape[-1]
+    dets = np.linalg.det(np.array((gbmat, gmat)))  # one LAPACK call for both
+    ratio = dets[0] / dets[1]
+    if np.count_nonzero(ratio <= 0.0):
         raise SingularMatrix("determinant ratio not positive; metrics degenerate")
-    return ratio ** (1.0 / (n + 1)) * np.linalg.solve(gbmat, gmat)
+    # C's pow on each ratio: numpy's scalar ** is, its array ** differs in the last bit
+    root = ratio ** (1.0 / (n + 1)) if ratio.ndim == 0 else _mapped(_pow)(ratio, 1.0 / (n + 1))
+    return (root * np.linalg.solve(gbmat, gmat).T).T  # each matrix times its root
 
 
 def l_field_from_pair(pair: MetricPair) -> EndomorphismField:
@@ -224,16 +230,18 @@ class ProjectiveFlowSpec:
             raise ValueError("generator must live on the metric's chart")
 
 
+@pointwise_errors(2)
 def lie_derivative_metric(g, v: VectorField, x):
-    """(L_v g)_ij = v^k d_k g_ij + g_kj d_i v^k + g_ik d_j v^k."""
+    """(L_v g)_ij = v^k d_k g_ij + g_kj d_i v^k + g_ik d_j v^k, at one point
+    x or with a leading N axis at an (N, n) stack."""
     gmat = g.matrix(x)
     dg = g.dmatrix(x)
     vv = v.values(x)
     jac = v.jacobian(x)  # jac[k, i] = d v^k / d x_i
     return (
-        np.einsum("ijk,k->ij", dg, vv)
-        + np.einsum("kj,ki->ij", gmat, jac)
-        + np.einsum("ik,kj->ij", gmat, jac)
+        np.einsum("...ijk,...k->...ij", dg, vv)
+        + np.einsum("...kj,...ki->...ij", gmat, jac)
+        + np.einsum("...ik,...kj->...ij", gmat, jac)
     )
 
 

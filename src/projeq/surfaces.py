@@ -44,6 +44,7 @@ from .fields import (
     fmat_det,
     fmat_mul,
     fmat_scale,
+    require_finite,
     scan,
     worst_point,
 )
@@ -187,7 +188,9 @@ def principal_form(integral: QuadraticIntegral2D, samples=64, seed=0,
     """
     pts = integral.chart.sample(samples, seed=seed)
     z = np.array([complex(x[0], x[1]) for x in pts])
-    ra, ia = scan(pts, lambda p: (integral.re_a.eval(p), integral.im_a.eval(p)))
+    ra, ia = scan(pts, lambda p: (integral.re_a.eval(p), integral.im_a.eval(p)),
+                  lambda vals, p: require_finite(np.column_stack(vals)[..., None], p,
+                                                 "a-coefficient"))
     a = ra.astype(complex)
     a.imag = ia
     b_scale = float(np.abs(integral.b.eval(pts)).max())
@@ -439,7 +442,7 @@ def killing_residual(g: MetricField, v: VectorField, samples=200, seed=0,
                      tol=1e-7) -> dict:
     """Max entry of the Lie derivative of g along v over a sample."""
     pts = g.chart.sample(samples, seed=seed)
-    devs = [np.max(np.abs(lie_derivative_metric(g, v, x))) for x in pts]
+    devs = np.max(np.abs(lie_derivative_metric(g, v, pts)), axis=(-2, -1))
     worst, worst_pt = worst_point(devs, pts, "Lie derivative")
     return {
         "max_lie": worst,

@@ -85,6 +85,13 @@ def test_structural_error_exits_2_with_error_report(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_split_position_past_the_spectrum_exits_2(tmp_path):
+    m = write_manifest(tmp_path, lc_manifest(r=2))  # a 2-D chart splits only after 1
+    out = tmp_path / "out"
+    assert run("split", m, out) == 2
+    assert report_of(out)["error"] == "ManifestError: split needs run.r <= 1, got 2"
+
+
 def test_missing_manifest_file_exits_2(tmp_path):
     out = tmp_path / "out"
     assert run("check-bm", str(tmp_path / "nope.json"), out) == 2
@@ -244,7 +251,7 @@ def test_monitored_columns_equal_per_point_monitoring(tmp_path):
     assert run("conserve", m, tmp_path / "con") == 0
     man = Manifest.load(m)
     scene = man.scene
-    monitored = cli._monitored(scene, man.run, man.tolerances)
+    monitored = cli._monitored(scene, man.run)
     assert len(monitored) == 5
     rows = (tmp_path / "con" / "conserve.csv").read_text().splitlines()[1:]
     for idx, state in enumerate(seeded_states(scene.metric, scene.chart, 2, 0)):
@@ -435,20 +442,53 @@ def test_unknown_command_rejected_by_parser(tmp_path):
 
 # -- the exit-code contract on mutated manifests ------------------------------
 
-CONTRACT_BASE = {
-    **LC3,
-    "run": {"seed": 0, "samples": 30, "geodesics": 2, "horizon": 1.0, "r": 1},
+CONTRACT_RUN = {"seed": 0, "samples": 12, "geodesics": 1, "horizon": 0.5, "r": 1}
+# one well-formed manifest per geometry kind, each a starting point for mutation
+CONTRACT_BASES = {
+    "lc": LC3,
+    "metric": {
+        "chart": {"names": ["x", "y"], "bounds": [[0.5, 1.5], [-1.0, 1.0]]},
+        "geometry": {"kind": "metric", "entries": [["1 + x^2", "0"], ["0", "2"]]},
+        "endomorphism": [["x", "0"], ["0", "3"]],
+        "vector_field": ["0", "1"],
+    },
+    "pair": {
+        "chart": {"names": ["x", "y"], "bounds": [[0.1, 1.9], [-1.0, 1.0]]},
+        "geometry": {"kind": "pair", "g": [["2 - x", "0"], ["0", "4 - 2*x"]],
+                     "gbar": [["1", "0"], ["0", "1"]]},
+    },
+    "liouville": liouville_manifest(),
+    "example": {"geometry": {"kind": "example", "name": "example1", "gamma": 1.0}},
 }
 # where a value may be replaced (a missing key is added)
-MUTABLE = [
-    ("chart",), ("chart", "names"), ("chart", "names", 1), ("chart", "bounds"),
-    ("chart", "bounds", 0), ("chart", "bounds", 2, 1), ("geometry",),
-    ("geometry", "kind"), ("geometry", "block_sizes"), ("geometry", "block_sizes", 1),
-    ("geometry", "phis"), ("geometry", "phis", 0), ("geometry", "phis", 2),
-    ("geometry", "entries"), ("endomorphism",), ("run",), ("run", "seed"),
-    ("run", "samples"), ("run", "geodesics"), ("run", "horizon"), ("run", "t_grid"),
+COMMON_PATHS = [
+    ("chart",), ("chart", "names"), ("chart", "names", 0), ("chart", "names", 1),
+    ("chart", "bounds"), ("chart", "bounds", 0), ("chart", "bounds", 0, 1),
+    ("chart", "bounds", 1, 0), ("chart", "bounds", 2, 1), ("geometry",), ("geometry", "kind"),
+    ("endomorphism",), ("run",), ("run", "seed"), ("run", "samples"), ("run", "geodesics"),
+    ("run", "horizon"), ("run", "t_grid"), ("run", "r"), ("run", "integral"),
 ]
-BAD_VALUES = [0, -1, "abc", None, [], [["1", "0"], ["0"]], "log(x1)"]
+KIND_PATHS = {
+    "lc": [("geometry", "block_sizes"), ("geometry", "block_sizes", 1), ("geometry", "phis"),
+           ("geometry", "phis", 0), ("geometry", "phis", 2), ("geometry", "entries")],
+    "metric": [("geometry", "entries"), ("geometry", "entries", 0), ("geometry", "entries", 1, 1),
+               ("endomorphism", 0), ("endomorphism", 1, 0), ("vector_field",),
+               ("vector_field", 1)],
+    "pair": [("geometry", "g"), ("geometry", "g", 1, 1), ("geometry", "gbar"),
+             ("geometry", "gbar", 0, 0), ("vector_field",)],
+    "liouville": [("geometry", "X"), ("geometry", "Y"), ("vector_field",)],
+    "example": [("geometry", "name"), ("geometry", "gamma"), ("vector_field",)],
+}
+BAD_VALUES = [0, -1, "abc", None, [], [["1", "0"], ["0"]], "log(x1)", "x", "y",
+              [1.0, -1.0], [0.5, 0.5], ["x", "x"], float("nan")]
+
+
+def mutated_manifests():
+    """(base kind, mutations): one or two (path, value) pairs on that base."""
+    return st.sampled_from(sorted(CONTRACT_BASES)).flatmap(lambda kind: st.tuples(
+        st.just(kind),
+        st.lists(st.tuples(st.sampled_from(COMMON_PATHS + KIND_PATHS[kind]),
+                           st.sampled_from(BAD_VALUES)), min_size=1, max_size=2)))
 
 
 def mutate(doc, path, value):
@@ -467,16 +507,17 @@ def mutate(doc, path, value):
         doc[last] = value
 
 
-@settings(max_examples=25, deadline=None, derandomize=True,
+@settings(max_examples=120, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(st.tuples(st.sampled_from(MUTABLE), st.sampled_from(BAD_VALUES)),
-                min_size=1, max_size=2))
-def test_cli_contract_holds_on_mutated_manifests(tmp_path, mutations):
-    doc = json.loads(json.dumps(CONTRACT_BASE))
+@given(mutated_manifests())
+def test_cli_contract_holds_on_mutated_manifests(tmp_path, case):
+    kind, mutations = case
+    doc = json.loads(json.dumps({**CONTRACT_BASES[kind], "run": CONTRACT_RUN}))
     for path, value in mutations:
         mutate(doc, path, value)
     m = write_manifest(tmp_path, doc)
-    for command in ("check-bm", "geodesic"):
+    for command in ("check-bm", "pair", "geodesic", "conserve", "weyl", "classify2d",
+                    "lc-build", "split", "example"):
         out = tmp_path / command
         if out.exists():
             for f in out.iterdir():

@@ -301,3 +301,25 @@ def test_the_abs_sign_scan_runs_once_per_argument_and_chart(monkeypatch):
         with pytest.raises(DerivativeNotAvailable):
             bad.jet(np.array([1.0, 0.5]), order)
     assert bad.matrix(np.array([-1.0, 0.5])).tolist() == [[3.0, 0.0], [0.0, 1.0]]
+
+
+def test_generated_code_has_no_power_operator(monkeypatch):
+    # every chain rule, both power forms and field algebra's recip, at each
+    # order; the column code runs the same source, so a ** there would be
+    # numpy's array power, which differs from the float power in the last bit
+    sources = []
+
+    def spy(src, *args):
+        sources.append(src)
+        return compile(src, *args)
+
+    monkeypatch.setattr(jets, "compile", spy, raising=False)
+    chart = Chart(("x", "y"), ((0.1, 0.9), (0.2, 0.8)))
+    text = " + ".join(f"{fn}(0.5*x*y + 0.1)" for fn in FUNCTIONS) + " + x^y + (x + 1)^1.5 + y^-2"
+    x = as_field(chart, "x + 2")
+    outputs = (ExpressionField(chart, text), 1.0 / x, x ** 2.5, x ** 3.0, x.apply("asin"))
+    for order in (0, 1, 2):
+        jets.Jets(chart.names, outputs).function(order)
+    assert len(sources) >= 3  # one per order, and the abs sign scan's
+    assert not any("**" in src for src in sources)
+    assert "_pow(" in sources[-1]

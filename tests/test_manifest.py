@@ -269,3 +269,20 @@ def test_load_corrupt_json(tmp_path):
     path.write_text("{ nope", encoding="utf-8")
     with pytest.raises(ManifestError, match="cannot read manifest"):
         Manifest.load(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("chart", -1), ("chart", "abc"), ("run", 0), ("run", ["seed"]),
+    ("vector_field", -1), ("vector_field", "x"), ("vector_field", [["1", "0"], ["0"]]),
+    ("vector_field", [None, "1"]), ("endomorphism", [[None, "0"], ["0", "1"]]),
+])
+def test_malformed_sections_are_manifest_errors(key, value):
+    with pytest.raises(ManifestError):
+        Manifest.from_dict({**metric_manifest(), key: value})
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 31, 10 ** 300], ids=["-1", "2**31", "10**300"])
+def test_seed_outside_its_window_range_is_rejected(seed):
+    run = Manifest.from_dict({**metric_manifest(), "run": {"seed": seed}}).run
+    with pytest.raises(ManifestError, match="run.seed"):
+        run.check()

@@ -20,6 +20,7 @@ from projeq.errors import (
     NotPositiveDefinite,
     NotSelfAdjoint,
     OrderingViolated,
+    ProjeqError,
     SingularMetric,
 )
 from projeq.fields import (
@@ -28,12 +29,23 @@ from projeq.fields import (
     ExpressionField,
     MetricField,
     NumericField,
+    PhaseState,
+    VectorField,
     as_field,
     scan,
     worst_point,
 )
+from projeq.flows import IntegralFamily, _powers
 from projeq.geodesics import hamiltonian
-from projeq.levicivita import LeviCivitaSpec, affine_equivalence_check, build_lc_pair, random_spec
+from projeq.levicivita import (
+    LeviCivitaSpec,
+    _split_at,
+    affine_equivalence_check,
+    build_lc_pair,
+    random_spec,
+    split,
+)
+from projeq.manifest import seeded_states
 from projeq.pairs import (
     MetricPair,
     ProjectiveFlowSpec,
@@ -43,10 +55,12 @@ from projeq.pairs import (
     covariant_endo_derivative,
     gbar_from_l,
     l_field_from_pair,
+    l_from_pair,
+    lie_derivative_metric,
     projective_weyl,
     weyl_pair_defect,
 )
-from projeq.surfaces import builtin_example
+from projeq.surfaces import builtin_example, killing_residual
 
 UNIT = Chart(("x", "y"), ((0.0, 1.0), (0.0, 1.0)))
 MIXED = Chart(("x", "y"), ((0.1, 0.9), (0.2, 1.5)))
@@ -314,3 +328,134 @@ def test_scan_raises_an_earlier_check_failure_before_a_later_domain_error():
         scan(pts[[0, 2, 3]], f.eval, above)
     assert str(many.value) == str(one.value)
     assert np.array_equal(scan(pts[[0, 3]], f.eval, above), f.eval(pts[[0, 3]]))
+
+
+# -- the audit kernels: brackets, split, linking endomorphism, Lie derivative ----
+
+
+def _audited(case):
+    """(g, gbar, L, v, split positions): a metric with a partner, the
+    endomorphism linking them, a vector field and the spectral gaps of L."""
+    if case == "example1":
+        bundle = builtin_example(case)
+        g = bundle.metric
+        L = EndomorphismField.from_rows(g.chart, [["13 + x", "0"], ["0", "40 + y"]])
+        return g, gbar_from_l(g, L), L, bundle.vector_fields["rotation"], (1,)
+    if case == "lc3":
+        g, gbar, L = _lc3()
+        return g, gbar, L, VectorField(g.chart, ("x2", "x1*x3", "1 + x1^2")), (1, 2)
+    g, _, L = build_lc_pair(random_spec(2, 4))
+    v = VectorField(g.chart, ("x2", "-x1", "x3*x4", "1"))
+    return g, gbar_from_l(g, L), L, v, (2, 3)
+
+
+@pytest.mark.parametrize("case", ["lc3", "random_spec(2, 4)", "example1"])
+def test_stacked_audit_kernels_equal_the_one_point_kernels(case):
+    g, gbar, L, v, splits = _audited(case)
+    xs = g.chart.sample(50, seed=6)
+    ps = np.random.default_rng(4).standard_normal(xs.shape)
+    fam = IntegralFamily(g, L)
+    jet = fam._jet(PhaseState(xs, ps))
+    for part in ("a", "ax", "ap", "hx", "hp", "brackets", "energy_brackets"):
+        one = [getattr(fam._jet(PhaseState(x, p)), part) for x, p in zip(xs, ps)]
+        assert np.array_equal(getattr(jet, part), one), part
+    for r in splits:
+        stacked = _split_at(g, L, r, xs, 1e-7)
+        assert all(np.array_equal(s, o) for s, o in zip(
+            stacked, _per_point(lambda x: _split_at(g, L, r, x, 1e-7), xs)))
+    assert np.array_equal(l_from_pair(g, gbar, xs), _per_point(
+        lambda x: l_from_pair(g, gbar, x), xs))
+    assert np.array_equal(lie_derivative_metric(g, v, xs), _per_point(
+        lambda x: lie_derivative_metric(g, v, x), xs))
+    assert l_from_pair(g, gbar, xs[0]).shape == (g.dim,) * 2
+
+
+def _commutation_loop(fam, states, ts):
+    """The report as the loop over states computed it, one _jet per state."""
+    n, m = fam.g.dim, len(ts)
+    ii, jj = np.triu_indices(m, 1)
+    labels = [[ts[i], ts[j]] for i, j in zip(ii, jj)] + [[t, "energy"] for t in ts]
+    w = np.array([_powers(t, n) for t in ts])
+    worst, detail = 0.0, None
+    for state in states:
+        jet = fam._jet(state)
+        mag = np.abs(w @ jet.a)
+        br = np.concatenate([(w @ jet.brackets @ w.T)[ii, jj], w @ jet.energy_brackets])
+        rel = np.abs(br) / np.concatenate([1.0 + mag[ii] + mag[jj], 1.0 + mag])
+        k = int(np.argmax(rel))
+        if rel[k] > worst:
+            worst = float(rel[k])
+            detail = {"t_pair": list(labels[k]), "x": [float(v) for v in state.x],
+                      "bracket": float(br[k])}
+    return {"max_scaled_bracket": worst, "tol": 1e-8, "pass": bool(worst <= 1e-8),
+            "states": len(states), "t_grid": list(ts), "worst": detail}
+
+
+@pytest.mark.parametrize("case", ["lc3", "random_spec(2, 4)"])
+def test_commutation_report_equals_the_per_state_loop(case):
+    g, _, L, _, _ = _audited(case)
+    fam = IntegralFamily(g, L)
+    for seed in range(3):
+        states = seeded_states(g, g.chart, 20, seed)
+        ts = list(np.linspace(-1.0, 9.0, 5 + seed))
+        assert fam.commutation_report(states, ts) == _commutation_loop(fam, states, ts)
+
+
+def _broken(xs, faults):
+    """diag(2 + x, 1 + y) on UNIT as a black box, at each point xs[k] of
+    faults {k: kind} raising a ValueError ("domain"), exactly singular
+    ("singular") or with a NaN entry ("nan")."""
+    at = {tuple(xs[k]): kind for k, kind in faults.items()}
+
+    def metric(x):
+        kind = at.get(tuple(x))
+        if kind == "domain":
+            raise ValueError("math domain error")
+        return np.diag([{"singular": 0.0, "nan": math.nan}.get(kind, 2.0 + x[0]), 1.0 + x[1]])
+
+    return MetricField.from_function(UNIT, metric, validate=False)
+
+
+def _loop_error(fn, items):
+    """The error the loop over items raised first, or None."""
+    for item in items:
+        try:
+            fn(item)
+        except (ProjeqError, np.linalg.LinAlgError) as err:
+            return err
+    return None
+
+
+def _raises_as(expected, audit):
+    assert expected is not None
+    with pytest.raises(type(expected)) as err:
+        audit()
+    assert str(err.value) == str(expected)
+    assert getattr(err.value, "point", None) == getattr(expected, "point", None)
+
+
+# a fault at the 4th point, then a domain error at the 8th that a stacked
+# evaluation of the metric meets first
+@pytest.mark.parametrize("first", ["singular", "nan", "domain"])
+def test_a_failing_audit_stack_raises_what_the_loop_raised_first(first):
+    xs = UNIT.sample(20, seed=0)
+    faults = {3: first, 7: "domain"}
+    L = EndomorphismField.from_rows(UNIT, [["1 + x*y", "0"], ["0", "3"]])
+    good = MetricField.from_rows(UNIT, [["2", "0"], ["0", "3"]])
+
+    g = _broken(xs, faults)
+    states = [PhaseState(x, np.ones(2)) for x in xs]
+    fam = IntegralFamily(g, L)
+    _raises_as(_loop_error(lambda s: fam.commutation_report([s], [0.0, 1.0]), states),
+               lambda: fam.commutation_report(states, [0.0, 1.0]))
+    _raises_as(_loop_error(lambda x: _split_at(g, L, 1, x, 1e-7), xs),
+               lambda: split(g, L, 1, samples=20, seed=0))
+    # a generator undefined at the 6th point, met after the metric in each point's turn
+    undefined = tuple(xs[5])
+    rotation = NumericField(UNIT, lambda x: math.sqrt(-1.0) if tuple(x) == undefined else x[1])
+    v = VectorField(UNIT, (rotation, "-x"))
+    _raises_as(_loop_error(lambda x: lie_derivative_metric(g, v, x), xs),
+               lambda: killing_residual(g, v, samples=20, seed=0))
+    if first != "nan":  # a NaN ratio passes the positivity check, as it did
+        _raises_as(_loop_error(lambda x: l_from_pair(good, g, x), xs),
+                   lambda: l_from_pair(good, g, xs))
