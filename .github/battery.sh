@@ -1,0 +1,35 @@
+#!/usr/bin/env bash
+# The 13 commands of perfbench's cli-battery, run on the projeq sources in
+# SRC_DIR with each command's output in OUT_DIR/<label>. Run it from the
+# repository root, which holds the manifests. It fails on the first command
+# whose exit code differs from the expected one (2: a malformed-manifest
+# probe) or that writes no report.json.
+#
+#   .github/battery.sh SRC_DIR OUT_DIR
+set -u
+src=$1
+out=$2
+while read -r label cmd manifest want; do
+  seed=""
+  if [ "$want" = 0 ]; then seed="--seed 0"; fi
+  code=0
+  PYTHONPATH="$src" python -W error::RuntimeWarning -m projeq "$cmd" \
+    --manifest "perfbench/manifests/$manifest" --out "$out/$label" $seed \
+    > /dev/null 2>&1 || code=$?
+  if [ "$code" != "$want" ]; then echo "$label: exit $code, want $want"; exit 1; fi
+  if [ ! -f "$out/$label/report.json" ]; then echo "$label: no report.json"; exit 1; fi
+done <<'LIST'
+check-bm check-bm lc3.json 0
+pair pair lc3.json 0
+weyl weyl lc3.json 0
+split split lc3.json 0
+lc-build lc-build lc3.json 0
+geodesic geodesic lc3.json 0
+conserve conserve lc3.json 0
+example example torus.json 0
+classify2d classify2d liouville.json 0
+probe-samples-0 check-bm probe_samples_zero.json 2
+probe-horizon-neg geodesic probe_horizon_negative.json 2
+probe-log-domain check-bm probe_log_domain.json 2
+probe-singular geodesic probe_singular_metric.json 2
+LIST

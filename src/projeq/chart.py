@@ -14,6 +14,8 @@ import numpy as np
 from .errors import ChartError
 from .sampling import halton_points
 
+_SHRINK = 0.05  # relative margin kept clear of each wall by sample()
+
 
 @dataclass(frozen=True)
 class Chart:
@@ -68,16 +70,16 @@ class Chart:
                 return False
         return True
 
-    def sample(self, count, seed=0, shrink=0.05):
+    def sample(self, count, seed=0):
         """Quasi-random (Halton) points strictly inside the box.
 
-        The box is shrunk by the relative factor ``shrink`` on each side so
-        samples stay clear of the walls; deterministic for a given seed.
+        The box is shrunk by 5% of its width on each side so samples stay
+        clear of the walls; deterministic for a given seed.
         """
         u = halton_points(count, self.dim, seed=seed)
         lo = np.array([b[0] for b in self.bounds])
         hi = np.array([b[1] for b in self.bounds])
-        pad = shrink * (hi - lo)
+        pad = _SHRINK * (hi - lo)
         return lo + pad + u * (hi - lo - 2.0 * pad)
 
     def center(self):

@@ -111,7 +111,7 @@ def _cmd_pair(scene, m, out_dir):
         rep = gbar.pd_report(samples=m.run.samples, seed=m.run.seed)
         audits.append(reports.audit(
             "partner_positive_definite", rep["min_eigenvalue"], tols.eps_pd,
-            rep["positive_definite"], worst_point=rep["worst_point"]))
+            rep["min_eigenvalue"] > tols.eps_pd, worst_point=rep["worst_point"]))
         pts = scene.chart.sample(50, seed=m.run.seed + 1)
         worst, _ = worst_point(np.max(np.abs(
             l_from_pair(scene.metric, gbar, pts) - scene.endo.matrix(pts)), axis=(-2, -1)),
@@ -335,7 +335,7 @@ def _cmd_lc_build(scene, m, out_dir):
         rep = metric.pd_report(samples=min(m.run.samples, 2000), seed=m.run.seed)
         audits.append(reports.audit(f"{label}_positive_definite",
                                     rep["min_eigenvalue"], tols.eps_pd,
-                                    rep["positive_definite"]))
+                                    rep["min_eigenvalue"] > tols.eps_pd))
     center = chart.center()
     extra = {
         "g_at_center": _entry_table(g.matrix(center)),

@@ -12,28 +12,16 @@ Index conventions used throughout the package:
 Every kernel but `sectional` takes one point x (n,) or an (N, n) stack,
 which leads each result with an N axis. Each einsum has a leading ``...``
 and sums as at one point, so a stack equals its points bit for bit; it
-fails at its first failing point (fields.pointwise_errors).
+fails at its first failing point (fields.pointwise_errors). The metric is
+inverted by MetricField.inverse, which refuses a non-finite or
+numerically singular metric.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularMetric
-from .fields import pointwise_errors, require_finite
-
-_COND_CAP = 1e12
-
-
-def _inverse_checked(gmat, x):
-    """Inverse of the metric matrix at x, one point or an (N, n) stack,
-    refusing a non-finite or numerically singular one at its first point."""
-    points = np.reshape(x, (-1, gmat.shape[-1]))
-    require_finite(gmat, points, "metric")
-    singular = np.linalg.cond(gmat) > _COND_CAP
-    if singular.any():
-        raise SingularMetric("metric numerically singular", point=points[int(np.argmax(singular))])
-    return np.linalg.inv(gmat)
+from .fields import pointwise_errors
 
 
 def _term(dg):
@@ -44,8 +32,7 @@ def _term(dg):
 @pointwise_errors(1)
 def christoffel(g, x):
     """Levi-Civita connection coefficients Gamma^i_{jk} at x."""
-    gmat = g.matrix(x)
-    ginv = _inverse_checked(gmat, x)
+    ginv = g.inverse(x)
     dg = g.dmatrix(x)  # dg[i, j, k] = d g_ij / d x_k
     return 0.5 * np.einsum("...im,...mjk->...ijk", ginv, _term(dg))
 
@@ -53,8 +40,7 @@ def christoffel(g, x):
 @pointwise_errors(1)
 def christoffel_with_derivative(g, x):
     """Gamma and its partials dGamma[i, j, k, l] = d_l Gamma^i_{jk}."""
-    gmat = g.matrix(x)
-    ginv = _inverse_checked(gmat, x)
+    ginv = g.inverse(x)
     dg = g.dmatrix(x)
     d2g = g.d2matrix(x)  # d2g[i, j, k, l] = d_k d_l g_ij
 
@@ -81,13 +67,12 @@ def riemann(g, x):
     gam, dgam = christoffel_with_derivative(g, x)
     # R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
     #             + Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} Gamma^m_{kj}
-    r = (
+    return (
         np.einsum("...iljk->...ijkl", dgam)
         - np.einsum("...ikjl->...ijkl", dgam)
         + np.einsum("...ikm,...mlj->...ijkl", gam, gam)
         - np.einsum("...ilm,...mkj->...ijkl", gam, gam)
     )
-    return r
 
 
 def ricci(g, x, riem=None):

@@ -33,8 +33,12 @@ from .errors import (
 )
 from .expressions import FUNCTIONS, Expression, parse_expression
 from .jets import Jets, per_point, require_one_sign
+from .tolerances import DEFAULT
 
 _EPS = np.finfo(float).eps
+_EPS_PD = DEFAULT.eps_pd  # the positive-definiteness floor of MetricField's own scans
+_PD_SAMPLES = 1500        # points of the construction scan
+_COND_CAP = 1e12          # MetricField.inverse refuses this condition number or more
 _FD_STEP1 = _EPS ** (1.0 / 3.0)   # central first differences
 _FD_STEP2 = _EPS ** 0.25          # central second differences
 
@@ -101,8 +105,8 @@ def _shaped(part, shape):
 def pointwise_errors(*at):
     """Decorate a kernel whose arguments at positions ``at`` are one point
     each, or (N, ...) stacks of N points. A stacked call that raises fails
-    as the loop over its points would: the points are replayed one at a
-    time, so the first failing point raises its one-point error."""
+    as the loop over its points would: _replay runs the points again as
+    stacks of one, so the first failing point raises its error."""
     def decorate(kernel):
         @functools.wraps(kernel)
         def run(*args, **kw):
@@ -110,8 +114,9 @@ def pointwise_errors(*at):
                 return kernel(*args, **kw)
             except (ProjeqError, np.linalg.LinAlgError):
                 if np.ndim(args[at[0]]) > 1:
-                    for k in range(len(args[at[0]])):
-                        kernel(*(a[k] if i in at else a for i, a in enumerate(args)), **kw)
+                    _replay(range(len(args[at[0]])), lambda ks: kernel(
+                        *(a[ks.start:ks.stop] if i in at else a for i, a in enumerate(args)),
+                        **kw), lambda values, ks: None)
                 raise
         return run
     return decorate
@@ -419,21 +424,17 @@ class MetricField(_EntryTable):
         Must be symmetric as a table (entries[i][j] is entries[j][i] or an
         equal field); only the upper triangle is stored once.
     validate : bool
-        When true (default), scan the chart with quasi-random points and
-        raise NotPositiveDefinite if the smallest eigenvalue drops below
-        eps_pd anywhere in the sample. Construction uses a light scan;
-        pd_report() defaults to the full 10^4-point audit.
+        When true (default), scan the chart with 1500 quasi-random points
+        and raise NotPositiveDefinite if the smallest eigenvalue drops to
+        the default eps_pd or below anywhere in the sample. pd_report()
+        defaults to the full 10^4-point audit.
     """
 
-    def __init__(self, chart, entries, validate=True, pd_samples=1500, eps_pd=1e-10):
+    def __init__(self, chart, entries, validate=True):
         n = chart.dim
-        table = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                f = entries[i][j]
-                if not isinstance(f, ScalarField):
-                    raise TypeError("metric entries must be ScalarFields")
-                table[i][j] = f
+        table = [[entries[i][j] for j in range(n)] for i in range(n)]
+        if not all(isinstance(f, ScalarField) for row in table for f in row):
+            raise TypeError("metric entries must be ScalarFields")
         for i in range(n):
             for j in range(i + 1, n):
                 if table[i][j] is not table[j][i]:
@@ -446,9 +447,8 @@ class MetricField(_EntryTable):
                          lambda pts, a=table[i][j], b=table[j][i]: a.eval(pts) - b.eval(pts), agree)
                     table[j][i] = table[i][j]
         super().__init__(chart, tuple(tuple(row) for row in table))
-        self.eps_pd = eps_pd
         if validate:
-            rep = self.pd_report(samples=pd_samples)
+            rep = self.pd_report(samples=_PD_SAMPLES)
             if not rep["positive_definite"]:
                 raise NotPositiveDefinite(
                     f"metric loses definiteness: min eigenvalue {rep['min_eigenvalue']:.3e}",
@@ -461,11 +461,17 @@ class MetricField(_EntryTable):
         """D[i, j, k, l] = d^2 g_ij / (d x_k d x_l)."""
         return self.jet(x, 2)[2]
 
-    def inverse(self, x, cond_cap=1e12):
+    def inverse(self, x):
+        """g^{-1} at one point x or at each of an (N, n) stack, refusing a
+        non-finite metric, then one whose condition number is 1e12 or more,
+        at its first such point."""
         m = self.matrix(x)
-        require_finite(m, [x], "metric")
-        if np.linalg.cond(m) > cond_cap:
-            raise SingularMetric(f"metric condition number above {cond_cap:.1e}", point=x)
+        require_finite(m, x, "metric")
+        s = np.linalg.svd(m, compute_uv=False).T  # s[0] / s[-1] is the condition number
+        singular = s[0] >= _COND_CAP * s[-1]
+        if np.count_nonzero(singular):
+            raise SingularMetric("metric numerically singular",
+                                 point=np.atleast_2d(x)[int(np.argmax(singular))])
         return np.linalg.inv(m)
 
     def det(self, x):
@@ -481,11 +487,11 @@ class MetricField(_EntryTable):
             k = int(np.argmin(low))  # the first of tied minima
             worst, worst_val = pts[k], low[k]
         return {
-            "positive_definite": bool(worst_val > self.eps_pd),
+            "positive_definite": bool(worst_val > _EPS_PD),
             "min_eigenvalue": float(worst_val),
             "worst_point": None if worst is None else [float(v) for v in worst],
             "samples": int(samples),
-            "eps_pd": self.eps_pd,
+            "eps_pd": _EPS_PD,
         }
 
     # -- constructors ---------------------------------------------------
@@ -525,8 +531,13 @@ class EndomorphismField(_EntryTable):
         return np.trace(self.dmatrix(x), axis1=-3, axis2=-2)
 
     def self_adjoint_defect(self, g, x):
-        """max |g L - (g L)^T| at x, or over an (N, n) stack of points."""
-        gl = g.matrix(x) @ self.matrix(x)
+        """max |g L - (g L)^T| at x, or over an (N, n) stack of points; a
+        non-finite g, then a non-finite L, raises DomainViolation at its
+        first such point."""
+        gm, lm = g.matrix(x), self.matrix(x)
+        require_finite(gm, x, "metric")
+        require_finite(lm, x, "endomorphism")
+        gl = gm @ lm
         return float(np.max(np.abs(gl - np.swapaxes(gl, -1, -2))))
 
     @pointwise_errors(2)
@@ -589,11 +600,12 @@ class PhaseState:
 
 def require_finite(mats, points, what):
     """Raise DomainViolation naming the first point whose matrix in the
-    stack ``mats`` has a non-finite entry; ``points`` may be None."""
+    stack ``mats`` has a non-finite entry; ``points`` is the one point of
+    one matrix, the (N, n) points of a stack, or None."""
     if not np.isfinite(mats).all():
         k = int(np.argmin(np.isfinite(mats).all(axis=(-2, -1))))
         raise DomainViolation(f"non-finite {what} entry",
-                              point=None if points is None else points[k])
+                              point=None if points is None else np.atleast_2d(points)[k])
 
 
 def worst_point(values, points, what):
@@ -612,17 +624,24 @@ def scan(points, evaluate, check=lambda values, points: None):
     """evaluate(points) from one stacked call, checked by check(values,
     points), which raises at its first failing point. It fails as the loop
     over points it stands for did: when the stacked evaluation raises a
-    ProjeqError or LinAlgError, the points are replayed one at a time, so
+    ProjeqError or LinAlgError, _replay runs the points again, so
     that whatever failed at an earlier point, in evaluation or in the
     check, is raised first."""
     try:
         values = evaluate(points)
     except (ProjeqError, np.linalg.LinAlgError):
-        for k in range(len(points)):
-            check(evaluate(points[k:k + 1]), points[k:k + 1])
+        _replay(points, evaluate, check)
         raise
     check(values, points)
     return values
+
+
+def _replay(points, evaluate, check):
+    """The one replay of a failing stack: evaluate and check each point in
+    order as a stack of one, points[k:k + 1], so the first failing point
+    raises its error."""
+    for k in range(len(points)):
+        check(evaluate(points[k:k + 1]), points[k:k + 1])
 
 
 def g_orthonormal_frame(g_matrix):
@@ -639,20 +658,10 @@ def g_orthonormal_frame(g_matrix):
 
 
 def fmat_mul(a, b):
-    """Product of two matrices of fields (lists of lists)."""
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for s in range(1, k):
-                acc = acc + a[i][s] * b[s][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    """Product of two matrices of fields (lists of lists), each entry summed
+    left to right from its first term."""
+    return [[sum((a[i][s] * b[s][j] for s in range(1, len(b))), a[i][0] * b[0][j])
+             for j in range(len(b[0]))] for i in range(len(a))]
 
 
 def fmat_det(a):
@@ -662,14 +671,8 @@ def fmat_det(a):
         return a[0][0]
     if n == 2:
         return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    total = None
-    for j in range(n):
-        minor = [[a[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
-        term = a[0][j] * fmat_det(minor)
-        if j % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    terms = [a[0][j] * fmat_det([row[:j] + row[j + 1:] for row in a[1:]]) for j in range(n)]
+    return sum((-t if j % 2 else t for j, t in enumerate(terms[1:], 1)), terms[0])
 
 
 def fmat_adjugate(a):
@@ -678,19 +681,12 @@ def fmat_adjugate(a):
     if n == 1:
         chart = a[0][0].chart
         return [[ConstantField(chart, 1.0)]]
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [a[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = fmat_det(minor)
-            if (i + j) % 2 == 1:
-                cof = -cof
-            out[j][i] = cof
-    return out
+
+    def cofactor(i, j):
+        det = fmat_det([row[:j] + row[j + 1:] for row in a[:i] + a[i + 1:]])
+        return -det if (i + j) % 2 else det
+
+    return [[cofactor(i, j) for i in range(n)] for j in range(n)]
 
 
 def fmat_scale(a, s):

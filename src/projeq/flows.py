@@ -32,6 +32,9 @@ import numpy as np
 from .errors import ComplexRoots, DomainViolation, ZeroVelocity
 from .fields import PhaseState, scan
 from .pairs import spectra_at, spectrum_at
+from .tolerances import DEFAULT
+
+_IMAG_CLAMP = 1e-9  # relative imaginary part of a root read as rounding noise
 
 
 def _fl_adjugate(a, da=None):
@@ -145,12 +148,12 @@ class IntegralFamily:
         cs = self.coeff_matrices(state.x)
         return np.array([float(state.p @ (c @ v)) for c in cs])
 
-    def roots(self, state: PhaseState, imag_clamp=1e-9):
+    def roots(self, state: PhaseState):
         """The n-1 real roots of t -> I_t, ascending.
 
         The leading coefficient is (-1)^{n-1} 2H, so a nonzero momentum
         always gives exactly n-1 roots. Imaginary parts below
-        imag_clamp * (1 + |root|) are clamped (double roots emerge from
+        1e-9 * (1 + |root|) are clamped (double roots emerge from
         the companion eigensolver with tiny imaginary noise); larger
         ones raise ComplexRoots since real-rootedness is a theorem for
         compatible (g, L).
@@ -160,7 +163,7 @@ class IntegralFamily:
         if lead < 1e-14 * max(1.0, float(np.abs(coeffs).max())):
             raise ZeroVelocity("momentum too small: leading coefficient vanishes")
         rts = np.roots(coeffs[::-1])
-        bad = np.abs(rts.imag) > imag_clamp * (1.0 + np.abs(rts))
+        bad = np.abs(rts.imag) > _IMAG_CLAMP * (1.0 + np.abs(rts))
         if bad.any():
             raise ComplexRoots(
                 f"root imaginary part {np.abs(rts.imag).max():.3e} exceeds clamp"
@@ -267,10 +270,9 @@ class IntegralFamily:
 class SpectrumProfile:
     """Pointwise eigenvalue data of L with respect to g."""
 
-    def __init__(self, g, L, tau_deg_factor=1e-7):
+    def __init__(self, g, L):
         self.g = g
         self.L = L
-        self.tau_deg_factor = tau_deg_factor
 
     def eigenvalues(self, x):
         return spectrum_at(self.g, self.L, x)
@@ -278,7 +280,7 @@ class SpectrumProfile:
     def gap_floor(self, x, lam=None):
         if lam is None:
             lam = self.eigenvalues(x)
-        return self.tau_deg_factor * (1.0 + float(np.abs(lam).max()))
+        return DEFAULT.tau_deg_factor * (1.0 + float(np.abs(lam).max()))
 
     def clusters(self, x):
         """Distinct eigenvalues with multiplicities, gap set by tau_deg."""

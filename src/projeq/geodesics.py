@@ -61,6 +61,7 @@ _SAFETY = 0.9
 _FAC_MIN = 0.2
 _FAC_MAX = 5.0
 _UNDERFLOW_FACTOR = 1e-12  # h_min = this times the horizon
+_BISECT_ITERS = 80         # halvings that locate a chart exit
 
 
 def geodesic_rhs(g: MetricField):
@@ -90,9 +91,7 @@ def hamiltonian(g: MetricField, x, p):
         # numpy's solve reads a 1-D right side as one vector, any other as matrices
         v = np.linalg.solve(g.matrix(x), p if p.ndim == 1 else p[..., None])
     except np.linalg.LinAlgError:
-        if p.ndim > 1:
-            raise  # replayed point by point
-        raise SingularMetric("metric singular", point=x) from None
+        raise SingularMetric("metric singular", point=np.atleast_2d(x)[0]) from None
     if p.ndim == 1:  # the vector dot, the cheapest one-point contraction
         return 0.5 * float(p @ v)
     # a matmul of a row by a column sums as that dot does; einsum and sum do not
@@ -241,10 +240,10 @@ def integrate(rhs, y0, t_span, tol, inside=None, max_steps=1_000_000) -> Traject
     )
 
 
-def _bisect_exit(inside, y0, q, iters=80):
+def _bisect_exit(inside, y0, q):
     """Last inside point of the dense-output step, as (u, y(u))."""
     lo, hi = 0.0, 1.0
-    for _ in range(iters):
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -256,7 +255,7 @@ def _bisect_exit(inside, y0, q, iters=80):
 
 
 def integrate_geodesic(g: MetricField, state: PhaseState, horizon: float,
-                       tol: float = 1e-10, max_steps=1_000_000) -> Trajectory:
+                       tol: float = 1e-10) -> Trajectory:
     """Geodesic of g from (x, p), truncated at the chart boundary."""
     n = g.chart.dim
 
@@ -265,8 +264,7 @@ def integrate_geodesic(g: MetricField, state: PhaseState, horizon: float,
 
     y0 = np.concatenate([state.x, state.p])
     rhs = geodesic_rhs(g)
-    return integrate(rhs, y0, (0.0, horizon), tol, inside=inside,
-                     max_steps=max_steps)
+    return integrate(rhs, y0, (0.0, horizon), tol, inside=inside)
 
 
 def monitor_along(traj: Trajectory, fn, samples: int = 201) -> dict:

@@ -16,6 +16,9 @@ every P_i is positive, so no absolute values appear anywhere.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,16 +43,13 @@ from .fields import (
     worst_point,
 )
 from .pairs import MetricPair, spectra_at
+from .tolerances import DEFAULT
 
-_ORDERING_MARGIN = 1e-6
 _ORDERING_SAMPLES = 400
 
 
 def _block_offsets(sizes):
-    off = [0]
-    for k in sizes:
-        off.append(off[-1] + k)
-    return off
+    return [0, *itertools.accumulate(sizes)]
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ class LeviCivitaSpec:
     block_metrics: tuple # tuple of k_i x k_i tables of full-chart fields
 
     @classmethod
-    def create(cls, block_sizes, phis, bounds, block_metrics=None, names=None,
-               margin=_ORDERING_MARGIN):
+    def create(cls, block_sizes, phis, bounds, block_metrics=None, names=None):
         """Build and validate a spec.
 
         block_sizes: positive ints, summing to the chart dimension.
@@ -126,11 +125,12 @@ class LeviCivitaSpec:
 
         spec = cls(chart=chart, block_sizes=sizes, phis=tuple(phi_fields),
                    block_metrics=tuple(tables))
-        spec._validate(margin)
+        spec._validate()
         return spec
 
-    def _validate(self, margin):
+    def _validate(self):
         pts = self.chart.sample(_ORDERING_SAMPLES, seed=5)
+        margin = DEFAULT.ordering_margin
 
         def ordered(vals, pts):
             vals = np.array(vals)  # vals[i, k] = phi_{i+1} at point k
@@ -179,7 +179,7 @@ class LeviCivitaSpec:
         return out
 
 
-def build_lc_pair(spec: LeviCivitaSpec, partner=True, eig_floor=1e-12):
+def build_lc_pair(spec: LeviCivitaSpec, partner=True):
     """(g, gbar, L) from a spec; gbar is None when partner=False.
 
     Positivity of every phi is required for the partner weights rho_i;
@@ -195,7 +195,7 @@ def build_lc_pair(spec: LeviCivitaSpec, partner=True, eig_floor=1e-12):
 
     if partner:
         def positive(vals, pts):
-            bad = np.argwhere(np.array(vals).T <= eig_floor)
+            bad = np.argwhere(np.array(vals).T <= DEFAULT.eig_floor)
             if len(bad):
                 k, i = bad[0]  # the first point, then the first phi there
                 raise NonPositivePhi(
@@ -210,10 +210,8 @@ def build_lc_pair(spec: LeviCivitaSpec, partner=True, eig_floor=1e-12):
     l_entries = [[zero] * n for _ in range(n)]
 
     if partner:
-        prod = None
-        for i, phi in enumerate(spec.phis):
-            term = phi ** spec.block_sizes[i]
-            prod = term if prod is None else prod * term
+        prod = functools.reduce(operator.mul,
+                                [phi ** k for phi, k in zip(spec.phis, spec.block_sizes)])
         rhos = [1.0 / (prod * phi) for phi in spec.phis]
 
     for i, table in enumerate(spec.block_metrics):
@@ -380,11 +378,12 @@ def k_constants(spec: LeviCivitaSpec, curvature: float, samples=200, seed=0):
     for i, p in enumerate(ps):
 
         def fn(x, p=p):
-            ginv = g.inverse(x)
+            """K_i at one point x, or at each of an (N, n) stack."""
             dp = p.d1(x)
-            return float(dp @ ginv @ dp) / (4.0 * p.eval(x)) + curvature * p.eval(x)
+            grad2 = (dp[..., None, :] @ g.inverse(x) @ dp[..., :, None])[..., 0, 0]
+            return grad2 / (4.0 * p.eval(x)) + curvature * p.eval(x)
 
-        vals = np.array([fn(x) for x in pts])
+        vals = fn(pts)
         mean = float(vals.mean())
         std = float(vals.std())
         out.append({

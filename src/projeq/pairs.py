@@ -121,7 +121,11 @@ def bm_residual(g, L, x, eps_sym_factor=1e-9):
 
 
 def bm_residual_stats(g, L, points, eps_sym_factor=1e-9) -> dict:
-    vals = bm_residual(g, L, np.reshape(points, (-1, g.dim)), eps_sym_factor)
+    """Max and mean of bm_residual over points, and the worst point; a
+    non-finite residual raises DomainViolation at its first point."""
+    pts = np.reshape(points, (-1, g.dim))
+    vals = bm_residual(g, L, pts, eps_sym_factor)
+    require_finite(vals.reshape(-1, 1, 1), pts, "compatibility residual")
     worst = int(np.argmax(vals))
     return {
         "max": float(vals.max()),

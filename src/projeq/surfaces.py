@@ -51,6 +51,10 @@ from .fields import (
 from .jets import Jets
 from .pairs import MetricPair, lie_derivative_metric
 
+_DELTA_BRANCH = 1e-3   # flatten_coordinates' exclusion radius around poles and cuts
+_FIT_HALF_WIDTH = 0.05  # half-width of flattening_fit_report's w grid
+_FIT_GRID = 9           # its points per side
+
 
 @dataclass(frozen=True)
 class QuadraticIntegral2D:
@@ -274,29 +278,29 @@ def _reject_ray(z, delta):
         raise BranchViolation(f"z = {z} within {delta} of the negative-real cut")
 
 
-def flatten_coordinates(mc: ModelClass, z: complex, delta_branch=1e-3) -> complex:
+def flatten_coordinates(mc: ModelClass, z: complex) -> complex:
     """Canonical flattening coordinate for the model's normal form.
 
     The maps are the canonical ones for polynomials in normal position
     (roots at 0 resp. +-1); apply an affine z-change first for a general
     fit. Principal branches throughout; BranchViolation within
-    delta_branch of any pole or cut.
+    1e-3 of any pole or cut.
     """
     z = complex(z)
     if mc.tag in ("Model1a", "Model1b"):
         return z / cmath.sqrt(mc.scale)
     if mc.tag == "Model2":
-        _reject_ray(z, delta_branch)
+        _reject_ray(z, _DELTA_BRANCH)
         return 2.0 * cmath.sqrt(z)
     if mc.tag == "Model4":
-        _reject_ray(z, delta_branch)
+        _reject_ray(z, _DELTA_BRANCH)
         return cmath.log(z)
     if mc.tag == "Model3":
-        if abs(z - 1.0) < delta_branch or abs(z + 1.0) < delta_branch:
-            raise BranchViolation(f"z = {z} within {delta_branch} of a pole at +-1")
+        if abs(z - 1.0) < _DELTA_BRANCH or abs(z + 1.0) < _DELTA_BRANCH:
+            raise BranchViolation(f"z = {z} within {_DELTA_BRANCH} of a pole at +-1")
         u = z * z - 1.0
-        if abs(u.imag) < delta_branch and abs(u.real) > 1.0 - delta_branch:
-            raise BranchViolation(f"z^2 - 1 = {u} within {delta_branch} of the arcsin cut")
+        if abs(u.imag) < _DELTA_BRANCH and abs(u.real) > 1.0 - _DELTA_BRANCH:
+            raise BranchViolation(f"z^2 - 1 = {u} within {_DELTA_BRANCH} of the arcsin cut")
         return cmath.asin(u)
     raise UnknownName(f"unknown model tag {mc.tag!r}")
 
@@ -321,19 +325,20 @@ def model_inverse_map(mc: ModelClass):
     raise UnknownName(f"unknown model tag {mc.tag!r}")
 
 
-def flattening_fit_report(conformal_factor, mc: ModelClass, w_center: complex,
-                          half_width=0.05, grid=9) -> dict:
+def flattening_fit_report(conformal_factor, mc: ModelClass, w_center: complex) -> dict:
     """Liouville defect of the transported metric around w_center.
 
     conformal_factor(x, y) is the lambda of lambda (dx^2 + dy^2); the
-    transported factor lambda(z(w)) |dz/dw|^2 is evaluated on a square
-    grid in w = u + i v. A Liouville metric has zero mixed partial
-    d2/(du dv); the defect is that mixed partial relative to the pure ones.
+    transported factor lambda(z(w)) |dz/dw|^2 is evaluated on a 9 x 9
+    grid of half-width 0.05 in w = u + i v. A Liouville metric has zero
+    mixed partial d2/(du dv); the defect is that mixed partial relative to
+    the pure ones.
     """
     z_of, dz_of = model_inverse_map(mc)
-    us = np.linspace(w_center.real - half_width, w_center.real + half_width, grid)
-    vs = np.linspace(w_center.imag - half_width, w_center.imag + half_width, grid)
-    vals = np.empty((grid, grid))
+    hw = _FIT_HALF_WIDTH
+    us = np.linspace(w_center.real - hw, w_center.real + hw, _FIT_GRID)
+    vs = np.linspace(w_center.imag - hw, w_center.imag + hw, _FIT_GRID)
+    vals = np.empty((_FIT_GRID, _FIT_GRID))
     for i, u in enumerate(us):
         for j, v in enumerate(vs):
             w = complex(u, v)
@@ -353,8 +358,8 @@ def flattening_fit_report(conformal_factor, mc: ModelClass, w_center: complex,
         "pure_max": pure,
         "defect": worst / max(1.0, pure),
         "w_center": [w_center.real, w_center.imag],
-        "half_width": half_width,
-        "grid": int(grid),
+        "half_width": _FIT_HALF_WIDTH,
+        "grid": _FIT_GRID,
     }
 
 

@@ -408,6 +408,33 @@ def test_lc_build_command(tmp_path):
     assert rep["detail"]["l_at_center"][0][0] == 1.0  # phi_1 = x at center
 
 
+def test_lc_build_positive_definiteness_follows_the_run_eps_pd(tmp_path):
+    m = write_manifest(tmp_path, lc_manifest())
+    out = tmp_path / "out"
+    assert run("lc-build", m, out, "--tol", "eps_pd=1e3") == 1
+    audits = {a["audit"]: a for a in report_of(out)["audits"]}
+    for name in ("g_positive_definite", "gbar_positive_definite"):
+        assert audits[name]["threshold"] == 1e3
+        assert audits[name]["value"] < 1e3 and audits[name]["pass"] is False
+    assert audits["bm_residual_max"]["pass"] is True
+
+
+def test_pair_positive_definiteness_follows_the_run_eps_pd(tmp_path):
+    m = write_manifest(tmp_path, {
+        "chart": {"names": ["x", "y"], "bounds": [[-1.0, 1.0], [-1.0, 1.0]]},
+        "geometry": {"kind": "metric", "entries": [["1", "0"], ["0", "1"]]},
+        "endomorphism": [["2", "0"], ["0", "3"]],
+        "run": {"samples": 60},
+    })
+    out = tmp_path / "out"
+    assert run("pair", m, out, "--tol", "eps_pd=0.1") == 1
+    audit = report_of(out)["audits"][0]
+    assert audit["audit"] == "partner_positive_definite"
+    # gbar = det(L)^-1 L^-1 g = diag(1/12, 1/18): its smallest eigenvalue is below 0.1
+    assert audit["value"] == pytest.approx(1.0 / 18.0) and audit["threshold"] == 0.1
+    assert audit["pass"] is False
+
+
 def test_split_command(tmp_path):
     m = write_manifest(tmp_path, lc_manifest(r=1))
     out = tmp_path / "out"

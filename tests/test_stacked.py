@@ -42,6 +42,7 @@ from projeq.levicivita import (
     _split_at,
     affine_equivalence_check,
     build_lc_pair,
+    k_constants,
     random_spec,
     split,
 )
@@ -293,6 +294,62 @@ def test_a_nan_metric_is_a_domain_violation_in_the_curvature_kernels():
         with pytest.raises(DomainViolation) as err:
             audit()
         assert err.value.point in pts.tolist()
+
+
+def test_a_nan_endomorphism_is_a_domain_violation_in_the_residual_and_the_defect():
+    nan_right = NumericField(UNIT, lambda x: 1.0 if x[0] <= 0.5 else math.nan)
+    zero, two = ConstantField(UNIT, 0.0), ConstantField(UNIT, 2.0)
+    L = EndomorphismField(UNIT, [[nan_right, zero], [zero, two]])
+    g = MetricField.euclidean(UNIT)
+    pts = UNIT.sample(50, seed=0)
+    first = pts[int(np.argmax(pts[:, 0] > 0.5))].tolist()
+    with pytest.raises(DomainViolation, match="non-finite compatibility residual") as err:
+        bm_residual_stats(g, L, pts)
+    assert err.value.point == first
+    with pytest.raises(DomainViolation, match="non-finite endomorphism entry") as err:
+        L.self_adjoint_defect(g, pts)
+    assert err.value.point == first
+    # the metric is refused before the endomorphism
+    with pytest.raises(DomainViolation, match="non-finite metric entry") as err:
+        L.self_adjoint_defect(_nan_right_metric(), pts)
+    assert err.value.point == first
+
+
+# -- the checked inverse and the block constants -----------------------------------------
+
+
+@pytest.mark.parametrize("case", ["lc3", "random_spec(2, 4)"])
+def test_stacked_metric_inverse_equals_the_one_point_inverses(case):
+    g = _tables(case)[0]
+    xs = g.chart.sample(201, seed=4)
+    assert np.array_equal(g.inverse(xs), _per_point(g.inverse, xs))
+    assert np.array_equal(g.inverse(xs[:1]), g.inverse(xs[0])[None])
+
+
+def test_a_singular_metric_stack_raises_as_its_first_singular_point():
+    xs = UNIT.sample(20, seed=9)
+    g, _ = _faulty(xs, {7: SingularMetric, 12: SingularMetric})
+    with pytest.raises(SingularMetric) as one:
+        g.inverse(xs[7])
+    with pytest.raises(SingularMetric) as many:
+        g.inverse(xs)
+    assert str(many.value) == str(one.value)
+    assert str(one.value) == f"metric numerically singular at {xs[7].tolist()}"
+
+
+@pytest.mark.parametrize("seed, dim", [(0, 3), (2, 4), (3, 2)])
+def test_k_constants_equal_the_per_point_loop(seed, dim):
+    spec = random_spec(seed, dim)
+    g, _, _ = build_lc_pair(spec, partner=False)
+    pts = spec.chart.sample(300, seed=0)
+    for curvature in (0.0, 1.0, -0.5):
+        rows = k_constants(spec, curvature, samples=300)
+        for p, row in zip(spec.p_fields(), rows):
+            vals = np.array([float(p.d1(x) @ g.inverse(x) @ p.d1(x)) / (4.0 * p.eval(x))
+                             + curvature * p.eval(x) for x in pts])
+            assert (row["mean"], row["std"], row["min"], row["max"]) == (
+                float(vals.mean()), float(vals.std()), float(vals.min()), float(vals.max()))
+            assert [row["field"](x) for x in pts[:3]] == vals[:3].tolist()
 
 
 # -- the shared scan helpers ------------------------------------------------------------
