@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# The 13 commands of perfbench's cli-battery, run on the projeq sources in
-# SRC_DIR with each command's output in OUT_DIR/<label>. Run it from the
-# repository root, which holds the manifests. It fails on the first command
-# whose exit code differs from the expected one (2: a malformed-manifest
-# probe) or that writes no report.json.
+# The 13 commands of perfbench's cli-battery, plus `example` on the
+# example1, example2 and sphere_beltrami bundles (manifests in
+# .github/manifests/), so that every audit of `example` is covered. Each
+# runs on the projeq sources in SRC_DIR with its output in OUT_DIR/<label>.
+# Run it from the repository root, which holds the manifests. It fails on
+# the first command whose exit code differs from the expected one (2: a
+# malformed-manifest probe) or that writes no report.json.
 #
 #   .github/battery.sh SRC_DIR OUT_DIR
 set -u
@@ -14,22 +16,25 @@ while read -r label cmd manifest want; do
   if [ "$want" = 0 ]; then seed="--seed 0"; fi
   code=0
   PYTHONPATH="$src" python -W error::RuntimeWarning -m projeq "$cmd" \
-    --manifest "perfbench/manifests/$manifest" --out "$out/$label" $seed \
+    --manifest "$manifest" --out "$out/$label" $seed \
     > /dev/null 2>&1 || code=$?
   if [ "$code" != "$want" ]; then echo "$label: exit $code, want $want"; exit 1; fi
   if [ ! -f "$out/$label/report.json" ]; then echo "$label: no report.json"; exit 1; fi
 done <<'LIST'
-check-bm check-bm lc3.json 0
-pair pair lc3.json 0
-weyl weyl lc3.json 0
-split split lc3.json 0
-lc-build lc-build lc3.json 0
-geodesic geodesic lc3.json 0
-conserve conserve lc3.json 0
-example example torus.json 0
-classify2d classify2d liouville.json 0
-probe-samples-0 check-bm probe_samples_zero.json 2
-probe-horizon-neg geodesic probe_horizon_negative.json 2
-probe-log-domain check-bm probe_log_domain.json 2
-probe-singular geodesic probe_singular_metric.json 2
+check-bm check-bm perfbench/manifests/lc3.json 0
+pair pair perfbench/manifests/lc3.json 0
+weyl weyl perfbench/manifests/lc3.json 0
+split split perfbench/manifests/lc3.json 0
+lc-build lc-build perfbench/manifests/lc3.json 0
+geodesic geodesic perfbench/manifests/lc3.json 0
+conserve conserve perfbench/manifests/lc3.json 0
+example example perfbench/manifests/torus.json 0
+classify2d classify2d perfbench/manifests/liouville.json 0
+probe-samples-0 check-bm perfbench/manifests/probe_samples_zero.json 2
+probe-horizon-neg geodesic perfbench/manifests/probe_horizon_negative.json 2
+probe-log-domain check-bm perfbench/manifests/probe_log_domain.json 2
+probe-singular geodesic perfbench/manifests/probe_singular_metric.json 2
+example1 example .github/manifests/example1.json 0
+example2 example .github/manifests/example2.json 0
+example-sphere example .github/manifests/sphere_beltrami.json 0
 LIST

@@ -77,8 +77,7 @@ class Chart:
         clear of the walls; deterministic for a given seed.
         """
         u = halton_points(count, self.dim, seed=seed)
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
+        lo, hi = np.array(self.bounds).T
         pad = _SHRINK * (hi - lo)
         return lo + pad + u * (hi - lo - 2.0 * pad)
 

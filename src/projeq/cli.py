@@ -22,7 +22,7 @@ from .curvature import sectional
 from .errors import EnergyProportional, ManifestError, ProjeqError
 from .fields import PhaseState, as_field, scan, worst_point
 from .flows import interlacing_audit, ordering_audit
-from .geodesics import hamiltonian, integrate_geodesic, span_stats
+from .geodesics import hamiltonian, integrate_geodesic, monitored_values, span_stats
 from .levicivita import split
 from .manifest import Manifest, Scene, default_t_grid, seeded_states
 from .pairs import (
@@ -62,20 +62,14 @@ def _init_box(scene: Scene):
 def _monitored(scene: Scene, run):
     """Named (label, fn(x, p)) conserved quantities for this scene; each fn
     takes one point or (N, n) stacks of them."""
-    out = []
     if scene.integrals:
-        for name in sorted(scene.integrals):
-            integral = scene.integrals[name]
-            out.append((name, integral.value))
-        return out
-    if scene.endo is not None or scene.pair is not None:
-        _ensure_endo(scene)
-        fam = scene.family()
-        ts = run.t_grid or default_t_grid(scene)
-        for t in ts:
-            label = f"I(t={reports.format_float(t)})"
-            out.append((label, lambda x, p, t=t: fam.value(PhaseState(x, p), t)))
-    return out
+        return [(name, scene.integrals[name].value) for name in sorted(scene.integrals)]
+    if scene.endo is None and scene.pair is None:
+        return []
+    _ensure_endo(scene)
+    fam = scene.family()
+    return [(f"I(t={reports.format_float(t)})", lambda x, p, t=t: fam.value(PhaseState(x, p), t))
+            for t in run.t_grid or default_t_grid(scene)]
 
 
 # -- command bodies ------------------------------------------------------
@@ -92,10 +86,6 @@ def _cmd_check_bm(scene, m, out_dir):
     return audits, {"bm": stats}, []
 
 
-def _entry_table(field_matrix):
-    return [[float(v) for v in row] for row in np.asarray(field_matrix)]
-
-
 def _cmd_pair(scene, m, out_dir):
     tols = m.tolerances
     audits = []
@@ -107,7 +97,7 @@ def _cmd_pair(scene, m, out_dir):
                            samples=min(m.run.samples, 500), seed=m.run.seed)
         scene.partner = gbar
         extra["built"] = "partner"
-        extra["gbar_at_center"] = _entry_table(gbar.matrix(center))
+        extra["gbar_at_center"] = gbar.matrix(center)
         rep = gbar.pd_report(samples=m.run.samples, seed=m.run.seed)
         audits.append(reports.audit(
             "partner_positive_definite", rep["min_eigenvalue"], tols.eps_pd,
@@ -120,9 +110,8 @@ def _cmd_pair(scene, m, out_dir):
     else:
         endo = _ensure_endo(scene)
         extra["built"] = "endomorphism"
-        extra["endo_at_center"] = _entry_table(endo.matrix(center))
-        extra["spectrum_at_center"] = [float(v) for v in
-                                       spectrum_at(scene.metric, endo, center)]
+        extra["endo_at_center"] = endo.matrix(center)
+        extra["spectrum_at_center"] = spectrum_at(scene.metric, endo, center)
         worst = endo.self_adjoint_defect(
             scene.metric, scene.chart.sample(min(m.run.samples, 200), seed=m.run.seed))
         bound = 10.0 * tols.eps_sym_factor
@@ -145,8 +134,8 @@ def _sample_columns(g, traj, monitored):
     ts = np.linspace(traj.ts[0], traj.t_end, 201)
     ys = traj.sample(ts)
     xs, ps = ys[:, : traj.dim], ys[:, traj.dim:]
-    return np.column_stack([ts, xs, ps, hamiltonian(g, xs, ps),
-                            *(fn(xs, ps) for _, fn in monitored)])
+    fns = [lambda x, p: hamiltonian(g, x, p)] + [fn for _, fn in monitored]
+    return np.column_stack([ts, xs, ps, *(monitored_values(fn, xs, ps) for fn in fns)])
 
 
 def _cmd_geodesic(scene, m, out_dir):
@@ -179,32 +168,27 @@ def _cmd_conserve(scene, m, out_dir):
     monitored = _monitored(scene, m.run)
     if not monitored:
         raise ManifestError("no conserved quantities available for this geometry")
-    worst = {name: 0.0 for name, _ in monitored}
-    rows = []
-    energy_worst = 0.0
-    count = 0
+    rows, drifts = [], []
     for idx, traj in enumerate(_run_trajectories(scene, m)):
-        count += 1
         table = _sample_columns(scene.metric, traj, monitored)
-        for k, (name, _) in enumerate(monitored):
-            d = span_stats(table[:, 2 + 2 * traj.dim + k])
-            worst[name] = max(worst[name], d["drift"])
-            rows.append([float(idx), name, d["first"], d["last"],
-                         d["min"], d["max"], d["drift"]])
-        energy_worst = max(energy_worst, span_stats(table[:, 1 + 2 * traj.dim])["drift"])
+        # span statistics of H, then of each monitored quantity
+        stats = [span_stats(col) for col in table[:, 1 + 2 * traj.dim:].T]
+        drifts.append([d["drift"] for d in stats])
+        rows += [[float(idx), name, d["first"], d["last"], d["min"], d["max"], d["drift"]]
+                 for (name, _), d in zip(monitored, stats[1:])]
     path = os.path.join(out_dir, "conserve.csv")
     reports.write_csv(
         path, ["trajectory", "integral", "first", "last", "min", "max", "drift"],
         rows)
+    energy_worst, *worst = np.max(drifts, axis=0, initial=0.0).tolist()
     audits = [
-        reports.audit(f"drift[{name}]", worst[name], tols.drift_bound,
-                      worst[name] <= tols.drift_bound)
-        for name, _ in monitored
+        reports.audit(f"drift[{name}]", w, tols.drift_bound, w <= tols.drift_bound)
+        for (name, _), w in zip(monitored, worst)
     ]
     bound = tols.energy_drift_factor * tols.integrator_tol
     audits.append(reports.audit("energy_drift", energy_worst, bound,
                                 energy_worst <= bound))
-    extra = {"trajectories": count}
+    extra = {"trajectories": len(drifts)}
 
     if scene.endo is not None and not scene.integrals:
         fam = scene.family()
@@ -263,11 +247,9 @@ def _pick_integral(scene, m):
                 f"bundle has no integral {name!r}; available: "
                 f"{sorted(scene.bundle.integrals)}"
             ) from None
-    if name and name in scene.integrals:
+    if scene.integrals and (name in scene.integrals or not name):
+        name = name or min(scene.integrals)  # the first by name when none is asked for
         return name, scene.integrals[name]
-    if scene.integrals and not name:
-        k = sorted(scene.integrals)[0]
-        return k, scene.integrals[k]
     if scene.pair is not None and scene.chart.dim == 2:
         return "pair_integral", integral_from_pair2d(scene.pair)
     raise ManifestError("classify2d needs a named integral or a 2-D pair")
@@ -294,13 +276,9 @@ def _cmd_classify2d(scene, m, out_dir):
                         tau_root=tols.tau_root)
     extra.update({
         "model": mc.tag,
-        "roots": [{"re": r.real, "im": r.imag} for r in mc.roots],
+        "roots": list(mc.roots),  # each complex number a {"re", "im"} pair in the report
         "flatten": mc.flatten_id,
-        "coefficients": {
-            "alpha": {"re": pf.alpha.real, "im": pf.alpha.imag},
-            "beta": {"re": pf.beta.real, "im": pf.beta.imag},
-            "gamma": {"re": pf.gamma.real, "im": pf.gamma.imag},
-        },
+        "coefficients": {"alpha": pf.alpha, "beta": pf.beta, "gamma": pf.gamma},
         "fit_residual": pf.residual,
     })
     ok = expected is None or mc.tag == expected
@@ -338,9 +316,9 @@ def _cmd_lc_build(scene, m, out_dir):
                                     rep["min_eigenvalue"] > tols.eps_pd))
     center = chart.center()
     extra = {
-        "g_at_center": _entry_table(g.matrix(center)),
-        "gbar_at_center": _entry_table(gbar.matrix(center)),
-        "l_at_center": _entry_table(endo.matrix(center)),
+        "g_at_center": g.matrix(center),
+        "gbar_at_center": gbar.matrix(center),
+        "l_at_center": endo.matrix(center),
         "block_sizes": list(scene.lc_spec.block_sizes),
     }
     return audits, extra, []
@@ -365,81 +343,91 @@ def _cmd_split(scene, m, out_dir):
     return audits, rep, []
 
 
-def _cmd_example(scene, m, out_dir):
+def _killing_audits(scene, m, expected):
     tols = m.tolerances
-    bundle = scene.bundle
-    if bundle is None:
+    for name, want in sorted(expected["killing"].items()):
+        rep = killing_residual(scene.metric, scene.bundle.vector_fields[name],
+                               samples=min(m.run.samples, 200),
+                               seed=m.run.seed, tol=tols.killing_tol)
+        yield reports.audit(f"killing[{name}]", rep["max_lie"], tols.killing_tol,
+                            rep["pass"] == want, expected_killing=want)
+
+
+def _model_audits(scene, m, expected):
+    tols = m.tolerances
+    for name, want_tag in sorted(expected["model_of"].items()):
+        pf = principal_form(scene.bundle.integrals[name], samples=64, seed=m.run.seed,
+                            fit_tol_factor=tols.fit_tol_factor)
+        mc = classify_model(pf, tau_root=tols.tau_root)
+        yield reports.audit(f"model[{name}]", mc.tag, want_tag, mc.tag == want_tag)
+
+
+def _energy_proportional_audits(scene, m, expected):
+    for name in expected["energy_proportional"]:
+        try:
+            principal_form(scene.bundle.integrals[name], samples=64, seed=m.run.seed,
+                           fit_tol_factor=m.tolerances.fit_tol_factor)
+            got = "classified"
+        except EnergyProportional:
+            got = "EnergyProportional"
+        yield reports.audit(f"energy_proportional[{name}]", got, "EnergyProportional",
+                            got == "EnergyProportional")
+
+
+def _pair_bm_audits(scene, m, expected):
+    _ensure_endo(scene)
+    pts = scene.chart.sample(min(m.run.samples, 200), seed=m.run.seed)
+    stats = bm_residual_stats(scene.metric, scene.endo, pts,
+                              eps_sym_factor=m.tolerances.eps_sym_factor)
+    tol_bm = expected["bm_residual_tol"]
+    yield reports.audit("pair_bm_residual", stats["max"], tol_bm, stats["max"] <= tol_bm)
+    margin = expected.get("margin_at_least", 0.0)
+    for label in ("weight", "weight_partner"):
+        floor = float(np.min(as_field(scene.chart, scene.bundle.params[label]).eval(pts)))
+        yield reports.audit(f"{label}_margin", floor, margin, floor >= margin - 1e-12)
+
+
+def _flow_bm_audits(scene, m, expected):
+    flow = ProjectiveFlowSpec(scene.metric, scene.bundle.vector_fields["projective_generator"])
+    stats = bm_residual_stats(scene.metric, bm_from_flow_field(flow),
+                              scene.chart.sample(100, seed=m.run.seed), eps_sym_factor=1e-3)
+    tol_bm = expected["flow_bm_residual_tol"]
+    yield reports.audit("flow_bm_residual", stats["max"], tol_bm, stats["max"] <= tol_bm)
+
+
+def _sectional_audits(scene, m, expected):
+    want_k = expected["sectional"]
+    pts = scene.chart.sample(100, seed=m.run.seed)[:20]
+    e1, e2 = np.eye(scene.chart.dim)[:2]
+    worst, _ = worst_point(np.abs(sectional(scene.metric, pts, e1, e2) - want_k),
+                           pts, "sectional curvature")
+    yield reports.audit("sectional_curvature", worst, 1e-8, worst <= 1e-8,
+                        expected=want_k)
+
+
+# the audits of `example` in report order, each run when the bundle's
+# `expected` dict has its key
+_EXAMPLE_AUDITS = (
+    ("killing", _killing_audits),
+    ("model_of", _model_audits),
+    ("energy_proportional", _energy_proportional_audits),
+    ("bm_residual_tol", _pair_bm_audits),
+    ("flow_bm_residual_tol", _flow_bm_audits),
+    ("sectional", _sectional_audits),
+)
+
+
+def _cmd_example(scene, m, out_dir):
+    if scene.bundle is None:
         raise ManifestError("example command needs geometry kind 'example'")
     if scene.integrals:
         audits, extra, csvs = _cmd_conserve(scene, m, out_dir)
     else:
         audits, extra, csvs = _cmd_geodesic(scene, m, out_dir)
-    expected = bundle.expected or {}
-
-    for name, vf in sorted((bundle.vector_fields or {}).items()):
-        want = expected.get("killing", {}).get(name)
-        if want is None:
-            continue
-        rep = killing_residual(scene.metric, vf,
-                               samples=min(m.run.samples, 200),
-                               seed=m.run.seed, tol=tols.killing_tol)
-        ok = rep["pass"] == want
-        audits.append(reports.audit(
-            f"killing[{name}]", rep["max_lie"], tols.killing_tol, ok,
-            expected_killing=want))
-
-    for name, want_tag in sorted(expected.get("model_of", {}).items()):
-        pf = principal_form(bundle.integrals[name], samples=64, seed=m.run.seed,
-                            fit_tol_factor=tols.fit_tol_factor)
-        mc = classify_model(pf, tau_root=tols.tau_root)
-        audits.append(reports.audit(f"model[{name}]", mc.tag, want_tag,
-                                    mc.tag == want_tag))
-
-    for name in expected.get("energy_proportional", []):
-        try:
-            principal_form(bundle.integrals[name], samples=64, seed=m.run.seed,
-                           fit_tol_factor=tols.fit_tol_factor)
-            audits.append(reports.audit(f"energy_proportional[{name}]",
-                                        "classified", "EnergyProportional", False))
-        except EnergyProportional:
-            audits.append(reports.audit(f"energy_proportional[{name}]",
-                                        "EnergyProportional", "EnergyProportional",
-                                        True))
-
-    if bundle.name == "torus":
-        _ensure_endo(scene)
-        pts = scene.chart.sample(min(m.run.samples, 200), seed=m.run.seed)
-        stats = bm_residual_stats(scene.metric, scene.endo, pts,
-                                  eps_sym_factor=tols.eps_sym_factor)
-        tol_bm = expected["bm_residual_tol"]
-        audits.append(reports.audit("pair_bm_residual", stats["max"], tol_bm,
-                                    stats["max"] <= tol_bm))
-        margin = expected.get("margin_at_least", 0.0)
-        for label in ("weight", "weight_partner"):
-            w = as_field(scene.chart, bundle.params[label])
-            floor = float(np.min(w.eval(pts)))
-            audits.append(reports.audit(
-                f"{label}_margin", floor, margin, floor >= margin - 1e-12))
-
-    if bundle.name == "sphere_beltrami":
-        gen = bundle.vector_fields["projective_generator"]
-        flow = ProjectiveFlowSpec(scene.metric, gen)
-        endo = bm_from_flow_field(flow)
-        pts = scene.chart.sample(100, seed=m.run.seed)
-        stats = bm_residual_stats(scene.metric, endo,
-                                  pts, eps_sym_factor=1e-3)
-        tol_bm = expected.get("flow_bm_residual_tol", 1e-6)
-        audits.append(reports.audit("flow_bm_residual", stats["max"], tol_bm,
-                                    stats["max"] <= tol_bm))
-        want_k = expected.get("sectional")
-        if want_k is not None:
-            worst = 0.0
-            e1, e2 = np.eye(scene.chart.dim)[:2]
-            for x in pts[:20]:
-                k = sectional(scene.metric, x, e1, e2)
-                worst = max(worst, abs(k - want_k))
-            audits.append(reports.audit("sectional_curvature", worst, 1e-8,
-                                        worst <= 1e-8, expected=want_k))
+    expected = scene.bundle.expected or {}
+    for key, run_audits in _EXAMPLE_AUDITS:
+        if key in expected:
+            audits.extend(run_audits(scene, m, expected))
     return audits, extra, csvs
 
 

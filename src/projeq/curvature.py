@@ -9,10 +9,10 @@ Index conventions used throughout the package:
 * ricci: Ric[j, l] = sum_k R[k, j, k, l], positive on spheres.
 * lowering: R_low[i, j, k, l] = g_im R[m, j, k, l].
 
-Every kernel but `sectional` takes one point x (n,) or an (N, n) stack,
-which leads each result with an N axis. Each einsum has a leading ``...``
-and sums as at one point, so a stack equals its points bit for bit; it
-fails at its first failing point (fields.pointwise_errors). The metric is
+Every kernel takes one point x (n,) or an (N, n) stack, which leads each
+result with an N axis. Each einsum has a leading ``...`` and sums as at
+one point, so a stack equals its points bit for bit; it fails at its
+first failing point (fields.pointwise_errors). The metric is
 inverted by MetricField.inverse, which refuses a non-finite or
 numerically singular metric.
 """
@@ -90,15 +90,27 @@ def lower_riemann(g, x, riem=None):
 
 
 def sectional(g, x, u, v, riem=None):
-    """Sectional curvature of the plane spanned by u, v at x."""
+    """Sectional curvature of the plane spanned by u, v at x: a float at one
+    point, an (N,) array on an (N, n) stack, with u and v one vector each or
+    (N, n) stacks. Every plane is checked before any curvature: a degenerate
+    Gram determinant raises ValueError at its first point."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     gmat = g.matrix(x)
-    gram = (u @ gmat @ u) * (v @ gmat @ v) - (u @ gmat @ v) ** 2
-    if gram <= 1e-14 * max(1.0, float(u @ gmat @ u) * float(v @ gmat @ v)):
-        raise ValueError("u, v do not span a plane (degenerate Gram determinant)")
+
+    def gdot(a, b):  # g(a, b), summed as the one-point a @ g @ b
+        return (a[..., None, :] @ gmat @ b[..., None])[..., 0, 0]
+
+    guu, gvv = gdot(u, u), gdot(v, v)
+    gram = guu * gvv - gdot(u, v) ** 2
+    degenerate = gram <= 1e-14 * np.maximum(1.0, guu * gvv)
+    if degenerate.any():
+        k = int(np.argmax(degenerate))
+        raise ValueError("u, v do not span a plane (degenerate Gram determinant) "
+                         f"at {[float(c) for c in np.atleast_2d(x)[k]]}")
     if riem is None:
         riem = riemann(g, x)
     # g(R(u, v) v, u)
-    w = np.einsum("ijkl,k,l,j->i", riem, u, v, v)
-    return float(u @ gmat @ w) / float(gram)
+    w = np.einsum("...ijkl,...k,...l,...j->...i", riem, u, v, v)
+    kappa = gdot(u, w) / gram
+    return float(kappa) if kappa.ndim == 0 else kappa

@@ -72,6 +72,11 @@ def _powers(t, n):
     return float(t) ** np.arange(n)
 
 
+def _phase_rows(phase_points, n):
+    """A sequence of phase states as the (N, 2n) rows (x, p) an audit scans."""
+    return np.reshape([np.concatenate([s.x, s.p]) for s in phase_points], (-1, 2 * n))
+
+
 class _StateJet(NamedTuple):
     """Everything a bracket reads at one phase state, or at a stack of them.
 
@@ -121,12 +126,9 @@ class IntegralFamily:
 
     def s_matrix(self, x, t):
         """S_t = adj(L - t Id) at one point or an (N, n) stack."""
-        mats = _fl_adjugate(self.L.matrix(x))[::-1]
-        out = np.zeros_like(mats[0])
-        for j, m in enumerate(mats):
-            # (sign t^j) M_{n-j} is t^j C_j bit for bit, since sign is +-1
-            out += (self._sign * t ** j) * m
-        return out
+        # (sign t^j) M_{n-j} is t^j C_j bit for bit, since sign is +-1
+        return sum((self._sign * t ** j) * m
+                   for j, m in enumerate(_fl_adjugate(self.L.matrix(x))[::-1]))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -143,32 +145,41 @@ class IntegralFamily:
         return float(out) if p.ndim == 1 else out
 
     def t_coefficients(self, state: PhaseState):
-        """a_j with I_t = sum_j a_j t^j; leading a_{n-1} = +-2H != 0."""
-        v = np.linalg.solve(self.g.matrix(state.x), state.p)
-        cs = self.coeff_matrices(state.x)
-        return np.array([float(state.p @ (c @ v)) for c in cs])
+        """a_j with I_t = sum_j a_j t^j, (n,) at one state or (N, n) on
+        stacks; leading a_{n-1} = +-2H != 0."""
+        p = state.p
+        v = np.linalg.solve(self.g.matrix(state.x), p[..., None])
+        return np.stack([(p[..., None, :] @ (c @ v))[..., 0, 0]
+                         for c in self.coeff_matrices(state.x)], axis=-1)
 
     def roots(self, state: PhaseState):
-        """The n-1 real roots of t -> I_t, ascending.
+        """The n-1 real roots of t -> I_t, ascending, (n-1,) at one state or
+        (N, n-1) on stacks: the eigenvalues of np.roots' companion matrices
+        from one eigvals call, a zero low-order coefficient giving a root of
+        exactly 0 as in np.roots.
 
-        The leading coefficient is (-1)^{n-1} 2H, so a nonzero momentum
-        always gives exactly n-1 roots. Imaginary parts below
-        1e-9 * (1 + |root|) are clamped (double roots emerge from
-        the companion eigensolver with tiny imaginary noise); larger
-        ones raise ComplexRoots since real-rootedness is a theorem for
-        compatible (g, L).
+        A nonzero momentum gives n-1 roots (ZeroVelocity otherwise: the
+        leading coefficient is +-2H). Imaginary parts below 1e-9 * (1 +
+        |root|) are eigensolver noise at double roots; larger ones raise
+        ComplexRoots, since real roots are a theorem for compatible (g, L).
+        A stack checks every momentum first; fields.scan orders its errors.
         """
-        coeffs = self.t_coefficients(state)
-        lead = abs(coeffs[-1])
-        if lead < 1e-14 * max(1.0, float(np.abs(coeffs).max())):
+        a = np.atleast_2d(self.t_coefficients(state))
+        if (np.abs(a[:, -1]) < 1e-14 * np.maximum(1.0, np.abs(a).max(axis=1))).any():
             raise ZeroVelocity("momentum too small: leading coefficient vanishes")
-        rts = np.roots(coeffs[::-1])
+        m = a.shape[1] - 1
+        # companion of the polynomial stripped of its zero low-order terms
+        keep = np.arange(m) < m - np.argmax(a != 0, axis=1)[:, None]
+        comp = np.zeros((len(a), m, m))
+        comp[:, :1, :] = np.where(keep, -a[:, -2::-1] / a[:, -1:], 0.0)[:, None, :]
+        comp[:, np.arange(1, m), np.arange(m - 1)] = keep[:, 1:]
+        rts = np.linalg.eigvals(comp)
         bad = np.abs(rts.imag) > _IMAG_CLAMP * (1.0 + np.abs(rts))
         if bad.any():
-            raise ComplexRoots(
-                f"root imaginary part {np.abs(rts.imag).max():.3e} exceeds clamp"
-            )
-        return np.sort(rts.real)
+            imag = np.abs(rts[int(np.argmax(bad.any(axis=1)))].imag).max()
+            raise ComplexRoots(f"root imaginary part {imag:.3e} exceeds clamp")
+        rts = np.sort(rts.real)
+        return rts if state.p.ndim > 1 else rts[0]
 
     # -- exact gradients and brackets ------------------------------------------
 
@@ -243,7 +254,7 @@ class IntegralFamily:
                                       point=x[int(np.argmax(bad))])
             return rel, br
 
-        rows = np.reshape([np.concatenate([s.x, s.p]) for s in phase_points], (-1, 2 * n))
+        rows = _phase_rows(phase_points, n)
         rel, br = scan(rows, scaled)
         worst, worst_detail = 0.0, None
         if np.max(rel, initial=0.0) > 0.0:
@@ -305,22 +316,17 @@ def ordering_audit(g, L, points, tau_ord=1e-8) -> dict:
     comparable; pointwise ordering is weaker and not what is audited.
     """
     lams = spectra_at(g, L, points)
-    n = lams.shape[1]
-    bands = []
-    worst = -np.inf
-    for i in range(n - 1):
-        hi = float(lams[:, i].max())
-        lo = float(lams[:, i + 1].min())
-        viol = hi - lo
-        bands.append({
-            "band": i,
-            "upper_max": hi,
-            "next_min": lo,
-            "violation": viol,
-            "argmax": [float(v) for v in points[int(np.argmax(lams[:, i]))]],
-            "argmin": [float(v) for v in points[int(np.argmin(lams[:, i + 1]))]],
-        })
-        worst = max(worst, viol)
+    his, los = lams[:, :-1].max(axis=0), lams[:, 1:].min(axis=0)
+    his_at, los_at = np.argmax(lams[:, :-1], axis=0), np.argmin(lams[:, 1:], axis=0)
+    bands = [{
+        "band": i,
+        "upper_max": float(his[i]),
+        "next_min": float(los[i]),
+        "violation": float(his[i] - los[i]),
+        "argmax": [float(v) for v in points[his_at[i]]],
+        "argmin": [float(v) for v in points[los_at[i]]],
+    } for i in range(len(his))]
+    worst = max((band["violation"] for band in bands), default=-np.inf)
     return {
         "bands": bands,
         "max_violation": worst,
@@ -334,23 +340,24 @@ def interlacing_audit(family: IntegralFamily, phase_points, slack=1e-9) -> dict:
     """Roots of I_t vs eigenvalues of L at each phase point.
 
     Checks lambda_i - slack <= t_i <= lambda_{i+1} + slack for every
-    root index i at each point.
+    root index i at each point, and reports the first strict maximum over
+    the states in order, then over the root indices of each.
     """
-    worst = -np.inf
-    worst_detail = None
-    lams = spectra_at(family.g, family.L, [state.x for state in phase_points])
-    for state, lam in zip(phase_points, lams):
-        rts = family.roots(state)
-        for i, t in enumerate(rts):
-            viol = max(lam[i] - t, t - lam[i + 1])
-            if viol > worst:
-                worst = viol
-                worst_detail = {
-                    "x": [float(v) for v in state.x],
-                    "root_index": i,
-                    "root": float(t),
-                    "bracket": [float(lam[i]), float(lam[i + 1])],
-                }
+    n = family.g.dim
+    rows = _phase_rows(phase_points, n)
+    lams = spectra_at(family.g, family.L, rows[:, :n])
+    rts = scan(rows, lambda r: family.roots(PhaseState(r[:, :n], r[:, n:])))
+    viol = np.maximum(lams[:, :-1] - rts, rts - lams[:, 1:])
+    worst, worst_detail = -np.inf, None
+    if viol.size:
+        s, i = np.unravel_index(np.argmax(viol), viol.shape)  # the first of tied maxima
+        worst = float(viol[s, i])
+        worst_detail = {
+            "x": [float(v) for v in rows[s, :n]],
+            "root_index": int(i),
+            "root": float(rts[s, i]),
+            "bracket": [float(lams[s, i]), float(lams[s, i + 1])],
+        }
     return {
         "max_violation": worst,
         "slack": slack,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideChart, SingularMetric, StepUnderflow
-from .fields import MetricField, PhaseState, pointwise_errors
+from .fields import MetricField, PhaseState, pointwise_errors, require_finite
 
 # Dormand-Prince 5(4) tableau. Row 7 doubles as the 5th-order weights (FSAL).
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -88,14 +88,12 @@ def hamiltonian(g: MetricField, x, p):
     along (N, n) stacks of points x and covectors p."""
     p = np.asarray(p, dtype=float)
     try:
-        # numpy's solve reads a 1-D right side as one vector, any other as matrices
-        v = np.linalg.solve(g.matrix(x), p if p.ndim == 1 else p[..., None])
+        v = np.linalg.solve(g.matrix(x), p[..., None])
     except np.linalg.LinAlgError:
         raise SingularMetric("metric singular", point=np.atleast_2d(x)[0]) from None
-    if p.ndim == 1:  # the vector dot, the cheapest one-point contraction
-        return 0.5 * float(p @ v)
-    # a matmul of a row by a column sums as that dot does; einsum and sum do not
-    return 0.5 * (p[..., None, :] @ v)[..., 0, 0]
+    # a matmul of a row by a column sums as the vector dot does; einsum and sum do not
+    h = 0.5 * (p[..., None, :] @ v)[..., 0, 0]
+    return float(h) if p.ndim == 1 else h
 
 
 @dataclass
@@ -203,23 +201,19 @@ def integrate(rhs, y0, t_span, tol, inside=None, max_steps=1_000_000) -> Traject
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
 
         if err <= 1.0:
-            t_new = t + h
             q = _dense_coeffs(h, k)
+            qs.append(q)
+            hs.append(h)
+            accepted += 1
             if inside is not None and not inside(y_new):
                 u_cross, y_cross = _bisect_exit(inside, y, q)
                 ts.append(t + u_cross * h)
                 ys.append(y_cross)
-                qs.append(q)
-                hs.append(h)
                 status = "exited-chart"
-                accepted += 1
                 break
-            t, y, f = t_new, y_new, f_new
+            t, y, f = t + h, y_new, f_new
             ts.append(t)
             ys.append(y.copy())
-            qs.append(q)
-            hs.append(h)
-            accepted += 1
             factor = _SAFETY * err ** -0.2 if err > 0.0 else _FAC_MAX
             h *= min(_FAC_MAX, max(_FAC_MIN, factor))
         else:
@@ -268,10 +262,23 @@ def integrate_geodesic(g: MetricField, state: PhaseState, horizon: float,
 
 
 def monitor_along(traj: Trajectory, fn, samples: int = 201) -> dict:
-    """Span statistics (`span_stats`) of fn(x, p) on a uniform time grid
-    of the run."""
+    """Span statistics (`span_stats`) of fn on a uniform time grid of the
+    run, from one call fn(xs, ps) on the (samples, n) stacks (see
+    `monitored_values`)."""
     ys = traj.sample(np.linspace(traj.ts[0], traj.t_end, samples))
-    return span_stats(np.array([fn(y[: traj.dim], y[traj.dim:]) for y in ys]))
+    return span_stats(monitored_values(fn, ys[:, : traj.dim], ys[:, traj.dim:]))
+
+
+def monitored_values(fn, xs, ps):
+    """fn(xs, ps) on (N, n) stacks of points and covectors, which must be an
+    (N,) array of finite values: any other shape raises ValueError, and a
+    non-finite value DomainViolation at its sample's x."""
+    vals = np.asarray(fn(xs, ps), dtype=float)
+    if vals.shape != xs.shape[:1]:
+        raise ValueError(f"monitored function returned shape {vals.shape}, "
+                         f"want {xs.shape[:1]}")
+    require_finite(vals[:, None, None], xs, "monitored value")
+    return vals
 
 
 def span_stats(vals) -> dict:

@@ -166,17 +166,11 @@ class LeviCivitaSpec:
 
     def p_fields(self):
         """P_i = prod_{j<i}(phi_i - phi_j) * prod_{j>i}(phi_j - phi_i), all > 0."""
-        m = len(self.phis)
-        out = []
-        for i in range(m):
-            acc = None
-            for j in range(m):
-                if j == i:
-                    continue
-                factor = (self.phis[i] - self.phis[j]) if j < i else (self.phis[j] - self.phis[i])
-                acc = factor if acc is None else acc * factor
-            out.append(acc if acc is not None else ConstantField(self.chart, 1.0))
-        return out
+        phis = self.phis  # the product starts from 1, which returns its first factor
+        return [functools.reduce(operator.mul, [phis[max(i, j)] - phis[min(i, j)]
+                                                for j in range(len(phis)) if j != i],
+                                 ConstantField(self.chart, 1.0))
+                for i in range(len(phis))]
 
 
 def build_lc_pair(spec: LeviCivitaSpec, partner=True):
@@ -298,26 +292,28 @@ class WarpedSpec:
         return self.base_metric.chart
 
 
-def _product_chart(base: Chart, extra_names, extra_bounds) -> Chart:
-    return Chart(base.names + tuple(extra_names), base.bounds + tuple(extra_bounds))
+def _lifted_base(spec: WarpedSpec, names, bounds):
+    """(chart, entries, lift): the product of the base chart with the
+    coordinates `names` in `bounds`, its entry table holding the lifted base
+    metric in the leading block and zeros elsewhere, and the index map that
+    lifts a base field."""
+    base = spec.base_chart
+    chart = Chart(base.names + tuple(names), base.bounds + tuple(bounds))
+    lift = tuple(range(base.dim))
+    zero = ConstantField(chart, 0.0)
+    entries = [[zero] * chart.dim for _ in range(chart.dim)]
+    for i in lift:
+        for j in range(i, base.dim):
+            entries[i][j] = entries[j][i] = ReindexedField(
+                chart, spec.base_metric.entries[i][j], lift)
+    return chart, entries, lift
 
 
 def adjusted_metric(spec: WarpedSpec) -> MetricField:
     """g0 + sum_i sigma_i dy_i^2 on the base-times-fibers product chart."""
-    base = spec.base_chart
-    k0 = base.dim
-    m = len(spec.warps)
-    names = [f"y{i + 1}" for i in range(m)]
-    chart = _product_chart(base, names, spec.y_bounds)
-    lift = tuple(range(k0))
-    zero = ConstantField(chart, 0.0)
-    n = k0 + m
-    entries = [[zero] * n for _ in range(n)]
-    for i in range(k0):
-        for j in range(i, k0):
-            f = ReindexedField(chart, spec.base_metric.entries[i][j], lift)
-            entries[i][j] = f
-            entries[j][i] = f
+    k0 = spec.base_chart.dim
+    chart, entries, lift = _lifted_base(
+        spec, [f"y{i + 1}" for i in range(len(spec.warps))], spec.y_bounds)
     for i, w in enumerate(spec.warps):
         entries[k0 + i][k0 + i] = ReindexedField(chart, w, lift)
     return MetricField(chart, entries, validate=False)
@@ -328,25 +324,12 @@ def warped_metric(spec: WarpedSpec) -> MetricField:
     if len(spec.fiber_metrics) != len(spec.warps):
         raise ValueError("warped_metric needs one fiber metric per warp")
     base = spec.base_chart
-    k0 = base.dim
-    names = []
-    bounds = []
-    for fm in spec.fiber_metrics:
-        names.extend(fm.chart.names)
-        bounds.extend(fm.chart.bounds)
+    names = [s for fm in spec.fiber_metrics for s in fm.chart.names]
+    bounds = [b for fm in spec.fiber_metrics for b in fm.chart.bounds]
     if len(set(names)) != len(names) or set(names) & set(base.names):
         raise ValueError("fiber coordinate names must be disjoint")
-    chart = _product_chart(base, names, bounds)
-    lift_base = tuple(range(k0))
-    zero = ConstantField(chart, 0.0)
-    n = chart.dim
-    entries = [[zero] * n for _ in range(n)]
-    for i in range(k0):
-        for j in range(i, k0):
-            f = ReindexedField(chart, spec.base_metric.entries[i][j], lift_base)
-            entries[i][j] = f
-            entries[j][i] = f
-    off = k0
+    chart, entries, lift_base = _lifted_base(spec, names, bounds)
+    off = base.dim
     for fm, w in zip(spec.fiber_metrics, spec.warps):
         kf = fm.chart.dim
         lift_fiber = tuple(range(off, off + kf))

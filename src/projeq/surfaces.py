@@ -191,7 +191,7 @@ def principal_form(integral: QuadraticIntegral2D, samples=64, seed=0,
     residual above fit_tol_factor * max |a|.
     """
     pts = integral.chart.sample(samples, seed=seed)
-    z = np.array([complex(x[0], x[1]) for x in pts])
+    z = pts[:, 0] + 1j * pts[:, 1]
     ra, ia = scan(pts, lambda p: (integral.re_a.eval(p), integral.im_a.eval(p)),
                   lambda vals, p: require_finite(np.column_stack(vals)[..., None], p,
                                                  "a-coefficient"))

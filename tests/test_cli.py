@@ -262,13 +262,31 @@ def test_monitored_columns_equal_per_point_monitoring(tmp_path):
         header = lines[0].split(",")
         table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         for k, (name, fn) in enumerate(monitored):
-            # each point on its own, as monitor_along evaluates it
+            # each point on its own against the stacked column
             assert table[:, header.index(name)].tolist() == [fn(y[:3], y[3:]) for y in ys]
             d = monitor_along(traj, fn)
             row = rows[idx * len(monitored) + k].split(",")
             assert row[:2] == [repr(float(idx)), name]
             assert [float(v) for v in row[2:]] == [
                 d["first"], d["last"], d["min"], d["max"], d["drift"]]
+
+
+def test_a_non_finite_monitored_value_is_a_structural_error(tmp_path, monkeypatch):
+    import projeq.cli as cli
+
+    monitored = cli._monitored
+
+    def with_nan(scene, run):  # a quantity that is NaN from the 41st sample on
+        return monitored(scene, run) + [
+            ("nan", lambda x, p: np.where(np.arange(len(x)) >= 40, np.nan, 0.0))]
+
+    monkeypatch.setattr(cli, "_monitored", with_nan)
+    m = write_manifest(tmp_path, {**LC3, "run": {"seed": 0, "geodesics": 1, "horizon": 1.0}})
+    for command in ("geodesic", "conserve"):
+        out = tmp_path / command
+        assert run(command, m, out) == 2
+        assert report_of(out)["error"].startswith(
+            "DomainViolation: non-finite monitored value entry at [")
 
 
 # -- CSV contracts ----------------------------------------------------------
@@ -459,6 +477,65 @@ def test_example_command_runs_expected_audits(tmp_path):
                      "model[F3]", "energy_proportional[H]"):
         assert expected in names, names
     assert (out / "conserve.csv").exists()
+
+
+# (audit, value, pass) of `projeq example` per bundle at seed 3, 40 samples,
+# 2 geodesics, horizon 0.8: the audits each bundle's `expected` dict asks for
+EXAMPLE_AUDITS = {
+    "example1": [
+        ("drift[F1]", 3.1491393936988743e-09, True),
+        ("drift[F2]", 5.721793705504297e-09, True),
+        ("drift[F3]", 5.530224278516016e-09, True),
+        ("drift[H]", 3.997859478961964e-09, True),
+        ("energy_drift", 1.998929632929247e-09, True),
+        ("killing[rotation]", 0.0, True),
+        ("model[F1]", "Model1a", True),
+        ("model[F2]", "Model4", True),
+        ("model[F3]", "Model1a", True),
+        ("energy_proportional[H]", "EnergyProportional", True),
+    ],
+    "example2": [
+        ("drift[F1]", 2.2297308444052533e-10, True),
+        ("drift[F2]", 9.643641440959527e-10, True),
+        ("drift[H]", 4.855709166839793e-10, True),
+        ("energy_drift", 2.4278551391532233e-10, True),
+        ("killing[rotation]", 161.4703125, True),
+        ("model[F1]", "Model1a", True),
+        ("model[F2]", "Model2", True),
+        ("energy_proportional[H]", "EnergyProportional", True),
+    ],
+    "torus": [
+        ("drift[pair_integral]", 4.129574857942752e-09, True),
+        ("energy_drift", 1.7769924420818484e-09, True),
+        ("pair_bm_residual", 3.656724963592031e-15, True),
+        ("weight_margin", 1.5117557578614607, True),
+        ("weight_partner_margin", 1.5166532580491605, True),
+    ],
+    "sphere_beltrami": [
+        ("energy_drift[0]", 3.6996872232464284e-10, True),
+        ("energy_drift[1]", 5.6515070401275125e-11, True),
+        ("flow_bm_residual", 2.3492688905335513e-09, True),
+        ("sectional_curvature", 5.551115123125783e-16, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_AUDITS))
+def test_example_command_audits_are_frozen(tmp_path, name):
+    m = write_manifest(tmp_path, {
+        "geometry": {"kind": "example", "name": name},
+        "run": {"seed": 3, "samples": 40, "geodesics": 2, "horizon": 0.8},
+    })
+    out = tmp_path / "out"
+    assert run("example", m, out) == 0
+    got = [(a["audit"], a["value"], a["pass"]) for a in report_of(out)["audits"]]
+    want = EXAMPLE_AUDITS[name]
+    assert [(a, p) for a, _, p in got] == [(a, p) for a, _, p in want]
+    for (audit, value, _), (_, pinned, _) in zip(got, want):
+        if isinstance(pinned, str):
+            assert value == pinned, audit
+        else:
+            assert value == pytest.approx(pinned, rel=1e-6, abs=1e-12), audit
 
 
 def test_unknown_command_rejected_by_parser(tmp_path):

@@ -1,12 +1,13 @@
 """Integrator checks: exact solutions, conservation, truncation, controls."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from projeq.chart import Chart, box_chart
-from projeq.errors import OutsideChart, SingularMetric, StepUnderflow
+from projeq.errors import DomainViolation, OutsideChart, SingularMetric, StepUnderflow
 from projeq.fields import MetricField, PhaseState
 from projeq.geodesics import (
     Trajectory,
@@ -64,7 +65,7 @@ def test_momentum_conjugate_to_cyclic_coordinate_conserved():
     # phi is cyclic on the sphere: p_phi exactly conserved
     st = PhaseState(np.array([1.2, -0.4]), np.array([0.5, 0.7]))
     traj = integrate_geodesic(SPHERE, st, 5.0, tol=1e-10)
-    mon = monitor_along(traj, lambda x, p: p[1])
+    mon = monitor_along(traj, lambda x, p: p[..., 1])
     assert mon["drift"] <= 1e-9
 
 
@@ -194,8 +195,37 @@ def test_sample_on_a_time_array_matches_elementwise_dense_output():
 def test_monitor_reports_span_fields():
     st = PhaseState(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
     traj = integrate_geodesic(FLAT, st, 2.0, tol=1e-8)
-    mon = monitor_along(traj, lambda x, p: x[0], samples=51)
+    mon = monitor_along(traj, lambda x, p: x[..., 0], samples=51)
     assert mon["first"] == pytest.approx(0.0, abs=1e-12)
     assert mon["last"] == pytest.approx(2.0, abs=1e-9)
     assert mon["max"] >= mon["min"]
     assert mon["samples"] == 51
+
+
+def _nan_from(k):
+    """x_0 at each sample, NaN from sample k on."""
+    def fn(x, p):
+        out = x[..., 0].copy()
+        out[k:] = math.nan
+        return out
+    return fn
+
+
+def test_monitor_refuses_a_non_finite_value_at_its_sample():
+    st = PhaseState(np.array([0.0, 0.0]), np.array([1.0, 0.5]))
+    traj = integrate_geodesic(FLAT, st, 2.0, tol=1e-8)
+    xs = traj.sample(np.linspace(traj.ts[0], traj.t_end, 51))[:, :2]
+    with pytest.raises(DomainViolation) as err:
+        monitor_along(traj, _nan_from(17), samples=51)
+    assert err.value.point == xs[17].tolist()
+    assert str(err.value).startswith("non-finite monitored value entry at")
+
+
+@pytest.mark.parametrize("fn, shape", [(lambda x, p: 1.0, "()"),
+                                       (lambda x, p: p, "(51, 2)"),
+                                       (lambda x, p: p[0], "(2,)")])
+def test_monitor_refuses_any_shape_but_one_value_per_sample(fn, shape):
+    st = PhaseState(np.array([0.0, 0.0]), np.array([1.0, 0.5]))
+    traj = integrate_geodesic(FLAT, st, 2.0, tol=1e-8)
+    with pytest.raises(ValueError, match=re.escape(f"returned shape {shape}, want (51,)")):
+        monitor_along(traj, fn, samples=51)

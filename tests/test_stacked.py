@@ -13,15 +13,17 @@ import numpy as np
 import pytest
 
 from projeq import jets
-from projeq.chart import Chart
-from projeq.curvature import christoffel, riemann
+from projeq.chart import Chart, box_chart
+from projeq.curvature import christoffel, riemann, sectional
 from projeq.errors import (
+    ComplexRoots,
     DomainViolation,
     NotPositiveDefinite,
     NotSelfAdjoint,
     OrderingViolated,
     ProjeqError,
     SingularMetric,
+    ZeroVelocity,
 )
 from projeq.fields import (
     ConstantField,
@@ -35,7 +37,7 @@ from projeq.fields import (
     scan,
     worst_point,
 )
-from projeq.flows import IntegralFamily, _powers
+from projeq.flows import IntegralFamily, _powers, interlacing_audit
 from projeq.geodesics import hamiltonian
 from projeq.levicivita import (
     LeviCivitaSpec,
@@ -59,6 +61,7 @@ from projeq.pairs import (
     l_from_pair,
     lie_derivative_metric,
     projective_weyl,
+    spectra_at,
     weyl_pair_defect,
 )
 from projeq.surfaces import builtin_example, killing_residual
@@ -516,3 +519,116 @@ def test_a_failing_audit_stack_raises_what_the_loop_raised_first(first):
     if first != "nan":  # a NaN ratio passes the positivity check, as it did
         _raises_as(_loop_error(lambda x: l_from_pair(good, g, x), xs),
                    lambda: l_from_pair(good, g, xs))
+
+
+# -- the roots of the integral family and the interlacing audit --------------------
+
+
+def _roots_loop(fam, state):
+    """(t-coefficients, roots) at one state, as the per-state np.roots call
+    computed them."""
+    v = np.linalg.solve(fam.g.matrix(state.x), state.p)
+    coeffs = np.array([float(state.p @ (c @ v)) for c in fam.coeff_matrices(state.x)])
+    return coeffs, np.sort(np.roots(coeffs[::-1]).real)
+
+
+def _interlacing_loop(fam, states, slack=1e-9):
+    """The audit as the loop over states computed it."""
+    worst, detail = -np.inf, None
+    for state, lam in zip(states, spectra_at(fam.g, fam.L, [s.x for s in states])):
+        for i, t in enumerate(_roots_loop(fam, state)[1]):
+            viol = max(lam[i] - t, t - lam[i + 1])
+            if viol > worst:
+                worst = viol
+                detail = {"x": [float(v) for v in state.x], "root_index": i,
+                          "root": float(t), "bracket": [float(lam[i]), float(lam[i + 1])]}
+    return {"max_violation": worst, "slack": slack, "pass": bool(worst <= slack),
+            "states": len(states), "worst": detail}
+
+
+@pytest.mark.parametrize("case", ["lc3", "random_spec(2, 4)"])
+def test_stacked_roots_and_interlacing_equal_the_per_state_loop(case):
+    g, _, L, _, _ = _audited(case)
+    fam = IntegralFamily(g, L)
+    for seed in range(3):
+        states = seeded_states(g, g.chart, 200, seed)
+        stacked = PhaseState([s.x for s in states], [s.p for s in states])
+        coeffs, roots = map(np.array, zip(*(_roots_loop(fam, s) for s in states)))
+        assert np.array_equal(fam.t_coefficients(stacked), coeffs)
+        assert np.array_equal(fam.roots(stacked), roots)
+        assert np.array_equal(fam.roots(states[0]), roots[0])
+        assert interlacing_audit(fam, states) == _interlacing_loop(fam, states)
+
+
+def test_zero_low_order_coefficients_are_roots_at_exactly_zero():
+    chart = Chart(("x", "y", "z", "w"), ((-0.5, 0.5),) * 4)
+    g = MetricField.diagonal(chart, ("1.3 + x", "2.9 + y", "0.7 + z", "1.1 + w"))
+    # integer eigenvalues keep the Faddeev-LeVerrier matrices exact: with two
+    # zero eigenvalues a_0 = 0, and a_1 = 0 too where p_0 = p_1 = 0
+    L = EndomorphismField.from_rows(chart, [["0", "0", "0", "0"], ["0", "0", "0", "0"],
+                                            ["0", "0", "2", "0"], ["0", "0", "0", "5"]])
+    fam = IntegralFamily(g, L)
+    xs = chart.sample(30, seed=1)
+    ps = np.random.default_rng(3).standard_normal(xs.shape)
+    ps[10:20, :2] = 0.0
+    state = PhaseState(xs, ps)
+    coeffs = fam.t_coefficients(state)
+    assert (coeffs[:, 0] == 0.0).all() and (coeffs[10:20, 1] == 0.0).all()
+    loop = np.array([_roots_loop(fam, PhaseState(x, p))[1] for x, p in zip(xs, ps)])
+    assert np.array_equal(fam.roots(state), loop)
+    assert (np.sum(loop == 0.0, axis=1) == [1] * 10 + [2] * 10 + [1] * 10).all()
+
+
+def _rotation_family():
+    """L with a rotation block of angular speed 1 + x: along e_z,
+    I_t = t^2 + (1 + x)^2 has the roots +-(1 + x) i."""
+    chart = box_chart(("x", "y", "z"), half_width=1.0)
+    L = EndomorphismField.from_rows(
+        chart, [["0", "-1 - x", "0"], ["1 + x", "0", "0"], ["0", "0", "1"]])
+    return IntegralFamily(MetricField.euclidean(chart), L, check_points=0)
+
+
+@pytest.mark.parametrize("first", ["zero", "complex"])
+def test_a_failing_roots_stack_raises_what_the_loop_raised_first(first):
+    fam = _rotation_family()
+    xs = np.column_stack([np.linspace(-0.5, 0.5, 10), np.zeros(10), np.zeros(10)])
+    ps = np.tile([1.0, 0.0, 0.0], (10, 1))  # real roots: I_t = (1 - t)(-t)
+    faults = {3: first, 7: {"zero": "complex", "complex": "zero"}[first]}
+    for k, kind in faults.items():
+        ps[k] = 0.0 if kind == "zero" else [0.0, 0.0, 1.0]
+    states = [PhaseState(x, p) for x, p in zip(xs, ps)]
+    expected = _loop_error(fam.roots, states)
+    assert isinstance(expected, ZeroVelocity if first == "zero" else ComplexRoots)
+    _raises_as(expected, lambda: interlacing_audit(fam, states))
+    # a stack whose only failing state is the 8th raises that state's error
+    ps[3] = [1.0, 0.0, 0.0]
+    _raises_as(_loop_error(fam.roots, [PhaseState(xs[7], ps[7])]),
+               lambda: fam.roots(PhaseState(xs, ps)))
+    if first == "complex":
+        assert "exceeds clamp" in str(expected) and f"{1.0 + xs[3, 0]:.3e}" in str(expected)
+
+
+# -- sectional curvature on stacks -------------------------------------------------
+
+
+@pytest.mark.parametrize("case", ["torus", "sphere_beltrami", "example1"])
+def test_stacked_sectional_equals_the_one_point_calls(case):
+    g = builtin_example(case).metric
+    xs = g.chart.sample(20, seed=3)
+    us, vs = np.random.default_rng(2).standard_normal((2, 20, 2))
+    stacked = sectional(g, xs, us, vs)
+    assert np.array_equal(stacked, [sectional(g, x, u, v) for x, u, v in zip(xs, us, vs)])
+    e1, e2 = np.eye(2)
+    assert np.array_equal(sectional(g, xs, e1, e2), [sectional(g, x, e1, e2) for x in xs])
+    assert type(sectional(g, xs[0], e1, e2)) is float
+
+
+def test_a_degenerate_plane_raises_at_its_first_point():
+    g = builtin_example("sphere_beltrami").metric
+    xs = g.chart.sample(20, seed=3)
+    us = np.tile([1.0, 0.0], (20, 1))
+    vs = np.tile([0.0, 1.0], (20, 1))
+    vs[6] = vs[11] = [2.0, 0.0]
+    with pytest.raises(ValueError, match=r"do not span a plane") as err:
+        sectional(g, xs, us, vs)
+    assert str(xs[6].tolist()) in str(err.value)
