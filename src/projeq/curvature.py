@@ -103,9 +103,9 @@ def sectional(g, x, u, v, riem=None):
 
     guu, gvv = gdot(u, u), gdot(v, v)
     gram = guu * gvv - gdot(u, v) ** 2
-    degenerate = gram <= 1e-14 * np.maximum(1.0, guu * gvv)
-    if degenerate.any():
-        k = int(np.argmax(degenerate))
+    spans = gram > 1e-14 * np.maximum(1.0, guu * gvv)
+    if not spans.all():
+        k = int(np.argmin(spans))
         raise ValueError("u, v do not span a plane (degenerate Gram determinant) "
                          f"at {[float(c) for c in np.atleast_2d(x)[k]]}")
     if riem is None:

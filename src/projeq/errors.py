@@ -34,7 +34,7 @@ class NotPositiveDefinite(PointError):
     """A matrix required to be positive-definite is not."""
 
 
-class NotSelfAdjoint(ProjeqError):
+class NotSelfAdjoint(PointError):
     """Lowered endomorphism g*L fails symmetry beyond tolerance."""
 
 
@@ -46,23 +46,23 @@ class StepUnderflow(ProjeqError):
     """Adaptive step controller drove the step below h_min."""
 
 
-class ZeroVelocity(ProjeqError):
+class ZeroVelocity(PointError):
     """Phase state has (numerically) zero momentum where nonzero is required."""
 
 
-class ComplexRoots(ProjeqError):
+class ComplexRoots(PointError):
     """Polynomial roots kept a non-negligible imaginary part."""
 
 
-class OrderingViolated(ProjeqError):
+class OrderingViolated(PointError):
     """Eigenfunction ordering phi_1 < ... < phi_m fails on the domain."""
 
 
-class NonPositivePhi(ProjeqError):
+class NonPositivePhi(PointError):
     """Partner construction requested with a non-positive eigenfunction."""
 
 
-class GapViolated(ProjeqError):
+class GapViolated(PointError):
     """Spectral gap required by the splitting construction closes."""
 
 
@@ -82,7 +82,7 @@ class BranchViolation(ProjeqError):
     """Point too close to a pole or branch cut of a flattening map."""
 
 
-class SingularMatrix(ProjeqError):
+class SingularMatrix(PointError):
     """A matrix required to be invertible is singular."""
 
 

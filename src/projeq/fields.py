@@ -440,7 +440,7 @@ class MetricField(_EntryTable):
                 if table[i][j] is not table[j][i]:
                     # distinct objects allowed only if they agree numerically
                     def agree(diff, pts, i=i, j=j):
-                        if (np.abs(diff) > 1e-12).any():
+                        if not (np.abs(diff) <= 1e-12).all():
                             raise ValueError(f"metric entries ({i},{j}) vs ({j},{i}) differ")
 
                     scan(chart.sample(16, seed=3),
@@ -465,13 +465,9 @@ class MetricField(_EntryTable):
         """g^{-1} at one point x or at each of an (N, n) stack, refusing a
         non-finite metric, then one whose condition number is 1e12 or more,
         at its first such point."""
-        m = self.matrix(x)
-        require_finite(m, x, "metric")
+        m = require_finite(self.matrix(x), x, "metric")
         s = np.linalg.svd(m, compute_uv=False).T  # s[0] / s[-1] is the condition number
-        singular = s[0] >= _COND_CAP * s[-1]
-        if np.count_nonzero(singular):
-            raise SingularMetric("metric numerically singular",
-                                 point=np.atleast_2d(x)[int(np.argmax(singular))])
+        require(s[0] < _COND_CAP * s[-1], x, SingularMetric, "metric numerically singular")
         return np.linalg.inv(m)
 
     def det(self, x):
@@ -479,8 +475,7 @@ class MetricField(_EntryTable):
 
     def pd_report(self, samples=10_000, seed=0):
         pts = self.chart.sample(samples, seed=seed)
-        mats = self.matrix(pts)
-        require_finite(mats, pts, "metric")
+        mats = require_finite(self.matrix(pts), pts, "metric")
         worst, worst_val = None, np.inf
         if len(pts):
             low = np.linalg.eigvalsh(mats)[:, 0]
@@ -530,32 +525,32 @@ class EndomorphismField(_EntryTable):
         """Gradient of trace L."""
         return np.trace(self.dmatrix(x), axis1=-3, axis2=-2)
 
+    def _lowered(self, g, x):
+        """(g L, |g L - (g L)^T|) at x, refusing a non-finite g, then a
+        non-finite L, with DomainViolation at its first such point."""
+        gl = (require_finite(g.matrix(x), x, "metric")
+              @ require_finite(self.matrix(x), x, "endomorphism"))
+        return gl, np.abs(gl - np.swapaxes(gl, -1, -2))
+
     def self_adjoint_defect(self, g, x):
         """max |g L - (g L)^T| at x, or over an (N, n) stack of points; a
         non-finite g, then a non-finite L, raises DomainViolation at its
         first such point."""
-        gm, lm = g.matrix(x), self.matrix(x)
-        require_finite(gm, x, "metric")
-        require_finite(lm, x, "endomorphism")
-        gl = gm @ lm
-        return float(np.max(np.abs(gl - np.swapaxes(gl, -1, -2))))
+        return float(np.max(self._lowered(g, x)[1]))
 
     @pointwise_errors(2)
     def require_self_adjoint(self, g, x, eps_sym_factor=1e-9):
         """Raise NotSelfAdjoint at the first point of x (one point or an
         (N, n) stack) where g L is asymmetric beyond eps_sym_factor times
-        max(1, |g L|), |.| the Frobenius norm."""
-        gl = g.matrix(x) @ self.matrix(x)
+        max(1, |g L|), |.| the Frobenius norm; a non-finite g, then a
+        non-finite L, is a DomainViolation there."""
+        gl, asym = self._lowered(g, x)
         flat = gl.reshape(gl.shape[:-2] + (1, -1))
         norm = np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])  # as np.linalg.norm
         tol = eps_sym_factor * np.fmax(1.0, norm)
-        defect = np.max(np.abs(gl - np.swapaxes(gl, -1, -2)), axis=(-2, -1))
-        if (defect > tol).any():
-            k = int(np.argmax(defect > tol))
-            raise NotSelfAdjoint(
-                f"g*L asymmetric by {defect.flat[k]:.3e} (tol {tol.flat[k]:.3e})"
-                f" at {np.reshape(x, (-1, self.dim))[k]}"
-            )
+        defect = np.max(asym, axis=(-2, -1))
+        require(defect <= tol, x, NotSelfAdjoint,
+                lambda k: f"g*L asymmetric by {defect.flat[k]:.3e} (tol {tol.flat[k]:.3e})")
 
     @classmethod
     def identity(cls, chart):
@@ -598,22 +593,32 @@ class PhaseState:
             raise ValueError("x and p must have equal shapes")
 
 
-def require_finite(mats, points, what):
-    """Raise DomainViolation naming the first point whose matrix in the
-    stack ``mats`` has a non-finite entry; ``points`` is the one point of
-    one matrix, the (N, n) points of a stack, or None."""
-    if not np.isfinite(mats).all():
-        k = int(np.argmin(np.isfinite(mats).all(axis=(-2, -1))))
-        raise DomainViolation(f"non-finite {what} entry",
-                              point=None if points is None else np.atleast_2d(points)[k])
+def require(ok, points, error, text):
+    """Raise error(text, point=...) at the first point where the pass
+    condition ok is not True. ``points`` is one point, an (N, n) stack or
+    None; ok holds one flag per point, or one per point and further axes,
+    all of which must hold there. ``text`` is a string or a function of
+    the failing point's index. Write ok as the pass condition: every
+    comparison with a NaN is False, so a NaN fails it."""
+    if not np.asarray(ok).all():
+        pts = None if points is None else np.atleast_2d(points)
+        count = (np.shape(ok)[:1] or (1,)) if pts is None else (len(pts),)
+        k = int(np.argmin(np.reshape(ok, count + (-1,)).all(axis=1)))
+        raise error(text(k) if callable(text) else text, point=None if pts is None else pts[k])
+
+
+def require_finite(values, points, what):
+    """values, once every entry is finite; else DomainViolation at the
+    first point with a non-finite entry, values laid out as require's ok."""
+    require(np.isfinite(values), points, DomainViolation, f"non-finite {what} entry")
+    return values
 
 
 def worst_point(values, points, what):
     """(value, point) of the first strict maximum of values over points,
     counted from 0.0, so the point is None when no value is positive; a
     non-finite value raises DomainViolation at its point."""
-    values = np.asarray(values, dtype=float)
-    require_finite(values.reshape(-1, 1, 1), points, what)
+    values = require_finite(np.asarray(values, dtype=float), points, what)
     if not len(values) or values.max() <= 0.0:
         return 0.0, None
     k = int(np.argmax(values))  # the first of tied maxima

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ComplexRoots, DomainViolation, ZeroVelocity
-from .fields import PhaseState, scan
+from .fields import PhaseState, require, scan
 from .pairs import spectra_at, spectrum_at
 from .tolerances import DEFAULT
 
@@ -165,8 +165,8 @@ class IntegralFamily:
         A stack checks every momentum first; fields.scan orders its errors.
         """
         a = np.atleast_2d(self.t_coefficients(state))
-        if (np.abs(a[:, -1]) < 1e-14 * np.maximum(1.0, np.abs(a).max(axis=1))).any():
-            raise ZeroVelocity("momentum too small: leading coefficient vanishes")
+        require(np.abs(a[:, -1]) >= 1e-14 * np.maximum(1.0, np.abs(a).max(axis=1)), state.x,
+                ZeroVelocity, "momentum too small: leading coefficient vanishes")
         m = a.shape[1] - 1
         # companion of the polynomial stripped of its zero low-order terms
         keep = np.arange(m) < m - np.argmax(a != 0, axis=1)[:, None]
@@ -174,10 +174,8 @@ class IntegralFamily:
         comp[:, :1, :] = np.where(keep, -a[:, -2::-1] / a[:, -1:], 0.0)[:, None, :]
         comp[:, np.arange(1, m), np.arange(m - 1)] = keep[:, 1:]
         rts = np.linalg.eigvals(comp)
-        bad = np.abs(rts.imag) > _IMAG_CLAMP * (1.0 + np.abs(rts))
-        if bad.any():
-            imag = np.abs(rts[int(np.argmax(bad.any(axis=1)))].imag).max()
-            raise ComplexRoots(f"root imaginary part {imag:.3e} exceeds clamp")
+        require(np.abs(rts.imag) <= _IMAG_CLAMP * (1.0 + np.abs(rts)), state.x, ComplexRoots,
+                lambda k: f"root imaginary part {np.abs(rts[k].imag).max():.3e} exceeds clamp")
         rts = np.sort(rts.real)
         return rts if state.p.ndim > 1 else rts[0]
 
@@ -248,10 +246,7 @@ class IntegralFamily:
             br = np.concatenate([(w @ jet.brackets @ w.T)[:, ii, jj],
                                  (w @ jet.energy_brackets[:, :, None])[..., 0]], axis=1)
             rel = np.abs(br) / np.concatenate([1.0 + mag[:, ii] + mag[:, jj], 1.0 + mag], 1)
-            bad = ~np.isfinite(rel).all(axis=1)
-            if bad.any():
-                raise DomainViolation("non-finite commutation bracket",
-                                      point=x[int(np.argmax(bad))])
+            require(np.isfinite(rel), x, DomainViolation, "non-finite commutation bracket")
             return rel, br
 
         rows = _phase_rows(phase_points, n)

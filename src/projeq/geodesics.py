@@ -277,8 +277,7 @@ def monitored_values(fn, xs, ps):
     if vals.shape != xs.shape[:1]:
         raise ValueError(f"monitored function returned shape {vals.shape}, "
                          f"want {xs.shape[:1]}")
-    require_finite(vals[:, None, None], xs, "monitored value")
-    return vals
+    return require_finite(vals, xs, "monitored value")
 
 
 def span_stats(vals) -> dict:

@@ -39,6 +39,7 @@ from .fields import (
     ReindexedField,
     as_field,
     pointwise_errors,
+    require,
     scan,
     worst_point,
 )
@@ -134,22 +135,21 @@ class LeviCivitaSpec:
 
         def ordered(vals, pts):
             vals = np.array(vals)  # vals[i, k] = phi_{i+1} at point k
-            bad = np.argwhere(~(vals[:-1] < vals[1:] - margin).T)
-            if len(bad):
-                k, i = bad[0]  # the first point, then the first pair there
-                raise OrderingViolated(
-                    f"phi_{i + 1}={vals[i, k]:.6g} vs phi_{i + 2}={vals[i + 1, k]:.6g}"
-                    f" at {pts[k]} (margin {margin:.1e})"
-                )
+            ok = (vals[:-1] < vals[1:] - margin).T
+
+            def text(k):
+                i = int(np.argmin(ok[k]))  # the first failing pair at the point
+                return (f"phi_{i + 1}={vals[i, k]:.6g} vs phi_{i + 2}={vals[i + 1, k]:.6g}"
+                        f" (margin {margin:.1e})")
+
+            require(ok, pts, OrderingViolated, text)
 
         scan(pts, lambda p: [phi.eval(p) for phi in self.phis], ordered)
         for i, table in enumerate(self.block_metrics):
 
             def definite(a, pts, i=i):
                 low = np.linalg.eigvalsh(0.5 * (a + a.transpose(0, 2, 1)))[:, 0]
-                if (low <= 0.0).any():
-                    raise NotPositiveDefinite(
-                        f"block metric {i + 1} not PD at {pts[int(np.argmax(low <= 0.0))]}")
+                require(low > 0.0, pts, NotPositiveDefinite, f"block metric {i + 1} not PD")
 
             scan(pts[:64], lambda p, t=table: np.moveaxis(
                 np.array([[e.eval(p) for e in row] for row in t]), -1, 0), definite)
@@ -189,12 +189,13 @@ def build_lc_pair(spec: LeviCivitaSpec, partner=True):
 
     if partner:
         def positive(vals, pts):
-            bad = np.argwhere(np.array(vals).T <= DEFAULT.eig_floor)
-            if len(bad):
-                k, i = bad[0]  # the first point, then the first phi there
-                raise NonPositivePhi(
-                    f"phi_{i + 1} = {vals[i][k]:.6g} at {pts[k]}; partner weights undefined"
-                )
+            ok = np.array(vals).T > DEFAULT.eig_floor
+
+            def text(k):
+                i = int(np.argmin(ok[k]))  # the first failing phi at the point
+                return f"phi_{i + 1} = {vals[i][k]:.6g}; partner weights undefined"
+
+            require(ok, pts, NonPositivePhi, text)
 
         scan(chart.sample(_ORDERING_SAMPLES, seed=7),
              lambda p: [phi.eval(p) for phi in spec.phis], positive)
@@ -401,10 +402,8 @@ def _split_at(g, L, r, x, tau_deg_factor):
         raise ValueError(f"split position r must be in 1..{n - 1}")
     tau = tau_deg_factor * (1.0 + np.abs(lam).max(axis=-1))
     gap = lam[..., r] - lam[..., r - 1]
-    if (gap < tau).any():
-        k = int(np.argmax(gap < tau))
-        raise GapViolated(f"eigenvalue gap {np.ravel(gap)[k]:.3e} below {np.ravel(tau)[k]:.3e}"
-                          f" at {np.reshape(x, (-1, n))[k]}")
+    require(gap >= tau, x, GapViolated,
+            lambda k: f"eigenvalue gap {np.ravel(gap)[k]:.3e} below {np.ravel(tau)[k]:.3e}")
     lm = L.matrix(x)
     eye = np.eye(n)
     first = second = eye

@@ -26,7 +26,7 @@ import numpy as np
 
 from .chart import Chart
 from .errors import ExpressionError, ManifestError, ProjeqError, SingularMetric
-from .fields import EndomorphismField, MetricField, PhaseState, VectorField
+from .fields import EndomorphismField, MetricField, PhaseState, VectorField, require_finite
 from .flows import IntegralFamily
 from .levicivita import LeviCivitaSpec, build_lc_pair
 from .pairs import MetricPair, l_field_from_pair, spectrum_at
@@ -35,6 +35,7 @@ from .surfaces import LiouvilleData, builtin_example, liouville_build
 from .tolerances import DEFAULT, Tolerances
 
 _GEOMETRY_KINDS = ("metric", "pair", "lc", "liouville", "example")
+_MAX_BUDGET = 10_000  # largest run.samples and run.geodesics: pd_report's full audit
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,15 @@ class RunParams:
         return cls(**kwargs)
 
     def check(self):
-        """Raise ManifestError unless the seed and every budget can run an audit."""
+        """Raise ManifestError unless the seed and every budget can run an
+        audit; a budget above _MAX_BUDGET is refused before it allocates."""
         if not 0 <= self.seed < 2 ** 31:
             raise ManifestError(f"run.seed must be in [0, 2**31), got {self.seed}")
         for k in ("samples", "geodesics"):
             if getattr(self, k) < 1:
                 raise ManifestError(f"run.{k} must be >= 1, got {getattr(self, k)}")
+            if getattr(self, k) > _MAX_BUDGET:
+                raise ManifestError(f"run.{k} must be <= {_MAX_BUDGET}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ManifestError(f"run.horizon must be finite and > 0, got {self.horizon}")
 
@@ -288,7 +292,7 @@ def seeded_states(metric: MetricField, box: Chart, count: int, seed: int):
             d = np.zeros(n)
             d[0] = 1.0
         try:
-            ginv = np.linalg.inv(metric.matrix(x))
+            ginv = np.linalg.inv(require_finite(metric.matrix(x), x, "metric"))
         except np.linalg.LinAlgError:
             raise SingularMetric("metric singular", point=x) from None
         p = d / np.sqrt(float(d @ ginv @ d))

@@ -28,6 +28,7 @@ from .fields import (
     fmat_scale,
     g_orthonormal_frame,
     pointwise_errors,
+    require,
     require_finite,
     scan,
     worst_point,
@@ -50,10 +51,8 @@ def pencil_spectrum(gmat, lmat, points=None):
     lm = np.asarray(lmat, dtype=float)
     n = g.shape[-1]
     lead = g.shape[:-2]
-    g = g.reshape(-1, n, n)
-    lm = lm.reshape(-1, n, n)
-    require_finite(g, points, "metric")
-    require_finite(lm, points, "endomorphism")
+    g = require_finite(g.reshape(-1, n, n), points, "metric")
+    lm = require_finite(lm.reshape(-1, n, n), points, "endomorphism")
     try:
         c = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -124,8 +123,7 @@ def bm_residual_stats(g, L, points, eps_sym_factor=1e-9) -> dict:
     """Max and mean of bm_residual over points, and the worst point; a
     non-finite residual raises DomainViolation at its first point."""
     pts = np.reshape(points, (-1, g.dim))
-    vals = bm_residual(g, L, pts, eps_sym_factor)
-    require_finite(vals.reshape(-1, 1, 1), pts, "compatibility residual")
+    vals = require_finite(bm_residual(g, L, pts, eps_sym_factor), pts, "compatibility residual")
     worst = int(np.argmax(vals))
     return {
         "max": float(vals.max()),
@@ -160,8 +158,7 @@ def l_from_pair(g, gbar, x):
     n = gmat.shape[-1]
     dets = np.linalg.det(np.array((gbmat, gmat)))  # one LAPACK call for both
     ratio = dets[0] / dets[1]
-    if np.count_nonzero(ratio <= 0.0):
-        raise SingularMatrix("determinant ratio not positive; metrics degenerate")
+    require(ratio > 0.0, x, SingularMatrix, "determinant ratio not positive; metrics degenerate")
     # C's pow on each ratio: numpy's scalar ** is, its array ** differs in the last bit
     root = ratio ** (1.0 / (n + 1)) if ratio.ndim == 0 else _mapped(_pow)(ratio, 1.0 / (n + 1))
     return (root * np.linalg.solve(gbmat, gmat).T).T  # each matrix times its root

@@ -75,11 +75,12 @@ def format_float(v) -> str:
 
 
 def write_csv(path: str, columns, rows) -> None:
-    """LF-terminated CSV with repr-formatted floats; header mandatory."""
+    """LF-terminated CSV with repr-formatted floats; header mandatory. An
+    array of rows is read through tolist(), as Python floats."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
+        for row in rows.tolist() if hasattr(rows, "tolist") else rows:
             fh.write(",".join(
                 v if isinstance(v, str) else format_float(v) for v in row
             ) + "\n")

@@ -44,6 +44,7 @@ from .fields import (
     fmat_det,
     fmat_mul,
     fmat_scale,
+    require,
     require_finite,
     scan,
     worst_point,
@@ -193,8 +194,7 @@ def principal_form(integral: QuadraticIntegral2D, samples=64, seed=0,
     pts = integral.chart.sample(samples, seed=seed)
     z = pts[:, 0] + 1j * pts[:, 1]
     ra, ia = scan(pts, lambda p: (integral.re_a.eval(p), integral.im_a.eval(p)),
-                  lambda vals, p: require_finite(np.column_stack(vals)[..., None], p,
-                                                 "a-coefficient"))
+                  lambda vals, p: require_finite(np.column_stack(vals), p, "a-coefficient"))
     a = ra.astype(complex)
     a.imag = ia
     b_scale = float(np.abs(integral.b.eval(pts)).max())
@@ -394,21 +394,17 @@ class LiouvilleData:
         return data
 
     def _validate(self):
-        def apart(vals, pts):
-            gap = vals[0] - vals[1]
-            if (gap <= self.margin).any():
-                k = int(np.argmax(gap <= self.margin))
-                raise DomainViolation(
-                    f"X - Y = {gap[k]:.6g} at {pts[k]}; needs margin {self.margin:.1e}"
-                )
-
         xs, ys = scan(self.chart.sample(300, seed=13),
-                      lambda p: (self.x_profile.eval(p), self.y_profile.eval(p)), apart)
+                      lambda p: (self.x_profile.eval(p), self.y_profile.eval(p)),
+                      lambda vals, p: require(
+                          vals[0] - vals[1] > self.margin, p, DomainViolation,
+                          lambda k: f"X - Y = {vals[0][k] - vals[1][k]:.6g};"
+                                    f" needs margin {self.margin:.1e}"))
         # a sign change across the sample proves a zero of the profile even
         # when no sample point lands within margin of it
         for name, vals in (("X", xs), ("Y", ys)):
             lo, hi = vals.min(), vals.max()
-            if lo * hi <= 0.0 or min(abs(lo), abs(hi)) <= self.margin:
+            if not (lo * hi > 0.0 and min(abs(lo), abs(hi)) > self.margin):
                 raise DomainViolation(
                     f"profile {name} reaches [{lo:.6g}, {hi:.6g}];"
                     " partner weights 1/X, 1/Y undefined near a zero"

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from projeq.chart import Chart
 from projeq.cli import main
 
 
@@ -160,9 +161,16 @@ FLAT2 = {
      "ManifestError", "geometry.gbar must be a 2 x 2 table"),
     ("check-bm", {**FLAT2, "endomorphism": ["xy", "00"], "run": {"samples": 20}},
      "ManifestError", '"endomorphism" must be a list of rows'),
+    ("check-bm", {**LC3, "run": {"samples": 1e300}},
+     "ManifestError", "run.samples must be <= 10000"),
+    ("geodesic", {**LC3, "run": {"geodesics": 1e300}},
+     "ManifestError", "run.geodesics must be <= 10000"),
+    ("check-bm", {**LC3, "run": {"samples": 10_001}},
+     "ManifestError", "run.samples must be <= 10000"),
 ], ids=["samples-0", "samples-abc", "horizon-negative", "horizon-inf",
         "geodesics-0", "log-domain", "singular-metric", "entries-ragged",
-        "endomorphism-2x3", "gbar-not-a-table", "endomorphism-not-rows"])
+        "endomorphism-2x3", "gbar-not-a-table", "endomorphism-not-rows",
+        "samples-1e300", "geodesics-1e300", "samples-10001"])
 def test_bad_input_exits_2_with_named_error(tmp_path, command, manifest, error, names):
     m = write_manifest(tmp_path, manifest)
     out = tmp_path / "out"
@@ -171,6 +179,19 @@ def test_bad_input_exits_2_with_named_error(tmp_path, command, manifest, error, 
     assert rep["pass"] is False
     assert rep["error"].startswith(f"{error}:")
     assert names in rep["error"]
+
+
+def test_a_nan_metric_is_refused_at_the_first_start_point(tmp_path):
+    # x^1000 overflows on this chart, so the metric is NaN everywhere
+    bounds = [[2.5, 3.5], [-1.0, 1.0]]
+    m = write_manifest(tmp_path, {
+        "chart": {"names": ["x", "y"], "bounds": bounds},
+        "geometry": {"kind": "metric", "entries": [["x^1000 - x^1000 + 1", "0"], ["0", "1"]]},
+        "run": {"seed": 0, "geodesics": 2, "horizon": 1.0}})
+    out = tmp_path / "out"
+    assert run("geodesic", m, out) == 2
+    start = Chart(("x", "y"), tuple(map(tuple, bounds))).sample(2, seed=0)[0].tolist()
+    assert report_of(out)["error"] == f"DomainViolation: non-finite metric entry at {start}"
 
 
 def test_structural_error_leaves_no_trajectory_csv(tmp_path):

@@ -11,11 +11,18 @@ import pytest
 
 from projeq.chart import Chart, box_chart
 from projeq.errors import (
+    ComplexRoots,
     DerivativeNotAvailable,
     DomainViolation,
+    GapViolated,
+    NonPositivePhi,
     NotPositiveDefinite,
     NotSelfAdjoint,
+    OrderingViolated,
+    PointError,
+    SingularMatrix,
     SingularMetric,
+    ZeroVelocity,
 )
 from projeq.fields import (
     ConstantField,
@@ -34,6 +41,8 @@ from projeq.fields import (
     fmat_mul,
     fmat_scale,
     g_orthonormal_frame,
+    require,
+    require_finite,
 )
 
 CHART2 = Chart(("x", "y"), ((-2.0, 2.0), (-2.0, 2.0)))
@@ -284,6 +293,13 @@ def test_metric_asymmetric_entries_rejected():
         MetricField.from_rows(CHART2, rows, validate=False)
 
 
+def test_metric_entries_differing_by_a_nan_are_rejected():
+    # x^1000 overflows on this chart, so x^1000 - x^1000 is NaN
+    big = Chart(("x", "y"), ((2.5, 3.5), (-1.0, 1.0)))
+    with pytest.raises(ValueError, match=r"metric entries \(0,1\) vs \(1,0\) differ"):
+        MetricField.from_rows(big, [["1", "x^1000 - x^1000"], ["0", "1"]], validate=False)
+
+
 def test_metric_symmetric_distinct_objects_accepted():
     rows = [["1", "x*y"], ["y*x", "2"]]
     g = MetricField.from_rows(CHART2, rows, validate=False)
@@ -380,6 +396,58 @@ def test_require_self_adjoint():
     assert bad.self_adjoint_defect(g, x) == pytest.approx(1.0)
     with pytest.raises(NotSelfAdjoint):
         bad.require_self_adjoint(g, x)
+
+
+PTS = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+
+
+def test_require_at_one_point():
+    require(True, PTS[0], DomainViolation, "bad")
+    with pytest.raises(DomainViolation, match=r"^bad at \[0.0, 1.0\]$") as err:
+        require(False, PTS[0], DomainViolation, "bad")
+    assert err.value.point == [0.0, 1.0]
+    # further axes at one point: every flag must hold
+    require(np.ones((2, 2), bool), PTS[1], DomainViolation, "bad")
+    with pytest.raises(DomainViolation) as err:
+        require(np.array([[True, True], [True, False]]), PTS[1], DomainViolation, "bad")
+    assert err.value.point == [2.0, 3.0]
+
+
+def test_require_names_the_first_failing_point_of_a_stack():
+    with pytest.raises(NotSelfAdjoint, match=r"^bad 1 at \[2.0, 3.0\]$") as err:
+        require(np.array([True, False, False]), PTS, NotSelfAdjoint, lambda k: f"bad {k}")
+    assert err.value.point == [2.0, 3.0]
+    ok = np.array([[True, True], [True, True], [True, False]])  # (N, m)
+    with pytest.raises(GapViolated, match="^gap 2 at ") as err:
+        require(ok, PTS, GapViolated, lambda k: f"gap {k}")
+    assert err.value.point == [4.0, 5.0]
+    require(ok[:2], PTS[:2], GapViolated, "gap")
+    # no points: the text alone, the index read off ok's first axis
+    with pytest.raises(DomainViolation, match="^bad 2$") as err:
+        require(ok, None, DomainViolation, lambda k: f"bad {k}")
+    assert err.value.point is None
+
+
+def test_require_passes_an_empty_stack():
+    require(np.ones((0,), bool), np.empty((0, 2)), DomainViolation, "bad")
+    require(np.ones((0, 3), bool), np.empty((0, 2)), DomainViolation, "bad")
+
+
+def test_require_fails_a_nan():
+    values = np.array([1.0, math.nan, 3.0])
+    with pytest.raises(DomainViolation) as err:
+        require(values < 10.0, PTS, DomainViolation, "too big")
+    assert err.value.point == [2.0, 3.0]
+    require(values[[0, 2]] < 10.0, PTS[[0, 2]], DomainViolation, "too big")
+    with pytest.raises(DomainViolation, match=r"^non-finite value entry at \[2.0, 3.0\]$"):
+        require_finite(values, PTS, "value")
+
+
+@pytest.mark.parametrize("error", [NotSelfAdjoint, OrderingViolated, NonPositivePhi, GapViolated,
+                                   ZeroVelocity, ComplexRoots, SingularMatrix])
+def test_the_point_checks_raise_point_errors(error):
+    assert issubclass(error, PointError)
+    assert str(error("text", point=np.array([1, 2]))) == "text at [1.0, 2.0]"
 
 
 def test_vector_field_jacobian_matches_fd():

@@ -254,7 +254,13 @@ def test_commutation_report_names_a_nan_bracket():
     g = MetricField.from_function(
         unit, lambda x: np.array([[2.0 if x[0] <= 0.5 else math.nan, 0.0], [0.0, 1.0]]),
         validate=False)
-    fam = IntegralFamily(g, EndomorphismField.constant(unit, np.diag([1.0, 2.0])))
+    L = EndomorphismField.constant(unit, np.diag([1.0, 2.0]))
+    # the family's own self-adjointness check refuses the NaN metric first
+    checks = unit.sample(16, seed=11)
+    with pytest.raises(DomainViolation, match="non-finite metric entry") as err:
+        IntegralFamily(g, L)
+    assert err.value.point == checks[int(np.argmax(checks[:, 0] > 0.5))].tolist()
+    fam = IntegralFamily(g, L, check_points=0)  # so that the bracket's refusal is reached
     pts = unit.sample(20, seed=0)
     assert (pts[:, 0] > 0.5).sum() == 10
     states = [PhaseState(x, np.array([0.3, -0.7])) for x in pts]
@@ -266,6 +272,37 @@ def test_commutation_report_names_a_nan_bracket():
     rep = fam.commutation_report([s for s in states if s.x[0] <= 0.5], [0.0, 1.5, 3.0])
     assert rep["pass"] and rep["states"] == 10
     assert set(rep) == {"max_scaled_bracket", "tol", "pass", "states", "t_grid", "worst"}
+
+
+def test_a_family_on_a_nan_metric_or_endomorphism_is_refused_at_construction():
+    # x^1000 overflows on this chart, so x^1000 - x^1000 is NaN
+    big = Chart(("x", "y"), ((2.5, 3.5), (-1.0, 1.0)))
+    nan_entry = [["x^1000 - x^1000 + 1", "0"], ["0", "2"]]
+    first = big.sample(16, seed=11)[0].tolist()  # the family's first check point
+    with pytest.raises(DomainViolation, match="non-finite metric entry") as err:
+        IntegralFamily(MetricField.from_rows(big, nan_entry, validate=False),
+                       EndomorphismField.from_rows(big, nan_entry))
+    assert err.value.point == first
+    with pytest.raises(DomainViolation, match="non-finite endomorphism entry") as err:
+        IntegralFamily(MetricField.euclidean(big), EndomorphismField.from_rows(big, nan_entry))
+    assert err.value.point == first
+
+
+def test_root_failures_name_the_state():
+    fam = const_family()
+    with pytest.raises(ZeroVelocity) as err:
+        fam.roots(PhaseState(np.array([0.25, -0.5]), np.zeros(2)))
+    assert err.value.point == [0.25, -0.5]
+    ch = box_chart(("x", "y", "z"), half_width=1.0)
+    rotation = EndomorphismField.from_rows(
+        ch, [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]])
+    fam = IntegralFamily(MetricField.euclidean(ch), rotation, check_points=0)
+    xs = np.column_stack([np.linspace(-0.5, 0.5, 4), np.zeros(4), np.zeros(4)])
+    ps = np.tile([1.0, 0.0, 0.0], (4, 1))
+    ps[2] = [0.0, 0.0, 1.0]  # I_t = t^2 + 1 along e_z: roots +-i
+    with pytest.raises(ComplexRoots, match=r"^root imaginary part 1.000e\+00 exceeds clamp at ") as err:
+        fam.roots(PhaseState(xs, ps))
+    assert err.value.point == xs[2].tolist()
 
 
 def test_commutation_report_builds_the_metric_once_per_state(monkeypatch):

@@ -29,6 +29,7 @@ from projeq.levicivita import (
     warped_metric,
 )
 from projeq.pairs import MetricPair, bm_residual_stats, spectrum_at
+from projeq.tolerances import DEFAULT
 
 
 def liouville_spec():
@@ -79,6 +80,30 @@ def test_ordering_enforced_at_creation():
     with pytest.raises(OrderingViolated):
         LeviCivitaSpec.create(
             [1, 1], ["x1", "1 - x2^2"], bounds=[(-1, 1)] * 2)
+
+
+def test_spec_failures_name_their_first_point():
+    margin = DEFAULT.ordering_margin
+    pts = Chart(("x1", "x2"), ((-1.0, 1.0), (-1.0, 1.0))).sample(400, seed=5)
+    k = int(np.argmin(pts[:, 0] < 1.0 - pts[:, 1] ** 2 - margin))
+    with pytest.raises(OrderingViolated) as err:
+        LeviCivitaSpec.create([1, 1], ["x1", "1 - x2^2"], bounds=[(-1, 1)] * 2)
+    assert err.value.point == pts[k].tolist()
+    assert str(err.value).startswith(f"phi_1={pts[k, 0]:.6g} vs phi_2=")
+    assert str(err.value).endswith(f" (margin {margin:.1e}) at {pts[k].tolist()}")
+    pts = Chart(("x1", "x2"), ((-1.5, 1.5), (-1.0, 1.0))).sample(400, seed=7)
+    k = int(np.argmin(pts[:, 0] > DEFAULT.eig_floor))
+    spec = LeviCivitaSpec.create([1, 1], ["x1", "2"], bounds=((-1.5, 1.5), (-1, 1)))
+    with pytest.raises(NonPositivePhi) as err:
+        build_lc_pair(spec)
+    assert str(err.value) == (f"phi_1 = {pts[k, 0]:.6g}; partner weights undefined"
+                              f" at {pts[k].tolist()}")
+    pts = Chart(("x1", "x2", "x3"), ((-1.0, 1.0),) * 3).sample(400, seed=5)[:64]
+    k = int(np.argmax(np.abs(pts[:, 0]) > 0.5))  # eigenvalues 1 +- 2 x1
+    with pytest.raises(NotPositiveDefinite) as err:
+        LeviCivitaSpec.create([2, 1], ["1", "3 + x3"], bounds=[(-1, 1)] * 3,
+                              block_metrics=[[["1", "2*x1"], ["2*x1", "1"]], [["1"]]])
+    assert str(err.value) == f"block metric 1 not PD at {pts[k].tolist()}"
 
 
 def test_block_function_must_stay_in_own_block():
@@ -184,6 +209,15 @@ def test_split_requires_a_gap():
     g = MetricField.euclidean(ch)
     with pytest.raises(GapViolated):
         split(g, EndomorphismField.identity(ch), r=1, samples=10)
+
+
+def test_a_closed_gap_names_its_first_point():
+    ch = box_chart(("x", "y"), half_width=1.0)
+    first = ch.sample(10, seed=0)[0].tolist()
+    with pytest.raises(GapViolated) as err:
+        split(MetricField.euclidean(ch), EndomorphismField.identity(ch), r=1, samples=10)
+    assert str(err.value) == f"eigenvalue gap 0.000e+00 below 2.000e-07 at {first}"
+    assert err.value.point == first
 
 
 def test_split_position_validated():

@@ -12,8 +12,15 @@ import numpy as np
 import pytest
 
 from projeq.chart import Chart, box_chart
-from projeq.errors import DomainViolation, NonPositiveSpectrum, NotPositiveDefinite, NotSelfAdjoint
+from projeq.errors import (
+    DomainViolation,
+    NonPositiveSpectrum,
+    NotPositiveDefinite,
+    NotSelfAdjoint,
+    SingularMatrix,
+)
 from projeq.fields import (
+    ConstantField,
     EndomorphismField,
     MetricField,
     NumericField,
@@ -272,12 +279,33 @@ def test_spectrum_scans_name_the_non_finite_point():
     with pytest.raises(DomainViolation) as err:
         ordering_audit(g, L, pts)
     assert err.value.point == first
+    # the family's own self-adjointness check refuses the NaN endomorphism first
+    checks = CHART2.sample(16, seed=11)
+    with pytest.raises(DomainViolation, match="non-finite endomorphism entry") as err:
+        IntegralFamily(g, L)
+    assert err.value.point == checks[int(np.argmax(checks[:, 0] > 1.0))].tolist()
     with pytest.raises(DomainViolation) as err:
-        interlacing_audit(IntegralFamily(g, L), [PhaseState(x, np.array([1.0, 0.5]))
-                                                 for x in pts])
+        interlacing_audit(IntegralFamily(g, L, check_points=0),
+                          [PhaseState(x, np.array([1.0, 0.5])) for x in pts])
     assert err.value.point == first
     with pytest.raises(DomainViolation):
         gbar_from_l(g, L)
+
+
+def test_a_degenerate_or_nan_determinant_ratio_names_its_first_point():
+    g = MetricField.euclidean(CHART2)
+    pts = CHART2.sample(30, seed=0)
+    signed = MetricField.diagonal(CHART2, ("1", "y"), validate=False)
+    with pytest.raises(SingularMatrix, match="determinant ratio not positive") as err:
+        l_from_pair(g, signed, pts)
+    assert err.value.point == pts[int(np.argmax(pts[:, 1] <= 0.0))].tolist()
+    nan_right = MetricField(CHART2, [[nan_beyond(CHART2, 1.0), ConstantField(CHART2, 0.0)],
+                                     [ConstantField(CHART2, 0.0), ConstantField(CHART2, 1.0)]],
+                            validate=False)
+    # numpy's det warns on a NaN entry; the refusal after it is what is tested
+    with pytest.raises(SingularMatrix) as err, np.errstate(invalid="ignore"):
+        l_from_pair(g, nan_right, pts)
+    assert err.value.point == pts[int(np.argmax(pts[:, 0] > 1.0))].tolist()
 
 
 def test_indefinite_metric_is_not_positive_definite():

@@ -306,7 +306,8 @@ def test_a_nan_endomorphism_is_a_domain_violation_in_the_residual_and_the_defect
     g = MetricField.euclidean(UNIT)
     pts = UNIT.sample(50, seed=0)
     first = pts[int(np.argmax(pts[:, 0] > 0.5))].tolist()
-    with pytest.raises(DomainViolation, match="non-finite compatibility residual") as err:
+    # the residual's self-adjointness check refuses the NaN endomorphism first
+    with pytest.raises(DomainViolation, match="non-finite endomorphism entry") as err:
         bm_residual_stats(g, L, pts)
     assert err.value.point == first
     with pytest.raises(DomainViolation, match="non-finite endomorphism entry") as err:
@@ -316,6 +317,21 @@ def test_a_nan_endomorphism_is_a_domain_violation_in_the_residual_and_the_defect
     with pytest.raises(DomainViolation, match="non-finite metric entry") as err:
         L.self_adjoint_defect(_nan_right_metric(), pts)
     assert err.value.point == first
+
+
+def test_a_finite_endomorphism_with_a_nan_derivative_is_a_non_finite_residual():
+    pts = UNIT.sample(50, seed=0)
+    samples = {tuple(x) for x in pts}
+    # finite at every sample point; NaN at the stencil's neighbours where x > 0.5
+    nan_near = NumericField(
+        UNIT, lambda x: 1.0 if x[0] <= 0.5 or tuple(x) in samples else math.nan)
+    zero, two = ConstantField(UNIT, 0.0), ConstantField(UNIT, 2.0)
+    L = EndomorphismField(UNIT, [[nan_near, zero], [zero, two]])
+    g = MetricField.euclidean(UNIT)
+    assert np.isfinite(L.matrix(pts)).all()
+    with pytest.raises(DomainViolation, match="non-finite compatibility residual") as err:
+        bm_residual_stats(g, L, pts)
+    assert err.value.point == pts[int(np.argmax(pts[:, 0] > 0.5))].tolist()
 
 
 # -- the checked inverse and the block constants -----------------------------------------

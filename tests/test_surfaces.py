@@ -285,6 +285,14 @@ def test_liouville_profiles_validated():
         LiouvilleData.create("x + y", "-y^2 - 1", bounds=((-2, 2), (-2, 2)))
 
 
+def test_a_nan_liouville_profile_is_refused_at_its_first_point():
+    # x^1000 overflows on this chart, so the X profile is NaN
+    first = Chart(("x", "y"), ((2.5, 3.5), (-1.0, 1.0))).sample(300, seed=13)[0].tolist()
+    with pytest.raises(DomainViolation) as err:
+        LiouvilleData.create("x^1000 - x^1000 + 5", "1", [(2.5, 3.5), (-1, 1)])
+    assert str(err.value) == f"X - Y = nan; needs margin 1.0e-06 at {first}"
+
+
 def test_liouville_frozen_matrices():
     data = LiouvilleData.create("x^2 + 2", "-y^2 - 1",
                                 bounds=((-1.5, 1.5), (-1.5, 1.5)))
