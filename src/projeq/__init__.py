@@ -57,6 +57,7 @@ from .flows import (
     ordering_audit,
 )
 from .geodesics import (
+    Ensemble,
     Trajectory,
     hamiltonian,
     integrate,

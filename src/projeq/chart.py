@@ -61,8 +61,12 @@ class Chart:
             raise ChartError(f"no coordinate named {name!r} on {self.names}") from None
 
     def contains(self, x, margin=0.0):
-        """True if x lies strictly inside the box, at least margin from walls."""
+        """True if x lies strictly inside the box, at least margin from walls;
+        at an (N, n) stack, an (N,) array of such flags."""
         x = np.asarray(x, dtype=float)
+        if x.ndim == 2 and x.shape[1] == self.dim:
+            lo, hi = np.array(self.bounds).T
+            return ((lo + margin < x) & (x < hi - margin)).all(axis=1)
         if x.shape != (self.dim,):
             return False
         for xi, (lo, hi) in zip(x, self.bounds):

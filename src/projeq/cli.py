@@ -120,39 +120,47 @@ def _cmd_pair(scene, m, out_dir):
     return audits, extra, []
 
 
-def _run_trajectories(scene, m):
-    box = _init_box(scene)
-    states = seeded_states(scene.metric, box, m.run.geodesics, m.run.seed)
-    for s in states:
-        yield integrate_geodesic(scene.metric, s, m.run.horizon,
-                                 tol=m.tolerances.integrator_tol)
+def _run_trajectories(scene, m, monitored):
+    """The run's seeded geodesics, integrated as one stack, and their
+    tables (see _sample_columns). A stack that fails fails as the loop over
+    its states did: scan runs them again one at a time, each integrated
+    and then sampled, so the first failure in that order raises."""
+    states = seeded_states(scene.metric, _init_box(scene), m.run.geodesics, m.run.seed)
+
+    def run(states):
+        stack = PhaseState(np.array([s.x for s in states]), np.array([s.p for s in states]))
+        trajs = integrate_geodesic(scene.metric, stack, m.run.horizon,
+                                   tol=m.tolerances.integrator_tol)
+        return trajs, _sample_columns(scene.metric, trajs, monitored)
+
+    return scan(states, run)
 
 
-def _sample_columns(g, traj, monitored):
-    """The run on monitor_along's 201-point time grid as columns t, x, p, H
-    and one per monitored quantity, each filled by one stacked call."""
-    ts = np.linspace(traj.ts[0], traj.t_end, 201)
-    ys = traj.sample(ts)
-    xs, ps = ys[:, : traj.dim], ys[:, traj.dim:]
+def _sample_columns(g, trajs, monitored):
+    """Each run on monitor_along's 201-point time grid as columns t, x, p, H
+    and one per monitored quantity: one table per run, each column filled
+    for every run by one stacked call."""
+    grids = [np.linspace(traj.ts[0], traj.t_end, 201) for traj in trajs]
+    ys = np.concatenate([traj.sample(ts) for traj, ts in zip(trajs, grids)])
+    n = trajs[0].dim
+    xs, ps = ys[:, :n], ys[:, n:]
     fns = [lambda x, p: hamiltonian(g, x, p)] + [fn for _, fn in monitored]
-    return np.column_stack([ts, xs, ps, *(monitored_values(fn, xs, ps) for fn in fns)])
+    columns = [monitored_values(fn, xs, ps) for fn in fns]
+    return np.split(np.column_stack([np.concatenate(grids), xs, ps, *columns]), len(trajs))
 
 
 def _cmd_geodesic(scene, m, out_dir):
     tols = m.tolerances
     monitored = _monitored(scene, m.run)
     audits = []
-    tables = []
-    statuses = []
-    for idx, traj in enumerate(_run_trajectories(scene, m)):
-        tables.append(_sample_columns(scene.metric, traj, monitored))
-        drift = span_stats(tables[-1][:, 1 + 2 * traj.dim])
+    trajs, tables = _run_trajectories(scene, m, monitored)
+    for idx, (traj, table) in enumerate(zip(trajs, tables)):
+        drift = span_stats(table[:, 1 + 2 * traj.dim])
         bound = tols.energy_drift_factor * tols.integrator_tol
         audits.append(reports.audit(
             f"energy_drift[{idx}]", drift["drift"], bound,
             drift["drift"] <= bound, status=traj.status,
             t_end=traj.t_end))
-        statuses.append(traj.status)
     # written once every trajectory has finished: a structural error leaves no CSV
     cols = (["t"] + [f"x_{nm}" for nm in scene.chart.names]
             + [f"p_{nm}" for nm in scene.chart.names] + ["H"]
@@ -160,6 +168,7 @@ def _cmd_geodesic(scene, m, out_dir):
     csvs = [os.path.join(out_dir, f"trajectory_{idx:03d}.csv") for idx in range(len(tables))]
     for path, rows in zip(csvs, tables):
         reports.write_csv(path, cols, rows)
+    statuses = [traj.status for traj in trajs]
     return audits, {"trajectories": len(statuses), "statuses": statuses}, csvs
 
 
@@ -169,8 +178,8 @@ def _cmd_conserve(scene, m, out_dir):
     if not monitored:
         raise ManifestError("no conserved quantities available for this geometry")
     rows, drifts = [], []
-    for idx, traj in enumerate(_run_trajectories(scene, m)):
-        table = _sample_columns(scene.metric, traj, monitored)
+    trajs, tables = _run_trajectories(scene, m, monitored)
+    for idx, (traj, table) in enumerate(zip(trajs, tables)):
         # span statistics of H, then of each monitored quantity
         stats = [span_stats(col) for col in table[:, 1 + 2 * traj.dim:].T]
         drifts.append([d["drift"] for d in stats])

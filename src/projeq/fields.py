@@ -644,8 +644,8 @@ def scan(points, evaluate, check=lambda values, points: None):
 def _replay(points, evaluate, check):
     """The one replay of a failing stack: evaluate and check each point in
     order as a stack of one, points[k:k + 1], so the first failing point
-    raises its error."""
-    for k in range(len(points)):
+    raises its error. A stack of one already failed as its replay would."""
+    for k in range(len(points) if len(points) > 1 else 0):
         check(evaluate(points[k:k + 1]), points[k:k + 1])
 
 

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutsideChart, SingularMetric, StepUnderflow
-from .fields import MetricField, PhaseState, pointwise_errors, require_finite
+from .errors import OutsideChart, ProjeqError, SingularMetric, StepUnderflow
+from .fields import MetricField, PhaseState, _replay, pointwise_errors, require_finite
 
 # Dormand-Prince 5(4) tableau. Row 7 doubles as the 5th-order weights (FSAL).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -65,10 +65,22 @@ _BISECT_ITERS = 80         # halvings that locate a chart exit
 
 
 def geodesic_rhs(g: MetricField):
-    """Right-hand side f(t, y) of the geodesic flow for metric g."""
+    """Right-hand side f(t, y) of the geodesic flow for metric g, at one
+    state y or along a (K, size) stack of states with t of shape (K,)."""
     n = g.chart.dim
 
+    @pointwise_errors(1, 0)
+    def stacked(t, y):
+        gmat, dg = g.jet(y[:, :n], 1)
+        try:
+            v = np.linalg.solve(gmat, y[:, n:, None])[..., 0]
+        except np.linalg.LinAlgError:
+            raise SingularMetric("metric singular", point=y[0, :n]) from None
+        return np.concatenate([v, 0.5 * np.einsum("ki,kijl,kj->kl", v, dg, v)], axis=1)
+
     def rhs(t, y):
+        if y.ndim > 1:
+            return stacked(t, y)
         x = y[:n]
         p = y[n:]
         gmat, dg = g.jet(x, 1)
@@ -138,7 +150,7 @@ class Trajectory:
 
 
 def _dense_coeffs(h, k):
-    """Polynomial coefficients h * P^T k, shape (4, size)."""
+    """Polynomial coefficients h * P^T k, shape (..., 4, size)."""
     return h * (_P.T @ k)
 
 
@@ -150,88 +162,177 @@ def _dense_eval(y0, q, u):
     return y0 + u * acc
 
 
-def integrate(rhs, y0, t_span, tol, inside=None, max_steps=1_000_000) -> Trajectory:
-    """Adaptive 5(4) integration of dy/dt = rhs(t, y).
+class Ensemble(list):
+    """The K trajectories of a stacked run, in start order, with the step
+    counts of the whole run summed over them."""
+
+    @property
+    def steps_accepted(self) -> int:
+        return sum(traj.steps_accepted for traj in self)
+
+    @property
+    def steps_rejected(self) -> int:
+        return sum(traj.steps_rejected for traj in self)
+
+
+def integrate(rhs, y0, t_span, tol, inside=None, max_steps=1_000_000):
+    """Adaptive 5(4) integration of dy/dt = rhs(t, y) from one state y0 of
+    shape (size,), giving a Trajectory, or from each row of a (K, size)
+    stack y0, giving an Ensemble of K.
 
     ``inside(y)`` marks the admissible region; the first accepted step
     whose endpoint leaves it truncates the run at the crossing located
     by bisection on the dense output. Raises StepUnderflow when the
     controller pushes the step below 1e-12 times the horizon.
+
+    A stack's trajectories are stepped together, each with its own t,
+    step size, error norm, acceptance, step budget, dense output and
+    chart exit, so each is the run its start alone gives. Each stage
+    calls rhs once on the trajectories still running, with t of shape
+    (A,) and y of shape (A, size); inside then takes one state (a flag)
+    or such a stack (a flag per row). A stacked run that raises a
+    ProjeqError or LinAlgError fails as the loop over its starts would:
+    _replay runs them again one at a time, so the first failing start
+    raises its error.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
         raise ValueError("integration horizon must have t1 > t0")
-    y = np.asarray(y0, dtype=float).copy()
-    if inside is not None and not inside(y):
-        raise OutsideChart("initial state outside the admissible region")
+    y0 = np.asarray(y0, dtype=float)
+    if y0.ndim == 1:
+        return _lockstep(rhs, y0, (t0, t1), tol, inside, max_steps)[0]
 
+    def run(ys):
+        return Ensemble(_lockstep(rhs, ys, (t0, t1), tol, inside, max_steps))
+
+    try:
+        return run(y0)
+    except (ProjeqError, np.linalg.LinAlgError):
+        _replay(y0, run, lambda values, starts: None)
+        raise
+
+
+class _Run:
+    """One trajectory's controller state and accepted nodes."""
+
+    def __init__(self, t, h, y, size):
+        self.t, self.h, self.size = t, h, size
+        self.ts, self.ys, self.qs, self.hs = [t], [y], [], []
+        self.rejected = 0
+        self.status = "running"
+
+    def trajectory(self) -> Trajectory:
+        return Trajectory(
+            ts=np.array(self.ts),
+            ys=np.array(self.ys),
+            qs=np.array(self.qs) if self.qs else np.empty((0, 4, self.size)),
+            hs=np.array(self.hs),
+            status=self.status,
+            dim=self.size // 2,
+            steps_accepted=len(self.hs),
+            steps_rejected=self.rejected,
+        )
+
+
+def _lockstep(rhs, y, t_span, tol, inside, max_steps):
+    """The runs from y, one state or the rows of a stack, stepped together
+    (see integrate); every array below has y's leading axis, if any.
+    Returns the list of Trajectories."""
+    stack = y.ndim > 1
+    flags = inside if inside is None or stack else lambda y: [inside(y)]  # one per state
+    if flags is not None and not all(flags(y)):
+        raise OutsideChart("initial state outside the admissible region")
+    t0, t1 = t_span
     horizon = t1 - t0
     h_min = _UNDERFLOW_FACTOR * horizon
-    h = min(1e-3 * horizon, horizon)
-
-    t = t0
-    f = rhs(t, y)
-    ts = [t]
-    ys = [y.copy()]
-    qs = []
-    hs = []
-    accepted = 0
-    rejected = 0
-    status = "completed"
-    k = np.empty((7, y.size))
+    size = y.shape[-1]
+    y = y.copy()
+    runs = [_Run(t0, min(1e-3 * horizon, horizon), row, size) for row in y.reshape(-1, size)]
+    live = runs
+    finished = True  # a run completed or left the region in the last pass
+    f = rhs(np.full(len(y), t0) if stack else t0, y)
 
     for _ in range(max_steps):
-        if t >= t1:
-            break
-        h = min(h, t1 - t)
-        if h < h_min:
-            raise StepUnderflow(
-                f"step size {h:.3e} fell below {h_min:.3e} at t={t:.6g}"
-            )
-
-        k[0] = f
-        for i in range(1, 6):
-            k[i] = rhs(t + _C[i] * h, y + h * (_A[i, :i] @ k[:i]))
-        y_new = y + h * (_B5[:6] @ k[:6])
-        f_new = rhs(t + h, y_new)
-        k[6] = f_new
-
-        err_vec = h * (_ERR @ k)
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-
-        if err <= 1.0:
-            q = _dense_coeffs(h, k)
-            qs.append(q)
-            hs.append(h)
-            accepted += 1
-            if inside is not None and not inside(y_new):
-                u_cross, y_cross = _bisect_exit(inside, y, q)
-                ts.append(t + u_cross * h)
-                ys.append(y_cross)
-                status = "exited-chart"
+        if finished:
+            keep = [run.status == "running" for run in live]
+            if not any(keep):
                 break
-            t, y, f = t + h, y_new, f_new
-            ts.append(t)
-            ys.append(y.copy())
-            factor = _SAFETY * err ** -0.2 if err > 0.0 else _FAC_MAX
-            h *= min(_FAC_MAX, max(_FAC_MIN, factor))
+            if not all(keep):
+                live = [run for run in live if run.status == "running"]
+                y, f = y[keep], f[keep]
+            # the stages of the runs left, and views of each stage
+            k = np.empty(y.shape[:-1] + (7, size))
+            stage, upto = [k[..., i, :] for i in range(7)], [k[..., :i, :] for i in range(7)]
+            finished = False
+        for run in live:
+            run.h = min(run.h, t1 - run.t)
+            if run.h < h_min:
+                raise StepUnderflow(
+                    f"step size {run.h:.3e} fell below {h_min:.3e} at t={run.t:.6g}"
+                )
+        if stack:
+            t, h = np.array([[run.t, run.h] for run in live]).T
+            hc = h[:, None]
         else:
-            rejected += 1
-            h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
-    else:
-        raise StepUnderflow(f"step budget exhausted after {max_steps} steps")
+            t = live[0].t
+            h = hc = live[0].h
+        stage_t = [t + c * h for c in _C]  # the last is t + h: _C[6] is 1
 
-    return Trajectory(
-        ts=np.array(ts),
-        ys=np.array(ys),
-        qs=np.array(qs) if qs else np.empty((0, 4, y.size)),
-        hs=np.array(hs),
-        status=status,
-        dim=y.size // 2,
-        steps_accepted=accepted,
-        steps_rejected=rejected,
-    )
+        stage[0][...] = f
+        for i in range(1, 6):
+            stage[i][...] = rhs(stage_t[i], y + hc * (_A[i, :i] @ upto[i]))
+        y_new = y + hc * (_B5[:6] @ upto[6])
+        f_new = rhs(stage_t[6], y_new)
+        stage[6][...] = f_new
+
+        err_vec = hc * (_ERR @ k)
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+        norm = np.sqrt(np.mean((err_vec / scale) ** 2, axis=-1))
+        errs = norm.tolist() if stack else [float(norm)]
+        ok = [e <= 1.0 for e in errs]
+        all_ok = all(ok)
+
+        if all_ok or any(ok):  # dense coefficients and end flags of the accepted runs
+            rows = ... if all_ok else np.flatnonzero(ok)
+            q = _dense_coeffs(hc[rows, None] if stack else hc, k[rows])
+            ends = flags(y_new[rows]) if flags is not None else [True] * len(errs)
+            accepted = zip(q if stack else (q,), ends)
+        for run, err, y_row, y_end in zip(live, errs, y if stack else (y,),
+                                           y_new if stack else (y_new,)):
+            if err <= 1.0:
+                q_row, inside_end = next(accepted)
+                run.qs.append(q_row)
+                run.hs.append(run.h)
+                if not inside_end:
+                    u_cross, y_cross = _bisect_exit(inside, y_row, q_row)
+                    run.ts.append(run.t + u_cross * run.h)
+                    run.ys.append(y_cross)
+                    run.status = "exited-chart"
+                    finished = True
+                    continue
+                run.t += run.h
+                run.ts.append(run.t)
+                run.ys.append(y_end)
+                if run.t >= t1:
+                    run.status = "completed"
+                    finished = True
+                factor = _SAFETY * err ** -0.2 if err > 0.0 else _FAC_MAX
+                run.h *= min(_FAC_MAX, max(_FAC_MIN, factor))
+            else:
+                run.rejected += 1
+                run.h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
+        if all_ok:
+            y, f = y_new, f_new
+        elif any(ok):
+            y, f = (np.where(np.array(ok)[:, None], new, old)
+                    for new, old in ((y_new, y), (f_new, f)))
+    else:
+        # as a loop of max_steps steps: a run that completes on the last one
+        # has no step left to see that it did
+        if any(run.status != "exited-chart" for run in live):
+            raise StepUnderflow(f"step budget exhausted after {max_steps} steps")
+
+    return [run.trajectory() for run in runs]
 
 
 def _bisect_exit(inside, y0, q):
@@ -249,16 +350,19 @@ def _bisect_exit(inside, y0, q):
 
 
 def integrate_geodesic(g: MetricField, state: PhaseState, horizon: float,
-                       tol: float = 1e-10) -> Trajectory:
-    """Geodesic of g from (x, p), truncated at the chart boundary."""
+                       tol: float = 1e-10):
+    """Geodesic of g from (x, p), truncated at the chart boundary: a
+    Trajectory, or from (K, n) stacks x and p an Ensemble of K geodesics
+    stepped together (see `integrate`)."""
     n = g.chart.dim
 
     def inside(y):
-        return g.chart.contains(y[:n])
+        return g.chart.contains(y[..., :n])
 
-    y0 = np.concatenate([state.x, state.p])
-    rhs = geodesic_rhs(g)
-    return integrate(rhs, y0, (0.0, horizon), tol, inside=inside)
+    y0 = np.concatenate([state.x, state.p], axis=-1)
+    if y0.ndim == 2 and len(y0) == 1:  # the one-state path gives the same run, faster
+        return Ensemble([integrate_geodesic(g, PhaseState(state.x[0], state.p[0]), horizon, tol)])
+    return integrate(geodesic_rhs(g), y0, (0.0, horizon), tol, inside=inside)
 
 
 def monitor_along(traj: Trajectory, fn, samples: int = 201) -> dict:

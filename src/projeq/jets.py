@@ -45,18 +45,20 @@ def _mapped(fn):
     so each entry is bit-identical to it (numpy's tanh, exp and ** are not
     math's in the last bit)."""
     def column(*args):
-        cols = np.broadcast_arrays(*args)
-        if not cols[0].ndim:  # a line that failed to fold raises here
+        cols = args if len(args) == 1 else np.broadcast_arrays(*args)
+        if not np.ndim(cols[0]):  # a line that failed to fold raises here
             return fn(*args)
-        return np.fromiter(map(fn, *(c.tolist() for c in cols)), float, cols[0].size)
+        return np.fromiter(map(fn, *(c.tolist() for c in cols)), float, len(cols[0]))
     return column
 
 
 _NAMESPACE = dict(FUNCTIONS, _pow=_pow, _array=np.array, inf=math.inf, nan=math.nan,
                   _coords=np.ndarray.tolist)
 # the same code on (N,) columns: + - * / are numpy's, every call is mapped
+# but sqrt and abs, which numpy computes exactly (sqrt is correctly rounded)
 _COLUMNS = dict(_NAMESPACE, **{k: _mapped(f) for k, f in FUNCTIONS.items()},
                 _pow=_mapped(_pow), _coords=np.transpose)
+_COLUMNS.update(sqrt=np.sqrt, abs=np.abs)
 
 
 def require_one_sign(lo, hi):

@@ -155,6 +155,8 @@ def l_from_pair(g, gbar, x):
     at one point x or with a leading N axis at an (N, n) stack."""
     gmat = g.matrix(x)
     gbmat = gbar.matrix(x)
+    # refused before det, which warns on a NaN entry
+    require_finite(np.concatenate((gmat, gbmat), axis=-1), x, "metric")
     n = gmat.shape[-1]
     dets = np.linalg.det(np.array((gbmat, gmat)))  # one LAPACK call for both
     ratio = dets[0] / dets[1]

@@ -76,14 +76,16 @@ def format_float(v) -> str:
 
 def write_csv(path: str, columns, rows) -> None:
     """LF-terminated CSV with repr-formatted floats; header mandatory. An
-    array of rows is read through tolist(), as Python floats."""
+    array of rows is read through tolist(), as Python floats, and each
+    float is written as its repr."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows.tolist() if hasattr(rows, "tolist") else rows:
-            fh.write(",".join(
-                v if isinstance(v, str) else format_float(v) for v in row
-            ) + "\n")
+        if hasattr(rows, "tolist"):
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+        else:
+            fh.writelines(",".join(v if isinstance(v, str) else format_float(v) for v in row)
+                          + "\n" for row in rows)
 
 
 def all_pass(audits) -> bool:

@@ -249,8 +249,8 @@ def test_geodesic_evaluates_energy_once_per_grid_time(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "hamiltonian", counting)
     out = tmp_path / "out"
     assert run("geodesic", m, out) == 0
-    # one stacked call per trajectory, over its 201 grid times
-    assert calls == [201] * 3
+    # one stacked call over the 201 grid times of each of the 3 trajectories
+    assert calls == [3 * 201]
     # the drifts are the ones monitor_along gives on the same trajectories
     monkeypatch.setattr(cli, "hamiltonian", ham)
     man = Manifest.load(m)
@@ -308,6 +308,41 @@ def test_a_non_finite_monitored_value_is_a_structural_error(tmp_path, monkeypatc
         assert run(command, m, out) == 2
         assert report_of(out)["error"].startswith(
             "DomainViolation: non-finite monitored value entry at [")
+
+
+def test_a_nan_in_a_later_trajectory_is_named_where_the_per_trajectory_loop_names_it(
+        tmp_path, monkeypatch):
+    import projeq.cli as cli
+    from projeq.errors import DomainViolation
+    from projeq.geodesics import hamiltonian, monitored_values
+    from projeq.manifest import Manifest, seeded_states
+
+    m = write_manifest(tmp_path, {**LC3, "run": {"seed": 0, "geodesics": 3, "horizon": 1.0}})
+    man = Manifest.load(m)
+    g = man.scene.metric
+    ys = [traj.sample(np.linspace(traj.ts[0], traj.t_end, 201))
+          for traj in (cli.integrate_geodesic(g, s, 1.0, tol=man.tolerances.integrator_tol)
+                       for s in seeded_states(g, man.scene.chart, 3, 0))]
+
+    def nan_at(point):
+        return lambda x, p: np.where(np.all(x == point, axis=-1), np.nan, x[..., 0])
+
+    # the first added column is NaN on trajectory 2, the second on trajectory 1
+    extra = [("a", nan_at(ys[2][17, :3])), ("b", nan_at(ys[1][40, :3]))]
+    fns = ([lambda x, p: hamiltonian(g, x, p)]
+           + [fn for _, fn in cli._monitored(man.scene, man.run) + extra])
+    with pytest.raises(DomainViolation) as loop:  # trajectory by trajectory, column by column
+        for y in ys:
+            for fn in fns:
+                monitored_values(fn, y[:, :3], y[:, 3:])
+    assert loop.value.point == ys[1][40, :3].tolist()
+
+    monitored = cli._monitored
+    monkeypatch.setattr(cli, "_monitored", lambda scene, run: monitored(scene, run) + extra)
+    for command in ("geodesic", "conserve"):
+        out = tmp_path / command
+        assert run(command, m, out) == 2
+        assert report_of(out)["error"] == f"DomainViolation: {loop.value}"
 
 
 # -- CSV contracts ----------------------------------------------------------

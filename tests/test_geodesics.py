@@ -229,3 +229,113 @@ def test_monitor_refuses_any_shape_but_one_value_per_sample(fn, shape):
     traj = integrate_geodesic(FLAT, st, 2.0, tol=1e-8)
     with pytest.raises(ValueError, match=re.escape(f"returned shape {shape}, want (51,)")):
         monitor_along(traj, fn, samples=51)
+
+
+# -- stacked starts ---------------------------------------------------------
+
+
+def _stack(states):
+    return PhaseState(np.array([s.x for s in states]), np.array([s.p for s in states]))
+
+
+def _lockstep_scenes():
+    from projeq import builtin_example, build_lc_pair, random_spec
+    from projeq.manifest import Manifest, seeded_states
+
+    lc3 = Manifest.from_dict({
+        "chart": {"names": ["x1", "x2", "x3"],
+                  "bounds": [[-1.0, 1.0], [-1.0, 1.0], [0.5, 1.5]]},
+        "geometry": {"kind": "lc", "block_sizes": [1, 1, 1],
+                     "phis": ["1 + 0.3*tanh(x1)", "3", "6 + x3^2"]},
+    }).scene
+    torus = builtin_example("torus")
+    g4 = build_lc_pair(random_spec(2, 4), partner=False)[0]
+    return [(lc3.metric, seeded_states(lc3.metric, lc3.chart, 20, 0)),
+            (torus.metric, seeded_states(torus.metric, torus.init_box, 8, 0)),
+            (g4, seeded_states(g4, g4.chart, 12, 0))]
+
+
+def test_a_stack_of_states_gives_each_state_its_own_run():
+    seen = set()
+    for g, states in _lockstep_scenes():
+        runs = integrate_geodesic(g, _stack(states), 5.0, tol=1e-10)
+        assert len(runs) == len(states)
+        for run, state in zip(runs, states):
+            one = integrate_geodesic(g, state, 5.0, tol=1e-10)
+            for field in ("ts", "ys", "qs", "hs"):
+                assert np.array_equal(getattr(run, field), getattr(one, field)), field
+            assert (run.status, run.dim, run.steps_accepted, run.steps_rejected) == (
+                one.status, one.dim, one.steps_accepted, one.steps_rejected)
+            seen |= {one.status, "rejected" if one.steps_rejected else "none rejected"}
+        assert runs.steps_accepted == sum(r.steps_accepted for r in runs)
+        assert runs.steps_rejected == sum(r.steps_rejected for r in runs)
+    # the runs cover a chart exit and rejected steps
+    assert {"exited-chart", "completed", "rejected"} <= seen
+
+
+def test_a_stack_fails_at_its_first_failing_state_not_at_the_first_failure_in_lockstep():
+    # state 1 leaves sqrt's domain at x > 1 after many steps; state 2 starts
+    # where the metric is NaN and underflows within a few
+    chart = Chart(("x", "y"), ((-4.0, 4.0), (-4.0, 4.0)))
+    f = "2 + sin(10*x) + 1e-300*sqrt(1 - x) + (y^1000 - y^1000)"
+    g = MetricField.diagonal(chart, (f, f), validate=False)
+    states = [PhaseState([0.0, 0.0], [0.0, 1.0]), PhaseState([0.0, 0.0], [1.0, 0.0]),
+              PhaseState([0.0, 3.0], [1.0, 0.0])]
+    assert integrate_geodesic(g, states[0], 5.0).status == "completed"
+    with pytest.raises(StepUnderflow, match="at t=0$"):
+        integrate_geodesic(g, states[2], 5.0)
+    with pytest.raises(DomainViolation) as one:
+        integrate_geodesic(g, states[1], 5.0)
+    with pytest.raises(DomainViolation) as stacked:
+        integrate_geodesic(g, _stack(states), 5.0)
+    assert str(stacked.value) == str(one.value)
+    assert stacked.value.point == one.value.point and one.value.point[0] > 1.0
+
+
+def test_a_stack_with_a_singular_start_names_it():
+    g = MetricField.diagonal(box_chart(("x", "y")), ["1", "x^2"], validate=False)
+    x = np.array([[0.5, 0.0], [0.0, 0.5], [0.3, 0.2]])
+    with pytest.raises(SingularMetric) as err:
+        integrate_geodesic(g, PhaseState(x, np.ones_like(x)), 1.0)
+    assert err.value.point == [0.0, 0.5]
+
+
+def test_integrate_steps_a_stack_with_a_generic_rhs():
+    calls = []
+
+    def rhs(t, y):  # y' = -w y, each row with its own rate w = y[:, 1] (held fixed)
+        calls.append((np.shape(t), np.shape(y)))
+        rate = y[..., 1]
+        return np.stack([-rate * y[..., 0], 0.0 * rate], axis=-1)
+
+    y0 = np.array([[1.0, 0.5], [2.0, 3.0], [-1.0, 40.0]])
+    runs = integrate(rhs, y0, (0.0, 2.0), 1e-10)
+    assert calls[0] == ((3,), (3, 2))
+    assert all(len(t) == 1 and y == (t[0], 2) for t, y in calls)
+    for run, start in zip(runs, y0):
+        one = integrate(rhs, start, (0.0, 2.0), 1e-10)
+        assert np.array_equal(run.ts, one.ts) and np.array_equal(run.ys, one.ys)
+        assert run.steps_rejected == one.steps_rejected
+        assert run.ys[-1][0] == pytest.approx(start[0] * math.exp(-2.0 * start[1]), abs=1e-8)
+    # the stiff third row takes more steps: the others finish first
+    assert runs[2].steps_accepted > runs[0].steps_accepted
+    assert len({shape[1][0] for shape in calls}) > 1
+
+
+def test_a_stack_budget_or_chart_check_fails_as_its_first_state_does():
+    def rhs(t, y):
+        return np.stack([np.sin(50.0 * t) * 40.0, np.cos(50.0 * t) * 40.0], axis=-1)
+
+    with pytest.raises(StepUnderflow, match="budget exhausted after 40 steps"):
+        integrate(rhs, np.zeros((2, 2)), (0.0, 50.0), 1e-13, max_steps=40)
+    with pytest.raises(OutsideChart):
+        integrate(rhs, np.array([[0.0, 0.0], [5.0, 0.0]]), (0.0, 1.0), 1e-8,
+                  inside=lambda y: np.abs(y[..., 0]) < 1.0)
+
+
+def test_the_per_row_error_norm_equals_the_one_state_norm():
+    rng = np.random.default_rng(3)
+    for size in (2, 4, 6, 8, 10, 16):
+        rows = rng.standard_normal((50, size)) * 10.0 ** rng.integers(-9, 9, (50, size))
+        stacked = np.sqrt(np.mean(rows ** 2, axis=-1)).tolist()
+        assert stacked == [float(np.sqrt(np.mean(row ** 2))) for row in rows]

@@ -302,9 +302,12 @@ def test_a_degenerate_or_nan_determinant_ratio_names_its_first_point():
     nan_right = MetricField(CHART2, [[nan_beyond(CHART2, 1.0), ConstantField(CHART2, 0.0)],
                                      [ConstantField(CHART2, 0.0), ConstantField(CHART2, 1.0)]],
                             validate=False)
-    # numpy's det warns on a NaN entry; the refusal after it is what is tested
-    with pytest.raises(SingularMatrix) as err, np.errstate(invalid="ignore"):
+    # refused before numpy's det sees it, so no RuntimeWarning is raised
+    with pytest.raises(DomainViolation, match="non-finite metric entry") as err:
         l_from_pair(g, nan_right, pts)
+    assert err.value.point == pts[int(np.argmax(pts[:, 0] > 1.0))].tolist()
+    with pytest.raises(DomainViolation, match="non-finite metric entry") as err:
+        l_from_pair(nan_right, g, pts[pts[:, 0] > 1.0][0])
     assert err.value.point == pts[int(np.argmax(pts[:, 0] > 1.0))].tolist()
 
 
