@@ -36,7 +36,6 @@ from .jets import Jets, per_point, require_one_sign
 from .tolerances import DEFAULT
 
 _EPS = np.finfo(float).eps
-_EPS_PD = DEFAULT.eps_pd  # the positive-definiteness floor of MetricField's own scans
 _PD_SAMPLES = 1500        # points of the construction scan
 _COND_CAP = 1e12          # MetricField.inverse refuses this condition number or more
 _FD_STEP1 = _EPS ** (1.0 / 3.0)   # central first differences
@@ -482,11 +481,11 @@ class MetricField(_EntryTable):
             k = int(np.argmin(low))  # the first of tied minima
             worst, worst_val = pts[k], low[k]
         return {
-            "positive_definite": bool(worst_val > _EPS_PD),
+            "positive_definite": bool(worst_val > DEFAULT.eps_pd),
             "min_eigenvalue": float(worst_val),
             "worst_point": None if worst is None else [float(v) for v in worst],
             "samples": int(samples),
-            "eps_pd": _EPS_PD,
+            "eps_pd": DEFAULT.eps_pd,
         }
 
     # -- constructors ---------------------------------------------------
@@ -539,7 +538,7 @@ class EndomorphismField(_EntryTable):
         return float(np.max(self._lowered(g, x)[1]))
 
     @pointwise_errors(2)
-    def require_self_adjoint(self, g, x, eps_sym_factor=1e-9):
+    def require_self_adjoint(self, g, x, eps_sym_factor=DEFAULT.eps_sym_factor):
         """Raise NotSelfAdjoint at the first point of x (one point or an
         (N, n) stack) where g L is asymmetric beyond eps_sym_factor times
         max(1, |g L|), |.| the Frobenius norm; a non-finite g, then a
@@ -663,8 +662,8 @@ def g_orthonormal_frame(g_matrix):
 
 
 def fmat_mul(a, b):
-    """Product of two matrices of fields (lists of lists), each entry summed
-    left to right from its first term."""
+    """Product of two matrices of fields (sequences of rows, such as a
+    table's entries), each entry summed left to right from its first term."""
     return [[sum((a[i][s] * b[s][j] for s in range(1, len(b))), a[i][0] * b[0][j])
              for j in range(len(b[0]))] for i in range(len(a))]
 

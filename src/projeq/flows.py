@@ -102,7 +102,7 @@ class _StateJet(NamedTuple):
 class IntegralFamily:
     """The family I_t attached to one (g, L) pair on a chart."""
 
-    def __init__(self, g, L, check_points=16, eps_sym_factor=1e-9):
+    def __init__(self, g, L, check_points=16, eps_sym_factor=DEFAULT.eps_sym_factor):
         if g.chart != L.chart:
             raise ValueError("g and L must share a chart")
         self.g = g
@@ -126,9 +126,7 @@ class IntegralFamily:
 
     def s_matrix(self, x, t):
         """S_t = adj(L - t Id) at one point or an (N, n) stack."""
-        # (sign t^j) M_{n-j} is t^j C_j bit for bit, since sign is +-1
-        return sum((self._sign * t ** j) * m
-                   for j, m in enumerate(_fl_adjugate(self.L.matrix(x))[::-1]))
+        return sum(t ** j * c for j, c in enumerate(self.coeff_matrices(x)))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -224,7 +222,7 @@ class IntegralFamily:
     def poisson_with_energy(self, state: PhaseState, t: float) -> float:
         return float(_powers(t, self.g.dim) @ self._jet(state).energy_brackets)
 
-    def commutation_report(self, phase_points, t_values, tol=1e-8) -> dict:
+    def commutation_report(self, phase_points, t_values, tol=DEFAULT.commutation_tol) -> dict:
         """Pairwise brackets over the t-grid, scaled by 1 + |I_a| + |I_b|.
 
         Per state, the pairs (t_i, t_j) with i < j come first, then each
@@ -302,7 +300,7 @@ class SpectrumProfile:
         return out
 
 
-def ordering_audit(g, L, points, tau_ord=1e-8) -> dict:
+def ordering_audit(g, L, points, tau_ord=DEFAULT.tau_ord) -> dict:
     """Global eigenvalue-band separation over a point sample.
 
     Band i passes when max_x lambda_i(x) <= min_y lambda_{i+1}(y) + tau_ord
@@ -331,7 +329,8 @@ def ordering_audit(g, L, points, tau_ord=1e-8) -> dict:
     }
 
 
-def interlacing_audit(family: IntegralFamily, phase_points, slack=1e-9) -> dict:
+def interlacing_audit(family: IntegralFamily, phase_points,
+                      slack=DEFAULT.interlace_slack) -> dict:
     """Roots of I_t vs eigenvalues of L at each phase point.
 
     Checks lambda_i - slack <= t_i <= lambda_{i+1} + slack for every

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutsideChart, ProjeqError, SingularMetric, StepUnderflow
-from .fields import MetricField, PhaseState, _replay, pointwise_errors, require_finite
+from .errors import OutsideChart, SingularMetric, StepUnderflow
+from .fields import MetricField, PhaseState, pointwise_errors, require_finite, scan
+from .tolerances import DEFAULT
 
 # Dormand-Prince 5(4) tableau. Row 7 doubles as the 5th-order weights (FSAL).
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -191,9 +192,8 @@ def integrate(rhs, y0, t_span, tol, inside=None, max_steps=1_000_000):
     calls rhs once on the trajectories still running, with t of shape
     (A,) and y of shape (A, size); inside then takes one state (a flag)
     or such a stack (a flag per row). A stacked run that raises a
-    ProjeqError or LinAlgError fails as the loop over its starts would:
-    _replay runs them again one at a time, so the first failing start
-    raises its error.
+    ProjeqError or LinAlgError fails as the loop over its starts would
+    (fields.scan): the first failing start raises its error.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
@@ -201,15 +201,7 @@ def integrate(rhs, y0, t_span, tol, inside=None, max_steps=1_000_000):
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim == 1:
         return _lockstep(rhs, y0, (t0, t1), tol, inside, max_steps)[0]
-
-    def run(ys):
-        return Ensemble(_lockstep(rhs, ys, (t0, t1), tol, inside, max_steps))
-
-    try:
-        return run(y0)
-    except (ProjeqError, np.linalg.LinAlgError):
-        _replay(y0, run, lambda values, starts: None)
-        raise
+    return scan(y0, lambda ys: Ensemble(_lockstep(rhs, ys, (t0, t1), tol, inside, max_steps)))
 
 
 class _Run:
@@ -350,7 +342,7 @@ def _bisect_exit(inside, y0, q):
 
 
 def integrate_geodesic(g: MetricField, state: PhaseState, horizon: float,
-                       tol: float = 1e-10):
+                       tol: float = DEFAULT.integrator_tol):
     """Geodesic of g from (x, p), truncated at the chart boundary: a
     Trajectory, or from (K, n) stacks x and p an Ensemble of K geodesics
     stepped together (see `integrate`)."""

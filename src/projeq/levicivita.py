@@ -87,17 +87,10 @@ class LeviCivitaSpec:
         offsets = _block_offsets(sizes)
         phi_fields = []
         for i, phi in enumerate(phis):
-            if isinstance(phi, (int, float)):
-                phi_fields.append(ConstantField(chart, float(phi)))
-                continue
             f = as_field(chart, phi)
             own = set(chart.names[offsets[i]: offsets[i + 1]])
-            if isinstance(f, ConstantField):
-                free = set()
-            elif hasattr(f, "expr"):
-                free = f.expr.free_vars()
-            else:
-                free = own
+            free = (f.expr.free_vars() if hasattr(f, "expr")
+                    else set() if isinstance(f, ConstantField) else own)
             if not free <= own:
                 raise ValueError(
                     f"block function {i + 1} references coordinates {sorted(free - own)}"
@@ -115,14 +108,10 @@ class LeviCivitaSpec:
             raise ValueError("block_sizes, phis, block_metrics must align")
 
         tables = []
-        for i, bm in enumerate(block_metrics):
-            k = sizes[i]
-            if bm is None:
-                bm = np.eye(k).tolist()
-            elif isinstance(bm, np.ndarray):
-                bm = bm.tolist()
-            table = [[as_field(chart, bm[a][b]) for b in range(k)] for a in range(k)]
-            tables.append(tuple(tuple(r) for r in table))
+        for k, bm in zip(sizes, block_metrics):
+            bm = np.eye(k) if bm is None else bm
+            tables.append(tuple(tuple(as_field(chart, bm[a][b]) for b in range(k))
+                                for a in range(k)))
 
         spec = cls(chart=chart, block_sizes=sizes, phis=tuple(phi_fields),
                    block_metrics=tuple(tables))
@@ -387,7 +376,7 @@ def k_constants(spec: LeviCivitaSpec, curvature: float, samples=200, seed=0):
 # -- splitting tensor ------------------------------------------------------
 
 
-def split_matrix(g, L, r: int, x, tau_deg_factor=1e-7):
+def split_matrix(g, L, r: int, x, tau_deg_factor=DEFAULT.tau_deg_factor):
     """Pointwise h(x) for the eigenvalue split after position r (1-based)."""
     return _split_at(g, L, r, x, tau_deg_factor)[1]
 
@@ -416,7 +405,7 @@ def _split_at(g, L, r, x, tau_deg_factor):
     return lam, 0.5 * (h + h.swapaxes(-1, -2))
 
 
-def split(g, L, r: int, tau_deg_factor=1e-7, samples=200, seed=0):
+def split(g, L, r: int, tau_deg_factor=DEFAULT.tau_deg_factor, samples=200, seed=0):
     """(h, report) for the split after eigenvalue position r.
 
     h comes back as a metric differentiated by finite differences of the

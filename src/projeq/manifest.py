@@ -51,15 +51,17 @@ class RunParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunParams":
+        """The run block; a value not of its key's JSON type is a ManifestError
+        naming the key (numeric text is a number: "inf" reaches check)."""
         known = {
-            "seed": int,
-            "samples": int,
-            "horizon": float,
-            "geodesics": int,
-            "t_grid": lambda v: tuple(float(t) for t in v),
-            "integral": str,
-            "r": int,
-            "has_linear_reduction": bool,
+            "seed": _whole,
+            "samples": _whole,
+            "horizon": _real,
+            "geodesics": _whole,
+            "t_grid": lambda v: tuple(map(_real, _of_type(v, (list, tuple)))),
+            "integral": lambda v: _of_type(v, str),
+            "r": _whole,
+            "has_linear_reduction": lambda v: _of_type(v, bool),
         }
         unknown = set(d) - set(known)
         if unknown:
@@ -86,6 +88,24 @@ class RunParams:
                 raise ManifestError(f"run.{k} must be <= {_MAX_BUDGET}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ManifestError(f"run.horizon must be finite and > 0, got {self.horizon}")
+
+
+def _of_type(value, kind):
+    """value if it is a kind (a bool is no number), else TypeError."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise TypeError(value)
+    return value
+
+
+def _real(value):
+    return float(_of_type(value, (int, float, str)))
+
+
+def _whole(value):
+    """An int, or a float of whole value (1e300 reaches check's budget cap)."""
+    if isinstance(_of_type(value, (int, float)), float) and not value.is_integer():
+        raise TypeError(value)
+    return int(value)
 
 
 @dataclass
@@ -165,7 +185,7 @@ class Manifest:
         tol_over = data.get("tolerances", {})
         try:
             tols = DEFAULT.override(**tol_over)
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise ManifestError(f"bad tolerance override: {e}") from None
         m = cls(
             version=str(data.get("version", "1")),

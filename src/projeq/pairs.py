@@ -34,6 +34,7 @@ from .fields import (
     worst_point,
 )
 from .jets import _mapped, _pow
+from .tolerances import DEFAULT
 
 
 def pencil_spectrum(gmat, lmat, points=None):
@@ -89,7 +90,7 @@ def covariant_endo_derivative(g, L, x):
 
 
 @pointwise_errors(2)
-def bm_residual(g, L, x, eps_sym_factor=1e-9):
+def bm_residual(g, L, x, eps_sym_factor=DEFAULT.eps_sym_factor):
     """Max defect of the compatibility identity at x, orthonormal frame.
 
     The identity tested, for frame vectors u, v, w:
@@ -119,7 +120,7 @@ def bm_residual(g, L, x, eps_sym_factor=1e-9):
     return res if res.ndim else float(res)
 
 
-def bm_residual_stats(g, L, points, eps_sym_factor=1e-9) -> dict:
+def bm_residual_stats(g, L, points, eps_sym_factor=DEFAULT.eps_sym_factor) -> dict:
     """Max and mean of bm_residual over points, and the worst point; a
     non-finite residual raises DomainViolation at its first point."""
     pts = np.reshape(points, (-1, g.dim))
@@ -170,16 +171,15 @@ def l_field_from_pair(pair: MetricPair) -> EndomorphismField:
     """Field version of l_from_pair, with exact derivative propagation."""
     g, gbar = pair.g, pair.gbar
     n = g.dim
-    det_g = fmat_det([list(r) for r in g.entries])
-    det_gb = fmat_det([list(r) for r in gbar.entries])
+    det_g = fmat_det(g.entries)
+    det_gb = fmat_det(gbar.entries)
     # gbar^{-1} = adj(gbar) / det(gbar); fold both determinant powers into one scale
     scale = det_gb ** (1.0 / (n + 1) - 1.0) * det_g ** (-1.0 / (n + 1))
-    raw = fmat_mul(fmat_adjugate([list(r) for r in gbar.entries]),
-                   [list(r) for r in g.entries])
+    raw = fmat_mul(fmat_adjugate(gbar.entries), g.entries)
     return EndomorphismField(g.chart, fmat_scale(raw, scale))
 
 
-def gbar_from_l(g, L, eig_floor=1e-12, samples=500, seed=0, validate=False):
+def gbar_from_l(g, L, eig_floor=DEFAULT.eig_floor, samples=500, seed=0, validate=False):
     """Partner metric gbar = det(L)^{-1} L^{-1} acting on g, as a field.
 
     Entry formula: gbar_ij = det(L)^{-2} (adj L)^a_i g_aj. Positivity of
@@ -198,12 +198,11 @@ def gbar_from_l(g, L, eig_floor=1e-12, samples=500, seed=0, validate=False):
             " partner metric undefined"
         )
 
-    det_l = fmat_det([list(r) for r in L.entries])
-    adj = fmat_adjugate([list(r) for r in L.entries])
+    det_l = fmat_det(L.entries)
+    adj = fmat_adjugate(L.entries)
     n = g.dim
     adj_t = [[adj[j][i] for j in range(n)] for i in range(n)]
-    raw = fmat_scale(fmat_mul(adj_t, [list(r) for r in g.entries]),
-                     det_l ** -2.0)
+    raw = fmat_scale(fmat_mul(adj_t, g.entries), det_l ** -2.0)
     sym = [[None] * n for _ in range(n)]
     for i in range(n):
         sym[i][i] = raw[i][i]
@@ -335,14 +334,16 @@ def beltrami_map_defect(a_matrix, normal, samples: int = 64) -> float:
     and re-normalized to the sphere; the image must lie on the great
     circle orthogonal to the inverse-transpose image of `normal`. Returns
     the max inner product between image points and that normal, which is
-    zero (to rounding) for any invertible linear map.
+    zero (to rounding) for any invertible linear map. A non-finite entry
+    of the map, then of the normal, raises DomainViolation.
     """
     a = np.asarray(a_matrix, dtype=float)
     if a.shape != (3, 3):
         raise ValueError("expected a 3x3 matrix")
+    require_finite(a, None, "map")
+    nrm = require_finite(np.asarray(normal, dtype=float), None, "normal")
     if np.linalg.cond(a) > 1e12:
         raise SingularMatrix("map is numerically singular")
-    nrm = np.asarray(normal, dtype=float)
     ln = np.linalg.norm(nrm)
     if ln == 0.0:
         raise ValueError("normal must be nonzero")
@@ -358,11 +359,8 @@ def beltrami_map_defect(a_matrix, normal, samples: int = 64) -> float:
     image_normal = np.linalg.solve(a.T, nrm)
     image_normal /= np.linalg.norm(image_normal)
 
-    thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    defect = 0.0
-    for th in thetas:
-        v = np.cos(th) * e1 + np.sin(th) * e2
-        w = a @ v
-        w /= np.linalg.norm(w)
-        defect = max(defect, abs(float(w @ image_normal)))
-    return defect
+    thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)[:, None]
+    # row-by-column matmuls sum as the per-angle dot products did: the same floats
+    w = a @ (np.cos(thetas) * e1 + np.sin(thetas) * e2)[:, :, None]  # a v, one per angle
+    w = w / np.sqrt(np.swapaxes(w, -1, -2) @ w)
+    return float(np.max(np.abs(np.swapaxes(w, -1, -2) @ image_normal), initial=0.0))

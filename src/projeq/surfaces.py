@@ -51,6 +51,7 @@ from .fields import (
 )
 from .jets import Jets
 from .pairs import MetricPair, lie_derivative_metric
+from .tolerances import DEFAULT
 
 _DELTA_BRANCH = 1e-3   # flatten_coordinates' exclusion radius around poles and cuts
 _FIT_HALF_WIDTH = 0.05  # half-width of flattening_fit_report's w grid
@@ -129,8 +130,8 @@ def cometric_form(g: MetricField) -> QuadraticIntegral2D:
     """I = p^T g^{-1} p, i.e. twice the kinetic energy, as a quadratic."""
     if g.dim != 2:
         raise WrongDimension("cometric_form needs a 2-D metric")
-    det = fmat_det([list(r) for r in g.entries])
-    adj = fmat_adjugate([list(r) for r in g.entries])
+    det = fmat_det(g.entries)
+    adj = fmat_adjugate(g.entries)
     inv_det = 1.0 / det
     return QuadraticIntegral2D.from_quadratic_form(
         g.chart,
@@ -150,14 +151,14 @@ def integral_from_pair2d(pair: MetricPair) -> QuadraticIntegral2D:
     g, gbar = pair.g, pair.gbar
     if g.dim != 2:
         raise WrongDimension("integral_from_pair2d needs a 2-D pair")
-    det_g = fmat_det([list(r) for r in g.entries])
-    det_gb = fmat_det([list(r) for r in gbar.entries])
-    adj_g = fmat_adjugate([list(r) for r in g.entries])
+    det_g = fmat_det(g.entries)
+    det_gb = fmat_det(gbar.entries)
+    adj_g = fmat_adjugate(g.entries)
     # (det g/det gb)^{2/3} g^{-1} gbar g^{-1}
     #   = det_g^{-4/3} det_gb^{-2/3} adj(g) gbar adj(g)
     # det gbar may be negative (indefinite partners are legitimate here);
     # the 2/3 power is a squared real cube root, so take it off det^2
-    sandwich = fmat_mul(fmat_mul(adj_g, [list(r) for r in gbar.entries]), adj_g)
+    sandwich = fmat_mul(fmat_mul(adj_g, gbar.entries), adj_g)
     scale = det_g ** (-4.0 / 3.0) * (det_gb * det_gb) ** (-1.0 / 3.0)
     m = fmat_scale(sandwich, scale)
     return QuadraticIntegral2D.from_quadratic_form(
@@ -184,7 +185,7 @@ class PrincipalForm:
 
 
 def principal_form(integral: QuadraticIntegral2D, samples=64, seed=0,
-                   fit_tol_factor=1e-8) -> PrincipalForm:
+                   fit_tol_factor=DEFAULT.fit_tol_factor) -> PrincipalForm:
     """Total-least-squares quadratic fit of the a-coefficient.
 
     EnergyProportional when a vanishes on the sample (relative to the
@@ -239,8 +240,51 @@ class ModelClass:
     flatten_id: str
 
 
+def _off_ray(z):
+    """z, unless within _DELTA_BRANCH of the pole at the origin or of the
+    principal cut along the negative reals."""
+    if abs(z) < _DELTA_BRANCH:
+        raise BranchViolation(f"z = {z} within {_DELTA_BRANCH} of the pole at 0")
+    if z.real < 0.0 and abs(z.imag) < _DELTA_BRANCH:
+        raise BranchViolation(f"z = {z} within {_DELTA_BRANCH} of the negative-real cut")
+    return z
+
+
+def _arcsin_flat(z, scale):
+    if abs(z - 1.0) < _DELTA_BRANCH or abs(z + 1.0) < _DELTA_BRANCH:
+        raise BranchViolation(f"z = {z} within {_DELTA_BRANCH} of a pole at +-1")
+    u = z * z - 1.0
+    if abs(u.imag) < _DELTA_BRANCH and abs(u.real) > 1.0 - _DELTA_BRANCH:
+        raise BranchViolation(f"z^2 - 1 = {u} within {_DELTA_BRANCH} of the arcsin cut")
+    return cmath.asin(u)
+
+
+# each model's flatten_id, w(z) guarded against its poles and cuts, z(w) and
+# dz/dw; every map takes the model's scale too, which Model1 alone reads
+_MODEL1 = ("w = z/sqrt(scale)", lambda z, scale: z / cmath.sqrt(scale),
+           lambda w, scale: w * cmath.sqrt(scale), lambda w, scale: cmath.sqrt(scale))
+_MODELS = {
+    "Model1a": _MODEL1,
+    "Model1b": _MODEL1,
+    "Model2": ("w = 2*sqrt(z)", lambda z, scale: 2.0 * cmath.sqrt(_off_ray(z)),
+               lambda w, scale: w * w / 4.0, lambda w, scale: w / 2.0),
+    "Model3": ("w = arcsin(z^2 - 1)", _arcsin_flat,
+               lambda w, scale: cmath.sqrt(1.0 + cmath.sin(w)),
+               lambda w, scale: cmath.cos(w) / (2.0 * cmath.sqrt(1.0 + cmath.sin(w)))),
+    "Model4": ("w = log(z)", lambda z, scale: cmath.log(_off_ray(z)),
+               lambda w, scale: cmath.exp(w), lambda w, scale: cmath.exp(w)),
+}
+
+
+def _maps(mc: ModelClass):
+    """The model's (w(z), z(w), dz/dw) from _MODELS, or UnknownName."""
+    if mc.tag not in _MODELS:
+        raise UnknownName(f"unknown model tag {mc.tag!r}")
+    return _MODELS[mc.tag][1:]
+
+
 def classify_model(pf: PrincipalForm, has_linear_reduction=False,
-                   tau_root=1e-6) -> ModelClass:
+                   tau_root=DEFAULT.tau_root) -> ModelClass:
     """Root-structure classification of the fitted quadratic.
 
     Degree 0 -> Model1a (1b when the caller attests a linear reduction,
@@ -248,34 +292,20 @@ def classify_model(pf: PrincipalForm, has_linear_reduction=False,
     simple roots -> Model3, double root -> Model4. Coefficient and root
     coincidence both use tau_root with a relative scale.
     """
-    s = pf.scale
-    na = abs(pf.alpha) / s
-    nb = abs(pf.beta) / s
+    na, nb = abs(pf.alpha) / pf.scale, abs(pf.beta) / pf.scale
+    scale = 1.0
     if na <= tau_root and nb <= tau_root:
-        tag = "Model1b" if has_linear_reduction else "Model1a"
-        return ModelClass(tag=tag, roots=(), scale=pf.gamma,
-                          flatten_id="w = z/sqrt(scale)")
-    if na <= tau_root:
-        root = -pf.gamma / pf.beta
-        return ModelClass(tag="Model2", roots=(complex(root),), scale=1.0,
-                          flatten_id="w = 2*sqrt(z)")
-    rts = np.roots([pf.alpha, pf.beta, pf.gamma])
-    sep = abs(rts[0] - rts[1])
-    if sep <= tau_root * (1.0 + float(np.abs(rts).max())):
-        root = complex(rts.mean())
-        return ModelClass(tag="Model4", roots=(root, root), scale=1.0,
-                          flatten_id="w = log(z)")
-    ordered = tuple(sorted((complex(r) for r in rts), key=lambda c: (c.real, c.imag)))
-    return ModelClass(tag="Model3", roots=ordered, scale=1.0,
-                      flatten_id="w = arcsin(z^2 - 1)")
-
-
-def _reject_ray(z, delta):
-    # pole at the origin plus the principal cut along the negative reals
-    if abs(z) < delta:
-        raise BranchViolation(f"z = {z} within {delta} of the pole at 0")
-    if z.real < 0.0 and abs(z.imag) < delta:
-        raise BranchViolation(f"z = {z} within {delta} of the negative-real cut")
+        tag, roots, scale = "Model1b" if has_linear_reduction else "Model1a", (), pf.gamma
+    elif na <= tau_root:
+        tag, roots = "Model2", (complex(-pf.gamma / pf.beta),)
+    else:
+        rts = np.roots([pf.alpha, pf.beta, pf.gamma])
+        if abs(rts[0] - rts[1]) <= tau_root * (1.0 + float(np.abs(rts).max())):
+            tag, roots = "Model4", (complex(rts.mean()),) * 2
+        else:
+            tag, roots = "Model3", tuple(sorted((complex(r) for r in rts),
+                                                key=lambda c: (c.real, c.imag)))
+    return ModelClass(tag=tag, roots=roots, scale=scale, flatten_id=_MODELS[tag][0])
 
 
 def flatten_coordinates(mc: ModelClass, z: complex) -> complex:
@@ -286,43 +316,13 @@ def flatten_coordinates(mc: ModelClass, z: complex) -> complex:
     fit. Principal branches throughout; BranchViolation within
     1e-3 of any pole or cut.
     """
-    z = complex(z)
-    if mc.tag in ("Model1a", "Model1b"):
-        return z / cmath.sqrt(mc.scale)
-    if mc.tag == "Model2":
-        _reject_ray(z, _DELTA_BRANCH)
-        return 2.0 * cmath.sqrt(z)
-    if mc.tag == "Model4":
-        _reject_ray(z, _DELTA_BRANCH)
-        return cmath.log(z)
-    if mc.tag == "Model3":
-        if abs(z - 1.0) < _DELTA_BRANCH or abs(z + 1.0) < _DELTA_BRANCH:
-            raise BranchViolation(f"z = {z} within {_DELTA_BRANCH} of a pole at +-1")
-        u = z * z - 1.0
-        if abs(u.imag) < _DELTA_BRANCH and abs(u.real) > 1.0 - _DELTA_BRANCH:
-            raise BranchViolation(f"z^2 - 1 = {u} within {_DELTA_BRANCH} of the arcsin cut")
-        return cmath.asin(u)
-    raise UnknownName(f"unknown model tag {mc.tag!r}")
+    return _maps(mc)[0](complex(z), mc.scale)
 
 
 def model_inverse_map(mc: ModelClass):
     """(z(w), dz/dw) callables inverting the canonical flattening."""
-    if mc.tag in ("Model1a", "Model1b"):
-        root = cmath.sqrt(mc.scale)
-        return (lambda w: w * root), (lambda w: root)
-    if mc.tag == "Model2":
-        return (lambda w: w * w / 4.0), (lambda w: w / 2.0)
-    if mc.tag == "Model4":
-        return cmath.exp, cmath.exp
-    if mc.tag == "Model3":
-        def z_of(w):
-            return cmath.sqrt(1.0 + cmath.sin(w))
-
-        def dz_of(w):
-            return cmath.cos(w) / (2.0 * cmath.sqrt(1.0 + cmath.sin(w)))
-
-        return z_of, dz_of
-    raise UnknownName(f"unknown model tag {mc.tag!r}")
+    _, z_of, dz_of = _maps(mc)
+    return (lambda w: z_of(w, mc.scale)), (lambda w: dz_of(w, mc.scale))
 
 
 def flattening_fit_report(conformal_factor, mc: ModelClass, w_center: complex) -> dict:
@@ -440,7 +440,7 @@ def liouville_build(data: LiouvilleData):
 
 
 def killing_residual(g: MetricField, v: VectorField, samples=200, seed=0,
-                     tol=1e-7) -> dict:
+                     tol=DEFAULT.killing_tol) -> dict:
     """Max entry of the Lie derivative of g along v over a sample."""
     pts = g.chart.sample(samples, seed=seed)
     devs = np.max(np.abs(lie_derivative_metric(g, v, pts)), axis=(-2, -1))

@@ -2,11 +2,14 @@
 
 Every report echoes the table it ran with, so a loosened threshold is
 visible in the output rather than buried in a call site. Factors marked
-``*_factor`` are multiplied by a problem-size scale before use.
+``*_factor`` are multiplied by a problem-size scale before use. Library
+defaults read DEFAULT; every table, from a manifest or --tol too, passes
+one check: each value is a finite number > 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict, replace
 
 
@@ -30,10 +33,19 @@ class Tolerances:
     killing_tol: float = 1e-7          # max Lie-derivative entry
     energy_drift_factor: float = 100.0 # times integrator_tol along one run
 
+    def __post_init__(self):
+        for name, value in self.as_dict().items():
+            # a bool is an int to Python, but no threshold
+            if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and math.isfinite(value) and value > 0.0):
+                raise ValueError(f"tolerance {name} must be a finite number > 0, got {value!r}")
+
     def as_dict(self) -> dict:
         return asdict(self)
 
     def override(self, **kwargs) -> "Tolerances":
+        """This table with the named values replaced: KeyError for an
+        unknown name, ValueError for a value that fails the check."""
         unknown = set(kwargs) - set(self.as_dict())
         if unknown:
             raise KeyError(f"unknown tolerance name(s): {sorted(unknown)}")

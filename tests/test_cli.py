@@ -167,10 +167,13 @@ FLAT2 = {
      "ManifestError", "run.geodesics must be <= 10000"),
     ("check-bm", {**LC3, "run": {"samples": 10_001}},
      "ManifestError", "run.samples must be <= 10000"),
+    *[("check-bm", {**LC3, "run": {"samples": 20}, "tolerances": {"bm_tol": value}},
+       "ManifestError", "bm_tol") for value in ("abc", None, True, -1, float("nan"))],
 ], ids=["samples-0", "samples-abc", "horizon-negative", "horizon-inf",
         "geodesics-0", "log-domain", "singular-metric", "entries-ragged",
         "endomorphism-2x3", "gbar-not-a-table", "endomorphism-not-rows",
-        "samples-1e300", "geodesics-1e300", "samples-10001"])
+        "samples-1e300", "geodesics-1e300", "samples-10001",
+        "tol-abc", "tol-null", "tol-true", "tol-negative", "tol-nan"])
 def test_bad_input_exits_2_with_named_error(tmp_path, command, manifest, error, names):
     m = write_manifest(tmp_path, manifest)
     out = tmp_path / "out"

@@ -209,6 +209,21 @@ def test_run_parameters_parse_and_coerce():
     assert run.has_linear_reduction is True
 
 
+@pytest.mark.parametrize("key, value", [
+    ("has_linear_reduction", "false"),  # a non-empty string is truthy: Model1a read as 1b
+    ("t_grid", "12"),                   # a string iterates as the times (1.0, 2.0)
+    ("samples", 2.7),                   # int() truncates to 2
+    ("seed", True),                     # a bool is the int 1
+    ("integral", 5),                    # str() makes the name "5"
+])
+def test_run_parameter_of_the_wrong_json_type_is_refused(key, value):
+    d = metric_manifest()
+    d["run"] = {key: value}
+    with pytest.raises(ManifestError,
+                       match=f"run parameter '{key}' has the wrong type: {value!r}"):
+        Manifest.from_dict(d)
+
+
 @pytest.mark.parametrize("make", [pair_manifest, lc_manifest])
 def test_geometry_endomorphism_conflict(make):
     d = make()

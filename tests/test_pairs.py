@@ -525,3 +525,15 @@ def test_beltrami_rejects_degenerate_inputs():
         beltrami_map_defect(np.eye(2), np.array([0, 0, 1.0]))
     with pytest.raises(ValueError):
         beltrami_map_defect(np.eye(3), np.zeros(3))
+
+
+@pytest.mark.parametrize("a, normal, what", [
+    (np.eye(3) + 0.1, [np.nan, 0.0, 1.0], "normal"),      # max(defect, nan) kept 0.0
+    (np.eye(3) + 0.1, [np.inf, 0.0, 1.0], "normal"),      # 0.0 and a RuntimeWarning
+    (np.full((3, 3), np.nan), [0.0, 0.0, 1.0], "map"),    # LinAlgError from the SVD
+])
+def test_beltrami_refuses_non_finite_input(a, normal, what):
+    from projeq.errors import DomainViolation
+
+    with pytest.raises(DomainViolation, match=f"non-finite {what} entry"):
+        beltrami_map_defect(a, np.array(normal))
