@@ -20,9 +20,6 @@ from . import reports
 from .curvature import sectional
 from .errors import EnergyProportional, ManifestError, ProjeqError
 from .fields import PhaseState, as_field, scan, worst_point
-from .flows import interlacing_audit, ordering_audit
-from .geodesics import hamiltonian, integrate_geodesic, monitored_values, span_stats
-from .levicivita import split
 from .manifest import Manifest, Scene, default_t_grid, seeded_states
 from .pairs import (
     ProjectiveFlowSpec,
@@ -36,7 +33,9 @@ from .pairs import (
     weyl_pair_defect,
     weyl_trace_defect,
 )
-from .surfaces import classify_model, integral_from_pair2d, killing_residual, principal_form
+
+# flows, geodesics, levicivita and surfaces are imported by the commands
+# that use them, so a process loads only what its command runs
 
 
 def _ensure_endo(scene: Scene):
@@ -119,6 +118,8 @@ def _run_trajectories(scene, m, monitored):
     tables (see _sample_columns). A stack that fails fails as the loop over
     its states did: scan runs them again one at a time, each integrated
     and then sampled, so the first failure in that order raises."""
+    from .geodesics import integrate_geodesic
+
     states = seeded_states(scene.metric, _init_box(scene), m.run.geodesics, m.run.seed)
 
     def run(states):
@@ -134,6 +135,8 @@ def _sample_columns(g, trajs, monitored):
     """Each run on monitor_along's 201-point time grid as columns t, x, p, H
     and one per monitored quantity: one table per run, each column filled
     for every run by one stacked call."""
+    from .geodesics import hamiltonian, monitored_values
+
     grids = [np.linspace(traj.ts[0], traj.t_end, 201) for traj in trajs]
     ys = np.concatenate([traj.sample(ts) for traj, ts in zip(trajs, grids)])
     n = trajs[0].dim
@@ -144,6 +147,8 @@ def _sample_columns(g, trajs, monitored):
 
 
 def _cmd_geodesic(scene, m, out_dir):
+    from .geodesics import span_stats
+
     tols = m.tolerances
     monitored = _monitored(scene, m.run)
     audits = []
@@ -167,6 +172,8 @@ def _cmd_geodesic(scene, m, out_dir):
 
 
 def _cmd_conserve(scene, m, out_dir):
+    from .geodesics import span_stats
+
     tols = m.tolerances
     monitored = _monitored(scene, m.run)
     if not monitored:
@@ -194,6 +201,8 @@ def _cmd_conserve(scene, m, out_dir):
     extra = {"trajectories": len(drifts)}
 
     if scene.endo is not None and not scene.integrals:
+        from .flows import interlacing_audit, ordering_audit
+
         fam = scene.family()
         states = seeded_states(scene.metric, _init_box(scene),
                                min(m.run.geodesics, 20), m.run.seed + 7)
@@ -241,6 +250,8 @@ def _cmd_weyl(scene, m, out_dir):
 
 
 def _pick_integral(scene, m):
+    from .surfaces import integral_from_pair2d
+
     name = m.run.integral
     if scene.bundle is not None and name:
         try:
@@ -259,6 +270,8 @@ def _pick_integral(scene, m):
 
 
 def _cmd_classify2d(scene, m, out_dir):
+    from .surfaces import classify_model, principal_form
+
     tols = m.tolerances
     name, integral = _pick_integral(scene, m)
     expected = None
@@ -328,6 +341,8 @@ def _cmd_lc_build(scene, m, out_dir):
 
 
 def _cmd_split(scene, m, out_dir):
+    from .levicivita import split
+
     tols = m.tolerances
     _ensure_endo(scene)
     r = m.run.r
@@ -347,6 +362,8 @@ def _cmd_split(scene, m, out_dir):
 
 
 def _killing_audits(scene, m, expected):
+    from .surfaces import killing_residual
+
     tols = m.tolerances
     for name, want in sorted(expected["killing"].items()):
         rep = killing_residual(scene.metric, scene.bundle.vector_fields[name],
@@ -357,6 +374,8 @@ def _killing_audits(scene, m, expected):
 
 
 def _model_audits(scene, m, expected):
+    from .surfaces import classify_model, principal_form
+
     tols = m.tolerances
     for name, want_tag in sorted(expected["model_of"].items()):
         pf = principal_form(scene.bundle.integrals[name], samples=64, seed=m.run.seed,
@@ -366,6 +385,8 @@ def _model_audits(scene, m, expected):
 
 
 def _energy_proportional_audits(scene, m, expected):
+    from .surfaces import principal_form
+
     for name in expected["energy_proportional"]:
         try:
             principal_form(scene.bundle.integrals[name], samples=64, seed=m.run.seed,

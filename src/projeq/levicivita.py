@@ -83,6 +83,10 @@ class LeviCivitaSpec:
         chart = Chart(tuple(names), tuple(tuple(map(float, b)) for b in bounds))
         if chart.dim != n:
             raise ValueError("bounds must cover exactly the summed block sizes")
+        if block_metrics is None:
+            block_metrics = [None] * len(sizes)
+        if not (len(phis) == len(sizes) == len(block_metrics)):
+            raise ValueError("block_sizes, phis, block_metrics must align")
 
         offsets = _block_offsets(sizes)
         phi_fields = []
@@ -101,11 +105,6 @@ class LeviCivitaSpec:
                     f"block {i + 1} has size {sizes[i]} > 1; its function must be constant"
                 )
             phi_fields.append(f)
-
-        if block_metrics is None:
-            block_metrics = [None] * len(sizes)
-        if not (len(phis) == len(sizes) == len(block_metrics)):
-            raise ValueError("block_sizes, phis, block_metrics must align")
 
         tables = []
         for k, bm in zip(sizes, block_metrics):

@@ -21,21 +21,25 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .chart import Chart
 from .errors import ExpressionError, ManifestError, ProjeqError, SingularMetric
 from .fields import EndomorphismField, MetricField, PhaseState, VectorField, require_finite
-from .flows import IntegralFamily
-from .levicivita import LeviCivitaSpec, build_lc_pair
 from .pairs import MetricPair, l_field_from_pair, spectrum_at
 from .sampling import halton_points
-from .surfaces import LiouvilleData, builtin_example, liouville_build
 from .tolerances import DEFAULT, Tolerances
+
+if TYPE_CHECKING:  # imported where they are built, so a command loads only its own
+    from .flows import IntegralFamily
+    from .levicivita import LeviCivitaSpec
+    from .surfaces import LiouvilleData
 
 _GEOMETRY_KINDS = ("metric", "pair", "lc", "liouville", "example")
 _MAX_BUDGET = 10_000  # largest run.samples and run.geodesics: pd_report's full audit
+_MAX_T = 1e6  # largest |t| in run.t_grid: S_t sums powers t**j up to the dimension
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,9 @@ class RunParams:
         return cls(**kwargs)
 
     def check(self):
-        """Raise ManifestError unless the seed and every budget can run an
-        audit; a budget above _MAX_BUDGET is refused before it allocates."""
+        """Raise ManifestError unless the seed, every budget and every time
+        of t_grid can run an audit; a budget above _MAX_BUDGET is refused
+        before it allocates, a time above _MAX_T before its powers overflow."""
         if not 0 <= self.seed < 2 ** 31:
             raise ManifestError(f"run.seed must be in [0, 2**31), got {self.seed}")
         for k in ("samples", "geodesics"):
@@ -88,6 +93,10 @@ class RunParams:
                 raise ManifestError(f"run.{k} must be <= {_MAX_BUDGET}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ManifestError(f"run.horizon must be finite and > 0, got {self.horizon}")
+        for t in self.t_grid:
+            if not abs(t) <= _MAX_T:  # a NaN fails too
+                raise ManifestError(f"run.t_grid times must be finite with |t| <= {_MAX_T:g},"
+                                    f" got {t}")
 
 
 def _of_type(value, kind):
@@ -129,6 +138,8 @@ class Scene:
         return None
 
     def family(self) -> IntegralFamily:
+        from .flows import IntegralFamily
+
         if self.metric is None or self.endo is None:
             raise ManifestError("this command needs a metric and an endomorphism")
         return IntegralFamily(self.metric, self.endo)
@@ -247,6 +258,8 @@ class Manifest:
                      endo=l_field_from_pair(pair))
 
     def _scene_lc(self) -> Scene:
+        from .levicivita import LeviCivitaSpec, build_lc_pair
+
         chart = self._chart()
         spec = LeviCivitaSpec.create(
             self.geometry["block_sizes"],
@@ -260,6 +273,8 @@ class Manifest:
                      lc_spec=spec)
 
     def _scene_liouville(self) -> Scene:
+        from .surfaces import LiouvilleData, liouville_build
+
         chart = self._chart()
         data = LiouvilleData.create(
             self.geometry["X"], self.geometry["Y"],
@@ -270,6 +285,8 @@ class Manifest:
                      liouville=data, integrals={"liouville_integral": integral})
 
     def _scene_example(self) -> Scene:
+        from .surfaces import builtin_example
+
         bundle = builtin_example(
             self.geometry["name"], gamma=float(self.geometry.get("gamma", 1.0))
         )

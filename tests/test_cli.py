@@ -169,11 +169,18 @@ FLAT2 = {
      "ManifestError", "run.samples must be <= 10000"),
     *[("check-bm", {**LC3, "run": {"samples": 20}, "tolerances": {"bm_tol": value}},
        "ManifestError", "bm_tol") for value in ("abc", None, True, -1, float("nan"))],
+    *[("conserve", {**LC3, "run": {"geodesics": 2, "horizon": 0.5, "t_grid": [t, 1.0]}},
+       "ManifestError", f"run.t_grid times must be finite with |t| <= 1e+06, got {float(t)}")
+      for t in ("inf", 1e300)],
+    ("check-bm", {**LC3, "geometry": {**LC3["geometry"],
+                                      "phis": [*LC3["geometry"]["phis"], "7"]}},
+     "ManifestError", "block_sizes, phis, block_metrics must align"),
 ], ids=["samples-0", "samples-abc", "horizon-negative", "horizon-inf",
         "geodesics-0", "log-domain", "singular-metric", "entries-ragged",
         "endomorphism-2x3", "gbar-not-a-table", "endomorphism-not-rows",
         "samples-1e300", "geodesics-1e300", "samples-10001",
-        "tol-abc", "tol-null", "tol-true", "tol-negative", "tol-nan"])
+        "tol-abc", "tol-null", "tol-true", "tol-negative", "tol-nan",
+        "t-grid-inf", "t-grid-1e300", "phis-longer-than-blocks"])
 def test_bad_input_exits_2_with_named_error(tmp_path, command, manifest, error, names):
     m = write_manifest(tmp_path, manifest)
     out = tmp_path / "out"
@@ -237,37 +244,37 @@ def test_each_command_builds_its_scene_once(tmp_path, monkeypatch):
 
 
 def test_geodesic_evaluates_energy_once_per_grid_time(tmp_path, monkeypatch):
-    import projeq.cli as cli
+    import projeq.geodesics as geodesics
     from projeq.geodesics import monitor_along
     from projeq.manifest import Manifest, seeded_states
 
     m = write_manifest(tmp_path, {**LC3, "run": {"seed": 0, "geodesics": 3, "horizon": 2.0}})
     calls = []
-    ham = cli.hamiltonian
+    ham = geodesics.hamiltonian
 
     def counting(g, x, p):
         calls.append(len(np.reshape(x, (-1, 3))))  # points evaluated in this call
         return ham(g, x, p)
 
-    monkeypatch.setattr(cli, "hamiltonian", counting)
+    monkeypatch.setattr(geodesics, "hamiltonian", counting)
     out = tmp_path / "out"
     assert run("geodesic", m, out) == 0
     # one stacked call over the 201 grid times of each of the 3 trajectories
     assert calls == [3 * 201]
     # the drifts are the ones monitor_along gives on the same trajectories
-    monkeypatch.setattr(cli, "hamiltonian", ham)
+    monkeypatch.setattr(geodesics, "hamiltonian", ham)
     man = Manifest.load(m)
     states = seeded_states(man.scene.metric, man.scene.chart, 3, 0)
     for audit, state in zip(report_of(out)["audits"], states):
-        traj = cli.integrate_geodesic(man.scene.metric, state, 2.0,
-                                      tol=man.tolerances.integrator_tol)
+        traj = geodesics.integrate_geodesic(man.scene.metric, state, 2.0,
+                                            tol=man.tolerances.integrator_tol)
         drift = monitor_along(traj, lambda x, p: ham(man.scene.metric, x, p))["drift"]
         assert audit["value"] == drift
 
 
 def test_monitored_columns_equal_per_point_monitoring(tmp_path):
     import projeq.cli as cli
-    from projeq.geodesics import monitor_along
+    from projeq.geodesics import integrate_geodesic, monitor_along
     from projeq.manifest import Manifest, seeded_states
 
     m = write_manifest(tmp_path, {**LC3, "run": {"seed": 0, "geodesics": 2, "horizon": 2.0}})
@@ -279,8 +286,8 @@ def test_monitored_columns_equal_per_point_monitoring(tmp_path):
     assert len(monitored) == 5
     rows = (tmp_path / "con" / "conserve.csv").read_text().splitlines()[1:]
     for idx, state in enumerate(seeded_states(scene.metric, scene.chart, 2, 0)):
-        traj = cli.integrate_geodesic(scene.metric, state, 2.0,
-                                      tol=man.tolerances.integrator_tol)
+        traj = integrate_geodesic(scene.metric, state, 2.0,
+                                  tol=man.tolerances.integrator_tol)
         ys = traj.sample(np.linspace(traj.ts[0], traj.t_end, 201))
         lines = (tmp_path / "geo" / f"trajectory_{idx:03d}.csv").read_text().splitlines()
         header = lines[0].split(",")
@@ -317,14 +324,14 @@ def test_a_nan_in_a_later_trajectory_is_named_where_the_per_trajectory_loop_name
         tmp_path, monkeypatch):
     import projeq.cli as cli
     from projeq.errors import DomainViolation
-    from projeq.geodesics import hamiltonian, monitored_values
+    from projeq.geodesics import hamiltonian, integrate_geodesic, monitored_values
     from projeq.manifest import Manifest, seeded_states
 
     m = write_manifest(tmp_path, {**LC3, "run": {"seed": 0, "geodesics": 3, "horizon": 1.0}})
     man = Manifest.load(m)
     g = man.scene.metric
     ys = [traj.sample(np.linspace(traj.ts[0], traj.t_end, 201))
-          for traj in (cli.integrate_geodesic(g, s, 1.0, tol=man.tolerances.integrator_tol)
+          for traj in (integrate_geodesic(g, s, 1.0, tol=man.tolerances.integrator_tol)
                        for s in seeded_states(g, man.scene.chart, 3, 0))]
 
     def nan_at(point):
