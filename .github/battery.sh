@@ -5,15 +5,17 @@
 # runs on the projeq sources in SRC_DIR with its output in OUT_DIR/<label>.
 # Run it from the repository root, which holds the manifests. It fails on
 # the first command whose exit code differs from the expected one (2: a
-# malformed-manifest probe) or that writes no report.json.
+# malformed-manifest probe) or that writes no report.json. The commands
+# expected to pass run with --seed SEED (default 0).
 #
-#   .github/battery.sh SRC_DIR OUT_DIR
+#   .github/battery.sh SRC_DIR OUT_DIR [SEED]
 set -u
 src=$1
 out=$2
+run_seed=${3:-0}
 while read -r label cmd manifest want; do
   seed=""
-  if [ "$want" = 0 ]; then seed="--seed 0"; fi
+  if [ "$want" = 0 ]; then seed="--seed $run_seed"; fi
   code=0
   PYTHONPATH="$src" python -W error::RuntimeWarning -m projeq "$cmd" \
     --manifest "$manifest" --out "$out/$label" $seed \

@@ -34,7 +34,7 @@ _EXPORTS = {
         "ConstantField", "EndomorphismField", "ExpressionField", "MetricField",
         "NumericField", "PhaseState", "ScalarField", "VectorField", "as_field",
     ),
-    "flows": ("IntegralFamily", "SpectrumProfile", "interlacing_audit", "ordering_audit"),
+    "flows": ("IntegralFamily", "interlacing_audit", "ordering_audit"),
     "geodesics": (
         "Ensemble", "Trajectory", "hamiltonian", "integrate", "integrate_geodesic",
         "monitor_along",

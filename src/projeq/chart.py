@@ -69,7 +69,7 @@ class Chart:
             return ((lo + margin < x) & (x < hi - margin)).all(axis=1)
         if x.shape != (self.dim,):
             return False
-        for xi, (lo, hi) in zip(x, self.bounds):
+        for xi, (lo, hi) in zip(x.tolist(), self.bounds):
             if not (lo + margin < xi < hi - margin):
                 return False
         return True

@@ -366,6 +366,7 @@ class _EntryTable:
         self.chart = chart
         self.entries = entries
         self._jets = Jets(chart.names, [f for row in entries for f in row])
+        self._shapes = tuple((len(entries),) * k for k in (2, 3, 4))  # of each jet part
 
     @classmethod
     def from_function(cls, chart, fn, **kw):
@@ -400,7 +401,7 @@ class _EntryTable:
         return self.chart.dim
 
     def matrix(self, x):
-        return _shaped(self._jets(x, 0)[0], (len(self.entries),) * 2)
+        return _shaped(self._jets(x, 0)[0], self._shapes[0])
 
     def dmatrix(self, x):
         """D[i, j, k] = d (entry i, j) / d x_k."""
@@ -409,8 +410,7 @@ class _EntryTable:
     def jet(self, x, order=1):
         """(matrix, dmatrix) at x, and d2matrix at order 2, from one call;
         at an (N, n) stack x each has a leading N axis."""
-        n = len(self.entries)
-        return tuple(_shaped(p, (n,) * (k + 2)) for k, p in enumerate(self._jets(x, order)))
+        return tuple(map(_shaped, self._jets(x, order), self._shapes))
 
 
 class MetricField(_EntryTable):
@@ -526,15 +526,18 @@ class EndomorphismField(_EntryTable):
 
     def _lowered(self, g, x):
         """(g L, |g L - (g L)^T|) at x, refusing a non-finite g, then a
-        non-finite L, with DomainViolation at its first such point."""
-        gl = (require_finite(g.matrix(x), x, "metric")
-              @ require_finite(self.matrix(x), x, "endomorphism"))
+        non-finite L, then a product that overflows, with DomainViolation
+        at its first such point."""
+        g_mat = require_finite(g.matrix(x), x, "metric")
+        l_mat = require_finite(self.matrix(x), x, "endomorphism")
+        with np.errstate(over="ignore"):  # an overflow is refused below, at its point
+            gl = require_finite(g_mat @ l_mat, x, "g*L")
         return gl, np.abs(gl - np.swapaxes(gl, -1, -2))
 
     def self_adjoint_defect(self, g, x):
         """max |g L - (g L)^T| at x, or over an (N, n) stack of points; a
-        non-finite g, then a non-finite L, raises DomainViolation at its
-        first such point."""
+        non-finite g, then a non-finite L, then a g L that overflows, raises
+        DomainViolation at its first such point."""
         return float(np.max(self._lowered(g, x)[1]))
 
     @pointwise_errors(2)
@@ -542,10 +545,13 @@ class EndomorphismField(_EntryTable):
         """Raise NotSelfAdjoint at the first point of x (one point or an
         (N, n) stack) where g L is asymmetric beyond eps_sym_factor times
         max(1, |g L|), |.| the Frobenius norm; a non-finite g, then a
-        non-finite L, is a DomainViolation there."""
+        non-finite L, then a g L or a norm that overflows, is a
+        DomainViolation there."""
         gl, asym = self._lowered(g, x)
         flat = gl.reshape(gl.shape[:-2] + (1, -1))
-        norm = np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])  # as np.linalg.norm
+        with np.errstate(over="ignore"):  # an overflow is refused below, at its point
+            norm = require_finite(np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0]),
+                                  x, "g*L norm")  # as np.linalg.norm
         tol = eps_sym_factor * np.fmax(1.0, norm)
         defect = np.max(asym, axis=(-2, -1))
         require(defect <= tol, x, NotSelfAdjoint,

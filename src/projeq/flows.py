@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ComplexRoots, DomainViolation, ZeroVelocity
 from .fields import PhaseState, require, scan
-from .pairs import spectra_at, spectrum_at
+from .pairs import spectra_at
 from .tolerances import DEFAULT
 
 _IMAG_CLAMP = 1e-9  # relative imaginary part of a root read as rounding noise
@@ -269,35 +269,6 @@ class IntegralFamily:
 
 
 # -- spectra and orderings ----------------------------------------------------
-
-
-class SpectrumProfile:
-    """Pointwise eigenvalue data of L with respect to g."""
-
-    def __init__(self, g, L):
-        self.g = g
-        self.L = L
-
-    def eigenvalues(self, x):
-        return spectrum_at(self.g, self.L, x)
-
-    def gap_floor(self, x, lam=None):
-        if lam is None:
-            lam = self.eigenvalues(x)
-        return DEFAULT.tau_deg_factor * (1.0 + float(np.abs(lam).max()))
-
-    def clusters(self, x):
-        """Distinct eigenvalues with multiplicities, gap set by tau_deg."""
-        lam = self.eigenvalues(x)
-        tau = self.gap_floor(x, lam)
-        out = []
-        for v in lam:
-            if out and v - out[-1][0] < tau:
-                val, cnt = out[-1]
-                out[-1] = ((val * cnt + v) / (cnt + 1), cnt + 1)
-            else:
-                out.append((float(v), 1))
-        return out
 
 
 def ordering_audit(g, L, points, tau_ord=DEFAULT.tau_ord) -> dict:

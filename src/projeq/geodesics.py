@@ -58,6 +58,11 @@ _P = np.array([
     [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 
+# built once, not per step: the 5th-order weights of the stages before the
+# last, and P^T
+_B5_ROW = _B5[:6]
+_PT = _P.T
+
 _SAFETY = 0.9
 _FAC_MIN = 0.2
 _FAC_MAX = 5.0
@@ -82,15 +87,12 @@ def geodesic_rhs(g: MetricField):
     def rhs(t, y):
         if y.ndim > 1:
             return stacked(t, y)
-        x = y[:n]
-        p = y[n:]
-        gmat, dg = g.jet(x, 1)
+        gmat, dg = g.jet(y[:n], 1)
         try:
-            v = np.linalg.solve(gmat, p)
+            v = np.linalg.solve(gmat, y[n:])
         except np.linalg.LinAlgError:
-            raise SingularMetric("metric singular", point=x) from None
-        dp = 0.5 * np.einsum("i,ijk,j->k", v, dg, v)
-        return np.concatenate([v, dp])
+            raise SingularMetric("metric singular", point=y[:n]) from None
+        return np.concatenate((v, 0.5 * np.einsum("i,ijk,j->k", v, dg, v)))
 
     return rhs
 
@@ -148,11 +150,6 @@ class Trajectory:
         k = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
         u = (t - ts[k]) / self.hs[k]
         return _dense_eval(self.ys[k], self.qs[k], u[..., None])
-
-
-def _dense_coeffs(h, k):
-    """Polynomial coefficients h * P^T k, shape (..., 4, size)."""
-    return h * (_P.T @ k)
 
 
 def _dense_eval(y0, q, u):
@@ -252,9 +249,11 @@ def _lockstep(rhs, y, t_span, tol, inside, max_steps):
             if not all(keep):
                 live = [run for run in live if run.status == "running"]
                 y, f = y[keep], f[keep]
-            # the stages of the runs left, and views of each stage
+            # the stages of the runs left; for each of stages 1-5 its c, its
+            # row of A, its slot in k and a view of the stages before it
             k = np.empty(y.shape[:-1] + (7, size))
-            stage, upto = [k[..., i, :] for i in range(7)], [k[..., :i, :] for i in range(7)]
+            stages = [(_C[i], _A[i, :i], k[..., i, :], k[..., :i, :]) for i in range(1, 6)]
+            first, last, before_last = k[..., 0, :], k[..., 6, :], k[..., :6, :]
             finished = False
         for run in live:
             run.h = min(run.h, t1 - run.t)
@@ -268,31 +267,31 @@ def _lockstep(rhs, y, t_span, tol, inside, max_steps):
         else:
             t = live[0].t
             h = hc = live[0].h
-        stage_t = [t + c * h for c in _C]  # the last is t + h: _C[6] is 1
 
-        stage[0][...] = f
-        for i in range(1, 6):
-            stage[i][...] = rhs(stage_t[i], y + hc * (_A[i, :i] @ upto[i]))
-        y_new = y + hc * (_B5[:6] @ upto[6])
-        f_new = rhs(stage_t[6], y_new)
-        stage[6][...] = f_new
+        first[...] = f
+        for c, a, slot, before in stages:
+            slot[...] = rhs(t + c * h, y + hc * (a @ before))
+        y_new = y + hc * (_B5_ROW @ before_last)
+        f_new = rhs(t + h, y_new)  # _C[6] is 1
+        last[...] = f_new
 
         err_vec = hc * (_ERR @ k)
         scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        norm = np.sqrt(np.mean((err_vec / scale) ** 2, axis=-1))
+        # the ufunc calls np.mean makes, so the same bits
+        norm = np.sqrt(np.add.reduce((err_vec / scale) ** 2, axis=-1) / size)
         errs = norm.tolist() if stack else [float(norm)]
         ok = [e <= 1.0 for e in errs]
-        all_ok = all(ok)
+        accepted = ok.count(True)
 
-        if all_ok or any(ok):  # dense coefficients and end flags of the accepted runs
-            rows = ... if all_ok else np.flatnonzero(ok)
-            q = _dense_coeffs(hc[rows, None] if stack else hc, k[rows])
-            ends = flags(y_new[rows]) if flags is not None else [True] * len(errs)
-            accepted = zip(q if stack else (q,), ends)
+        if accepted:  # dense coefficients h P^T k and end flags of the accepted runs
+            rows = ... if accepted == len(ok) else np.flatnonzero(ok)
+            q = (hc[rows, None] if stack else hc) * (_PT @ k[rows])
+            ends = flags(y_new[rows]) if flags is not None else [True] * accepted
+            q_ends = zip(q if stack else (q,), ends)
         for run, err, y_row, y_end in zip(live, errs, y if stack else (y,),
                                            y_new if stack else (y_new,)):
             if err <= 1.0:
-                q_row, inside_end = next(accepted)
+                q_row, inside_end = next(q_ends)
                 run.qs.append(q_row)
                 run.hs.append(run.h)
                 if not inside_end:
@@ -313,9 +312,9 @@ def _lockstep(rhs, y, t_span, tol, inside, max_steps):
             else:
                 run.rejected += 1
                 run.h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
-        if all_ok:
+        if accepted == len(ok):
             y, f = y_new, f_new
-        elif any(ok):
+        elif accepted:
             y, f = (np.where(np.array(ok)[:, None], new, old)
                     for new, old in ((y_new, y), (f_new, f)))
     else:

@@ -130,6 +130,18 @@ FLAT2 = {
     "chart": {"names": ["x", "y"], "bounds": [[-1.0, 1.0], [-1.0, 1.0]]},
     "geometry": {"kind": "metric", "entries": [["1", "0"], ["0", "1"]]},
 }
+# the "metric" and "pair" bases of the exit-code contract below
+CONTRACT_METRIC = {
+    "chart": {"names": ["x", "y"], "bounds": [[0.5, 1.5], [-1.0, 1.0]]},
+    "geometry": {"kind": "metric", "entries": [["1 + x^2", "0"], ["0", "2"]]},
+    "endomorphism": [["x", "0"], ["0", "3"]],
+    "vector_field": ["0", "1"],
+}
+CONTRACT_PAIR = {
+    "chart": {"names": ["x", "y"], "bounds": [[0.1, 1.9], [-1.0, 1.0]]},
+    "geometry": {"kind": "pair", "g": [["2 - x", "0"], ["0", "4 - 2*x"]],
+                 "gbar": [["1", "0"], ["0", "1"]]},
+}
 
 
 @pytest.mark.parametrize("command, manifest, error, names", [
@@ -175,12 +187,19 @@ FLAT2 = {
     ("check-bm", {**LC3, "geometry": {**LC3["geometry"],
                                       "phis": [*LC3["geometry"]["phis"], "7"]}},
      "ManifestError", "block_sizes, phis, block_metrics must align"),
+    ("check-bm", {**CONTRACT_METRIC, "geometry": {**CONTRACT_METRIC["geometry"], "entries": [
+        ["1 + x^2", "0"], ["0", 1e300]]}, "run": {"seed": 0, "samples": 12}},
+     "DomainViolation", "non-finite g*L norm entry at ["),
+    ("check-bm", {**CONTRACT_PAIR, "geometry": {**CONTRACT_PAIR["geometry"], "g": [
+        ["2 - x", "0"], ["0", 1e300]]}, "run": {"seed": 0, "samples": 12}},
+     "DomainViolation", "non-finite g*L entry at ["),
 ], ids=["samples-0", "samples-abc", "horizon-negative", "horizon-inf",
         "geodesics-0", "log-domain", "singular-metric", "entries-ragged",
         "endomorphism-2x3", "gbar-not-a-table", "endomorphism-not-rows",
         "samples-1e300", "geodesics-1e300", "samples-10001",
         "tol-abc", "tol-null", "tol-true", "tol-negative", "tol-nan",
-        "t-grid-inf", "t-grid-1e300", "phis-longer-than-blocks"])
+        "t-grid-inf", "t-grid-1e300", "phis-longer-than-blocks", "metric-entry-1e300",
+        "pair-entry-1e300"])
 def test_bad_input_exits_2_with_named_error(tmp_path, command, manifest, error, names):
     m = write_manifest(tmp_path, manifest)
     out = tmp_path / "out"
@@ -616,17 +635,8 @@ CONTRACT_RUN = {"seed": 0, "samples": 12, "geodesics": 1, "horizon": 0.5, "r": 1
 # one well-formed manifest per geometry kind, each a starting point for mutation
 CONTRACT_BASES = {
     "lc": LC3,
-    "metric": {
-        "chart": {"names": ["x", "y"], "bounds": [[0.5, 1.5], [-1.0, 1.0]]},
-        "geometry": {"kind": "metric", "entries": [["1 + x^2", "0"], ["0", "2"]]},
-        "endomorphism": [["x", "0"], ["0", "3"]],
-        "vector_field": ["0", "1"],
-    },
-    "pair": {
-        "chart": {"names": ["x", "y"], "bounds": [[0.1, 1.9], [-1.0, 1.0]]},
-        "geometry": {"kind": "pair", "g": [["2 - x", "0"], ["0", "4 - 2*x"]],
-                     "gbar": [["1", "0"], ["0", "1"]]},
-    },
+    "metric": CONTRACT_METRIC,
+    "pair": CONTRACT_PAIR,
     "liouville": liouville_manifest(),
     "example": {"geometry": {"kind": "example", "name": "example1", "gamma": 1.0}},
 }

@@ -519,3 +519,23 @@ def test_box_chart_and_contains():
     assert ch.contains(np.array([1.9, -1.9]))
     assert not ch.contains(np.array([2.1, 0.0]))
     assert not ch.contains(np.array([1.0]))
+
+
+def test_contains_at_one_point_agrees_with_the_stack_path():
+    ch = Chart(("a", "b"), ((-1.0, 2.0), (0.0, 1.0)))
+    pts = np.array([
+        [0.5, 0.5], [1.9, 0.05], [-0.95, 0.95],                  # interior
+        [-1.0, 0.5], [2.0, 0.5], [0.5, 0.0], [0.5, 1.0],         # on a wall
+        [np.nextafter(-1.0, 0.0), 0.5], [0.5, np.nextafter(1.0, 0.0)],
+        [np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [0.5, -np.inf],
+        [-0.9, 0.5], [0.5, 0.9], [-0.8, 0.2],                    # at, near a margin of 0.1
+    ])
+    want = {0.0: [True] * 3 + [False] * 4 + [True] * 2 + [False] * 4 + [True] * 3,
+            0.1: [True, False, False] + [False] * 10 + [False, False, True]}
+    for margin, flags in want.items():
+        stacked = ch.contains(pts, margin)
+        assert stacked.tolist() == flags
+        one = [ch.contains(x, margin) for x in pts]
+        assert all(type(v) is bool for v in one) and one == flags
+    for shape in ((1,), (3,), (2, 3), (1, 1, 2)):  # a point of the wrong shape
+        assert ch.contains(np.full(shape, 0.5)) is False

@@ -12,11 +12,11 @@ from projeq.errors import ComplexRoots, DomainViolation, ZeroVelocity
 from projeq.fields import EndomorphismField, MetricField, PhaseState
 from projeq.flows import (
     IntegralFamily,
-    SpectrumProfile,
     interlacing_audit,
     ordering_audit,
 )
 from projeq.levicivita import LeviCivitaSpec, build_lc_pair, random_spec
+from projeq.pairs import spectrum_at
 
 
 def lc_family_3d():
@@ -371,25 +371,11 @@ def test_ordering_audit_rejects_sliding_bands():
     assert band["upper_max"] > band["next_min"]
 
 
-def test_spectrum_profile_clusters_multiplicities():
-    ch = box_chart(("x", "y", "z"), half_width=1.0)
-    g = MetricField.euclidean(ch)
-    L = EndomorphismField.from_rows(
-        ch, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "6 + z^2"]])
-    prof = SpectrumProfile(g, L)
-    x = np.array([0.0, 0.0, 0.5])
-    cl = prof.clusters(x)
-    assert [c[1] for c in cl] == [2, 1]
-    assert cl[0][0] == pytest.approx(1.0)
-    assert cl[1][0] == pytest.approx(6.25)
-    assert prof.gap_floor(x) == pytest.approx(1e-7 * 7.25)
-
-
 def test_interlacing_roots_stay_inside_spectrum_hull():
     fam, spec = lc_family_3d()
     state = phase_sample(spec.chart, 1, seed=9)[0]
     rts = fam.roots(state)
-    lam = SpectrumProfile(fam.g, fam.L).eigenvalues(state.x)
+    lam = spectrum_at(fam.g, fam.L, state.x)
     assert lam[0] - 1e-9 <= rts[0] <= lam[1] + 1e-9
     assert lam[1] - 1e-9 <= rts[1] <= lam[2] + 1e-9
 
@@ -412,7 +398,7 @@ def test_stacked_value_equals_per_state_values(label):
     n = fam.g.dim
     xs = fam.chart.sample(201, seed=5)
     ps = np.random.default_rng(5).normal(size=(201, n))
-    lam = SpectrumProfile(fam.g, fam.L).eigenvalues(xs[17])
+    lam = spectrum_at(fam.g, fam.L, xs[17])
     for t in (-1.5, 0.0, 0.7, float(lam[0]), float(lam[-1]), 9.0):
         stacked = fam.value(PhaseState(xs, ps), t)
         assert stacked.shape == (201,)

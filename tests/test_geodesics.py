@@ -335,7 +335,21 @@ def test_a_stack_budget_or_chart_check_fails_as_its_first_state_does():
 
 def test_the_per_row_error_norm_equals_the_one_state_norm():
     rng = np.random.default_rng(3)
-    for size in (2, 4, 6, 8, 10, 16):
+    for size in range(2, 17):
         rows = rng.standard_normal((50, size)) * 10.0 ** rng.integers(-9, 9, (50, size))
         stacked = np.sqrt(np.mean(rows ** 2, axis=-1)).tolist()
         assert stacked == [float(np.sqrt(np.mean(row ** 2))) for row in rows]
+        # the integrator's form of the same norm, stacked and one row at a time
+        assert np.sqrt(np.add.reduce(rows ** 2, axis=-1) / size).tolist() == stacked
+        assert [float(np.sqrt(np.add.reduce(row ** 2, axis=-1) / size))
+                for row in rows] == stacked
+
+
+def test_the_one_state_rhs_equals_its_row_of_the_stacked_rhs():
+    for g, states in _lockstep_scenes():  # lc3, the torus and random_spec(2, 4)
+        stack = _stack(states)
+        ys = np.concatenate([stack.x, stack.p], axis=1)
+        rhs = geodesic_rhs(g)
+        rows = rhs(np.zeros(len(ys)), ys)
+        for y, row in zip(ys, rows):
+            assert rhs(0.0, y).tobytes() == row.tobytes()
