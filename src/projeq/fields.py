@@ -366,7 +366,8 @@ class _EntryTable:
         self.chart = chart
         self.entries = entries
         self._jets = Jets(chart.names, [f for row in entries for f in row])
-        self._shapes = tuple((len(entries),) * k for k in (2, 3, 4))  # of each jet part
+        # the shapes of a jet's parts: the matrix, its gradients, its Hessians
+        self._shapes = tuple((len(entries),) * k for k in (2, 3, 4))
 
     @classmethod
     def from_function(cls, chart, fn, **kw):
@@ -530,7 +531,7 @@ class EndomorphismField(_EntryTable):
         at its first such point."""
         g_mat = require_finite(g.matrix(x), x, "metric")
         l_mat = require_finite(self.matrix(x), x, "endomorphism")
-        with np.errstate(over="ignore"):  # an overflow is refused below, at its point
+        with np.errstate(over="ignore"):  # an overflow is refused at its point
             gl = require_finite(g_mat @ l_mat, x, "g*L")
         return gl, np.abs(gl - np.swapaxes(gl, -1, -2))
 
@@ -549,9 +550,9 @@ class EndomorphismField(_EntryTable):
         DomainViolation there."""
         gl, asym = self._lowered(g, x)
         flat = gl.reshape(gl.shape[:-2] + (1, -1))
-        with np.errstate(over="ignore"):  # an overflow is refused below, at its point
-            norm = require_finite(np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0]),
-                                  x, "g*L norm")  # as np.linalg.norm
+        with np.errstate(over="ignore"):  # an overflow is refused at its point
+            norm = np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])  # as np.linalg.norm
+            require_finite(norm, x, "g*L norm")
         tol = eps_sym_factor * np.fmax(1.0, norm)
         defect = np.max(asym, axis=(-2, -1))
         require(defect <= tol, x, NotSelfAdjoint,
