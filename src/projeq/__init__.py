@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "chart": ("Chart", "box_chart"),
     "cli": (),
-    "curvature": ("christoffel", "lower_riemann", "ricci", "riemann", "sectional"),
+    "curvature": ("christoffel", "ricci", "riemann", "sectional"),
     "errors": (
         "BranchViolation", "ChartError", "ComplexRoots", "DomainViolation",
         "EnergyProportional", "ExpressionError", "GapViolated", "ManifestError",
@@ -50,8 +50,8 @@ _EXPORTS = {
         "MetricPair", "ProjectiveFlowSpec", "bm_from_flow", "bm_from_flow_field",
         "bm_residual", "bm_residual_stats", "beltrami_map_defect", "gbar_from_l",
         "l_field_from_pair", "l_from_pair", "lie_derivative_metric", "nijenhuis_torsion",
-        "pair_from_l", "pencil_spectrum", "projective_weyl", "spectrum_at",
-        "weyl_pair_defect", "weyl_trace_defect",
+        "pencil_spectrum", "projective_weyl", "spectrum_at", "weyl_pair_defect",
+        "weyl_trace_defect",
     ),
     "reports": (),
     "sampling": (),

@@ -37,6 +37,12 @@ from .pairs import (
 # flows, geodesics, levicivita and surfaces are imported by the commands
 # that use them, so a process loads only what its command runs
 
+# fixed audit bounds, outside the tolerance table: not overridable, not echoed
+_ROUND_TRIP = 1e-10      # round_trip_endo, partner_round_trip: a rebuilt field
+_MARGIN_SLACK = 1e-12    # example: a weight's floor below its expected margin
+_FLOW_SYM = 1e-3         # example: eps_sym_factor of the flow's finite-difference L
+_SECTIONAL = 1e-8        # example: sectional curvature against its expected value
+
 
 def _ensure_endo(scene: Scene):
     if scene.endo is None and scene.pair is not None:
@@ -99,7 +105,7 @@ def _cmd_pair(scene, m, out_dir):
         worst, _ = worst_point(np.max(np.abs(
             l_from_pair(scene.metric, gbar, pts) - scene.endo.matrix(pts)), axis=(-2, -1)),
             pts, "round-trip endomorphism")
-        audits.append(reports.audit("round_trip_endo", worst, 1e-10, worst <= 1e-10))
+        audits.append(reports.audit("round_trip_endo", worst, _ROUND_TRIP, worst <= _ROUND_TRIP))
     else:
         endo = _ensure_endo(scene)
         extra["built"] = "endomorphism"
@@ -318,7 +324,7 @@ def _cmd_lc_build(scene, m, out_dir):
                           samples=min(m.run.samples, 300), seed=m.run.seed)
     mats = scan(pts[:50], lambda p: (rebuilt.matrix(p), gbar.matrix(p)))
     worst = float(np.max(np.abs(mats[0] - mats[1]), initial=0.0))
-    audits.append(reports.audit("partner_round_trip", worst, 1e-10, worst <= 1e-10))
+    audits.append(reports.audit("partner_round_trip", worst, _ROUND_TRIP, worst <= _ROUND_TRIP))
 
     vals = np.array(scan(pts, lambda p: [phi.eval(p) for phi in scene.lc_spec.phis]))
     sep = float(np.min(vals[1:] - vals[:-1], initial=np.inf))
@@ -408,13 +414,13 @@ def _pair_bm_audits(scene, m, expected):
     margin = expected.get("margin_at_least", 0.0)
     for label in ("weight", "weight_partner"):
         floor = float(np.min(as_field(scene.chart, scene.bundle.params[label]).eval(pts)))
-        yield reports.audit(f"{label}_margin", floor, margin, floor >= margin - 1e-12)
+        yield reports.audit(f"{label}_margin", floor, margin, floor >= margin - _MARGIN_SLACK)
 
 
 def _flow_bm_audits(scene, m, expected):
     flow = ProjectiveFlowSpec(scene.metric, scene.bundle.vector_fields["projective_generator"])
     stats = bm_residual_stats(scene.metric, bm_from_flow_field(flow),
-                              scene.chart.sample(100, seed=m.run.seed), eps_sym_factor=1e-3)
+                              scene.chart.sample(100, seed=m.run.seed), eps_sym_factor=_FLOW_SYM)
     tol_bm = expected["flow_bm_residual_tol"]
     yield reports.audit("flow_bm_residual", stats["max"], tol_bm, stats["max"] <= tol_bm)
 
@@ -425,7 +431,7 @@ def _sectional_audits(scene, m, expected):
     e1, e2 = np.eye(scene.chart.dim)[:2]
     worst, _ = worst_point(np.abs(sectional(scene.metric, pts, e1, e2) - want_k),
                            pts, "sectional curvature")
-    yield reports.audit("sectional_curvature", worst, 1e-8, worst <= 1e-8,
+    yield reports.audit("sectional_curvature", worst, _SECTIONAL, worst <= _SECTIONAL,
                         expected=want_k)
 
 

@@ -7,7 +7,6 @@ Index conventions used throughout the package:
   R(u, v) w = nabla_u nabla_v w - nabla_v nabla_u w - nabla_[u,v] w.
   Antisymmetric in (k, l). The unit round sphere has sectional +1.
 * ricci: Ric[j, l] = sum_k R[k, j, k, l], positive on spheres.
-* lowering: R_low[i, j, k, l] = g_im R[m, j, k, l].
 
 Every kernel takes one point x (n,) or an (N, n) stack, which leads each
 result with an N axis. Each einsum has a leading ``...`` and sums as at
@@ -81,12 +80,6 @@ def ricci(g, x, riem=None):
         riem = riemann(g, x)
     ric = np.einsum("...kjkl->...jl", riem)
     return 0.5 * (ric + np.swapaxes(ric, -1, -2))
-
-
-def lower_riemann(g, x, riem=None):
-    if riem is None:
-        riem = riemann(g, x)
-    return np.einsum("...im,...mjkl->...ijkl", g.matrix(x), riem)
 
 
 def sectional(g, x, u, v, riem=None):

@@ -32,7 +32,7 @@ from .errors import (
     SingularMetric,
 )
 from .expressions import FUNCTIONS, Expression, parse_expression
-from .jets import Jets, per_point, require_one_sign
+from .jets import Jets, require_one_sign
 from .tolerances import DEFAULT
 
 _EPS = np.finfo(float).eps
@@ -43,55 +43,58 @@ _FD_STEP2 = _EPS ** 0.25          # central second differences
 
 
 def finite_differences(fn, x, order):
-    """Central differences of a black box fn at x, up to order 2.
-
-    fn(x) may have any shape S. Returns order + 1 flat lists shaped like
-    a Jets result: the values (S), the gradients (S + (n,)) and the
-    Hessians (S + (n, n)), derivative indices last. First derivatives step
+    """Central differences of a black box fn at one point x or at each of
+    an (N, n) stack, up to order 2, from one call of fn on the (M, n) stack
+    of every shifted point, point-major (Fornberg, Math. Comp. 51(184),
+    1988); fn returns (M,) values or (M, n, n) matrices, else ValueError.
+    Returns order + 1 parts laid out as a Jets result, flat lists at one
+    point and (size, N) arrays at a stack: the values, the gradients and
+    the Hessians, derivative indices last. First derivatives step
     cbrt(machine eps) * max(1, |x_i|), second derivatives the quarter
-    power; an ArithmeticError or ValueError from fn is a DomainViolation
-    at x.
-    """
+    power; an ArithmeticError or ValueError from fn is a DomainViolation at
+    the first point whose own stencil raises it."""
     x = np.asarray(x, dtype=float)
-
-    def at(*shifts):
-        """fn at x moved by h along each coordinate i of shifts (i, h)."""
-        y = x.copy()
-        for i, h in shifts:
-            y[i] += h
-        return np.asarray(fn(y), dtype=float)
-
+    xs = x.reshape(-1, x.shape[-1])
+    count, n = xs.shape
+    scale = np.fmax(1.0, np.abs(xs)).T  # np.fmax(1.0, nan) is 1.0, as max(1.0, nan) is
+    steps = (_FD_STEP1 * scale, _FD_STEP2 * scale)
+    # each shifted point as its moves (step, coordinate, sign), in the order read below
+    shifts, signs = [()], (1.0, -1.0)
+    if order:
+        shifts += [((0, i, s),) for i in range(n) for s in signs]
+    for i in range(n if order > 1 else 0):
+        shifts += [((1, i, s),) for s in signs]
+        shifts += [((1, i, a), (1, j, b)) for j in range(i + 1, n) for a in signs for b in signs]
+    ys = np.repeat(xs[:, None], len(shifts), axis=1)
+    for row, moves in enumerate(shifts):
+        for k, i, sign in moves:  # += on the moved coordinate alone keeps a -0.0 elsewhere
+            ys[:, row, i] += sign * steps[k][i]
+    m = count * len(shifts)
     try:
-        f0 = at()
-        parts = [f0]
-        if order:
-            steps = [_FD_STEP1 * max(1.0, abs(v)) for v in x]
-            parts.append(np.stack([(at((i, h)) - at((i, -h))) / (2.0 * h)
-                                   for i, h in enumerate(steps)], axis=-1))
-        if order > 1:
-            steps = [_FD_STEP2 * max(1.0, abs(v)) for v in x]
-            d2 = np.empty(f0.shape + (len(x),) * 2)
-            parts.append(d2)
-            for i, hi in enumerate(steps):
-                d2[..., i, i] = (at((i, hi)) - 2.0 * f0 + at((i, -hi))) / (hi * hi)
-                for j, hj in enumerate(steps[i + 1:], i + 1):
-                    d2[..., i, j] = d2[..., j, i] = (
-                        at((i, hi), (j, hj)) - at((i, hi), (j, -hj))
-                        - at((i, -hi), (j, hj)) + at((i, -hi), (j, -hj))
-                    ) / (4.0 * hi * hj)
+        f = np.asarray(fn(ys.reshape(m, n)), dtype=float)
     except (ArithmeticError, ValueError) as err:
-        raise DomainViolation(f"{err} in a finite-difference field", point=x) from None
-    return [p.ravel().tolist() for p in parts]
-
-
-def _stencil(fn, outputs):
-    """The jet function of a black box fn with `outputs` values:
-    finite_differences at one point, point by point on a stack."""
-    def jet(x, order):
-        if np.ndim(x) == 1:
-            return finite_differences(fn, x, order)
-        return per_point(jet, np.asarray(x, dtype=float), order, outputs)
-    return jet
+        _replay(xs, lambda p: finite_differences(fn, p, order), lambda values, p: None)
+        raise DomainViolation(f"{err} in a finite-difference field",
+                              point=xs[0] if count == 1 else None) from None
+    if f.shape[:1] != (m,):
+        raise ValueError(f"a black box returned shape {f.shape} for an ({m}, {n}) stack")
+    rows = iter(np.moveaxis(f.reshape((count, len(shifts)) + f.shape[1:]), 1, 0))
+    h1, h2 = (h.reshape(h.shape + (1,) * (f.ndim - 1)) for h in steps)  # over fn's output
+    f0 = next(rows)
+    parts = [f0]
+    if order:
+        parts.append(np.stack([(next(rows) - next(rows)) / (2.0 * h) for h in h1], axis=-1))
+    if order > 1:
+        d2 = np.empty(f0.shape + (n, n))
+        parts.append(d2)
+        for i, hi in enumerate(h2):
+            d2[..., i, i] = (next(rows) - 2.0 * f0 + next(rows)) / (hi * hi)
+            for j, hj in enumerate(h2[i + 1:], i + 1):
+                pp, pm, mp, mm = (next(rows) for _ in range(4))
+                d2[..., i, j] = d2[..., j, i] = (pp - pm - mp + mm) / (4.0 * hi * hj)
+    if x.ndim == 1:
+        return [p.ravel().tolist() for p in parts]
+    return [p.reshape(count, int(np.prod(p.shape[1:]))).T for p in parts]
 
 
 def _shaped(part, shape):
@@ -295,10 +298,11 @@ class ExpressionField(ScalarField):
 class NumericField(ScalarField):
     """Field wrapping a black-box callable; derivatives by central differences.
 
-    Its jet is finite_differences of the callable: good to roughly 1e-10 on
-    smooth inputs, which is why closed-form provenance is preferred wherever
-    the construction allows it. Inside field algebra it is an opaque leaf
-    whose jet the generated code calls once per evaluation.
+    fn takes an (M, n) stack and returns (M,) values. The jet is one call of
+    finite_differences: good to roughly 1e-10 on smooth inputs, which is why
+    closed-form provenance is preferred wherever the construction allows
+    it. Inside field algebra it is an opaque leaf whose jet the generated
+    code calls once per evaluation, at one point or on the whole stack.
     """
 
     provenance = "finite-difference"
@@ -306,7 +310,7 @@ class NumericField(ScalarField):
 
     def __init__(self, chart, fn):
         super().__init__(chart)
-        self._jets = _stencil(fn, 1)
+        self._jets = functools.partial(finite_differences, fn)
 
 
 class _OpField(ScalarField):
@@ -371,17 +375,18 @@ class _EntryTable:
 
     @classmethod
     def from_function(cls, chart, fn, **kw):
-        """The table of a black-box matrix function fn(x), symmetric for a
-        metric, evaluated by finite_differences of fn: 2n + 1 calls of fn
-        per dmatrix. Its entries are NumericField views of fn (one per
-        symmetric pair of a metric) for field algebra."""
+        """The table of a black-box fn from an (M, n) stack to (M, n, n),
+        symmetric for a metric: one call of fn per matrix, dmatrix (2n + 1
+        shifted points per point) or d2matrix, by finite_differences. Its
+        entries are NumericField views of fn (one per symmetric pair of a
+        metric) for field algebra."""
         n = chart.dim
-        views = [[NumericField(chart, lambda x, k=(i, j): fn(x)[k]) for j in range(n)]
+        views = [[NumericField(chart, lambda x, i=i, j=j: fn(x)[..., i, j]) for j in range(n)]
                  for i in range(n)]
         if issubclass(cls, MetricField):
             views = [[views[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
         table = cls(chart, views, **kw)
-        table._jets = _stencil(fn, n * n)
+        table._jets = functools.partial(finite_differences, fn)
         return table
 
     @classmethod
@@ -467,7 +472,8 @@ class MetricField(_EntryTable):
         at its first such point."""
         m = require_finite(self.matrix(x), x, "metric")
         s = np.linalg.svd(m, compute_uv=False).T  # s[0] / s[-1] is the condition number
-        require(s[0] < _COND_CAP * s[-1], x, SingularMetric, "metric numerically singular")
+        with np.errstate(over="ignore"):  # an infinite cap compares as the exact product
+            require(s[0] < _COND_CAP * s[-1], x, SingularMetric, "metric numerically singular")
         return np.linalg.inv(m)
 
     def det(self, x):

@@ -24,7 +24,7 @@ import traceback
 
 import numpy as np
 
-from .errors import DerivativeNotAvailable, DomainViolation, UnknownIdentifier
+from .errors import DerivativeNotAvailable, DomainViolation, ProjeqError, UnknownIdentifier
 from .expressions import CHAIN_RULES, FUNCTIONS, BinOp, Call, Expression, Neg, Num, Var
 
 
@@ -58,7 +58,7 @@ _NAMESPACE = dict(FUNCTIONS, _pow=_pow, _array=np.array, inf=math.inf, nan=math.
 # but sqrt and abs, which numpy computes exactly (sqrt is correctly rounded)
 _COLUMNS = dict(_NAMESPACE, **{k: _mapped(f) for k, f in FUNCTIONS.items()},
                 _pow=_mapped(_pow), _coords=np.transpose)
-_COLUMNS.update(sqrt=np.sqrt, abs=np.abs)
+_COLUMNS.update(sqrt=np.sqrt, abs=np.abs, _array=np.column_stack)  # a leaf's (N, m) points
 
 
 def require_one_sign(lo, hi):
@@ -325,11 +325,9 @@ def _build(names, outputs, order):
     exec(code, w.ns)
     fn = w.ns["jet"]
     fn.sites = [outputs[0]] * 2 + w.sites + [outputs[0]]  # the field of each line
-    fn.columns = None  # a black-box leaf is evaluated point by point
-    if not any(name.startswith("_leaf") for name in w.ns):
-        ns = dict(_COLUMNS)
-        exec(code, ns)
-        fn.columns = ns["jet"]
+    ns = dict(w.ns, **_COLUMNS)  # the leaves, and the column namespace
+    exec(code, ns)
+    fn.columns = ns["jet"]
     return fn
 
 
@@ -376,8 +374,8 @@ class Jets:
     the Hessians (output-major, row-major). At an (N, n) stack it returns
     the same parts as arrays with a column of N values in place of each
     float, shape (size, N). The function of an order is built on its first
-    call; the stack runs the same code on columns, and point by point when
-    the field holds a black-box leaf or a point fails.
+    call; the stack runs the same code on columns, a black-box leaf's jet
+    on the whole stack, and runs point by point when a point fails.
     """
 
     def __init__(self, names, outputs):
@@ -398,14 +396,14 @@ class Jets:
         except (ArithmeticError, ValueError) as err:
             line = next(f.lineno for f in traceback.extract_tb(err.__traceback__)
                         if f.filename == "<jet>")
+            if getattr(fn.sites[line - 1], "node", None) == "leaf":
+                raise  # a black box's domain errors are DomainViolations already
             raise DomainViolation(f"{err} in {_describe(fn.sites[line - 1])!r}",
                                   point=xa) from None
 
     def _stack(self, fn, xs, order):
-        if fn.columns is not None:
-            try:
-                with np.errstate(all="ignore", divide="raise", invalid="raise"):
-                    return [_block(p, len(xs)) for p in fn.columns(xs)]
-            except (ArithmeticError, ValueError):
-                pass  # replayed point by point: the first failing point raises
-        return per_point(self, xs, order, len(self.outputs))
+        try:
+            with np.errstate(all="ignore", divide="raise", invalid="raise"):
+                return [_block(p, len(xs)) for p in fn.columns(xs)]
+        except (ArithmeticError, ValueError, ProjeqError):  # replayed: earlier points fail first
+            return per_point(self, xs, order, len(self.outputs))

@@ -213,10 +213,6 @@ def gbar_from_l(g, L, eig_floor=DEFAULT.eig_floor, samples=500, seed=0, validate
     return MetricField(chart, sym, validate=validate)
 
 
-def pair_from_l(g, L, **kw) -> MetricPair:
-    return MetricPair(g, gbar_from_l(g, L, **kw))
-
-
 # --- flows -------------------------------------------------------------
 
 
@@ -248,7 +244,7 @@ def lie_derivative_metric(g, v: VectorField, x):
 
 
 def bm_from_flow(spec: ProjectiveFlowSpec, x):
-    """Trace-adjusted velocity of the metric under the flow, at x.
+    """Trace-adjusted velocity of the metric under the flow, at one point or a stack x.
 
     Returns A - tr(A)/(n+1) Id with A = g^{-1} (L_v g). A Killing
     generator gives the zero matrix; a projective one gives a solution
@@ -259,14 +255,14 @@ def bm_from_flow(spec: ProjectiveFlowSpec, x):
     n = g.dim
     lie = lie_derivative_metric(g, spec.generator, x)
     a = np.linalg.solve(g.matrix(x), lie)
-    return a - (np.trace(a) / (n + 1)) * np.eye(n)
+    return a - (np.trace(a, axis1=-2, axis2=-1)[..., None, None] / (n + 1)) * np.eye(n)
 
 
 def bm_from_flow_field(spec: ProjectiveFlowSpec) -> EndomorphismField:
     """bm_from_flow as an endomorphism field.
 
-    Finite differences of the pointwise formula: each dmatrix costs 2n + 1
-    matrix builds. Accurate to ~1e-10, which is all the downstream
+    Finite differences of the pointwise formula, one call per matrix,
+    dmatrix or d2matrix. Accurate to ~1e-10, which is all the downstream
     residual checks need.
     """
     return EndomorphismField.from_function(spec.metric.chart, lambda x: bm_from_flow(spec, x))

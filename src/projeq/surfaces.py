@@ -404,7 +404,8 @@ class LiouvilleData:
         # when no sample point lands within margin of it
         for name, vals in (("X", xs), ("Y", ys)):
             lo, hi = vals.min(), vals.max()
-            if not (lo * hi > 0.0 and min(abs(lo), abs(hi)) > self.margin):
+            # signs compared, not multiplied: lo * hi can overflow; a zero fails the margin
+            if not ((lo > 0.0) == (hi > 0.0) and min(abs(lo), abs(hi)) > self.margin):
                 raise DomainViolation(
                     f"profile {name} reaches [{lo:.6g}, {hi:.6g}];"
                     " partner weights 1/X, 1/Y undefined near a zero"

@@ -7,6 +7,7 @@ header.txt carries the only timestamp and is excluded.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -709,3 +710,27 @@ def test_cli_contract_holds_on_mutated_manifests(tmp_path, case):
             assert any(a["pass"] is False for a in rep["audits"])
         if code == 2:
             assert "error" in rep
+
+
+# a profile of 1e300 overflowed the profile-sign test and the condition cap
+@pytest.mark.parametrize("key, value", [("X", 1e300), ("X", "1e300*x"), ("Y", -1e300)])
+def test_huge_liouville_profiles_keep_the_contract_under_warnings_as_errors(tmp_path, key,
+                                                                            value):
+    doc = {**liouville_manifest(), "run": CONTRACT_RUN}
+    doc["geometry"] = {**doc["geometry"], key: value}
+    m = write_manifest(tmp_path, doc)
+    crossing = isinstance(value, str)  # X - Y changes sign on the chart
+    want = {"check-bm": "DomainViolation", "pair": "DomainViolation", "weyl": "SingularMetric",
+            "geodesic": None, "conserve": None, "classify2d": None}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for command, error in want.items():
+            out = tmp_path / command
+            code = run(command, m, out)
+            rep = report_of(out)
+            if crossing:
+                assert code == 2 and rep["error"].startswith("ManifestError: geometry 'liouville'")
+            elif error is None:
+                assert code == 0 and rep["pass"] is True
+            else:
+                assert code == 2 and rep["error"].startswith(f"{error}:")

@@ -10,7 +10,6 @@ from projeq.chart import Chart
 from projeq.curvature import (
     christoffel,
     christoffel_with_derivative,
-    lower_riemann,
     ricci,
     riemann,
     sectional,
@@ -159,7 +158,7 @@ def test_lower_riemann_symmetries():
     g = MetricField.from_rows(Chart(("x", "y"), ((-2, 2), (-2, 2))),
                               entries, validate=False)
     x = np.array([0.5, 0.8])
-    rl = lower_riemann(g, x)
+    rl = np.einsum("...im,...mjkl->...ijkl", g.matrix(x), riemann(g, x))
     assert np.allclose(rl, -rl.transpose(1, 0, 2, 3), atol=1e-12)
     assert np.allclose(rl, -rl.transpose(0, 1, 3, 2), atol=1e-12)
     assert np.allclose(rl, rl.transpose(2, 3, 0, 1), atol=1e-12)

@@ -51,6 +51,12 @@ CHART3 = Chart(("x", "y", "z"), ((-1.5, 1.5), (-1.5, 1.5), (-1.5, 1.5)))
 POINTS2 = [np.array(p) for p in [(0.3, -0.7), (-1.1, 0.2), (1.4, 1.3)]]
 
 
+def per_row(fn):
+    """A black box of the one-point callable fn: fn at each row of an (M, n)
+    stack, stacked."""
+    return lambda xs: np.array([fn(x) for x in xs])
+
+
 def fd_grad(f, x, h=1e-6):
     out = np.empty(len(x))
     for i in range(len(x)):
@@ -131,7 +137,7 @@ def test_product_rule_matches_expanded_expression():
 
 def test_numeric_field_matches_symbolic_to_fd_accuracy():
     sym = ExpressionField(CHART2, "exp(x)*sin(y)")
-    num = NumericField(CHART2, lambda x: math.exp(x[0]) * math.sin(x[1]))
+    num = NumericField(CHART2, per_row(lambda x: math.exp(x[0]) * math.sin(x[1])))
     for x in POINTS2:
         assert num.eval(x) == sym.eval(x)
         assert np.allclose(num.d1(x), sym.d1(x), atol=1e-8, rtol=1e-7)
@@ -144,9 +150,9 @@ def test_numeric_field_is_the_scalar_case_of_the_one_stencil():
     def fn(x):
         return math.exp(x[0]) * math.sin(x[1])
 
-    num = NumericField(CHART2, fn)
+    num = NumericField(CHART2, per_row(fn))
     for x in POINTS2:
-        values, grad, hess = finite_differences(fn, x, 2)
+        values, grad, hess = finite_differences(per_row(fn), x, 2)
         assert type(num.eval(x)) is float and num.eval(x) == values[0]
         assert num.d1(x).tolist() == grad
         assert num.d2(x).ravel().tolist() == hess
@@ -154,7 +160,8 @@ def test_numeric_field_is_the_scalar_case_of_the_one_stencil():
 
 def test_finite_differences_of_a_matrix_put_derivative_indices_last():
     x = np.array([0.3, -0.7])
-    values, grad, hess = finite_differences(lambda y: np.outer(y, [1.0, y[0], y[1]]), x, 2)
+    values, grad, hess = finite_differences(
+        per_row(lambda y: np.outer(y, [1.0, y[0], y[1]])), x, 2)
     assert np.array(values).reshape(2, 3).tolist() == np.outer(x, [1.0, x[0], x[1]]).tolist()
     # d/dx_k of y_i * (1, y_0, y_1)_j, and the only nonzero second derivatives
     want = np.zeros((2, 3, 2))
@@ -175,11 +182,11 @@ def test_finite_differences_of_a_matrix_put_derivative_indices_last():
 @pytest.mark.parametrize("method", ["eval", "d1", "d2"])
 def test_black_box_domain_error_is_a_domain_violation_at_the_point(method):
     x = np.array([-0.5, 0.25])
-    num = NumericField(CHART2, lambda y: math.log(y[0]))
+    num = NumericField(CHART2, per_row(lambda y: math.log(y[0])))
     with pytest.raises(DomainViolation) as err:
         getattr(num, method)(x)
     assert err.value.point == [-0.5, 0.25] and "math domain error" in str(err.value)
-    table = MetricField.from_function(CHART2, lambda y: np.diag([math.log(y[0]), 1.0]),
+    table = MetricField.from_function(CHART2, per_row(lambda y: np.diag([math.log(y[0]), 1.0])),
                                       validate=False)
     with pytest.raises(DomainViolation) as err:
         {"eval": table.matrix, "d1": table.dmatrix, "d2": table.d2matrix}[method](x)
@@ -193,7 +200,7 @@ def test_black_box_table_entries_are_views_of_the_matrix():
         calls.append(1)
         return np.array([[2.0 + y[0] ** 2, y[0] * y[1]], [y[0] * y[1], 1.0 + y[1] ** 2]])
 
-    g = MetricField.from_function(CHART2, fn, validate=False)
+    g = MetricField.from_function(CHART2, per_row(fn), validate=False)
     assert calls == []  # one view per symmetric pair: nothing sampled to check symmetry
     assert g.entries[0][1] is g.entries[1][0]
     x = POINTS2[0]
@@ -204,7 +211,7 @@ def test_black_box_table_entries_are_views_of_the_matrix():
     lam = g.entries[0][0] * 3.0 + g.entries[0][1]  # field algebra on the entries
     assert lam.eval(x) == 3.0 * fn(x)[0, 0] + fn(x)[0, 1]
     assert np.allclose(lam.d1(x), [6.0 * x[0] + x[1], x[0]], rtol=1e-9)
-    endo = EndomorphismField.from_function(CHART2, fn)
+    endo = EndomorphismField.from_function(CHART2, per_row(fn))
     assert endo.entries[0][1] is not endo.entries[1][0]
     assert endo.matrix(x).tolist() == g.matrix(x).tolist()
 
@@ -277,7 +284,7 @@ def test_metric_validation_rejects_indefinite():
 
 
 def test_pd_report_names_a_nan_metric_point():
-    nan_right = NumericField(CHART2, lambda x: math.nan if x[0] > 0.5 else 1.0)
+    nan_right = NumericField(CHART2, per_row(lambda x: math.nan if x[0] > 0.5 else 1.0))
     g = MetricField(CHART2, [[nan_right, ConstantField(CHART2, 0.0)],
                              [ConstantField(CHART2, 0.0), ConstantField(CHART2, 1.0)]],
                     validate=False)

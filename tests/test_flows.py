@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_fields import per_row
 
 from projeq.chart import Chart, box_chart
 from projeq.errors import ComplexRoots, DomainViolation, ZeroVelocity
@@ -252,7 +253,7 @@ def test_commutation_report_names_worst_pair_on_incompatible_tensor():
 def test_commutation_report_names_a_nan_bracket():
     unit = Chart(("x", "y"), ((0.0, 1.0), (0.0, 1.0)))
     g = MetricField.from_function(
-        unit, lambda x: np.array([[2.0 if x[0] <= 0.5 else math.nan, 0.0], [0.0, 1.0]]),
+        unit, per_row(lambda x: np.array([[2.0 if x[0] <= 0.5 else math.nan, 0.0], [0.0, 1.0]])),
         validate=False)
     L = EndomorphismField.constant(unit, np.diag([1.0, 2.0]))
     # the family's own self-adjointness check refuses the NaN metric first

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import sympy as sp
 from test_curvature import sympy_curvature
+from test_fields import per_row
 
 from projeq import jets
 from projeq.chart import Chart
@@ -158,7 +159,7 @@ def test_partner_from_l_matches_sympy():
 
 
 def test_numeric_leaf_inside_algebra_keeps_its_finite_differences():
-    num = NumericField(CHART2, lambda x: math.exp(x[0]) * math.sin(x[1]))
+    num = NumericField(CHART2, per_row(lambda x: math.exp(x[0]) * math.sin(x[1])))
     sq = as_field(CHART2, "x^2 + y")
     f = num * sq
     exact = ExpressionField(CHART2, "exp(x)*sin(y)*(x^2 + y)")
@@ -180,7 +181,7 @@ def test_numeric_leaf_runs_one_stencil_per_evaluation():
         calls.append(1)
         return math.exp(x[0]) * math.sin(x[1])
 
-    f = NumericField(CHART2, fn) * as_field(CHART2, "x^2 + y")
+    f = NumericField(CHART2, per_row(fn)) * as_field(CHART2, "x^2 + y")
     for method, want in (("eval", 1), ("d1", 5), ("d2", 13)):
         calls.clear()
         getattr(f, method)(POINTS2[0])
@@ -190,7 +191,7 @@ def test_numeric_leaf_runs_one_stencil_per_evaluation():
 def test_reindexed_numeric_leaf_lands_in_its_slot():
     line = Chart(("u",), ((-3.0, 3.0),))
     chart3 = Chart(("x", "y", "z"), ((-1.5, 1.5),) * 3)
-    lifted = ReindexedField(chart3, NumericField(line, lambda u: u[0] ** 3), (2,))
+    lifted = ReindexedField(chart3, NumericField(line, per_row(lambda u: u[0] ** 3)), (2,))
     f = lifted * coord(chart3, "x")
     x = np.array([0.4, -0.9, 1.2])
     assert f.eval(x) == pytest.approx(0.4 * 1.728, rel=1e-14)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from test_fields import per_row
 
 from projeq.chart import Chart, box_chart
 from projeq.curvature import christoffel, sectional
@@ -286,18 +287,19 @@ def test_split_h_samples_the_matrix_once_per_stencil_point(monkeypatch):
     split_at = levicivita._split_at
 
     def counting(*args):
-        calls.append(1)
+        calls.append(len(args[3]))  # the points of the call
         return split_at(*args)
 
     monkeypatch.setattr(levicivita, "_split_at", counting)
     h, _ = split(g, L, r=1, samples=200, seed=0)
-    # one stacked call for the scan, then dmatrix at 32 points: 2n + 1 = 7 matrices each
-    assert len(calls) == 1 + 32 * 7
+    # one stacked call for the scan, then one for dmatrix at 32 points: 2n + 1 = 7
+    # shifted points each
+    assert calls == [200, 32 * 7]
     # the table as it was built before: one NumericField per symmetric pair,
     # each re-running the whole h
     n = g.dim
-    views = {(i, j): NumericField(g.chart, lambda y, i=i, j=j: split_matrix(g, L, 1, y)[i, j])
-             for i in range(n) for j in range(i, n)}
+    views = {(i, j): NumericField(g.chart, per_row(
+        lambda y, i=i, j=j: split_matrix(g, L, 1, y)[i, j])) for i in range(n) for j in range(i, n)}
     ref = MetricField(g.chart, [[views[min(i, j), max(i, j)] for j in range(n)]
                                 for i in range(n)], validate=False)
     for y in g.chart.sample(5, seed=3):

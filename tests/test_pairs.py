@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from test_fields import per_row
 
 from projeq.chart import Chart, box_chart
 from projeq.errors import (
@@ -42,7 +43,6 @@ from projeq.pairs import (
     l_field_from_pair,
     lie_derivative_metric,
     nijenhuis_torsion,
-    pair_from_l,
     pencil_spectrum,
     projective_weyl,
     spectrum_at,
@@ -125,7 +125,7 @@ def test_gbar_from_l_requires_positive_spectrum():
 
 def test_pair_from_l_returns_validated_pair():
     g, _, L = lc_case()
-    pair = pair_from_l(g, L)
+    pair = MetricPair(g, gbar_from_l(g, L))
     assert isinstance(pair, MetricPair)
     x = CHART2.center()
     assert np.allclose(l_from_pair(pair.g, pair.gbar, x), L.matrix(x),
@@ -255,7 +255,7 @@ def test_import_leaves_scipy_out():
 
 def nan_beyond(chart, cut):
     """A black-box entry that is NaN where x > cut and 1 elsewhere."""
-    return NumericField(chart, lambda x: math.nan if x[0] > cut else 1.0)
+    return NumericField(chart, per_row(lambda x: math.nan if x[0] > cut else 1.0))
 
 
 def test_non_finite_pencil_input_is_a_domain_violation():
@@ -395,18 +395,18 @@ def test_flow_field_samples_the_matrix_once_per_stencil_point(monkeypatch):
     calls = []
 
     def counting(*args):
-        calls.append(1)
+        calls.append(len(args[1]))  # the points of the call
         return bm_from_flow(*args)
 
     monkeypatch.setattr(pairs, "bm_from_flow", counting)
     x = np.array([1.2, 0.7])
     a_field.dmatrix(x)
-    assert len(calls) == 2 * 2 + 1  # one per stencil point, not one per entry
+    assert calls == [2 * 2 + 1]  # one call on every stencil point, not one per entry
     # the table as it was built before: one NumericField per entry, each
     # re-running the whole matrix
     chart, n = SPHERE.chart, SPHERE.dim
     ref = EndomorphismField(chart, [[NumericField(
-        chart, lambda y, i=i, j=j: bm_from_flow(spec, y)[i, j]) for j in range(n)]
+        chart, per_row(lambda y, i=i, j=j: bm_from_flow(spec, y)[i, j])) for j in range(n)]
         for i in range(n)])
     for y in chart.sample(5, seed=3):
         assert a_field.matrix(y).tobytes() == ref.matrix(y).tobytes()

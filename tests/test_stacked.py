@@ -8,9 +8,11 @@ types.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
+from test_fields import per_row
 
 from projeq import jets
 from projeq.chart import Chart, box_chart
@@ -32,8 +34,11 @@ from projeq.fields import (
     MetricField,
     NumericField,
     PhaseState,
+    ReindexedField,
     VectorField,
     as_field,
+    coord,
+    finite_differences,
     scan,
     worst_point,
 )
@@ -52,6 +57,7 @@ from projeq.manifest import seeded_states
 from projeq.pairs import (
     MetricPair,
     ProjectiveFlowSpec,
+    bm_from_flow,
     bm_from_flow_field,
     bm_residual,
     bm_residual_stats,
@@ -159,19 +165,86 @@ def test_a_failing_stack_raises_as_its_first_failing_point(text, bad):
         assert many.value.point == one.value.point == list(bad)
 
 
-def test_black_box_stacks_equal_their_one_point_calls():
-    num = NumericField(UNIT, lambda x: math.exp(x[0]) * math.sin(x[1]))
+def test_black_box_stacks_equal_their_one_point_calls(columns_only):
+    num = NumericField(UNIT, per_row(lambda x: math.exp(x[0]) * math.sin(x[1])))
     f = num * as_field(UNIT, "x^2 + y")
-    table = MetricField.from_function(
-        UNIT, lambda x: np.array([[2.0 + x[0] ** 2, x[0] * x[1]], [x[0] * x[1], 1.0 + x[1]]]),
+    table = MetricField.from_function(UNIT, per_row(
+        lambda x: np.array([[2.0 + x[0] ** 2, x[0] * x[1]], [x[0] * x[1], 1.0 + x[1]]])),
         validate=False)
     xs = UNIT.sample(31, seed=1)
     for method in ("eval", "d1", "d2"):
         assert np.array_equal(getattr(num, method)(xs), _per_point(getattr(num, method), xs))
         assert np.array_equal(getattr(f, method)(xs), _per_point(getattr(f, method), xs))
-    for order in (0, 1, 2):
-        for s, p in zip(table.jet(xs, order), _per_point(lambda x: table.jet(x, order), xs)):
-            assert np.array_equal(s, p)
+    sphere = builtin_example("sphere_beltrami")
+    flow = ProjectiveFlowSpec(sphere.metric, sphere.vector_fields["projective_generator"])
+    ys = sphere.chart.sample(5, seed=1)
+    assert np.array_equal(bm_from_flow(flow, ys), _per_point(lambda y: bm_from_flow(flow, y), ys))
+    for table, pts in ((table, xs), (bm_from_flow_field(flow), ys)):
+        for order in (0, 1, 2):
+            for s, p in zip(table.jet(pts, order),
+                            _per_point(lambda x: table.jet(x, order), pts)):
+                assert np.array_equal(s, p)
+
+
+@pytest.mark.parametrize("count", [1, 7])
+def test_stacked_finite_differences_equal_the_one_point_calls(count):
+    scalar = per_row(lambda x: math.exp(x[0]) * math.sin(x[1] * x[2]))
+    matrix = per_row(lambda x: np.outer(x, [1.0, x[0] * x[2], math.cos(x[1])]))
+    xs = Chart(("x", "y", "z"), ((-2.0, 2.0),) * 3).sample(count, seed=5)
+    xs[0, 1] = -0.0  # a step along another coordinate keeps its sign
+    for fn in (scalar, matrix):
+        for order in (0, 1, 2):
+            stacked = finite_differences(fn, xs, order)
+            assert len(stacked) == order + 1
+            for k, part in enumerate(stacked):
+                assert part.shape[1] == count
+                assert np.array_equal(part.T, [finite_differences(fn, x, order)[k] for x in xs])
+
+
+def test_a_black_box_result_of_the_wrong_shape_is_a_value_error():
+    xs = UNIT.sample(3, seed=0)
+    for fn, shape in ((lambda ys: np.ones(2), "(2,)"), (lambda ys: 1.0, "()")):
+        f = NumericField(UNIT, fn)
+        for call in (lambda: f.eval(xs), lambda: f.d1(xs[0]),
+                     lambda: (f * as_field(UNIT, "x")).d2(xs)):
+            with pytest.raises(ValueError, match=re.escape(f"shape {shape}")) as err:
+                call()
+            assert not isinstance(err.value, ProjeqError)
+    table = MetricField.from_function(UNIT, lambda ys: np.ones((2, 2)), validate=False)
+    with pytest.raises(ValueError, match=r"shape \(2, 2\) for an \(15, 2\) stack"):
+        table.dmatrix(xs)
+
+
+def test_a_leaf_failing_later_does_not_mask_an_earlier_closed_form_failure():
+    xs = UNIT.sample(20, seed=2)
+    xs[7] = [0.5, 0.3]
+    late = tuple(xs[12])
+    leaf = NumericField(UNIT, per_row(
+        lambda x: math.log(-1.0) if tuple(x) == late else x[0] * x[1]))
+    f = leaf + ExpressionField(UNIT, "1/(x - 0.5)")  # the leaf's line comes first
+    for method in ("eval", "d1"):
+        with pytest.raises(DomainViolation) as one:
+            getattr(f, method)(xs[7])
+        with pytest.raises(DomainViolation) as many:
+            getattr(f, method)(xs)
+        assert str(many.value) == str(one.value)
+        assert many.value.point == one.value.point == xs[7].tolist()
+    with pytest.raises(DomainViolation) as err:
+        leaf.eval(xs)
+    assert err.value.point == xs[12].tolist()
+
+
+def test_a_stacked_reindexed_leaf_equals_its_one_point_calls(columns_only):
+    line = Chart(("u",), ((-3.0, 3.0),))
+    chart3 = Chart(("x", "y", "z"), ((-1.5, 1.5),) * 3)
+    lifted = ReindexedField(chart3, NumericField(line, per_row(lambda u: math.sin(u[0]) ** 3)),
+                            (2,))
+    pair = ReindexedField(chart3, NumericField(UNIT, per_row(lambda u: u[0] * math.exp(u[1]))),
+                          (2, 0))
+    f = lifted * coord(chart3, "x") + pair
+    xs = chart3.sample(25, seed=3)
+    for method in ("eval", "d1", "d2"):
+        assert np.array_equal(getattr(f, method)(xs), _per_point(getattr(f, method), xs))
 
 
 # -- the curvature kernels on stacks ---------------------------------------------------
@@ -233,8 +306,8 @@ def _faulty(xs, faults):
         asymmetric = at.get(tuple(x)) is NotSelfAdjoint
         return np.array([[1.0 + x[0] * x[1], 0.5 if asymmetric else 0.0], [0.0, 2.0]])
 
-    return (MetricField.from_function(UNIT, metric, validate=False),
-            EndomorphismField.from_function(UNIT, endo))
+    return (MetricField.from_function(UNIT, per_row(metric), validate=False),
+            EndomorphismField.from_function(UNIT, per_row(endo)))
 
 
 @pytest.mark.parametrize("err", _CHECKS)
@@ -266,7 +339,7 @@ def test_a_failing_energy_stack_raises_as_its_first_failing_point():
             raise ValueError("math domain error")
         return np.diag([0.0 if tuple(x) == singular else 2.0 + x[0], 1.0])
 
-    g = MetricField.from_function(UNIT, metric, validate=False)
+    g = MetricField.from_function(UNIT, per_row(metric), validate=False)
     # a stacked build fails at the 13th point first; the loop meets the 8th
     with pytest.raises(SingularMetric) as err:
         hamiltonian(g, xs, ps)
@@ -280,7 +353,7 @@ def test_a_failing_energy_stack_raises_as_its_first_failing_point():
 
 
 def _nan_right_metric():
-    nan_right = NumericField(UNIT, lambda x: 2.0 if x[0] <= 0.5 else math.nan)
+    nan_right = NumericField(UNIT, per_row(lambda x: 2.0 if x[0] <= 0.5 else math.nan))
     zero, one = ConstantField(UNIT, 0.0), ConstantField(UNIT, 1.0)
     return MetricField(UNIT, [[nan_right, zero], [zero, one]], validate=False)
 
@@ -300,7 +373,7 @@ def test_a_nan_metric_is_a_domain_violation_in_the_curvature_kernels():
 
 
 def test_a_nan_endomorphism_is_a_domain_violation_in_the_residual_and_the_defect():
-    nan_right = NumericField(UNIT, lambda x: 1.0 if x[0] <= 0.5 else math.nan)
+    nan_right = NumericField(UNIT, per_row(lambda x: 1.0 if x[0] <= 0.5 else math.nan))
     zero, two = ConstantField(UNIT, 0.0), ConstantField(UNIT, 2.0)
     L = EndomorphismField(UNIT, [[nan_right, zero], [zero, two]])
     g = MetricField.euclidean(UNIT)
@@ -324,7 +397,7 @@ def test_a_finite_endomorphism_with_a_nan_derivative_is_a_non_finite_residual():
     samples = {tuple(x) for x in pts}
     # finite at every sample point; NaN at the stencil's neighbours where x > 0.5
     nan_near = NumericField(
-        UNIT, lambda x: 1.0 if x[0] <= 0.5 or tuple(x) in samples else math.nan)
+        UNIT, per_row(lambda x: 1.0 if x[0] <= 0.5 or tuple(x) in samples else math.nan))
     zero, two = ConstantField(UNIT, 0.0), ConstantField(UNIT, 2.0)
     L = EndomorphismField(UNIT, [[nan_near, zero], [zero, two]])
     g = MetricField.euclidean(UNIT)
@@ -489,7 +562,7 @@ def _broken(xs, faults):
             raise ValueError("math domain error")
         return np.diag([{"singular": 0.0, "nan": math.nan}.get(kind, 2.0 + x[0]), 1.0 + x[1]])
 
-    return MetricField.from_function(UNIT, metric, validate=False)
+    return MetricField.from_function(UNIT, per_row(metric), validate=False)
 
 
 def _loop_error(fn, items):
@@ -528,7 +601,8 @@ def test_a_failing_audit_stack_raises_what_the_loop_raised_first(first):
                lambda: split(g, L, 1, samples=20, seed=0))
     # a generator undefined at the 6th point, met after the metric in each point's turn
     undefined = tuple(xs[5])
-    rotation = NumericField(UNIT, lambda x: math.sqrt(-1.0) if tuple(x) == undefined else x[1])
+    rotation = NumericField(
+        UNIT, per_row(lambda x: math.sqrt(-1.0) if tuple(x) == undefined else x[1]))
     v = VectorField(UNIT, (rotation, "-x"))
     _raises_as(_loop_error(lambda x: lie_derivative_metric(g, v, x), xs),
                lambda: killing_residual(g, v, samples=20, seed=0))

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from test_fields import per_row
 
 from projeq.chart import Chart, box_chart
 from projeq.errors import (
@@ -340,7 +341,7 @@ def test_example_killing_expectations():
 
 def test_killing_residual_names_a_nan_point():
     unit = Chart(("x", "y"), ((0.0, 1.0), (0.0, 1.0)))
-    nan_right = NumericField(unit, lambda x: 2.0 if x[0] <= 0.5 else math.nan)
+    nan_right = NumericField(unit, per_row(lambda x: 2.0 if x[0] <= 0.5 else math.nan))
     zero, one = ConstantField(unit, 0.0), ConstantField(unit, 1.0)
     g = MetricField(unit, [[nan_right, zero], [zero, one]], validate=False)
     pts = unit.sample(50, seed=0)
