@@ -121,20 +121,17 @@ def _cmd_pair(scene, m, out_dir):
 
 def _run_trajectories(scene, m, monitored):
     """The run's seeded geodesics, integrated as one stack, and their
-    tables (see _sample_columns). A stack that fails fails as the loop over
-    its states did: scan runs them again one at a time, each integrated
-    and then sampled, so the first failure in that order raises."""
+    tables (see _sample_columns). An integration failure raises as
+    integrate names it, at its first failing start; a sampling failure is
+    replayed trajectory by trajectory (scan), so the first trajectory
+    whose sampling fails raises."""
     from .geodesics import integrate_geodesic
 
     states = seeded_states(scene.metric, _init_box(scene), m.run.geodesics, m.run.seed)
-
-    def run(states):
-        stack = PhaseState(np.array([s.x for s in states]), np.array([s.p for s in states]))
-        trajs = integrate_geodesic(scene.metric, stack, m.run.horizon,
-                                   tol=m.tolerances.integrator_tol)
-        return trajs, _sample_columns(scene.metric, trajs, monitored)
-
-    return scan(states, run)
+    stack = PhaseState(np.array([s.x for s in states]), np.array([s.p for s in states]))
+    trajs = integrate_geodesic(scene.metric, stack, m.run.horizon,
+                               tol=m.tolerances.integrator_tol)
+    return trajs, scan(trajs, lambda ts: _sample_columns(scene.metric, ts, monitored))
 
 
 def _sample_columns(g, trajs, monitored):

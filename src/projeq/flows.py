@@ -239,11 +239,12 @@ class IntegralFamily:
         def scaled(rows):
             """(scaled brackets, brackets) of phase rows (x, p), per state."""
             x = rows[:, :n]
-            jet = self._jet(PhaseState(x, rows[:, n:]))
-            mag = np.abs((w @ jet.a[:, :, None])[..., 0])
-            br = np.concatenate([(w @ jet.brackets @ w.T)[:, ii, jj],
-                                 (w @ jet.energy_brackets[:, :, None])[..., 0]], axis=1)
-            rel = np.abs(br) / np.concatenate([1.0 + mag[:, ii] + mag[:, jj], 1.0 + mag], 1)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused at its point below
+                jet = self._jet(PhaseState(x, rows[:, n:]))
+                mag = np.abs((w @ jet.a[:, :, None])[..., 0])
+                br = np.concatenate([(w @ jet.brackets @ w.T)[:, ii, jj],
+                                     (w @ jet.energy_brackets[:, :, None])[..., 0]], axis=1)
+                rel = np.abs(br) / np.concatenate([1.0 + mag[:, ii] + mag[:, jj], 1.0 + mag], 1)
             require(np.isfinite(rel), x, DomainViolation, "non-finite commutation bracket")
             return rel, br
 

@@ -26,8 +26,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .chart import Chart
-from .errors import ExpressionError, ManifestError, ProjeqError, SingularMetric
-from .fields import EndomorphismField, MetricField, PhaseState, VectorField, require_finite
+from .errors import ExpressionError, ManifestError, ProjeqError
+from .fields import EndomorphismField, MetricField, PhaseState, VectorField
 from .pairs import MetricPair, l_field_from_pair, spectrum_at
 from .sampling import halton_points
 from .tolerances import DEFAULT, Tolerances
@@ -319,19 +319,14 @@ def seeded_states(metric: MetricField, box: Chart, count: int, seed: int):
 
     Momentum directions come from a shifted Halton window and are scaled
     to p^T g^{-1} p = 1, so trajectory speed is comparable across draws.
+    The start metrics are checked and inverted by one `metric.inverse`
+    call, which refuses the first start whose metric is non-finite or
+    numerically singular.
     """
-    n = metric.dim
     xs = box.sample(count, seed=seed)
-    dirs = 2.0 * halton_points(count, n, seed=seed + 101) - 1.0
-    states = []
-    for x, d in zip(xs, dirs):
-        if np.linalg.norm(d) < 1e-6:
-            d = np.zeros(n)
-            d[0] = 1.0
-        try:
-            ginv = np.linalg.inv(require_finite(metric.matrix(x), x, "metric"))
-        except np.linalg.LinAlgError:
-            raise SingularMetric("metric singular", point=x) from None
-        p = d / np.sqrt(float(d @ ginv @ d))
-        states.append(PhaseState(x, p))
-    return states
+    dirs = 2.0 * halton_points(count, metric.dim, seed=seed + 101) - 1.0
+    dirs[np.linalg.norm(dirs, axis=1) < 1e-6] = np.eye(metric.dim)[0]
+    ginv = metric.inverse(xs)
+    # row @ matrix @ column: each norm sums as the one-state d @ ginv @ d does
+    ps = dirs / np.sqrt((dirs[:, None, :] @ ginv @ dirs[:, :, None])[:, 0])
+    return [PhaseState(x, p) for x, p in zip(xs, ps)]

@@ -45,8 +45,9 @@ def pencil_spectrum(gmat, lmat, points=None):
     C^T L C^-T, which equals C^-1 (g L) C^-T; the product is symmetrised
     against rounding. A 2-D call is the one-matrix case of the stack.
     Non-finite entries raise DomainViolation and a g that is not
-    positive-definite raises NotPositiveDefinite; both name the point
-    when ``points`` (one per matrix, in stack order) is given.
+    positive-definite raises NotPositiveDefinite; a product that
+    overflows is a DomainViolation too. Each names the point when
+    ``points`` (one per matrix, in stack order) is given.
     """
     g = np.asarray(gmat, dtype=float)
     lm = np.asarray(lmat, dtype=float)
@@ -61,8 +62,10 @@ def pencil_spectrum(gmat, lmat, points=None):
         k = int(np.argmin(w))
         raise NotPositiveDefinite(f"metric not positive-definite: min eigenvalue {w[k]:.3e}",
                                   point=None if points is None else points[k]) from None
-    m = c.transpose(0, 2, 1) @ lm @ np.linalg.inv(c).transpose(0, 2, 1)
-    return np.linalg.eigvalsh(0.5 * (m + m.transpose(0, 2, 1))).reshape(lead + (n,))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused at its point below
+        m = c.transpose(0, 2, 1) @ lm @ np.linalg.inv(c).transpose(0, 2, 1)
+        m = 0.5 * (m + m.transpose(0, 2, 1))
+    return np.linalg.eigvalsh(require_finite(m, points, "pencil product")).reshape(lead + (n,))
 
 
 def spectra_at(g: MetricField, L: EndomorphismField, points):

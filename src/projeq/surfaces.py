@@ -189,8 +189,9 @@ def principal_form(integral: QuadraticIntegral2D, samples=64, seed=0,
     """Total-least-squares quadratic fit of the a-coefficient.
 
     EnergyProportional when a vanishes on the sample (relative to the
-    b-coefficient's size); NotPolynomial when the best quadratic leaves
-    residual above fit_tol_factor * max |a|.
+    b-coefficient's size); DomainViolation at the first sample point whose
+    row of the fit matrix is non-finite; NotPolynomial when the best
+    quadratic leaves residual above fit_tol_factor * max |a|.
     """
     pts = integral.chart.sample(samples, seed=seed)
     z = pts[:, 0] + 1j * pts[:, 1]
@@ -205,8 +206,10 @@ def principal_form(integral: QuadraticIntegral2D, samples=64, seed=0,
             f"a-coefficient is zero to {a_scale:.3e}; form undefined"
         )
 
-    m = np.column_stack([z * z, z, np.ones_like(z), a])
-    _, _, vh = np.linalg.svd(m)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused at its point below
+        m = np.column_stack([z * z, z, np.ones_like(z), a])
+    # before the SVD, which may never return on a non-finite matrix
+    _, _, vh = np.linalg.svd(require_finite(m, pts, "fit matrix"))
     v = vh[-1].conj()
     if abs(v[3]) <= 1e-10 * np.linalg.norm(v):
         raise NotPolynomial("a(z) admits no quadratic-polynomial fit (degenerate)")

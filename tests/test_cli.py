@@ -131,6 +131,10 @@ FLAT2 = {
     "chart": {"names": ["x", "y"], "bounds": [[-1.0, 1.0], [-1.0, 1.0]]},
     "geometry": {"kind": "metric", "entries": [["1", "0"], ["0", "1"]]},
 }
+# geodesics that reach x > 0.95 leave sqrt's domain; of seed 2's six starts, a later one does
+FRAGILE = "2 + sin(10*x) + 1e-300*sqrt(0.95 - x)"
+FRAGILE_RUN = {**FLAT2, "geometry": {"kind": "metric", "entries": [[FRAGILE, "0"], ["0", FRAGILE]]},
+               "run": {"seed": 2, "geodesics": 6, "horizon": 8.0}}
 # the "metric" and "pair" bases of the exit-code contract below
 CONTRACT_METRIC = {
     "chart": {"names": ["x", "y"], "bounds": [[0.5, 1.5], [-1.0, 1.0]]},
@@ -162,7 +166,7 @@ CONTRACT_PAIR = {
     ("geodesic", {**FLAT2, "geometry": {"kind": "metric", "entries": [
         ["1+x^2", "0"], ["0", "exp(1000*y)"]]},
         "run": {"seed": 0, "geodesics": 2, "horizon": 5.0}},
-     "SingularMetric", "singular at ["),
+     "SingularMetric", "metric numerically singular at ["),
     ("check-bm", {**FLAT2, "geometry": {"kind": "metric", "entries": [
         ["1 + x^2", "0"], ["0"]]}, "run": {"samples": 20}},
      "ManifestError", "geometry.entries must be a 2 x 2 table"),
@@ -224,15 +228,33 @@ def test_a_nan_metric_is_refused_at_the_first_start_point(tmp_path):
     assert report_of(out)["error"] == f"DomainViolation: non-finite metric entry at {start}"
 
 
-def test_structural_error_leaves_no_trajectory_csv(tmp_path):
-    # the first trajectory finishes, the second meets the singular metric
+def test_a_numerically_singular_start_metric_is_refused_at_the_first_such_start(tmp_path):
+    # finite and invertible, but condition >= 1e12 where y > -0.31
+    bounds = [[-1.0, 1.0], [-1.0, 1.0]]
     m = write_manifest(tmp_path, {**FLAT2, "geometry": {"kind": "metric", "entries": [
-        ["1+x^2", "0"], ["0", "exp(1000*y)"]]},
-        "run": {"seed": 0, "geodesics": 2, "horizon": 5.0}})
+        ["1", "0"], ["0", "exp(-40*(y+1))"]]}, "run": {"seed": 1, "geodesics": 6, "horizon": 1.0}})
     out = tmp_path / "out"
     assert run("geodesic", m, out) == 2
-    assert report_of(out)["error"].startswith("SingularMetric:")
-    assert not list(out.glob("trajectory_*.csv"))
+    xs = Chart(("x", "y"), tuple(map(tuple, bounds))).sample(6, seed=1)
+    first = next(x for x in xs if np.exp(-40.0 * (x[1] + 1.0)) <= 1e-12)
+    assert first.tolist() != xs[0].tolist()
+    assert report_of(out)["error"] == (
+        f"SingularMetric: metric numerically singular at {first.tolist()}")
+
+
+def test_structural_error_leaves_no_trajectory_csv(tmp_path):
+    singular = {**FLAT2, "geometry": {"kind": "metric", "entries": [
+        ["1+x^2", "0"], ["0", "exp(1000*y)"]]},
+        "run": {"seed": 0, "geodesics": 2, "horizon": 5.0}}
+    # exp(1000*y) underflows at a start; FRAGILE_RUN's first trajectories finish
+    # and a later one leaves sqrt's domain
+    for label, manifest, error in (("singular", singular, "SingularMetric:"),
+                                   ("fragile", FRAGILE_RUN, "DomainViolation: math domain")):
+        m = write_manifest(tmp_path, manifest, name=f"{label}.json")
+        out = tmp_path / label
+        assert run("geodesic", m, out) == 2
+        assert report_of(out)["error"].startswith(error)
+        assert not list(out.glob("trajectory_*.csv"))
 
 
 @pytest.mark.parametrize("item, key", [("integrator_tol=-1", "integrator_tol"),
@@ -373,6 +395,88 @@ def test_a_nan_in_a_later_trajectory_is_named_where_the_per_trajectory_loop_name
         out = tmp_path / command
         assert run(command, m, out) == 2
         assert report_of(out)["error"] == f"DomainViolation: {loop.value}"
+
+
+def counting_lockstep(monkeypatch):
+    """The list that each later _lockstep call appends its start's shape to."""
+    import projeq.geodesics as geodesics
+
+    calls, lockstep = [], geodesics._lockstep
+
+    def counting(rhs, y, *args):
+        calls.append(y.shape)
+        return lockstep(rhs, y, *args)
+
+    monkeypatch.setattr(geodesics, "_lockstep", counting)
+    return calls
+
+
+def first_integration_error(man):
+    """(k, error) of the first seeded start whose one-state run raises."""
+    from projeq.errors import ProjeqError
+    from projeq.geodesics import integrate_geodesic
+    from projeq.manifest import seeded_states
+
+    g = man.scene.metric
+    for k, state in enumerate(seeded_states(g, man.scene.chart, man.run.geodesics, man.run.seed)):
+        try:
+            integrate_geodesic(g, state, man.run.horizon, tol=man.tolerances.integrator_tol)
+        except ProjeqError as e:
+            return k, e
+    return None, None
+
+
+def test_an_integration_failure_is_replayed_once_up_to_its_start(tmp_path, monkeypatch):
+    from projeq.manifest import Manifest
+
+    m = write_manifest(tmp_path, FRAGILE_RUN)
+    k, error = first_integration_error(Manifest.load(m))
+    assert k is not None and k > 0
+    calls = counting_lockstep(monkeypatch)
+    out = tmp_path / "out"
+    assert run("geodesic", m, out) == 2
+    assert report_of(out)["error"] == f"{type(error).__name__}: {error}"
+    # the stacked attempt, then integrate's replay of starts 0..k
+    assert calls == [(6, 4)] + [(1, 4)] * (k + 1)
+
+
+def test_a_sampling_failure_integrates_nothing_again(tmp_path, monkeypatch):
+    import projeq.cli as cli
+    from projeq.geodesics import integrate_geodesic
+    from projeq.manifest import Manifest, seeded_states
+
+    m = write_manifest(tmp_path, {**LC3, "run": {"seed": 0, "geodesics": 3, "horizon": 1.0}})
+    man = Manifest.load(m)
+    g = man.scene.metric
+    last = integrate_geodesic(g, seeded_states(g, man.scene.chart, 3, 0)[-1], 1.0,
+                              tol=man.tolerances.integrator_tol)
+    point = last.sample(last.t_end)[:3]  # the last sample of the last trajectory
+    monitored = cli._monitored
+    monkeypatch.setattr(cli, "_monitored", lambda scene, run: monitored(scene, run) + [
+        ("nan", lambda x, p: np.where(np.all(x == point, axis=-1), np.nan, 0.0))])
+    calls = counting_lockstep(monkeypatch)
+    out = tmp_path / "out"
+    assert run("geodesic", m, out) == 2
+    assert report_of(out)["error"] == (
+        f"DomainViolation: non-finite monitored value entry at {point.tolist()}")
+    assert calls == [(3, 6)]
+
+
+def test_an_integration_error_wins_over_an_earlier_sampling_error(tmp_path, monkeypatch):
+    import projeq.cli as cli
+    from projeq.manifest import Manifest, seeded_states
+
+    m = write_manifest(tmp_path, FRAGILE_RUN)
+    man = Manifest.load(m)
+    k, error = first_integration_error(man)
+    start = seeded_states(man.scene.metric, man.scene.chart, 6, 2)[0].x
+    assert k > 0  # trajectory 0 integrates, and its first sample is NaN
+    monitored = cli._monitored
+    monkeypatch.setattr(cli, "_monitored", lambda scene, run: monitored(scene, run) + [
+        ("nan", lambda x, p: np.where(np.all(x == start, axis=-1), np.nan, 0.0))])
+    out = tmp_path / "out"
+    assert run("geodesic", m, out) == 2
+    assert report_of(out)["error"] == f"{type(error).__name__}: {error}"
 
 
 # -- CSV contracts ----------------------------------------------------------
@@ -661,7 +765,8 @@ KIND_PATHS = {
     "example": [("geometry", "name"), ("geometry", "gamma"), ("vector_field",)],
 }
 BAD_VALUES = [0, -1, "abc", None, [], [["1", "0"], ["0"]], "log(x1)", "x", "y",
-              [1.0, -1.0], [0.5, 0.5], ["x", "x"], float("nan")]
+              [1.0, -1.0], [0.5, 0.5], ["x", "x"], float("nan"), 1e300, "inf",
+              ["inf", 1.0], ["1", "2", "3", "4"]]
 
 
 def mutated_manifests():
@@ -697,19 +802,21 @@ def test_cli_contract_holds_on_mutated_manifests(tmp_path, case):
     for path, value in mutations:
         mutate(doc, path, value)
     m = write_manifest(tmp_path, doc)
-    for command in ("check-bm", "pair", "geodesic", "conserve", "weyl", "classify2d",
-                    "lc-build", "split", "example"):
-        out = tmp_path / command
-        if out.exists():
-            for f in out.iterdir():
-                f.unlink()
-        code = run(command, m, out)
-        assert code in (0, 1, 2)
-        rep = report_of(out)
-        if code == 1:
-            assert any(a["pass"] is False for a in rep["audits"])
-        if code == 2:
-            assert "error" in rep
+    with warnings.catch_warnings():  # a numpy warning breaks the contract as any exception does
+        warnings.simplefilter("error", RuntimeWarning)
+        for command in ("check-bm", "pair", "geodesic", "conserve", "weyl", "classify2d",
+                        "lc-build", "split", "example"):
+            out = tmp_path / command
+            if out.exists():
+                for f in out.iterdir():
+                    f.unlink()
+            code = run(command, m, out)
+            assert code in (0, 1, 2)
+            rep = report_of(out)
+            if code == 1:
+                assert any(a["pass"] is False for a in rep["audits"])
+            if code == 2:
+                assert "error" in rep
 
 
 # a profile of 1e300 overflowed the profile-sign test and the condition cap
@@ -734,3 +841,33 @@ def test_huge_liouville_profiles_keep_the_contract_under_warnings_as_errors(tmp_
                 assert code == 0 and rep["pass"] is True
             else:
                 assert code == 2 and rep["error"].startswith(f"{error}:")
+
+
+@pytest.mark.parametrize("value", [1e300, "1e300", "1e300*x"])
+def test_an_overflowing_pencil_product_is_refused_under_any_warning_filter(tmp_path, value):
+    doc = {**CONTRACT_PAIR, "run": CONTRACT_RUN}
+    doc["geometry"] = {**doc["geometry"], "g": [["2 - x", "0"], ["0", value]]}
+    m = write_manifest(tmp_path, doc)
+    for command in ("pair", "split"):
+        errors = []
+        for action in ("ignore", "error"):
+            out = tmp_path / f"{command}-{action}"
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                assert run(command, m, out) == 2
+            errors.append(report_of(out)["error"])
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("DomainViolation: non-finite pencil product entry at [")
+
+
+def test_a_non_finite_surface_fit_is_refused_before_its_svd(tmp_path):
+    # z^2 overflows at y = -1e300; without the refusal the SVD on an inf matrix
+    # never returned, so the test runs under the filter that fails it fast
+    doc = {**CONTRACT_PAIR, "run": CONTRACT_RUN}
+    doc["chart"] = {**doc["chart"], "bounds": [[0.1, 1.9], [-1e300, 1.0]]}
+    m = write_manifest(tmp_path, doc)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("classify2d", m, out) == 2
+    assert report_of(out)["error"].startswith("DomainViolation: non-finite fit matrix entry at [")

@@ -1,6 +1,7 @@
 """Integral families: values, roots, brackets, and the two audits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,27 @@ def test_commutation_report_names_a_nan_bracket():
     rep = fam.commutation_report([s for s in states if s.x[0] <= 0.5], [0.0, 1.5, 3.0])
     assert rep["pass"] and rep["states"] == 10
     assert set(rep) == {"max_scaled_bracket", "tol", "pass", "states", "t_grid", "worst"}
+
+
+def test_an_overflowing_bracket_is_refused_at_its_state_under_any_warning_filter():
+    from projeq.manifest import Manifest
+
+    # g_yy = 1e-300 makes the adjugate recursion's derivative add inf and -inf
+    scene = Manifest.from_dict({
+        "chart": {"names": ["x", "y"], "bounds": [[0.1, 1.9], [-1.0, 1.0]]},
+        "geometry": {"kind": "pair", "g": [["2 - x", "0"], ["0", 1e-300]],
+                     "gbar": [["1", "0"], ["0", "1"]]}}).scene
+    fam = scene.family()
+    xs = scene.chart.sample(3, seed=0)
+    states = [PhaseState(x, np.array([0.3, 0.7])) for x in xs]
+    texts = []
+    for action in ("ignore", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(DomainViolation) as err:
+                fam.commutation_report(states, [0.0, 1.0, 2.0])
+        texts.append(str(err.value))
+    assert texts == [f"non-finite commutation bracket at {xs[0].tolist()}"] * 2
 
 
 def test_a_family_on_a_nan_metric_or_endomorphism_is_refused_at_construction():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from projeq.chart import Chart
-from projeq.errors import ManifestError
+from projeq.errors import ManifestError, SingularMetric
 from projeq.fields import MetricField
 from projeq.manifest import Manifest, Scene, default_t_grid, seeded_states
 
@@ -262,6 +262,35 @@ def test_seeded_states_unit_energy_and_determinism():
         ginv = np.linalg.inv(g.matrix(sa.x))
         assert abs(float(sa.p @ ginv @ sa.p) - 1.0) < 1e-12
     assert any(not np.array_equal(sa.x, sc.x) for sa, sc in zip(a, c))
+
+
+def test_seeded_states_equal_the_per_start_loop_bit_for_bit():
+    from projeq import build_lc_pair, builtin_example, random_spec
+    from projeq.sampling import halton_points
+
+    torus = builtin_example("torus")
+    g4 = build_lc_pair(random_spec(2, 4), partner=False)[0]
+    for g, box in ((torus.metric, torus.init_box), (g4, g4.chart)):
+        for seed in range(3):
+            xs = box.sample(50, seed=seed)
+            dirs = 2.0 * halton_points(50, g.dim, seed=seed + 101) - 1.0
+            for state, x, d in zip(seeded_states(g, box, 50, seed), xs, dirs):
+                if np.linalg.norm(d) < 1e-6:
+                    d = np.eye(g.dim)[0]
+                p = d / np.sqrt(float(d @ np.linalg.inv(g.matrix(x)) @ d))
+                assert state.x.tobytes() == x.tobytes() and state.p.tobytes() == p.tobytes()
+
+
+def test_seeded_states_refuse_the_first_numerically_singular_start():
+    chart = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
+    g = MetricField.diagonal(chart, ["1", "exp(-40*(y+1))"], validate=False)
+    xs = chart.sample(6, seed=1)
+    conds = [np.linalg.cond(g.matrix(x)) for x in xs]
+    first = next(k for k, c in enumerate(conds) if c >= 1e12)
+    assert first > 0 and all(np.isfinite(conds))  # finite, invertible by np.linalg.inv
+    with pytest.raises(SingularMetric) as err:
+        seeded_states(g, chart, 6, seed=1)
+    assert str(err.value) == f"metric numerically singular at {xs[first].tolist()}"
 
 
 # -- file loading -----------------------------------------------------------
