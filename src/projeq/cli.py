@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,6 +58,16 @@ def _init_box(scene: Scene):
     return scene.chart
 
 
+@dataclass(frozen=True)
+class _FamilyColumn:
+    """I_t of an IntegralFamily as a monitored fn(x, p) (see _sample_columns)."""
+    family: object
+    t: float
+
+    def __call__(self, x, p):
+        return self.family.value(PhaseState(x, p), self.t)
+
+
 def _monitored(scene: Scene, run):
     """Named (label, fn(x, p)) conserved quantities for this scene; each fn
     takes one point or (N, n) stacks of them."""
@@ -67,7 +77,7 @@ def _monitored(scene: Scene, run):
         return []
     _ensure_endo(scene)
     fam = scene.family()
-    return [(f"I(t={reports.format_float(t)})", lambda x, p, t=t: fam.value(PhaseState(x, p), t))
+    return [(f"I(t={reports.format_float(t)})", _FamilyColumn(fam, t))
             for t in run.t_grid or default_t_grid(scene)]
 
 
@@ -136,8 +146,8 @@ def _run_trajectories(scene, m, monitored):
 
 def _sample_columns(g, trajs, monitored):
     """Each run on monitor_along's 201-point time grid as columns t, x, p, H
-    and one per monitored quantity: one table per run, each column filled
-    for every run by one stacked call."""
+    and one per monitored quantity: one table per run, each column filled for
+    every run by one stacked call (the family's I_t from one lazy `values` call)."""
     from .geodesics import hamiltonian, monitored_values
 
     grids = [np.linspace(traj.ts[0], traj.t_end, 201) for traj in trajs]
@@ -145,7 +155,10 @@ def _sample_columns(g, trajs, monitored):
     n = trajs[0].dim
     xs, ps = ys[:, :n], ys[:, n:]
     fns = [lambda x, p: hamiltonian(g, x, p)] + [fn for _, fn in monitored]
-    columns = [monitored_values(fn, xs, ps) for fn in fns]
+    its = [fn for fn in fns if isinstance(fn, _FamilyColumn)]  # the I_t of _monitored's family
+    cols = its and its[0].family.values(PhaseState(xs, ps), [fn.t for fn in its])
+    columns = [monitored_values((lambda x, p: next(cols)) if fn in its else fn, xs, ps) for fn in fns]
+    del cols  # the family's coefficient matrices go before the table is built
     return np.split(np.column_stack([np.concatenate(grids), xs, ps, *columns]), len(trajs))
 
 

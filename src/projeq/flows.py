@@ -131,16 +131,18 @@ class IntegralFamily:
     # -- evaluation ---------------------------------------------------------
 
     def value(self, state: PhaseState, t: float):
-        """I_t at one phase state (a float) or at a stack of them.
+        """I_t at one phase state (a float) or at (N, n) stacks x, p (an (N,) array)."""
+        return next(self.values(state, (t,)))
 
-        With state.x and state.p shaped (N, n) the result is an (N,)
-        array: one metric build, one solve and one Faddeev-LeVerrier pass
-        over the whole stack. The one-state call is the same computation.
-        """
+    def values(self, state: PhaseState, ts):
+        """I_t for each t of ts in order, each as `value` gives it, from one g build,
+        solve and Faddeev-LeVerrier pass made when the first value is asked for."""
         p = state.p
         v = np.linalg.solve(self.g.matrix(state.x), p[..., None])
-        out = (p[..., None, :] @ (self.s_matrix(state.x, t) @ v))[..., 0, 0]
-        return float(out) if p.ndim == 1 else out
+        cs = self.coeff_matrices(state.x)
+        for t in ts:  # S_t as s_matrix forms it
+            out = (p[..., None, :] @ (sum(t ** j * c for j, c in enumerate(cs)) @ v))[..., 0, 0]
+            yield float(out) if p.ndim == 1 else out
 
     def t_coefficients(self, state: PhaseState):
         """a_j with I_t = sum_j a_j t^j, (n,) at one state or (N, n) on

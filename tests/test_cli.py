@@ -8,6 +8,7 @@ header.txt carries the only timestamp and is excluded.
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,6 +343,29 @@ def test_monitored_columns_equal_per_point_monitoring(tmp_path):
             assert row[:2] == [repr(float(idx)), name]
             assert [float(v) for v in row[2:]] == [
                 d["first"], d["last"], d["min"], d["max"], d["drift"]]
+
+
+def test_the_family_columns_build_g_and_l_once(tmp_path, monkeypatch):
+    from projeq.fields import EndomorphismField, MetricField
+
+    rows = 20 * 201  # lc3's 20 geodesics on monitor_along's grid
+    calls = {"g": 0, "L": 0}
+
+    def counting(cls, key):
+        matrix = cls.matrix
+
+        def wrapper(self, x):
+            calls[key] += np.shape(x)[:1] == (rows,)
+            return matrix(self, x)
+
+        monkeypatch.setattr(cls, "matrix", wrapper)
+
+    counting(MetricField, "g")
+    counting(EndomorphismField, "L")
+    lc3 = Path(__file__).parents[1] / "perfbench" / "manifests" / "lc3.json"
+    assert run("conserve", str(lc3), tmp_path / "out") == 0
+    # H's column, then every I_t column from one build of each (five of each before)
+    assert calls == {"g": 2, "L": 1}
 
 
 def test_a_non_finite_monitored_value_is_a_structural_error(tmp_path, monkeypatch):

@@ -431,3 +431,24 @@ def test_stacked_value_equals_per_state_values(label):
     for c_stack, c_first in zip(fam.coeff_matrices(xs), fam.coeff_matrices(xs[0])):
         assert np.array_equal(np.broadcast_to(c_stack, (201, n, n))[0], c_first)
     assert np.array_equal(fam.s_matrix(xs, 0.7)[3], fam.s_matrix(xs[3], 0.7))
+
+
+@pytest.mark.parametrize("label", ["lc3", "rand4"])
+def test_values_equal_one_value_per_t(label):
+    fam = _stack_family(label)
+    n = fam.g.dim
+    xs = fam.chart.sample(201, seed=5)
+    ps = np.random.default_rng(5).normal(size=(201, n))
+    ts = (-1.5, 0.0, 0.7, float(spectrum_at(fam.g, fam.L, xs[17])[0]), 9.0)
+
+    def reference(x, p, t):  # one metric build, solve and S_t per t
+        v = np.linalg.solve(fam.g.matrix(x), p[..., None])
+        return (p[..., None, :] @ (fam.s_matrix(x, t) @ v))[..., 0, 0]
+
+    for x, p in [(xs[3], ps[3]), (xs, ps)]:
+        got = list(fam.values(PhaseState(x, p), ts))
+        assert [np.asarray(v).tobytes() for v in got] == [
+            np.asarray(fam.value(PhaseState(x, p), t)).tobytes() for t in ts] == [
+            reference(x, p, t).tobytes() for t in ts]  # bit for bit
+        assert all(type(v) is float for v in got) if x.ndim == 1 else all(
+            v.shape == (201,) for v in got)
