@@ -516,6 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = args.out
+    try:  # no report.json can be written where the output directory cannot be
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        print(f"error: cannot write to --out {out_dir}: {e}", file=sys.stderr)
+        return 2
     try:
         manifest = Manifest.load(args.manifest)
         try:  # the values pass the check of Tolerances, as the manifest's did
@@ -528,7 +533,6 @@ def main(argv=None) -> int:
         manifest.run.check()
         audits, extra, csvs = _DISPATCH[args.command](manifest.scene, manifest, out_dir)
     except ProjeqError as e:
-        os.makedirs(out_dir, exist_ok=True)
         payload = {"command": args.command, "error": f"{type(e).__name__}: {e}",
                    "pass": False}
         reports.write_report(out_dir, payload)

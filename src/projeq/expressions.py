@@ -135,7 +135,7 @@ class Num(Expression):
 
     def to_text(self):
         v = self.value
-        if v == int(v) and abs(v) < 1e16:
+        if abs(v) < 1e16 and v == int(v):  # int() of an infinity or a NaN raises
             return str(int(v))
         return repr(v)
 

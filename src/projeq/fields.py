@@ -6,9 +6,9 @@ functions of fields build a DAG of field nodes over parsed expressions,
 constants and coordinates; jets.py compiles that DAG once per derivative
 order into straight-line code, so a metric assembled from closed-form
 pieces differentiates to machine precision. A black-box callable, scalar
-(NumericField) or matrix-valued (_EntryTable.from_function), is
-differentiated by finite_differences, the one central-difference stencil;
-NumericField's provenance says so.
+(NumericField) or matrix-valued (_EntryTable.from_function), is a leaf of
+that code: one call of finite_differences, the one central-difference
+stencil, which a table's entry views share; NumericField's provenance says so.
 
 Matrix-valued fields (MetricField, EndomorphismField) are thin containers
 of scalar entries plus the assembly routines everything downstream uses:
@@ -32,69 +32,11 @@ from .errors import (
     SingularMetric,
 )
 from .expressions import FUNCTIONS, Expression, parse_expression
-from .jets import Jets, require_one_sign
+from .jets import Jets, finite_differences, require_one_sign  # finite_differences: re-exported
 from .tolerances import DEFAULT
 
-_EPS = np.finfo(float).eps
 _PD_SAMPLES = 1500        # points of the construction scan
 _COND_CAP = 1e12          # MetricField.inverse refuses this condition number or more
-_FD_STEP1 = _EPS ** (1.0 / 3.0)   # central first differences
-_FD_STEP2 = _EPS ** 0.25          # central second differences
-
-
-def finite_differences(fn, x, order):
-    """Central differences of a black box fn at one point x or at each of
-    an (N, n) stack, up to order 2, from one call of fn on the (M, n) stack
-    of every shifted point, point-major (Fornberg, Math. Comp. 51(184),
-    1988); fn returns (M,) values or (M, n, n) matrices, else ValueError.
-    Returns order + 1 parts laid out as a Jets result, flat lists at one
-    point and (size, N) arrays at a stack: the values, the gradients and
-    the Hessians, derivative indices last. First derivatives step
-    cbrt(machine eps) * max(1, |x_i|), second derivatives the quarter
-    power; an ArithmeticError or ValueError from fn is a DomainViolation at
-    the first point whose own stencil raises it."""
-    x = np.asarray(x, dtype=float)
-    xs = x.reshape(-1, x.shape[-1])
-    count, n = xs.shape
-    scale = np.fmax(1.0, np.abs(xs)).T  # np.fmax(1.0, nan) is 1.0, as max(1.0, nan) is
-    steps = (_FD_STEP1 * scale, _FD_STEP2 * scale)
-    # each shifted point as its moves (step, coordinate, sign), in the order read below
-    shifts, signs = [()], (1.0, -1.0)
-    if order:
-        shifts += [((0, i, s),) for i in range(n) for s in signs]
-    for i in range(n if order > 1 else 0):
-        shifts += [((1, i, s),) for s in signs]
-        shifts += [((1, i, a), (1, j, b)) for j in range(i + 1, n) for a in signs for b in signs]
-    ys = np.repeat(xs[:, None], len(shifts), axis=1)
-    for row, moves in enumerate(shifts):
-        for k, i, sign in moves:  # += on the moved coordinate alone keeps a -0.0 elsewhere
-            ys[:, row, i] += sign * steps[k][i]
-    m = count * len(shifts)
-    try:
-        f = np.asarray(fn(ys.reshape(m, n)), dtype=float)
-    except (ArithmeticError, ValueError) as err:
-        _replay(xs, lambda p: finite_differences(fn, p, order), lambda values, p: None)
-        raise DomainViolation(f"{err} in a finite-difference field",
-                              point=xs[0] if count == 1 else None) from None
-    if f.shape[:1] != (m,):
-        raise ValueError(f"a black box returned shape {f.shape} for an ({m}, {n}) stack")
-    rows = iter(np.moveaxis(f.reshape((count, len(shifts)) + f.shape[1:]), 1, 0))
-    h1, h2 = (h.reshape(h.shape + (1,) * (f.ndim - 1)) for h in steps)  # over fn's output
-    f0 = next(rows)
-    parts = [f0]
-    if order:
-        parts.append(np.stack([(next(rows) - next(rows)) / (2.0 * h) for h in h1], axis=-1))
-    if order > 1:
-        d2 = np.empty(f0.shape + (n, n))
-        parts.append(d2)
-        for i, hi in enumerate(h2):
-            d2[..., i, i] = (next(rows) - 2.0 * f0 + next(rows)) / (hi * hi)
-            for j, hj in enumerate(h2[i + 1:], i + 1):
-                pp, pm, mp, mm = (next(rows) for _ in range(4))
-                d2[..., i, j] = d2[..., j, i] = (pp - pm - mp + mm) / (4.0 * hi * hj)
-    if x.ndim == 1:
-        return [p.ravel().tolist() for p in parts]
-    return [p.reshape(count, int(np.prod(p.shape[1:]))).T for p in parts]
 
 
 def _shaped(part, shape):
@@ -128,8 +70,8 @@ class ScalarField:
     """Base class of the field nodes; ``node`` names the kind for jets.py.
 
     eval, d1 and d2 read the field's jet: its generated code, built on
-    first use, or a NumericField's finite differences. Each takes one point
-    (n,) or an (N, n) stack and gives a leading N axis to a stack's result.
+    first use. Each takes one point (n,) or an (N, n) stack and gives a
+    leading N axis to a stack's result.
     """
 
     provenance = "closed-form"
@@ -298,19 +240,20 @@ class ExpressionField(ScalarField):
 class NumericField(ScalarField):
     """Field wrapping a black-box callable; derivatives by central differences.
 
-    fn takes an (M, n) stack and returns (M,) values. The jet is one call of
-    finite_differences: good to roughly 1e-10 on smooth inputs, which is why
-    closed-form provenance is preferred wherever the construction allows
-    it. Inside field algebra it is an opaque leaf whose jet the generated
-    code calls once per evaluation, at one point or on the whole stack.
+    fn takes an (M, n) stack and returns (M,) values. Alone or inside field
+    algebra it is an opaque leaf of the generated code, which calls
+    finite_differences on fn once per evaluation, at one point or on the
+    whole stack: good to roughly 1e-10 on smooth inputs, which is why
+    closed-form provenance is preferred wherever the construction allows it.
     """
 
     provenance = "finite-difference"
     node = "leaf"
+    _entry = 0  # the entry of fn's flattened output that the field reads
 
     def __init__(self, chart, fn):
         super().__init__(chart)
-        self._jets = functools.partial(finite_differences, fn)
+        self.fn = fn
 
 
 class _OpField(ScalarField):
@@ -363,8 +306,7 @@ def as_field(chart, obj):
 
 class _EntryTable:
     """An n x n table of scalar fields on a chart, evaluated by one
-    generated function per derivative order (or, built from_function,
-    by one finite-difference stencil)."""
+    generated function per derivative order."""
 
     def __init__(self, chart, entries):
         self.chart = chart
@@ -376,18 +318,17 @@ class _EntryTable:
     @classmethod
     def from_function(cls, chart, fn, **kw):
         """The table of a black-box fn from an (M, n) stack to (M, n, n),
-        symmetric for a metric: one call of fn per matrix, dmatrix (2n + 1
-        shifted points per point) or d2matrix, by finite_differences. Its
-        entries are NumericField views of fn (one per symmetric pair of a
-        metric) for field algebra."""
+        symmetric for a metric. Its entries are NumericField views of fn (one
+        per symmetric pair of a metric) reading fn(x)[..., i, j] off the one
+        stencil call they share: one call of fn per matrix, dmatrix (2n + 1
+        shifted points per point), d2matrix or evaluation of their algebra."""
         n = chart.dim
-        views = [[NumericField(chart, lambda x, i=i, j=j: fn(x)[..., i, j]) for j in range(n)]
-                 for i in range(n)]
+        views = [[NumericField(chart, fn) for j in range(n)] for i in range(n)]
+        for i, j in np.ndindex(n, n):
+            views[i][j]._entry = i * n + j
         if issubclass(cls, MetricField):
             views = [[views[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-        table = cls(chart, views, **kw)
-        table._jets = functools.partial(finite_differences, fn)
-        return table
+        return cls(chart, views, **kw)
 
     @classmethod
     def from_rows(cls, chart, rows, **kw):
@@ -654,9 +595,9 @@ def scan(points, evaluate, check=lambda values, points: None):
 
 
 def _replay(points, evaluate, check):
-    """The one replay of a failing stack: evaluate and check each point in
-    order as a stack of one, points[k:k + 1], so the first failing point
-    raises its error. A stack of one already failed as its replay would."""
+    """The one replay of a failing kernel or scan stack (a field's is Jets'):
+    evaluate and check each point in order as a stack of one, points[k:k+1],
+    so the first failing point raises its error; a stack of one already failed."""
     for k in range(len(points) if len(points) > 1 else 0):
         check(evaluate(points[k:k + 1]), points[k:k + 1])
 

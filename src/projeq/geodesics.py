@@ -181,7 +181,8 @@ def integrate(rhs, y0, t_span, tol, inside=None, max_steps=1_000_000):
     ``inside(y)`` marks the admissible region; the first accepted step
     whose endpoint leaves it truncates the run at the crossing located
     by bisection on the dense output. Raises StepUnderflow when the
-    controller pushes the step below 1e-12 times the horizon.
+    controller pushes the step below 1e-12 times the horizon, or to a step
+    that does not advance t.
 
     A stack's trajectories are stepped together, each with its own t,
     step size, error norm, acceptance, step budget, dense output and
@@ -261,6 +262,8 @@ def _lockstep(rhs, y, t_span, tol, inside, max_steps):
                 raise StepUnderflow(
                     f"step size {run.h:.3e} fell below {h_min:.3e} at t={run.t:.6g}"
                 )
+            if run.t + run.h == run.t:  # h_min underflowed to 0.0, or h is below t's spacing
+                raise StepUnderflow(f"step size {run.h:.3e} does not advance t={run.t:.6g}")
         if stack:
             t, h = np.array([[run.t, run.h] for run in live]).T
             hc = h[:, None]

@@ -1,8 +1,8 @@
-"""Straight-line value, gradient and Hessian code for closed-form fields.
+"""Straight-line value, gradient and Hessian code: the one evaluator of fields.
 
-A closed-form field is a DAG of parsed expressions, ScalarField operator
-nodes, ReindexedField index maps, constants and coordinates. `Jets` turns
-a tuple of such fields into one Python function per derivative order
+A field is a DAG of parsed expressions, ScalarField operator nodes,
+ReindexedField index maps, constants, coordinates and black boxes. `Jets`
+turns a tuple of fields into one Python function per derivative order
 (value; value and gradient; value, gradient and Hessian), built the first
 time that order is asked for: forward-mode differentiation written out
 (Griewank & Walther, *Evaluating Derivatives*, ch. 13), where each node,
@@ -10,11 +10,11 @@ visited once, becomes a few lines on Python floats for its value and its
 nonzero gradient and Hessian entries. Constants and structural zeros fold
 while the code is written and an identical line is written once, so a
 subexpression shared by several outputs (det L in every partner entry)
-costs one evaluation. Any other field (NumericField) is an opaque leaf
-whose own finite-difference jet the code calls once. A division by zero,
-a math domain or range error, or a negative base to a fractional power
-becomes DomainViolation at the point, naming the field that failed; a
-power that overflows gives an infinity.
+costs one evaluation. A black box (NumericField) is a leaf whose one line,
+finite_differences on its fn, serves every leaf of that fn; Jets alone
+replays a failing stack. A division by zero, a math domain or range error,
+or a negative base to a fractional power is a DomainViolation at the
+point, naming the failing field; a power that overflows gives an infinity.
 """
 
 from __future__ import annotations
@@ -39,6 +39,64 @@ def _pow(base, exponent):
         return math.copysign(math.inf, base) if exponent % 2.0 == 1.0 else math.inf
 
 
+_FD_STEP1 = np.finfo(float).eps ** (1.0 / 3.0)   # central first differences
+_FD_STEP2 = np.finfo(float).eps ** 0.25          # central second differences
+
+
+def finite_differences(fn, x, order):
+    """Central differences of a black box fn at one point x or at each of
+    an (N, n) stack, up to order 2, from one call of fn on the (M, n) stack
+    of every shifted point, point-major (Fornberg, Math. Comp. 51(184),
+    1988); fn returns (M,) values or (M, n, n) matrices, else ValueError.
+    Returns order + 1 parts laid out as a Jets result, flat lists at one
+    point and (size, N) arrays at a stack: the values, the gradients and
+    the Hessians, derivative indices last. First derivatives step
+    cbrt(machine eps) * max(1, |x_i|), second derivatives the quarter
+    power. An ArithmeticError or ValueError from fn is a DomainViolation
+    at the point, or at no point for a stack, which Jets replays."""
+    x = np.asarray(x, dtype=float)
+    xs = x.reshape(-1, x.shape[-1])
+    count, n = xs.shape
+    scale = np.fmax(1.0, np.abs(xs)).T  # np.fmax(1.0, nan) is 1.0, as max(1.0, nan) is
+    steps = (_FD_STEP1 * scale, _FD_STEP2 * scale)
+    # each shifted point as its moves (step, coordinate, sign), in the order read below
+    shifts, signs = [()], (1.0, -1.0)
+    if order:
+        shifts += [((0, i, s),) for i in range(n) for s in signs]
+    for i in range(n if order > 1 else 0):
+        shifts += [((1, i, s),) for s in signs]
+        shifts += [((1, i, a), (1, j, b)) for j in range(i + 1, n) for a in signs for b in signs]
+    ys = np.repeat(xs[:, None], len(shifts), axis=1)
+    for row, moves in enumerate(shifts):
+        for k, i, sign in moves:  # += on the moved coordinate alone keeps a -0.0 elsewhere
+            ys[:, row, i] += sign * steps[k][i]
+    m = count * len(shifts)
+    try:
+        f = np.asarray(fn(ys.reshape(m, n)), dtype=float)
+    except (ArithmeticError, ValueError) as err:
+        raise DomainViolation(f"{err} in a finite-difference field",
+                              point=xs[0] if count == 1 else None) from None
+    if f.shape[:1] != (m,):
+        raise ValueError(f"a black box returned shape {f.shape} for an ({m}, {n}) stack")
+    rows = iter(np.moveaxis(f.reshape((count, len(shifts)) + f.shape[1:]), 1, 0))
+    h1, h2 = (h.reshape(h.shape + (1,) * (f.ndim - 1)) for h in steps)  # over fn's output
+    f0 = next(rows)
+    parts = [f0]
+    if order:
+        parts.append(np.stack([(next(rows) - next(rows)) / (2.0 * h) for h in h1], axis=-1))
+    if order > 1:
+        d2 = np.empty(f0.shape + (n, n))
+        parts.append(d2)
+        for i, hi in enumerate(h2):
+            d2[..., i, i] = (next(rows) - 2.0 * f0 + next(rows)) / (hi * hi)
+            for j, hj in enumerate(h2[i + 1:], i + 1):
+                pp, pm, mp, mm = (next(rows) for _ in range(4))
+                d2[..., i, j] = d2[..., j, i] = (pp - pm - mp + mm) / (4.0 * hi * hj)
+    if x.ndim == 1:
+        return [p.ravel().tolist() for p in parts]
+    return [p.reshape(count, int(np.prod(p.shape[1:]))).T for p in parts]
+
+
 def _mapped(fn):
     """fn over each entry of its (N,) column arguments, a float argument
     shared by every entry: the same Python function as the one-point code,
@@ -53,7 +111,7 @@ def _mapped(fn):
 
 
 _NAMESPACE = dict(FUNCTIONS, _pow=_pow, _array=np.array, inf=math.inf, nan=math.nan,
-                  _coords=np.ndarray.tolist)
+                  _coords=np.ndarray.tolist, _fd=finite_differences)
 # the same code on (N,) columns: + - * / are numpy's, every call is mapped
 # but sqrt and abs, which numpy computes exactly (sqrt is correctly rounded)
 _COLUMNS = dict(_NAMESPACE, **{k: _mapped(f) for k, f in FUNCTIONS.items()},
@@ -286,21 +344,21 @@ class _Writer:
         raise NotImplementedError(f"{type(f).__name__} is not a field node")
 
     def leaf(self, f, cmap):
-        """A black-box field: one call of its own jet on its chart."""
-        name = f"_leaf{len(self.ns)}"
-        self.ns[name] = f
+        """A black box: entry f._entry of the stencil call every leaf of f.fn shares."""
+        box = f"_box{id(f.fn)}"
+        self.ns[box] = f.fn
         point = "xa" if cmap == tuple(range(self.n)) else self.emit(
             "_array((%s,))" % ", ".join(f"x{i}" for i in cmap))
-        jet, m = self.emit(f"{name}._jet({point}, {self.order})"), len(cmap)
+        jet, m, e = self.emit(f"_fd({box}, {point}, {self.order})"), len(cmap), f._entry
         g = h = None
         if self.order:
-            g = [self.comb([(1.0, f"{jet}[1][{k}]") for k, c in enumerate(cmap) if c == i])
-                 for i in range(self.n)]
+            g = [self.comb([(1.0, f"{jet}[1][{e * m + k}]") for k, c in enumerate(cmap)
+                            if c == i]) for i in range(self.n)]
         if self.order > 1:
             h = self.sym(lambda i, j: self.comb([
-                (1.0, f"{jet}[2][{k * m + l}]") for k, c in enumerate(cmap)
-                for l, e in enumerate(cmap) if c == i and e == j]))
-        return f"{jet}[0][0]", g, h
+                (1.0, f"{jet}[2][{(e * m + k) * m + l}]") for k, c in enumerate(cmap)
+                for l, d in enumerate(cmap) if c == i and d == j]))
+        return f"{jet}[0][{e}]", g, h
 
 
 def _build(names, outputs, order):
@@ -374,8 +432,8 @@ class Jets:
     the Hessians (output-major, row-major). At an (N, n) stack it returns
     the same parts as arrays with a column of N values in place of each
     float, shape (size, N). The function of an order is built on its first
-    call; the stack runs the same code on columns, a black-box leaf's jet
-    on the whole stack, and runs point by point when a point fails.
+    call; the stack runs the same code on columns, a black box's stencil
+    on the whole stack, and is replayed point by point when a point fails.
     """
 
     def __init__(self, names, outputs):

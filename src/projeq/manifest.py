@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -110,6 +111,15 @@ def _real(value):
     return float(_of_type(value, (int, float, str)))
 
 
+def _json_int(text):
+    """A JSON integer literal, refused beyond the float range, as RFC 8259 §9
+    lets a parser bound numbers (int() refuses over 4300 digits by default)."""
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"an integer literal of {len(text)} characters is beyond the float range")
+    return value
+
+
 def _whole(value):
     """An int, or a float of whole value (1e300 reaches check's budget cap)."""
     if isinstance(_of_type(value, (int, float)), float) and not value.is_integer():
@@ -161,8 +171,8 @@ class Manifest:
     def load(cls, path) -> "Manifest":
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+                data = json.load(fh, parse_int=_json_int)
+        except (OSError, ValueError, RecursionError) as e:  # ValueError: a decode error, too
             raise ManifestError(f"cannot read manifest {path}: {e}") from None
         return cls.from_dict(data)
 

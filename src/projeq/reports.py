@@ -60,7 +60,7 @@ def render_json(payload: dict) -> str:
 
 
 def write_report(out_dir: str, payload: dict) -> str:
-    os.makedirs(out_dir, exist_ok=True)
+    """report.json and header.txt in out_dir, which the CLI made first."""
     path = os.path.join(out_dir, "report.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(render_json(payload))
@@ -78,7 +78,6 @@ def write_csv(path: str, columns, rows) -> None:
     """LF-terminated CSV with repr-formatted floats; header mandatory. An
     array of rows is read through tolist(), as Python floats, and each
     float is written as its repr."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         if hasattr(rows, "tolist"):

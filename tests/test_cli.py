@@ -895,3 +895,55 @@ def test_a_non_finite_surface_fit_is_refused_before_its_svd(tmp_path):
         warnings.simplefilter("error", RuntimeWarning)
         assert run("classify2d", m, out) == 2
     assert report_of(out)["error"].startswith("DomainViolation: non-finite fit matrix entry at [")
+
+
+def test_a_horizon_whose_steps_do_not_advance_t_exits_2_at_once(tmp_path):
+    # 5e-324: the first step and its floor h_min both underflow to 0.0
+    m = write_manifest(tmp_path, {**LC3, "run": {"geodesics": 2, "horizon": 5e-324}})
+    out = tmp_path / "out"
+    assert run("geodesic", m, out) == 2
+    assert report_of(out)["error"] == (
+        "StepUnderflow: step size 0.000e+00 does not advance t=0")
+
+
+def test_an_infinite_literal_keeps_the_contract(tmp_path):
+    m = write_manifest(tmp_path, {**FLAT2, "chart": {
+        "names": ["x", "y"], "bounds": [[0.5, 1.0], [-1.0, 1.0]]}, "geometry": {
+        "kind": "metric", "entries": [["1 + 1/(x - 2)^1e400", "0"], ["0", "1"]]},
+        "run": {"geodesics": 2, "horizon": 1.0}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("geodesic", m, out) == 2
+    assert report_of(out)["error"].startswith(
+        "DomainViolation: negative base -1.")
+    assert "to the power inf in '1 + 1 / (x - 2)^inf' at [" in report_of(out)["error"]
+
+
+_LC3_TEXT = json.dumps({**LC3, "run": {"geodesics": 2, "horizon": 0}})
+
+
+@pytest.mark.parametrize("data, names", [
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    (_LC3_TEXT.encode()[:-1] + b" \xff}", "'utf-8' codec can't decode byte 0xff"),
+    (_LC3_TEXT.replace('"horizon": 0', '"horizon": ' + "9" * 5001).encode(),
+     "Exceeds the limit (4300 digits)"),
+    (_LC3_TEXT.replace('"horizon": 0', '"horizon": ' + "9" * 401).encode(),
+     "an integer literal of 401 characters is beyond the float range"),
+], ids=["nested-100000-deep", "not-utf-8", "integer-5001-digits", "integer-401-digits"])
+def test_a_manifest_beyond_the_json_limits_exits_2(tmp_path, data, names):
+    path = tmp_path / "m.json"
+    path.write_bytes(data)
+    out = tmp_path / "out"
+    assert run("geodesic", str(path), out) == 2
+    assert report_of(out)["error"].startswith(f"ManifestError: cannot read manifest {path}: ")
+    assert names in report_of(out)["error"]
+
+
+def test_out_naming_an_existing_file_exits_2(tmp_path, capsys):
+    m = write_manifest(tmp_path, lc_manifest())
+    out = tmp_path / "taken"
+    out.write_text("not a directory", encoding="utf-8")
+    assert run("check-bm", m, out) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write to --out {out}: ")
+    assert out.read_text(encoding="utf-8") == "not a directory"

@@ -16,7 +16,7 @@ from projeq.errors import (
     ExpressionSyntaxError,
     UnknownIdentifier,
 )
-from projeq.expressions import CONSTANTS, FUNCTIONS, parse_expression
+from projeq.expressions import CONSTANTS, FUNCTIONS, Num, parse_expression
 
 NAMES = ("x", "y", "z")
 
@@ -193,3 +193,11 @@ def test_structural_equality_ignores_whitespace():
     a = parse_expression("x+y*z", names=NAMES)
     b = parse_expression("x + y * z", names=NAMES)
     assert a == b
+
+
+def test_an_infinite_or_huge_literal_prints_as_its_repr():
+    assert Num(math.inf).to_text() == "inf" and Num(-math.inf).to_text() == "-inf"
+    assert Num(math.nan).to_text() == "nan" and Num(1e16).to_text() == "1e+16"
+    assert Num(3.0).to_text() == "3" and Num(-9999999999999998.0).to_text() == "-9999999999999998"
+    text = parse_expression("1 + 1/(x - 2)^1e400", names=NAMES).to_text()
+    assert text == "1 + 1 / (x - 2)^inf"

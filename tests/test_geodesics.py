@@ -353,3 +353,18 @@ def test_the_one_state_rhs_equals_its_row_of_the_stacked_rhs():
         rows = rhs(np.zeros(len(ys)), ys)
         for y, row in zip(ys, rows):
             assert rhs(0.0, y).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 5e-324), (1e17, 1e17 + 1e3)])
+def test_a_step_that_does_not_advance_t_raises_before_any_step(t_span):
+    # 5e-324: the first step and h_min both underflow to 0.0; at t = 1e17 the
+    # first step, 1.0, is below the float spacing of t
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return -y
+
+    with pytest.raises(StepUnderflow, match=re.escape(f"does not advance t={t_span[0]:.6g}")):
+        integrate(rhs, np.array([1.0]), t_span, 1e-8)
+    assert calls == [t_span[0]]  # the first stage of the start only

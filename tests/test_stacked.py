@@ -211,7 +211,7 @@ def test_a_black_box_result_of_the_wrong_shape_is_a_value_error():
                 call()
             assert not isinstance(err.value, ProjeqError)
     table = MetricField.from_function(UNIT, lambda ys: np.ones((2, 2)), validate=False)
-    with pytest.raises(ValueError, match=r"shape \(2, 2\) for an \(15, 2\) stack"):
+    with pytest.raises(ValueError, match=r"shape \(2, 2\) for an \(5, 2\) stack"):
         table.dmatrix(xs)
 
 
@@ -232,6 +232,67 @@ def test_a_leaf_failing_later_does_not_mask_an_earlier_closed_form_failure():
     with pytest.raises(DomainViolation) as err:
         leaf.eval(xs)
     assert err.value.point == xs[12].tolist()
+
+
+def _failing_at(bad, value, calls):
+    """A black box of value(ys) that records the size of each stack it is
+    given and raises a math domain error on a stack holding any point of
+    bad's stencil."""
+    def fn(ys):
+        calls.append(len(ys))
+        if np.any(np.all(np.abs(ys - bad) < 1e-3, axis=1)):
+            raise ValueError("math domain error")
+        return value(ys)
+    return fn
+
+
+def test_a_failing_leaf_stack_is_replayed_once():
+    xs = UNIT.sample(20, seed=2)
+    calls = []
+    leaf = NumericField(UNIT, _failing_at(xs[12], lambda ys: ys[:, 0] * ys[:, 1], calls))
+    # the stacked call, then one stencil per point up to the failing 13th
+    for f in (leaf * ExpressionField(UNIT, "x + 2"), leaf):
+        for method, rows in (("eval", 1), ("d1", 5), ("d2", 13)):
+            with pytest.raises(DomainViolation) as one:
+                getattr(f, method)(xs[12])
+            calls.clear()
+            with pytest.raises(DomainViolation) as many:
+                getattr(f, method)(xs)
+            assert len(calls) == 14 and sum(calls) == (20 + 13) * rows
+            assert str(many.value) == str(one.value)
+            assert many.value.point == xs[12].tolist()
+
+
+def test_a_failing_black_box_table_names_the_one_point_error():
+    xs = UNIT.sample(20, seed=2)
+    g = MetricField.from_function(UNIT, _failing_at(
+        xs[12], lambda ys: np.einsum("mi,mj->mij", ys, ys) + np.eye(2), []), validate=False)
+    for call in (g.matrix, lambda p: g.jet(p, 2)):
+        with pytest.raises(DomainViolation) as one:
+            call(xs[12])
+        with pytest.raises(DomainViolation) as many:
+            call(xs)
+        assert str(many.value) == str(one.value)
+        assert many.value.point == one.value.point == xs[12].tolist()
+
+
+def test_algebra_on_a_black_box_tables_entries_makes_one_stencil_call():
+    calls = []
+
+    def fn(ys):
+        calls.append(len(ys))
+        return np.einsum("mi,mj->mij", ys, ys) + np.eye(2)
+
+    g = MetricField.from_function(UNIT, fn, validate=False)
+    lam = g.entries[0][0] * 3.0 + g.entries[0][1]
+    xs = UNIT.sample(20, seed=2)
+    for method, rows in (("eval", 1), ("d1", 5), ("d2", 13)):
+        calls.clear()
+        stacked = getattr(lam, method)(xs)
+        assert calls == [20 * rows]
+        assert np.array_equal(stacked, _per_point(getattr(lam, method), xs))
+    mats = g.matrix(xs)
+    assert np.array_equal(lam.eval(xs), mats[:, 0, 0] * 3.0 + mats[:, 0, 1])
 
 
 def test_a_stacked_reindexed_leaf_equals_its_one_point_calls(columns_only):
