@@ -249,7 +249,7 @@ class NumericField(ScalarField):
 
     provenance = "finite-difference"
     node = "leaf"
-    _entry = 0  # the entry of fn's flattened output that the field reads
+    _entry = ()  # the (i, j) of fn's n x n matrices that a table's view reads
 
     def __init__(self, chart, fn):
         super().__init__(chart)
@@ -321,11 +321,12 @@ class _EntryTable:
         symmetric for a metric. Its entries are NumericField views of fn (one
         per symmetric pair of a metric) reading fn(x)[..., i, j] off the one
         stencil call they share: one call of fn per matrix, dmatrix (2n + 1
-        shifted points per point), d2matrix or evaluation of their algebra."""
+        shifted points per point), d2matrix or evaluation of their algebra.
+        Matrices of fn that are not n x n are a ValueError naming the shape."""
         n = chart.dim
         views = [[NumericField(chart, fn) for j in range(n)] for i in range(n)]
         for i, j in np.ndindex(n, n):
-            views[i][j]._entry = i * n + j
+            views[i][j]._entry = (i, j)
         if issubclass(cls, MetricField):
             views = [[views[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
         return cls(chart, views, **kw)
@@ -600,6 +601,22 @@ def _replay(points, evaluate, check):
     so the first failing point raises its error; a stack of one already failed."""
     for k in range(len(points) if len(points) > 1 else 0):
         check(evaluate(points[k:k + 1]), points[k:k + 1])
+
+
+def solve_metric(gmat, b, points):
+    """np.linalg.solve(gmat, b), unchecked, for one metric matrix at one point
+    or an (N, n, n) stack at an (N, n) stack of points, b shaped for one
+    matrix or led by N. A matrix LAPACK refuses raises SingularMetric at the
+    first point whose own solve fails; the one solve against g of the
+    phase-space paths (MetricField.inverse is the checked inverse)."""
+    try:
+        return np.linalg.solve(gmat, b)
+    except np.linalg.LinAlgError:
+        if gmat.ndim == 2:
+            raise SingularMetric("metric singular", point=points) from None
+        for k in range(len(gmat)):  # replayed matrix by matrix: the first to fail raises
+            solve_metric(gmat[k], b[k] if b.ndim == gmat.ndim else b, points[k])
+        raise
 
 
 def g_orthonormal_frame(g_matrix):

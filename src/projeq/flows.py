@@ -18,6 +18,9 @@ I_t = sum_j t^j a_j(x, p) and u_t = (1, t, ..., t^{n-1}),
 so one pass over g, dg, L, dL per phase state gives B and e, and every
 t-pair of an audit grid costs one small bilinear form.
 
+Every v = g^{-1} p here, and the g^{-1} of the bracket jet, comes from
+fields.solve_metric: a singular g is SingularMetric at its point.
+
 Root structure: for fixed (x, p) the polynomial t -> I_t has n-1 real
 roots interlacing the eigenvalues of L at x; `roots` and the audits
 below test exactly that.
@@ -30,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ComplexRoots, DomainViolation, ZeroVelocity
-from .fields import PhaseState, require, scan
+from .fields import PhaseState, require, scan, solve_metric
 from .pairs import spectra_at
 from .tolerances import DEFAULT
 
@@ -138,7 +141,7 @@ class IntegralFamily:
         """I_t for each t of ts in order, each as `value` gives it, from one g build,
         solve and Faddeev-LeVerrier pass made when the first value is asked for."""
         p = state.p
-        v = np.linalg.solve(self.g.matrix(state.x), p[..., None])
+        v = solve_metric(self.g.matrix(state.x), p[..., None], state.x)
         cs = self.coeff_matrices(state.x)
         for t in ts:  # S_t as s_matrix forms it
             out = (p[..., None, :] @ (sum(t ** j * c for j, c in enumerate(cs)) @ v))[..., 0, 0]
@@ -148,7 +151,7 @@ class IntegralFamily:
         """a_j with I_t = sum_j a_j t^j, (n,) at one state or (N, n) on
         stacks; leading a_{n-1} = +-2H != 0."""
         p = state.p
-        v = np.linalg.solve(self.g.matrix(state.x), p[..., None])
+        v = solve_metric(self.g.matrix(state.x), p[..., None], state.x)
         return np.stack([(p[..., None, :] @ (c @ v))[..., 0, 0]
                          for c in self.coeff_matrices(state.x)], axis=-1)
 
@@ -190,7 +193,7 @@ class IntegralFamily:
         """
         x, p = state.x, state.p
         gmat, dg = self.g.jet(x, 1)
-        ginv = np.linalg.inv(gmat)
+        ginv = solve_metric(gmat, np.eye(self.g.dim), x)
         mats, dmats = _fl_adjugate(*self.L.jet(x, 1))
         # C_j = sign * M_{n-j}: cs[j, i, l] and dcs[j, i, l, k] = d C_j[i, l] / d x_k
         cs = self._sign * mats[..., ::-1, :, :]
@@ -210,19 +213,6 @@ class IntegralFamily:
         jet = self._jet(state)
         w = _powers(t, self.g.dim)
         return w @ jet.ax, w @ jet.ap
-
-    def energy_gradients(self, state: PhaseState):
-        """Gradients of H = 1/2 p^T g^{-1} p."""
-        jet = self._jet(state)
-        return jet.hx, jet.hp
-
-    def poisson(self, state: PhaseState, t1: float, t2: float) -> float:
-        """{I_t1, I_t2} at the phase point; zero up to rounding."""
-        n = self.g.dim
-        return float(_powers(t1, n) @ self._jet(state).brackets @ _powers(t2, n))
-
-    def poisson_with_energy(self, state: PhaseState, t: float) -> float:
-        return float(_powers(t, self.g.dim) @ self._jet(state).energy_brackets)
 
     def commutation_report(self, phase_points, t_values, tol=DEFAULT.commutation_tol) -> dict:
         """Pairwise brackets over the t-grid, scaled by 1 + |I_a| + |I_b|.

@@ -9,7 +9,9 @@ State layout is y = (x_1..x_n, p_1..p_n). The flow is
     dx/dt = g^{-1} p
     dp_k/dt = 1/2 (g^{-1}p)^T (d_k g) (g^{-1}p)
 
-which conserves H = 1/2 p^T g^{-1} p along trajectories.
+which conserves H = 1/2 p^T g^{-1} p along trajectories. The rhs and H
+solve g v = p through fields.solve_metric, so a g that LAPACK cannot
+solve against is SingularMetric at its point, one state or a stack.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutsideChart, SingularMetric, StepUnderflow
-from .fields import MetricField, PhaseState, pointwise_errors, require_finite, scan
+from .errors import OutsideChart, StepUnderflow
+from .fields import MetricField, PhaseState, pointwise_errors, require_finite, scan, solve_metric
 from .tolerances import DEFAULT
 
 # Dormand-Prince 5(4) tableau. Row 7 doubles as the 5th-order weights (FSAL).
@@ -78,20 +80,14 @@ def geodesic_rhs(g: MetricField):
     @pointwise_errors(1, 0)
     def stacked(t, y):
         gmat, dg = g.jet(y[:, :n], 1)
-        try:
-            v = np.linalg.solve(gmat, y[:, n:, None])[..., 0]
-        except np.linalg.LinAlgError:
-            raise SingularMetric("metric singular", point=y[0, :n]) from None
+        v = solve_metric(gmat, y[:, n:, None], y[:, :n])[..., 0]
         return np.concatenate([v, 0.5 * np.einsum("ki,kijl,kj->kl", v, dg, v)], axis=1)
 
     def rhs(t, y):
         if y.ndim > 1:
             return stacked(t, y)
         gmat, dg = g.jet(y[:n], 1)
-        try:
-            v = np.linalg.solve(gmat, y[n:])
-        except np.linalg.LinAlgError:
-            raise SingularMetric("metric singular", point=y[:n]) from None
+        v = solve_metric(gmat, y[n:], y[:n])
         return np.concatenate((v, 0.5 * np.einsum("i,ijk,j->k", v, dg, v)))
 
     return rhs
@@ -102,10 +98,7 @@ def hamiltonian(g: MetricField, x, p):
     """Kinetic energy 1/2 p^T g^{-1} p: a float at one point, an (N,) array
     along (N, n) stacks of points x and covectors p."""
     p = np.asarray(p, dtype=float)
-    try:
-        v = np.linalg.solve(g.matrix(x), p[..., None])
-    except np.linalg.LinAlgError:
-        raise SingularMetric("metric singular", point=np.atleast_2d(x)[0]) from None
+    v = solve_metric(g.matrix(x), p[..., None], x)
     # a matmul of a row by a column sums as the vector dot does; einsum and sum do not
     h = 0.5 * (p[..., None, :] @ v)[..., 0, 0]
     return float(h) if p.ndim == 1 else h
@@ -189,9 +182,9 @@ def integrate(rhs, y0, t_span, tol, inside=None, max_steps=1_000_000):
     chart exit, so each is the run its start alone gives. Each stage
     calls rhs once on the trajectories still running, with t of shape
     (A,) and y of shape (A, size); inside then takes one state (a flag)
-    or such a stack (a flag per row). A stacked run that raises a
-    ProjeqError or LinAlgError fails as the loop over its starts would
-    (fields.scan): the first failing start raises its error.
+    or such a stack (a flag per row). A stacked run that raises an error
+    fields.scan replays fails as the loop over its starts would: the first
+    failing start raises its error.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:

@@ -110,8 +110,18 @@ def _mapped(fn):
     return column
 
 
+def _leaf(fn, x, order, shape):
+    """finite_differences of a black box whose value at each point has shape:
+    () for a NumericField, (n, n) for the entries of a table; else ValueError."""
+    parts = finite_differences(fn, x, order)
+    if len(parts[0]) != math.prod(shape):
+        raise ValueError(f"a black box gave {len(parts[0])} values per point where its"
+                         f" field needs shape {shape}")
+    return parts
+
+
 _NAMESPACE = dict(FUNCTIONS, _pow=_pow, _array=np.array, inf=math.inf, nan=math.nan,
-                  _coords=np.ndarray.tolist, _fd=finite_differences)
+                  _coords=np.ndarray.tolist, _leaf=_leaf)
 # the same code on (N,) columns: + - * / are numpy's, every call is mapped
 # but sqrt and abs, which numpy computes exactly (sqrt is correctly rounded)
 _COLUMNS = dict(_NAMESPACE, **{k: _mapped(f) for k, f in FUNCTIONS.items()},
@@ -349,7 +359,9 @@ class _Writer:
         self.ns[box] = f.fn
         point = "xa" if cmap == tuple(range(self.n)) else self.emit(
             "_array((%s,))" % ", ".join(f"x{i}" for i in cmap))
-        jet, m, e = self.emit(f"_fd({box}, {point}, {self.order})"), len(cmap), f._entry
+        m, entry = len(cmap), f._entry
+        jet = self.emit(f"_leaf({box}, {point}, {self.order}, {(m,) * len(entry)})")
+        e = entry[0] * m + entry[1] if entry else 0
         g = h = None
         if self.order:
             g = [self.comb([(1.0, f"{jet}[1][{e * m + k}]") for k, c in enumerate(cmap)

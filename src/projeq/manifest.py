@@ -120,6 +120,20 @@ def _json_int(text):
     return value
 
 
+def _refuse_huge_ints(data):
+    """ManifestError naming the key of an integer beyond the float range in
+    data, the bound _json_int sets on a file, for a library caller's dict."""
+    stack = [("", data)]
+    while stack:  # a loop: a caller's dict may nest deeper than the recursion limit
+        key, value = stack.pop()
+        if isinstance(value, dict):
+            stack += [(f"{key}.{k}" if key else str(k), v) for k, v in value.items()]
+        elif isinstance(value, (list, tuple)):
+            stack += [(f"{key}[{i}]", v) for i, v in enumerate(value)]
+        elif isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ManifestError(f"{key} is an integer beyond the float range")
+
+
 def _whole(value):
     """An int, or a float of whole value (1e300 reaches check's budget cap)."""
     if isinstance(_of_type(value, (int, float)), float) and not value.is_integer():
@@ -180,6 +194,7 @@ class Manifest:
     def from_dict(cls, data: dict) -> "Manifest":
         if not isinstance(data, dict):
             raise ManifestError("manifest root must be an object")
+        _refuse_huge_ints(data)
         geometry = data.get("geometry")
         if not isinstance(geometry, dict) or "kind" not in geometry:
             raise ManifestError('manifest needs "geometry" with a "kind"')

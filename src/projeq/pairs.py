@@ -162,7 +162,9 @@ def l_from_pair(g, gbar, x):
     # refused before det, which warns on a NaN entry
     require_finite(np.concatenate((gmat, gbmat), axis=-1), x, "metric")
     n = gmat.shape[-1]
-    dets = np.linalg.det(np.array((gbmat, gmat)))  # one LAPACK call for both
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused at its point
+        dets = np.linalg.det(np.array((gbmat, gmat)))  # one LAPACK call for both
+    require_finite(dets.T, x, "determinant")
     ratio = dets[0] / dets[1]
     require(ratio > 0.0, x, SingularMatrix, "determinant ratio not positive; metrics degenerate")
     # C's pow on each ratio: numpy's scalar ** is, its array ** differs in the last bit
@@ -275,15 +277,16 @@ def bm_from_flow_field(spec: ProjectiveFlowSpec) -> EndomorphismField:
 
 
 def nijenhuis_torsion(L: EndomorphismField, x):
-    """Torsion N[i, j, k] of L at x; identically zero is necessary for
-    L to come from a metric pair in normal form."""
+    """Torsion N[i, j, k] of L at x, or N[s, i, j, k] at each point of an
+    (N, n) stack; identically zero is necessary for L to come from a metric
+    pair in normal form."""
     lm = L.matrix(x)
     dl = L.dmatrix(x)  # dl[i, j, k] = d_k L^i_j
     return (
-        np.einsum("aj,ika->ijk", lm, dl)
-        - np.einsum("ak,ija->ijk", lm, dl)
-        + np.einsum("im,mjk->ijk", lm, dl)
-        - np.einsum("im,mkj->ijk", lm, dl)
+        np.einsum("...aj,...ika->...ijk", lm, dl)
+        - np.einsum("...ak,...ija->...ijk", lm, dl)
+        + np.einsum("...im,...mjk->...ijk", lm, dl)
+        - np.einsum("...im,...mkj->...ijk", lm, dl)
     )
 
 

@@ -87,17 +87,6 @@ class QuadraticIntegral2D:
             b=(cxx + cyy) * 0.5,
         )
 
-    def form_coefficients(self):
-        """(cxx, cxy, cyy) fields recovering I = cxx px^2 + cxy px py + cyy py^2."""
-        return (
-            self.b + self.re_a * 2.0,
-            self.im_a * 4.0,
-            self.b - self.re_a * 2.0,
-        )
-
-    def a_value(self, x) -> complex:
-        return complex(self.re_a.eval(x), self.im_a.eval(x))
-
     def value(self, x, p):
         """I at (x, p) (a float), or at each row of (N, 2) stacks x and p
         (an (N,) array)."""

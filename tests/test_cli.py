@@ -884,6 +884,22 @@ def test_an_overflowing_pencil_product_is_refused_under_any_warning_filter(tmp_p
         assert errors[0].startswith("DomainViolation: non-finite pencil product entry at [")
 
 
+def test_an_overflowing_determinant_is_refused_under_any_warning_filter(tmp_path):
+    # det g overflows: numpy's det warned, or gave inf / inf read as a degenerate pair
+    doc = {**CONTRACT_METRIC, "run": CONTRACT_RUN}
+    doc["geometry"] = {**doc["geometry"], "entries": [["1 + x^2", "0"], ["0", 1e308]]}
+    m = write_manifest(tmp_path, doc)
+    errors = []
+    for action in ("ignore", "error"):
+        out = tmp_path / action
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            assert run("pair", m, out) == 2
+        errors.append(report_of(out)["error"])
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("DomainViolation: non-finite determinant entry at [")
+
+
 def test_a_non_finite_surface_fit_is_refused_before_its_svd(tmp_path):
     # z^2 overflows at y = -1e300; without the refusal the SVD on an inf matrix
     # never returned, so the test runs under the filter that fails it fast

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from test_fields import per_row
 
 from projeq.chart import Chart, box_chart
-from projeq.errors import ComplexRoots, DomainViolation, ZeroVelocity
+from projeq.errors import ComplexRoots, DomainViolation, SingularMetric, ZeroVelocity
 from projeq.fields import EndomorphismField, MetricField, PhaseState
 from projeq.flows import (
     IntegralFamily,
+    _powers,
     interlacing_audit,
     ordering_audit,
 )
@@ -27,6 +28,17 @@ def lc_family_3d():
         bounds=((-1, 1), (-1, 1), (-1, 1)))
     g, gbar, L = build_lc_pair(spec)
     return IntegralFamily(g, L), spec
+
+
+def poisson(fam, state, s, t):
+    """{I_s, I_t} at one phase state, read off the bracket jet."""
+    n = fam.g.dim
+    return float(_powers(s, n) @ fam._jet(state).brackets @ _powers(t, n))
+
+
+def poisson_with_energy(fam, state, t):
+    """{I_t, H} at one phase state, read off the bracket jet."""
+    return float(_powers(t, fam.g.dim) @ fam._jet(state).energy_brackets)
 
 
 def phase_sample(chart, count, seed):
@@ -164,7 +176,8 @@ def test_energy_gradients_match_finite_differences():
     def h_value(s):
         return 0.5 * s.p @ np.linalg.solve(fam.g.matrix(s.x), s.p)
 
-    hx, hp = fam.energy_gradients(state)
+    jet = fam._jet(state)
+    hx, hp = jet.hx, jet.hp
     eps = 1e-6
     for i in range(3):
         xp, xm = state.x.copy(), state.x.copy()
@@ -191,9 +204,9 @@ def test_bracket_detects_incompatible_tensor():
     L = EndomorphismField.from_rows(CONST2, [["y", "0"], ["0", "x"]])
     fam = IntegralFamily(g, L)
     state = PhaseState(np.array([0.3, -0.4]), np.array([1.0, 1.0]))
-    br = fam.poisson(state, 0.0, 1.0)
+    br = poisson(fam, state, 0.0, 1.0)
     assert br == pytest.approx(-4.0, rel=1e-12)
-    assert fam.poisson(state, 1.0, 0.0) == pytest.approx(4.0, rel=1e-12)
+    assert poisson(fam, state, 1.0, 0.0) == pytest.approx(4.0, rel=1e-12)
 
 
 # L = diag(y, x) with the flat metric: I_t = (x - t) px^2 + (y - t) py^2,
@@ -228,8 +241,8 @@ def test_poisson_matches_closed_form_on_incompatible_tensor(s, t):
     fam = incompatible_family()
     for state in phase_sample(CONST2, 4, seed=10):
         want = 2.0 * (s - t) * float(np.sum(state.p ** 3))
-        assert fam.poisson(state, s, t) == pytest.approx(want, rel=1e-12, abs=1e-13)
-        assert fam.poisson_with_energy(state, t) == pytest.approx(
+        assert poisson(fam, state, s, t) == pytest.approx(want, rel=1e-12, abs=1e-13)
+        assert poisson_with_energy(fam, state, t) == pytest.approx(
             float(np.sum(state.p ** 3)), rel=1e-12)
 
 
@@ -359,7 +372,35 @@ def test_gradients_match_finite_differences_in_4d():
 def test_poisson_with_energy_vanishes_on_normal_form():
     fam, spec = lc_family_3d()
     for state in phase_sample(spec.chart, 10, seed=5):
-        assert abs(fam.poisson_with_energy(state, 1.3)) <= 1e-10
+        assert abs(poisson_with_energy(fam, state, 1.3)) <= 1e-10
+
+
+# -- a singular metric ------------------------------------------------------------
+
+# g = diag(x^2, 1) is singular on x = 0; each call solves against g at once
+_SINGULAR_CALLS = {
+    "value": lambda fam, s: fam.value(s, 0.5),
+    "values": lambda fam, s: list(fam.values(s, (0.5, 2.0))),
+    "t_coefficients": lambda fam, s: fam.t_coefficients(s),
+    "roots": lambda fam, s: fam.roots(s),
+    "gradients": lambda fam, s: fam.gradients(s, 0.5),
+    "commutation_report": lambda fam, s: fam.commutation_report(
+        [PhaseState(x, p) for x, p in zip(np.atleast_2d(s.x), np.atleast_2d(s.p))], [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one-state", "stack-of-3"])
+@pytest.mark.parametrize("call", sorted(_SINGULAR_CALLS))
+def test_a_singular_metric_is_singular_metric_at_its_point(call, stacked):
+    g = MetricField.from_rows(CONST2, [["x^2", "0"], ["0", "1"]], validate=False)
+    fam = IntegralFamily(g, EndomorphismField.from_rows(CONST2, [["1", "0"], ["0", "3"]]))
+    xs = np.array([[0.3, 0.1], [0.0, 0.2], [-0.5, 0.4]])
+    ps = np.array([[1.0, 0.5], [1.0, 1.0], [0.2, -1.0]])
+    state = PhaseState(xs, ps) if stacked else PhaseState(xs[1], ps[1])
+    with pytest.raises(SingularMetric) as err:
+        _SINGULAR_CALLS[call](fam, state)
+    assert err.value.point == [0.0, 0.2]
+    assert str(err.value) == "metric singular at [0.0, 0.2]"
 
 
 # -- audits ----------------------------------------------------------------------

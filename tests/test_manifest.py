@@ -330,3 +330,22 @@ def test_seed_outside_its_window_range_is_rejected(seed):
     run = Manifest.from_dict({**metric_manifest(), "run": {"seed": seed}}).run
     with pytest.raises(ManifestError, match="run.seed"):
         run.check()
+
+
+
+# 10**400 gave a bare OverflowError from float(); Manifest.load refuses it in a file
+_HUGE = 10 ** 400
+_HUGE_AT = {
+    "run.horizon": {**lc_manifest(), "run": {"horizon": _HUGE}},
+    "run.t_grid[1]": {**lc_manifest(), "run": {"t_grid": [0.0, _HUGE]}},
+    "chart.bounds[0][1]": {**lc_manifest(), "chart": {
+        "names": ["x", "y"], "bounds": [[0.1, _HUGE], [-1.0, 1.0]]}},
+    "geometry.gamma": {"geometry": {"kind": "example", "name": "example1", "gamma": _HUGE}},
+}
+
+
+@pytest.mark.parametrize("key", list(_HUGE_AT))
+def test_an_integer_beyond_the_float_range_is_a_manifest_error_naming_its_key(key):
+    with pytest.raises(ManifestError) as err:
+        Manifest.from_dict(_HUGE_AT[key])
+    assert str(err.value) == f"{key} is an integer beyond the float range"

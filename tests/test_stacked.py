@@ -66,6 +66,7 @@ from projeq.pairs import (
     l_field_from_pair,
     l_from_pair,
     lie_derivative_metric,
+    nijenhuis_torsion,
     projective_weyl,
     spectra_at,
     weyl_pair_defect,
@@ -215,6 +216,21 @@ def test_a_black_box_result_of_the_wrong_shape_is_a_value_error():
         table.dmatrix(xs)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2,)], ids=["(M, 3, 3)", "(M, 2)"])
+@pytest.mark.parametrize("cls", [MetricField, EndomorphismField])
+def test_a_black_box_table_of_the_wrong_size_is_a_value_error(cls, shape):
+    # 2 I_3 on a 2-D chart read as the 2 x 2 matrix [[2, 0], [0, 0]] with no complaint
+    xs = UNIT.sample(3, seed=0)
+    kw = {"validate": False} if cls is MetricField else {}
+    table = cls.from_function(UNIT, lambda ys: 2.0 * np.ones((len(ys),) + shape), **kw)
+    size = math.prod(shape)
+    for call in (lambda: table.matrix(xs[0]), lambda: table.matrix(xs),
+                 lambda: table.dmatrix(xs), lambda: table.jet(xs[0], 2)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"a black box gave {size} values per point where its field needs shape (2, 2)")):
+            call()
+
+
 def test_a_leaf_failing_later_does_not_mask_an_earlier_closed_form_failure():
     xs = UNIT.sample(20, seed=2)
     xs[7] = [0.5, 0.3]
@@ -342,6 +358,9 @@ def test_stacked_curvature_kernels_equal_the_one_point_kernels(case, count):
     g = metrics[0]
     for kernel in (covariant_endo_derivative, lambda g, L, x: bm_residual(g, L, x, eps)):
         assert np.array_equal(kernel(g, L, xs), _per_point(lambda x: kernel(g, L, x), xs))
+    torsion = nijenhuis_torsion(L, xs)
+    assert torsion.shape == (count,) + (g.dim,) * 3
+    assert np.array_equal(torsion, _per_point(lambda x: nijenhuis_torsion(L, x), xs))
     energy = hamiltonian(g, xs, ps)
     assert np.array_equal(energy, [hamiltonian(g, x, p) for x, p in zip(xs, ps)])
     assert type(bm_residual(g, L, xs[0], eps)) is float

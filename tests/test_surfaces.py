@@ -46,7 +46,8 @@ def test_rotational_integral_has_a_proportional_to_z_squared():
     rot = QuadraticIntegral2D.from_quadratic_form(CH, "y*y", "-2*x*y", "x*x")
     for x in CH.sample(10, seed=0):
         z = complex(x[0], x[1])
-        assert rot.a_value(x) == pytest.approx(-0.25 * z * z, abs=1e-13)
+        a = complex(rot.re_a.eval(x), rot.im_a.eval(x))
+        assert a == pytest.approx(-0.25 * z * z, abs=1e-13)
 
 
 def test_liouville_integral_has_constant_negative_a():
@@ -54,16 +55,17 @@ def test_liouville_integral_has_constant_negative_a():
                                 bounds=((-1.5, 1.5), (-1.5, 1.5)))
     _, _, integral = liouville_build(data)
     for x in data.chart.sample(10, seed=1):
-        assert integral.a_value(x) == pytest.approx(-0.25, abs=1e-13)
+        a = complex(integral.re_a.eval(x), integral.im_a.eval(x))
+        assert a == pytest.approx(-0.25, abs=1e-13)
 
 
 def test_form_coefficient_round_trip():
     q = QuadraticIntegral2D.from_quadratic_form(CH, "1 + x^2", "x*y", "3 - y")
-    cxx, cxy, cyy = q.form_coefficients()
     x = np.array([0.7, -0.4])
-    assert cxx.eval(x) == pytest.approx(1.49)
-    assert cxy.eval(x) == pytest.approx(-0.28)
-    assert cyy.eval(x) == pytest.approx(3.4)
+    # cxx, cyy and cxx + cxy + cyy, read off I at unit covectors
+    assert q.value(x, np.array([1.0, 0.0])) == pytest.approx(1.49)
+    assert q.value(x, np.array([0.0, 1.0])) == pytest.approx(3.4)
+    assert q.value(x, np.array([1.0, 1.0])) == pytest.approx(1.49 - 0.28 + 3.4)
     p = np.array([0.3, 1.1])
     direct = (1.49 * 0.09 + (-0.28) * 0.33 + 3.4 * 1.21)
     assert q.value(x, p) == pytest.approx(direct, rel=1e-12)
