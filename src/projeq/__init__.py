@@ -53,6 +53,7 @@ _EXPORTS = {
         "pencil_spectrum", "projective_weyl", "spectrum_at", "weyl_pair_defect",
         "weyl_trace_defect",
     ),
+    "records": (),
     "reports": (),
     "sampling": (),
     "surfaces": (

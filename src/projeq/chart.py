@@ -7,18 +7,16 @@ and coordinate names, and hands out reproducible quasi-random sample points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ChartError
+from .records import Record
 from .sampling import halton_points
 
 _SHRINK = 0.05  # relative margin kept clear of each wall by sample()
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Record):
     """An open box (lo_1, hi_1) x ... x (lo_n, hi_n) with named coordinates.
 
     Parameters
@@ -29,14 +27,12 @@ class Chart:
         Strictly ordered open bounds per coordinate.
     """
 
-    names: tuple
-    bounds: tuple
+    _fields = ("names", "bounds")
 
-    def __post_init__(self):
-        names = tuple(str(s) for s in self.names)
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "bounds", bounds)
+    def __init__(self, names, bounds):
+        names = tuple(str(s) for s in names)
+        bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+        self._set(names=names, bounds=bounds)
         if len(names) != len(bounds):
             raise ChartError("names and bounds must have equal length")
         if len(names) < 1:

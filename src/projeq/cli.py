@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from . import reports
 from .curvature import sectional
 from .errors import EnergyProportional, ManifestError, ProjeqError
 from .fields import PhaseState, as_field, scan, worst_point
-from .manifest import Manifest, Scene, default_t_grid, seeded_states
+from .manifest import Manifest, RunParams, Scene, default_t_grid, seeded_states
 from .pairs import (
     ProjectiveFlowSpec,
     bm_from_flow_field,
@@ -33,6 +32,7 @@ from .pairs import (
     weyl_pair_defect,
     weyl_trace_defect,
 )
+from .records import Record
 
 # flows, geodesics, levicivita and surfaces are imported by the commands
 # that use them, so a process loads only what its command runs
@@ -58,11 +58,12 @@ def _init_box(scene: Scene):
     return scene.chart
 
 
-@dataclass(frozen=True)
-class _FamilyColumn:
+class _FamilyColumn(Record):
     """I_t of an IntegralFamily as a monitored fn(x, p) (see _sample_columns)."""
-    family: object
-    t: float
+    _fields = ("family", "t")
+
+    def __init__(self, family, t: float):
+        self._set(family=family, t=t)
 
     def __call__(self, x, p):
         return self.family.value(PhaseState(x, p), self.t)
@@ -502,14 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="projeq",
         description="Audits for geodesically linked metric pairs and their integrals.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
-        p = sub.add_parser(name)
-        p.add_argument("--manifest", required=True)
-        p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", action="append", default=[],
-                       metavar="KEY=VALUE")
+    parser.add_argument("command", choices=_DISPATCH)
+    parser.add_argument("--manifest", required=True)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--tol", action="append", default=[], metavar="KEY=VALUE")
     return parser
 
 
@@ -527,9 +525,10 @@ def main(argv=None) -> int:
             tols = manifest.tolerances.override(**_parse_tol_overrides(args.tol))
         except (KeyError, ValueError) as e:
             raise ManifestError(str(e.args[0])) from None
-        manifest = replace(manifest, tolerances=tols)
+        run = manifest.run
         if args.seed is not None:
-            manifest = replace(manifest, run=replace(manifest.run, seed=args.seed))
+            run = RunParams(**{**vars(run), "seed": args.seed})
+        manifest = Manifest(**{**vars(manifest), "run": run, "tolerances": tols})
         manifest.run.check()
         audits, extra, csvs = _DISPATCH[args.command](manifest.scene, manifest, out_dir)
     except ProjeqError as e:

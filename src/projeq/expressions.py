@@ -19,13 +19,13 @@ differentiation, evaluation, and precedence-aware printing such that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     ArityError,
     ExpressionSyntaxError,
     UnknownIdentifier,
 )
+from .records import Record
 
 __all__ = [
     "parse_expression",
@@ -85,8 +85,8 @@ _PREC_POW = 4
 _PREC_ATOM = 5
 
 
-class Expression:
-    """Base node. Subclasses are frozen dataclasses and compare structurally."""
+class Expression(Record):
+    """Base node. Subclasses are frozen records and compare structurally."""
 
     precedence = _PREC_ATOM
 
@@ -120,15 +120,13 @@ class Expression:
     def __str__(self):
         return self.to_text()
 
-    def __repr__(self):
-        return f"{type(self).__name__}({self.to_text()!r})"
 
-
-@dataclass(frozen=True)
 class Num(Expression):
-    value: float
-
+    _fields = ("value",)
     precedence = _PREC_ATOM
+
+    def __init__(self, value: float):
+        self._set(value=value)
 
     def diff(self, name):
         return Num(0.0)
@@ -140,11 +138,12 @@ class Num(Expression):
         return repr(v)
 
 
-@dataclass(frozen=True)
 class Var(Expression):
-    name: str
-
+    _fields = ("name",)
     precedence = _PREC_ATOM
+
+    def __init__(self, name: str):
+        self._set(name=name)
 
     def diff(self, name):
         return Num(1.0) if name == self.name else Num(0.0)
@@ -156,11 +155,11 @@ class Var(Expression):
         out.add(self.name)
 
 
-@dataclass(frozen=True)
 class BinOp(Expression):
-    op: str
-    left: Expression
-    right: Expression
+    _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expression, right: Expression):
+        self._set(op=op, left=left, right=right)
 
     @property
     def precedence(self):
@@ -213,11 +212,12 @@ class BinOp(Expression):
         self.right._collect_vars(out)
 
 
-@dataclass(frozen=True)
 class Neg(Expression):
-    arg: Expression
-
+    _fields = ("arg",)
     precedence = _PREC_NEG
+
+    def __init__(self, arg: Expression):
+        self._set(arg=arg)
 
     def diff(self, name):
         return _neg(self.arg.diff(name))
@@ -232,12 +232,12 @@ class Neg(Expression):
         self.arg._collect_vars(out)
 
 
-@dataclass(frozen=True)
 class Call(Expression):
-    fn: str
-    args: tuple
-
+    _fields = ("fn", "args")
     precedence = _PREC_ATOM
+
+    def __init__(self, fn: str, args: tuple):
+        self._set(fn=fn, args=args)
 
     def diff(self, name):
         u = self.args[0]

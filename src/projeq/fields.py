@@ -18,7 +18,6 @@ g(x), its entry gradients dg(x), entry Hessians d2g(x).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .errors import (
 )
 from .expressions import FUNCTIONS, Expression, parse_expression
 from .jets import Jets, finite_differences, require_one_sign  # finite_differences: re-exported
+from .records import Record
 from .tolerances import DEFAULT
 
 _PD_SAMPLES = 1500        # points of the construction scan
@@ -419,7 +419,9 @@ class MetricField(_EntryTable):
         return np.linalg.inv(m)
 
     def det(self, x):
-        return float(np.linalg.det(self.matrix(x)))
+        """det g at x: a float at one point, an (N,) array at an (N, n) stack."""
+        det = np.linalg.det(self.matrix(x))
+        return det if det.ndim else float(det)
 
     def pd_report(self, samples=10_000, seed=0):
         pts = self.chart.sample(samples, seed=seed)
@@ -511,19 +513,15 @@ class EndomorphismField(_EntryTable):
         return cls.constant(chart, np.eye(chart.dim))
 
 
-@dataclass
 class VectorField:
     """Contravariant vector field: components v^i as scalar fields."""
 
-    chart: Chart
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple(as_field(self.chart, c) for c in self.components)
-        if len(comps) != self.chart.dim:
+    def __init__(self, chart: Chart, components: tuple):
+        self.chart = chart
+        self.components = tuple(as_field(chart, c) for c in components)
+        if len(self.components) != chart.dim:
             raise ValueError("need one component per coordinate")
-        object.__setattr__(self, "components", comps)
-        self._jets = Jets(self.chart.names, comps)
+        self._jets = Jets(chart.names, self.components)
 
     def values(self, x):
         return np.array(self._jets(x, 0)[0]).T
@@ -533,16 +531,13 @@ class VectorField:
         return _shaped(self._jets(x, 1)[1], (self.chart.dim,) * 2)
 
 
-@dataclass(frozen=True)
-class PhaseState:
+class PhaseState(Record):
     """A point and a momentum covector."""
 
-    x: np.ndarray
-    p: np.ndarray
+    _fields = ("x", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float).copy())
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float).copy())
+    def __init__(self, x: np.ndarray, p: np.ndarray):
+        self._set(x=np.asarray(x, dtype=float).copy(), p=np.asarray(p, dtype=float).copy())
         if self.x.shape != self.p.shape:
             raise ValueError("x and p must have equal shapes")
 

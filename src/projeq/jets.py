@@ -20,7 +20,6 @@ point, naming the failing field; a power that overflows gives an infinity.
 from __future__ import annotations
 
 import math
-import traceback
 
 import numpy as np
 
@@ -464,6 +463,7 @@ class Jets:
         try:
             return fn(xa)
         except (ArithmeticError, ValueError) as err:
+            import traceback  # only this error path reads it
             line = next(f.lineno for f in traceback.extract_tb(err.__traceback__)
                         if f.filename == "<jet>")
             if getattr(fn.sites[line - 1], "node", None) == "leaf":

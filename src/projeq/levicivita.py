@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from .fields import (
     worst_point,
 )
 from .pairs import MetricPair, spectra_at
+from .records import Record
 from .tolerances import DEFAULT
 
 _ORDERING_SAMPLES = 400
@@ -53,14 +53,15 @@ def _block_offsets(sizes):
     return [0, *itertools.accumulate(sizes)]
 
 
-@dataclass(frozen=True)
-class LeviCivitaSpec:
-    """Validated recipe for one block normal form on a box chart."""
+class LeviCivitaSpec(Record):
+    """Validated recipe for one block normal form on a box chart: phis
+    holds ScalarFields on the full chart, block_metrics a k_i x k_i table
+    of full-chart fields per block."""
 
-    chart: Chart
-    block_sizes: tuple
-    phis: tuple          # ScalarFields on the full chart
-    block_metrics: tuple # tuple of k_i x k_i tables of full-chart fields
+    _fields = ("chart", "block_sizes", "phis", "block_metrics")
+
+    def __init__(self, chart: Chart, block_sizes: tuple, phis: tuple, block_metrics: tuple):
+        self._set(chart=chart, block_sizes=block_sizes, phis=phis, block_metrics=block_metrics)
 
     @classmethod
     def create(cls, block_sizes, phis, bounds, block_metrics=None, names=None):
@@ -256,20 +257,18 @@ def random_spec(seed: int, dim: int) -> LeviCivitaSpec:
 # -- warped and adjusted metrics -----------------------------------------
 
 
-@dataclass(frozen=True)
-class WarpedSpec:
-    """Base metric with positive warp functions, one per fiber."""
+class WarpedSpec(Record):
+    """Base metric with positive warp functions, one per fiber: warps are
+    ScalarFields on the base chart, y_bounds one (lo, hi) per warp
+    coordinate, fiber_metrics optional MetricFields on their own charts."""
 
-    base_metric: MetricField
-    warps: tuple            # ScalarFields on the base chart
-    y_bounds: tuple         # (lo, hi) per warp coordinate
-    fiber_metrics: tuple = ()  # optional MetricFields on their own charts
+    _fields = ("base_metric", "warps", "y_bounds", "fiber_metrics")
 
-    def __post_init__(self):
-        base = self.base_metric.chart
-        warps = tuple(as_field(base, w) for w in self.warps)
-        object.__setattr__(self, "warps", warps)
-        if len(self.y_bounds) != len(warps):
+    def __init__(self, base_metric: MetricField, warps, y_bounds, fiber_metrics=()):
+        warps = tuple(as_field(base_metric.chart, w) for w in warps)
+        self._set(base_metric=base_metric, warps=warps, y_bounds=y_bounds,
+                  fiber_metrics=fiber_metrics)
+        if len(y_bounds) != len(warps):
             raise ValueError("one bounds pair per warp function")
         for w in warps:
             lo, _hi = w.sample_range(count=200, seed=9)

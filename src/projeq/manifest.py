@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -30,6 +29,7 @@ from .chart import Chart
 from .errors import ExpressionError, ManifestError, ProjeqError
 from .fields import EndomorphismField, MetricField, PhaseState, VectorField
 from .pairs import MetricPair, l_field_from_pair, spectrum_at
+from .records import Record
 from .sampling import halton_points
 from .tolerances import DEFAULT, Tolerances
 
@@ -43,16 +43,14 @@ _MAX_BUDGET = 10_000  # largest run.samples and run.geodesics: pd_report's full 
 _MAX_T = 1e6  # largest |t| in run.t_grid: S_t sums powers t**j up to the dimension
 
 
-@dataclass(frozen=True)
-class RunParams:
-    seed: int = 0
-    samples: int = 200
-    horizon: float = 5.0
-    geodesics: int = 20
-    t_grid: tuple = ()
-    integral: str = ""
-    r: int = 0
-    has_linear_reduction: bool = False
+class RunParams(Record):
+    _fields = ("seed", "samples", "horizon", "geodesics", "t_grid", "integral", "r",
+               "has_linear_reduction")
+
+    def __init__(self, seed=0, samples=200, horizon=5.0, geodesics=20, t_grid=(), integral="",
+                 r=0, has_linear_reduction=False):
+        self._set(seed=seed, samples=samples, horizon=horizon, geodesics=geodesics, t_grid=t_grid,
+                  integral=integral, r=r, has_linear_reduction=has_linear_reduction)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunParams":
@@ -141,19 +139,21 @@ def _whole(value):
     return int(value)
 
 
-@dataclass
 class Scene:
     """Resolved objects a command operates on."""
 
-    chart: Chart
-    metric: MetricField = None
-    partner: MetricField = None
-    endo: EndomorphismField = None
-    vector: VectorField = None
-    bundle: object = None
-    lc_spec: LeviCivitaSpec = None
-    liouville: LiouvilleData = None
-    integrals: dict = field(default_factory=dict)
+    def __init__(self, chart: Chart, metric: MetricField = None, partner: MetricField = None,
+                 endo: EndomorphismField = None, vector: VectorField = None, bundle=None,
+                 lc_spec: LeviCivitaSpec = None, liouville: LiouvilleData = None, integrals=None):
+        self.chart = chart
+        self.metric = metric
+        self.partner = partner
+        self.endo = endo
+        self.vector = vector
+        self.bundle = bundle
+        self.lc_spec = lc_spec
+        self.liouville = liouville
+        self.integrals = {} if integrals is None else integrals
 
     @property
     def pair(self):
@@ -169,17 +169,16 @@ class Scene:
         return IntegralFamily(self.metric, self.endo)
 
 
-@dataclass(frozen=True)
-class Manifest:
-    version: str
-    geometry: dict
-    chart_spec: dict
-    endomorphism: tuple
-    vector_field: tuple
-    run: RunParams
-    tolerances: Tolerances
-    # built by from_dict while validating; the CLI runs on it
-    scene: Scene = field(default=None, compare=False, repr=False)
+class Manifest(Record):
+    # scene, built by from_dict while validating and run by the CLI, is no field
+    _fields = ("version", "geometry", "chart_spec", "endomorphism", "vector_field", "run",
+               "tolerances")
+
+    def __init__(self, version: str, geometry: dict, chart_spec: dict, endomorphism: tuple,
+                 vector_field: tuple, run: RunParams, tolerances: Tolerances, scene=None):
+        self._set(version=version, geometry=geometry, chart_spec=chart_spec,
+                  endomorphism=endomorphism, vector_field=vector_field, run=run,
+                  tolerances=tolerances, scene=scene)
 
     @classmethod
     def load(cls, path) -> "Manifest":
@@ -233,7 +232,7 @@ class Manifest:
             tolerances=tols,
         )
         # validate eagerly: all expressions must parse
-        return replace(m, scene=m.build_scene())
+        return cls(**{**vars(m), "scene": m.build_scene()})
 
     def _chart(self) -> Chart:
         try:

@@ -12,8 +12,6 @@ Sign and index conventions follow curvature.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .curvature import christoffel, ricci, riemann
@@ -34,6 +32,7 @@ from .fields import (
     worst_point,
 )
 from .jets import _mapped, _pow
+from .records import Record
 from .tolerances import DEFAULT
 
 
@@ -137,15 +136,14 @@ def bm_residual_stats(g, L, points, eps_sym_factor=DEFAULT.eps_sym_factor) -> di
     }
 
 
-@dataclass(frozen=True)
-class MetricPair:
+class MetricPair(Record):
     """Two metrics on one chart, intended as a geodesically linked pair."""
 
-    g: MetricField
-    gbar: MetricField
+    _fields = ("g", "gbar")
 
-    def __post_init__(self):
-        if self.g.chart != self.gbar.chart:
+    def __init__(self, g: MetricField, gbar: MetricField):
+        self._set(g=g, gbar=gbar)
+        if g.chart != gbar.chart:
             raise ValueError("pair metrics must share a chart")
 
     @property
@@ -162,11 +160,12 @@ def l_from_pair(g, gbar, x):
     # refused before det, which warns on a NaN entry
     require_finite(np.concatenate((gmat, gbmat), axis=-1), x, "metric")
     n = gmat.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused at its point
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused at its point
         dets = np.linalg.det(np.array((gbmat, gmat)))  # one LAPACK call for both
+        ratio = dets[0] / dets[1]  # det g = 0 gives no finite ratio
     require_finite(dets.T, x, "determinant")
-    ratio = dets[0] / dets[1]
-    require(ratio > 0.0, x, SingularMatrix, "determinant ratio not positive; metrics degenerate")
+    require(np.isfinite(ratio) & (ratio > 0.0), x, SingularMatrix,
+            "determinant ratio not positive; metrics degenerate")
     # C's pow on each ratio: numpy's scalar ** is, its array ** differs in the last bit
     root = ratio ** (1.0 / (n + 1)) if ratio.ndim == 0 else _mapped(_pow)(ratio, 1.0 / (n + 1))
     return (root * np.linalg.solve(gbmat, gmat).T).T  # each matrix times its root
@@ -221,15 +220,14 @@ def gbar_from_l(g, L, eig_floor=DEFAULT.eig_floor, samples=500, seed=0, validate
 # --- flows -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjectiveFlowSpec:
+class ProjectiveFlowSpec(Record):
     """A metric and the generator of a geodesic-preserving flow on it."""
 
-    metric: MetricField
-    generator: VectorField
+    _fields = ("metric", "generator")
 
-    def __post_init__(self):
-        if self.metric.chart != self.generator.chart:
+    def __init__(self, metric: MetricField, generator: VectorField):
+        self._set(metric=metric, generator=generator)
+        if metric.chart != generator.chart:
             raise ValueError("generator must live on the metric's chart")
 
 

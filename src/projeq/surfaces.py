@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +50,7 @@ from .fields import (
 )
 from .jets import Jets
 from .pairs import MetricPair, lie_derivative_metric
+from .records import Record
 from .tolerances import DEFAULT
 
 _DELTA_BRANCH = 1e-3   # flatten_coordinates' exclusion radius around poles and cuts
@@ -58,21 +58,16 @@ _FIT_HALF_WIDTH = 0.05  # half-width of flattening_fit_report's w grid
 _FIT_GRID = 9           # its points per side
 
 
-@dataclass(frozen=True)
-class QuadraticIntegral2D:
+class QuadraticIntegral2D(Record):
     """Quadratic momentum polynomial in the complex storage convention."""
 
-    chart: Chart
-    re_a: ScalarField
-    im_a: ScalarField
-    b: ScalarField
+    _fields = ("chart", "re_a", "im_a", "b")
 
-    def __post_init__(self):
-        if self.chart.dim != 2:
+    def __init__(self, chart: Chart, re_a: ScalarField, im_a: ScalarField, b: ScalarField):
+        if chart.dim != 2:
             raise WrongDimension("quadratic integrals live on 2-D charts")
-        for name in ("re_a", "im_a", "b"):
-            object.__setattr__(self, name, as_field(self.chart, getattr(self, name)))
-        object.__setattr__(self, "_jets", Jets(self.chart.names, (self.re_a, self.im_a, self.b)))
+        re_a, im_a, b = (as_field(chart, f) for f in (re_a, im_a, b))
+        self._set(chart=chart, re_a=re_a, im_a=im_a, b=b, _jets=Jets(chart.names, (re_a, im_a, b)))
 
     @classmethod
     def from_quadratic_form(cls, chart, cxx, cxy, cyy):
@@ -158,16 +153,17 @@ def integral_from_pair2d(pair: MetricPair) -> QuadraticIntegral2D:
 # -- principal form and models ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrincipalForm:
-    """Fit of a(z) = -(alpha z^2 + beta z + gamma) over the chart."""
+class PrincipalForm(Record):
+    """Fit of a(z) = -(alpha z^2 + beta z + gamma) over the chart: scale is
+    the largest coefficient magnitude, residual the largest
+    |alpha z^2 + beta z + gamma + a(z)| over the fit's samples."""
 
-    alpha: complex
-    beta: complex
-    gamma: complex
-    scale: float        # max coefficient magnitude
-    residual: float     # max |alpha z^2 + beta z + gamma + a(z)| over the fit sample
-    samples: int
+    _fields = ("alpha", "beta", "gamma", "scale", "residual", "samples")
+
+    def __init__(self, alpha: complex, beta: complex, gamma: complex, scale: float,
+                 residual: float, samples: int):
+        self._set(alpha=alpha, beta=beta, gamma=gamma, scale=scale, residual=residual,
+                  samples=samples)
 
     def coefficients(self):
         return np.array([self.alpha, self.beta, self.gamma])
@@ -222,14 +218,13 @@ def principal_form(integral: QuadraticIntegral2D, samples=64, seed=0,
     )
 
 
-@dataclass(frozen=True)
-class ModelClass:
+class ModelClass(Record):
     """Classification tag with root data and the canonical flattening map."""
 
-    tag: str
-    roots: tuple
-    scale: complex
-    flatten_id: str
+    _fields = ("tag", "roots", "scale", "flatten_id")
+
+    def __init__(self, tag: str, roots: tuple, scale: complex, flatten_id: str):
+        self._set(tag=tag, roots=roots, scale=scale, flatten_id=flatten_id)
 
 
 def _off_ray(z):
@@ -358,14 +353,13 @@ def flattening_fit_report(conformal_factor, mc: ModelClass, w_center: complex) -
 # -- Liouville normal form ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiouvilleData:
+class LiouvilleData(Record):
     """Separated profile functions X(x), Y(y) with X - Y > 0."""
 
-    chart: Chart
-    x_profile: ScalarField
-    y_profile: ScalarField
-    margin: float = 1e-6
+    _fields = ("chart", "x_profile", "y_profile", "margin")
+
+    def __init__(self, chart: Chart, x_profile: ScalarField, y_profile: ScalarField, margin=1e-6):
+        self._set(chart=chart, x_profile=x_profile, y_profile=y_profile, margin=margin)
 
     @classmethod
     def create(cls, x_expr, y_expr, bounds, names=("x", "y"), margin=1e-6):
@@ -479,20 +473,18 @@ def synthetic_integral(chart, alpha, beta, gamma, b="1") -> QuadraticIntegral2D:
 # -- worked examples ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExampleBundle:
+class ExampleBundle(Record):
     """One ready-made scenario: metric(s), integrals, fields, expectations."""
 
-    name: str
-    chart: Chart
-    metric: MetricField
-    integrals: dict
-    partner: MetricField = None
-    vector_fields: dict = None
-    maps: dict = None
-    init_box: Chart = None
-    params: dict = None
-    expected: dict = None
+    _fields = ("name", "chart", "metric", "integrals", "partner", "vector_fields", "maps",
+               "init_box", "params", "expected")
+
+    def __init__(self, name: str, chart: Chart, metric: MetricField, integrals: dict,
+                 partner: MetricField = None, vector_fields: dict = None, maps: dict = None,
+                 init_box: Chart = None, params: dict = None, expected: dict = None):
+        self._set(name=name, chart=chart, metric=metric, integrals=integrals, partner=partner,
+                  vector_fields=vector_fields, maps=maps, init_box=init_box, params=params,
+                  expected=expected)
 
 
 def builtin_example(name: str, gamma: float = 1.0) -> ExampleBundle:

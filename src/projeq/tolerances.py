@@ -10,11 +10,11 @@ one check: each value is a finite number > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, replace
+
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(Record):
     integrator_tol: float = 1e-10      # rtol = atol of the embedded RK pair
     drift_bound: float = 1e-7          # relative span of a conserved quantity
     bm_tol: float = 1e-8               # compatibility residual, orthonormal frame
@@ -32,8 +32,13 @@ class Tolerances:
     ordering_margin: float = 1e-6      # strict separation of block functions
     killing_tol: float = 1e-7          # max Lie-derivative entry
     energy_drift_factor: float = 100.0 # times integrator_tol along one run
+    _fields = tuple(__annotations__)  # the table above, in its order
 
-    def __post_init__(self):
+    def __init__(self, **values):
+        unknown = set(values) - set(self._fields)
+        if unknown:
+            raise TypeError(f"Tolerances got unknown keyword(s): {sorted(unknown)}")
+        self._set(**{name: values.get(name, getattr(Tolerances, name)) for name in self._fields})
         for name, value in self.as_dict().items():
             # a bool is an int to Python, but no threshold
             if not (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -41,7 +46,7 @@ class Tolerances:
                 raise ValueError(f"tolerance {name} must be a finite number > 0, got {value!r}")
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self._fields}
 
     def override(self, **kwargs) -> "Tolerances":
         """This table with the named values replaced: KeyError for an
@@ -49,7 +54,7 @@ class Tolerances:
         unknown = set(kwargs) - set(self.as_dict())
         if unknown:
             raise KeyError(f"unknown tolerance name(s): {sorted(unknown)}")
-        return replace(self, **kwargs)
+        return Tolerances(**{**self.as_dict(), **kwargs})
 
 
 DEFAULT = Tolerances()

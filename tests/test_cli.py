@@ -758,6 +758,24 @@ def test_unknown_command_rejected_by_parser(tmp_path):
     assert exc.value.code == 2
 
 
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("check-bm", "pair", "geodesic", "conserve", "weyl", "classify2d",
+                    "lc-build", "split", "example"):
+        assert command in out
+
+
+def test_a_missing_out_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-bm", "--manifest", str(tmp_path / "m.json")])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 # -- the exit-code contract on mutated manifests ------------------------------
 
 CONTRACT_RUN = {"seed": 0, "samples": 12, "geodesics": 1, "horizon": 0.5, "r": 1}

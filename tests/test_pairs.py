@@ -315,6 +315,17 @@ def test_a_degenerate_or_nan_determinant_ratio_names_its_first_point():
     assert err.value.point == pts[int(np.argmax(pts[:, 0] > 1.0))].tolist()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("stacked", [False, True])
+def test_a_singular_g_is_a_singular_matrix_at_its_point(stacked):
+    g = MetricField.diagonal(box_chart("xy"), ("x^2", "1"), validate=False)
+    gbar = MetricField.diagonal(g.chart, ("2", "1"), validate=False)
+    x = np.array([[0.5, 0.1], [0.0, 0.2], [0.3, -0.4]]) if stacked else np.array([0.0, 0.2])
+    with pytest.raises(SingularMatrix, match="determinant ratio not positive") as err:
+        l_from_pair(g, gbar, x)
+    assert err.value.point == [0.0, 0.2]
+
+
 def test_indefinite_metric_is_not_positive_definite():
     with pytest.raises(NotPositiveDefinite):
         pencil_spectrum(np.diag([1.0, -2.0]), np.eye(2))

@@ -498,6 +498,14 @@ def test_stacked_metric_inverse_equals_the_one_point_inverses(case):
     assert np.array_equal(g.inverse(xs[:1]), g.inverse(xs[0])[None])
 
 
+@pytest.mark.parametrize("case", ["lc3", "random_spec(2, 4)"])
+def test_stacked_metric_det_equals_the_one_point_dets(case):
+    g = _tables(case)[0]
+    xs = g.chart.sample(201, seed=4)
+    assert type(g.det(xs[0])) is float
+    assert np.array_equal(g.det(xs), _per_point(g.det, xs))
+
+
 def test_a_singular_metric_stack_raises_as_its_first_singular_point():
     xs = UNIT.sample(20, seed=9)
     g, _ = _faulty(xs, {7: SingularMetric, 12: SingularMetric})
