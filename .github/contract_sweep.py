@@ -2,13 +2,14 @@
 
 Each base manifest of the contract test in tests/test_cli.py
 (CONTRACT_BASES, with CONTRACT_RUN), at each of its paths (COMMON_PATHS
-and its KIND_PATHS), takes each bad value (BAD_VALUES and the huge and
-infinite values below), and every command runs on it in-process through
-`cli.main`, with numpy's RuntimeWarnings as errors. A run breaks the
-contract when it raises, exits outside {0, 1, 2}, writes no report.json,
-exits 2 without an "error", exits 1 with no failing audit, or takes over
-10 s. The Hypothesis contract test draws 120 of these cases; this sweep
-runs all of them. Run it from the repository root:
+and its KIND_PATHS), takes each bad value (BAD_VALUES, and the huge and
+infinite values and the long and deeply nested expressions below), and
+every command runs on it in-process through `cli.main`, with numpy's
+RuntimeWarnings as errors. A run breaks the contract when it raises,
+exits outside {0, 1, 2}, writes no report.json, exits 2 without an
+"error", exits 1 with no failing audit, or takes over 10 s. The
+Hypothesis contract test draws 120 of these cases; this sweep runs all
+of them. Run it from the repository root:
 
     PYTHONPATH=src python .github/contract_sweep.py
 
@@ -44,6 +45,10 @@ COMMANDS = ("check-bm", "pair", "geodesic", "conserve", "weyl", "classify2d", "l
 # a 401-digit integer literal, an infinite exponent, the float range's ends, an
 # overflowing literal in text and the smallest subnormal
 HUGE_VALUES = [10 ** 400, "x^1e400", 1e308, -1e308, "1e400", 5e-324]
+# a 1,200-term sum, and nestings past the parser's stack: 300 parentheses,
+# 2,000 unary minuses, a 1,000-link power chain and 300 nested calls
+DEEP_VALUES = [" + ".join(["1"] * 1200), "(" * 300 + "1" + ")" * 300, "-" * 2000 + "1",
+               "^".join(["1"] * 1000), "exp(" * 300 + "0" + ")" * 300]
 LIMIT_S = 10.0
 
 
@@ -89,7 +94,7 @@ def main_sweep():
         manifest = Path(tmp) / "m.json"
         for kind in sorted(CONTRACT_BASES):
             for path, value in itertools.product(COMMON_PATHS + KIND_PATHS[kind],
-                                                 BAD_VALUES + HUGE_VALUES):
+                                                 BAD_VALUES + HUGE_VALUES + DEEP_VALUES):
                 doc = json.loads(json.dumps({**CONTRACT_BASES[kind], "run": CONTRACT_RUN}))
                 mutate(doc, path, value)
                 manifest.write_text(json.dumps(doc), encoding="utf-8")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ChartError
+from .expressions import CONSTANTS, FUNCTIONS
 from .records import Record
 from .sampling import halton_points
 
@@ -22,7 +23,8 @@ class Chart(Record):
     Parameters
     ----------
     names : tuple of str
-        Coordinate names, unique, valid identifiers.
+        Coordinate names, unique, valid identifiers, none a constant or a
+        function of the expression language.
     bounds : tuple of (lo, hi) pairs
         Strictly ordered open bounds per coordinate.
     """
@@ -42,6 +44,8 @@ class Chart(Record):
         for s in names:
             if not s.isidentifier():
                 raise ChartError(f"coordinate name {s!r} is not an identifier")
+            if s in CONSTANTS or s in FUNCTIONS:
+                raise ChartError(f"coordinate name {s!r} is a name of the expression language")
         for lo, hi in bounds:
             if not np.isfinite(lo) or not np.isfinite(hi) or lo >= hi:
                 raise ChartError(f"bad bound pair ({lo}, {hi})")

@@ -29,6 +29,7 @@ from .records import Record
 
 __all__ = [
     "parse_expression",
+    "postorder",
     "Expression",
     "Num",
     "Var",
@@ -98,15 +99,15 @@ class Expression(Record):
         raise NotImplementedError
 
     def to_text(self):
-        raise NotImplementedError
+        """Text that parses back to this tree, each node written by its own
+        rule (_text) from the texts of its operands."""
+        texts = {}
+        for e in postorder(self):
+            texts[id(e)] = e._text(*(texts[id(a)] for a in _operands(e)))
+        return texts[id(self)]
 
     def free_vars(self):
-        out = set()
-        self._collect_vars(out)
-        return out
-
-    def _collect_vars(self, out):
-        pass
+        return {e.name for e in postorder(self) if isinstance(e, Var)}
 
     def compile(self, names):
         """Build a function ndarray -> float with coordinates bound by
@@ -131,7 +132,7 @@ class Num(Expression):
     def diff(self, name):
         return Num(0.0)
 
-    def to_text(self):
+    def _text(self):
         v = self.value
         if abs(v) < 1e16 and v == int(v):  # int() of an infinity or a NaN raises
             return str(int(v))
@@ -148,11 +149,8 @@ class Var(Expression):
     def diff(self, name):
         return Num(1.0) if name == self.name else Num(0.0)
 
-    def to_text(self):
+    def _text(self):
         return self.name
-
-    def _collect_vars(self, out):
-        out.add(self.name)
 
 
 class BinOp(Expression):
@@ -186,12 +184,10 @@ class BinOp(Expression):
         term2 = _div(_mul(b, da), a)
         return _mul(_pow(a, b), _add(term1, term2))
 
-    def to_text(self):
+    def _text(self, lt, rt):
         lp = self.left.precedence
         rp = self.right.precedence
         myp = self.precedence
-        lt = self.left.to_text()
-        rt = self.right.to_text()
         # parenthesization guarantees parse(to_text(e)) == e structurally:
         # left-assoc ops keep a bare left child at equal precedence, the
         # right child needs parens at equal precedence; '^' is the mirror
@@ -207,10 +203,6 @@ class BinOp(Expression):
             rt = f"({rt})"
         return f"{lt} {self.op} {rt}"
 
-    def _collect_vars(self, out):
-        self.left._collect_vars(out)
-        self.right._collect_vars(out)
-
 
 class Neg(Expression):
     _fields = ("arg",)
@@ -222,14 +214,10 @@ class Neg(Expression):
     def diff(self, name):
         return _neg(self.arg.diff(name))
 
-    def to_text(self):
-        at = self.arg.to_text()
+    def _text(self, at):
         if self.arg.precedence < _PREC_NEG:
             at = f"({at})"
         return f"-{at}"
-
-    def _collect_vars(self, out):
-        self.arg._collect_vars(out)
 
 
 class Call(Expression):
@@ -245,12 +233,23 @@ class Call(Expression):
         outer = CHAIN_RULES[self.fn][1].format(u=f"({u.to_text()})", v=f"({self.to_text()})")
         return _mul(parse_expression(outer), u.diff(name))
 
-    def to_text(self):
-        return f"{self.fn}({', '.join(a.to_text() for a in self.args)})"
+    def _text(self, *ats):
+        return f"{self.fn}({', '.join(ats)})"
 
-    def _collect_vars(self, out):
-        for a in self.args:
-            a._collect_vars(out)
+
+def _operands(e):
+    return ((e.left, e.right) if isinstance(e, BinOp)
+            else (e.arg,) if isinstance(e, Neg) else getattr(e, "args", ()))
+
+
+def postorder(e):
+    """The nodes of an expression tree, each after its operands: a loop, as
+    long sums parse into deep trees."""
+    out, stack = [], [e]
+    while stack:
+        out.append(stack.pop())
+        stack.extend(_operands(out[-1]))
+    return out[::-1]
 
 
 # --- light constant folding for derivative trees -------------------------
@@ -485,9 +484,15 @@ def parse_expression(text, names=None):
     Raises
     ------
     ExpressionSyntaxError
-        With the byte offset of the offending position.
+        With the byte offset of the offending position; nesting deeper than
+        the interpreter's stack is "expression nested too deeply".
     UnknownIdentifier, ArityError
     """
     if not isinstance(text, str):
         raise ExpressionSyntaxError("expression must be a string", 0)
-    return _Parser(text, names).parse()
+    parser = _Parser(text, names)
+    try:
+        return parser.parse()
+    except RecursionError:  # the descent's depth is the interpreter's stack
+        raise ExpressionSyntaxError("expression nested too deeply",
+                                    _byte_offset(text, parser.peek()[2])) from None

@@ -173,9 +173,10 @@ def integrate(rhs, y0, t_span, tol, inside=None, max_steps=1_000_000):
 
     ``inside(y)`` marks the admissible region; the first accepted step
     whose endpoint leaves it truncates the run at the crossing located
-    by bisection on the dense output. Raises StepUnderflow when the
-    controller pushes the step below 1e-12 times the horizon, or to a step
-    that does not advance t.
+    by bisection on the dense output. A span that is not finite with
+    t1 > t0 is a ValueError. Raises StepUnderflow when the controller
+    pushes the step below 1e-12 times the horizon, or to a step that does
+    not advance t.
 
     A stack's trajectories are stepped together, each with its own t,
     step size, error norm, acceptance, step budget, dense output and
@@ -187,8 +188,8 @@ def integrate(rhs, y0, t_span, tol, inside=None, max_steps=1_000_000):
     failing start raises its error.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 <= t0:
-        raise ValueError("integration horizon must have t1 > t0")
+    if not -np.inf < t0 < t1 < np.inf:
+        raise ValueError(f"integration span ({t0}, {t1}) must be finite with t1 > t0")
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim == 1:
         return _lockstep(rhs, y0, (t0, t1), tol, inside, max_steps)[0]

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import DerivativeNotAvailable, DomainViolation, ProjeqError, UnknownIdentifier
-from .expressions import CHAIN_RULES, FUNCTIONS, BinOp, Call, Expression, Neg, Num, Var
+from .expressions import CHAIN_RULES, FUNCTIONS, Call, Expression, Neg, Num, Var, postorder
 
 
 def _pow(base, exponent):
@@ -141,17 +141,6 @@ def _fmt(term):
     if isinstance(term, str):
         return term
     return repr(term) if term >= 0.0 else f"({term!r})"
-
-
-def _operands_first(e):
-    """The nodes of an expression tree, each after its operands."""
-    out, stack = [], [e]
-    while stack:
-        out.append(stack.pop())
-        e = out[-1]
-        stack.extend((e.left, e.right) if isinstance(e, BinOp)
-                     else (e.arg,) if isinstance(e, Neg) else getattr(e, "args", ()))
-    return out[::-1]
 
 
 class _Writer:
@@ -294,7 +283,7 @@ class _Writer:
         names of its chart; cmap maps chart coordinates to output ones."""
         key = (id(node), names, cmap)
         if key not in self.memo and isinstance(node, Expression):
-            for e in _operands_first(node):  # a loop: long sums parse into deep trees
+            for e in postorder(node):
                 if (id(e), names, cmap) not in self.memo:
                     self.memo[id(e), names, cmap] = self._expression(e, names, cmap)
         elif key not in self.memo:

@@ -193,6 +193,10 @@ CONTRACT_PAIR = {
     ("check-bm", {**LC3, "geometry": {**LC3["geometry"],
                                       "phis": [*LC3["geometry"]["phis"], "7"]}},
      "ManifestError", "block_sizes, phis, block_metrics must align"),
+    ("geodesic", {"chart": {"names": ["x", "e"], "bounds": [[-1.0, 1.0], [-1.0, 1.0]]},
+                  "geometry": {"kind": "metric", "entries": [["1", "0"], ["0", "1 + e^2"]]},
+                  "run": {"seed": 0, "geodesics": 2, "horizon": 1.0}},
+     "ManifestError", "coordinate name 'e'"),
     ("check-bm", {**CONTRACT_METRIC, "geometry": {**CONTRACT_METRIC["geometry"], "entries": [
         ["1 + x^2", "0"], ["0", 1e300]]}, "run": {"seed": 0, "samples": 12}},
      "DomainViolation", "non-finite g*L norm entry at ["),
@@ -204,7 +208,8 @@ CONTRACT_PAIR = {
         "endomorphism-2x3", "gbar-not-a-table", "endomorphism-not-rows",
         "samples-1e300", "geodesics-1e300", "samples-10001",
         "tol-abc", "tol-null", "tol-true", "tol-negative", "tol-nan",
-        "t-grid-inf", "t-grid-1e300", "phis-longer-than-blocks", "metric-entry-1e300",
+        "t-grid-inf", "t-grid-1e300", "phis-longer-than-blocks", "coordinate-named-e",
+        "metric-entry-1e300",
         "pair-entry-1e300"])
 def test_bad_input_exits_2_with_named_error(tmp_path, command, manifest, error, names):
     m = write_manifest(tmp_path, manifest)

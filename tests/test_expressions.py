@@ -152,6 +152,35 @@ def test_free_vars():
     assert ast.free_vars() == {"x", "y"}
 
 
+def test_a_long_sum_is_walked_by_a_loop():
+    # a left-deep tree 5,000 nodes deep; long trees compare by their text,
+    # as a record's structural == recurses
+    terms = ["x", "2 * y", "z^2", "1"] * 1250
+    text = " + ".join(terms)
+    ast = parse_expression(text, names=NAMES)
+    assert ast.free_vars() == {"x", "y", "z"}
+    assert ast.to_text() == text
+    assert ast.compile(NAMES)(np.array([0.5, 0.25, 2.0])) == pytest.approx(1250 * 6.0)
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 2000 + "x" + ")" * 2000,
+    "exp(" * 2000 + "x" + ")" * 2000,
+    "-" * 5000 + "x",
+    "^".join(["x"] * 5000),
+], ids=["parentheses", "calls", "unary-minus", "power-chain"])
+def test_nesting_deeper_than_the_stack_is_a_syntax_error(text):
+    with pytest.raises(ExpressionSyntaxError, match="nested too deeply") as info:
+        parse_expression(text, names=NAMES)
+    assert 0 < info.value.offset < len(text)
+
+
+def test_fifty_nested_parentheses_parse_and_round_trip():
+    ast = parse_expression("(" * 50 + "x + y" + ")" * 50 + " * z", names=NAMES)
+    assert ast.to_text() == "(x + y) * z"
+    assert parse_expression(ast.to_text(), names=NAMES) == ast
+
+
 def test_syntax_error_carries_byte_offset():
     with pytest.raises(ExpressionSyntaxError) as info:
         parse_expression("sin(x", names=("x",))

@@ -11,6 +11,7 @@ import pytest
 
 from projeq.chart import Chart, box_chart
 from projeq.errors import (
+    ChartError,
     ComplexRoots,
     DerivativeNotAvailable,
     DomainViolation,
@@ -274,6 +275,12 @@ def test_expression_field_rejects_foreign_variables():
     foreign = parse_expression("x + q", names=("x", "q"))
     with pytest.raises(DerivativeNotAvailable):
         ExpressionField(CHART2, foreign)
+
+
+@pytest.mark.parametrize("name", ["pi", "e", "sin", "sqrt"])
+def test_a_coordinate_may_not_shadow_the_expression_language(name):
+    with pytest.raises(ChartError, match=f"coordinate name '{name}'"):
+        Chart(("x", name), ((0.0, 1.0), (0.0, 1.0)))
 
 
 # -- metric fields ---------------------------------------------------------

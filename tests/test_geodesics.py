@@ -121,6 +121,17 @@ def test_step_underflow_on_hard_singularity():
         integrate(rhs, np.array([0.0]), (0.0, 2.0), tol=1e-10)
 
 
+@pytest.mark.parametrize("span", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0),
+                                  (-math.inf, 1.0), (1.0, 1.0)])
+@pytest.mark.parametrize("y0", [np.zeros(1), np.zeros((2, 1))], ids=["one", "stack"])
+def test_a_span_not_finite_and_increasing_is_refused_at_once(span, y0):
+    def rhs(t, y):
+        raise AssertionError("rhs called")
+
+    with pytest.raises(ValueError, match=r"integration span \("):
+        integrate(rhs, y0, span, tol=1e-10)
+
+
 def test_step_budget_exhaustion_raises():
     def rhs(t, y):
         return np.array([math.sin(50.0 * t) * 40.0, math.cos(50.0 * t) * 40.0])
