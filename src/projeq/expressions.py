@@ -25,7 +25,7 @@ from .errors import (
     ExpressionSyntaxError,
     UnknownIdentifier,
 )
-from .records import Record
+from .records import Record, postorder, write
 
 __all__ = [
     "parse_expression",
@@ -100,11 +100,8 @@ class Expression(Record):
 
     def to_text(self):
         """Text that parses back to this tree, each node written by its own
-        rule (_text) from the texts of its operands."""
-        texts = {}
-        for e in postorder(self):
-            texts[id(e)] = e._text(*(texts[id(a)] for a in _operands(e)))
-        return texts[id(self)]
+        rule (_text) as strings with its operands in their places."""
+        return write(self, lambda e: e._text())
 
     def free_vars(self):
         return {e.name for e in postorder(self) if isinstance(e, Var)}
@@ -135,8 +132,8 @@ class Num(Expression):
     def _text(self):
         v = self.value
         if abs(v) < 1e16 and v == int(v):  # int() of an infinity or a NaN raises
-            return str(int(v))
-        return repr(v)
+            return [str(int(v))]
+        return [repr(v)]
 
 
 class Var(Expression):
@@ -150,7 +147,7 @@ class Var(Expression):
         return Num(1.0) if name == self.name else Num(0.0)
 
     def _text(self):
-        return self.name
+        return [self.name]
 
 
 class BinOp(Expression):
@@ -184,24 +181,14 @@ class BinOp(Expression):
         term2 = _div(_mul(b, da), a)
         return _mul(_pow(a, b), _add(term1, term2))
 
-    def _text(self, lt, rt):
-        lp = self.left.precedence
-        rp = self.right.precedence
-        myp = self.precedence
+    def _text(self):
+        lp, rp, myp = self.left.precedence, self.right.precedence, self.precedence
         # parenthesization guarantees parse(to_text(e)) == e structurally:
         # left-assoc ops keep a bare left child at equal precedence, the
         # right child needs parens at equal precedence; '^' is the mirror
         if self.op == "^":
-            if lp <= myp:
-                lt = f"({lt})"
-            if rp < myp:
-                rt = f"({rt})"
-            return f"{lt}^{rt}"
-        if lp < myp:
-            lt = f"({lt})"
-        if rp <= myp:
-            rt = f"({rt})"
-        return f"{lt} {self.op} {rt}"
+            return [*_paren(self.left, lp <= myp), "^", *_paren(self.right, rp < myp)]
+        return [*_paren(self.left, lp < myp), f" {self.op} ", *_paren(self.right, rp <= myp)]
 
 
 class Neg(Expression):
@@ -214,10 +201,8 @@ class Neg(Expression):
     def diff(self, name):
         return _neg(self.arg.diff(name))
 
-    def _text(self, at):
-        if self.arg.precedence < _PREC_NEG:
-            at = f"({at})"
-        return f"-{at}"
+    def _text(self):
+        return ["-", *_paren(self.arg, self.arg.precedence < _PREC_NEG)]
 
 
 class Call(Expression):
@@ -233,23 +218,12 @@ class Call(Expression):
         outer = CHAIN_RULES[self.fn][1].format(u=f"({u.to_text()})", v=f"({self.to_text()})")
         return _mul(parse_expression(outer), u.diff(name))
 
-    def _text(self, *ats):
-        return f"{self.fn}({', '.join(ats)})"
+    def _text(self):
+        return [f"{self.fn}(", *[p for a in self.args for p in (", ", a)][1:], ")"]
 
 
-def _operands(e):
-    return ((e.left, e.right) if isinstance(e, BinOp)
-            else (e.arg,) if isinstance(e, Neg) else getattr(e, "args", ()))
-
-
-def postorder(e):
-    """The nodes of an expression tree, each after its operands: a loop, as
-    long sums parse into deep trees."""
-    out, stack = [], [e]
-    while stack:
-        out.append(stack.pop())
-        stack.extend(_operands(out[-1]))
-    return out[::-1]
+def _paren(e, wrap):
+    return ["(", e, ")"] if wrap else [e]
 
 
 # --- light constant folding for derivative trees -------------------------

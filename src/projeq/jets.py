@@ -24,7 +24,8 @@ import math
 import numpy as np
 
 from .errors import DerivativeNotAvailable, DomainViolation, ProjeqError, UnknownIdentifier
-from .expressions import CHAIN_RULES, FUNCTIONS, Call, Expression, Neg, Num, Var, postorder
+from .expressions import CHAIN_RULES, FUNCTIONS, Call, Expression, Neg, Num, Var
+from .records import operands
 
 
 def _pow(base, exponent):
@@ -280,17 +281,34 @@ class _Writer:
 
     def jet(self, node, names, cmap):
         """Jet of a field node, or of an expression node in the coordinate
-        names of its chart; cmap maps chart coordinates to output ones."""
-        key = (id(node), names, cmap)
-        if key not in self.memo and isinstance(node, Expression):
-            for e in postorder(node):
-                if (id(e), names, cmap) not in self.memo:
-                    self.memo[id(e), names, cmap] = self._expression(e, names, cmap)
-        elif key not in self.memo:
-            self.memo[key] = self._field(node, names, cmap)
-        return self.memo[key]
+        names of its chart; cmap maps chart coordinates to output ones. One
+        loop visits each item (id(node), names, cmap: its memo key; node;
+        site, the field whose lines it writes) once, after its operands, so a
+        field sum or expression has no depth limit; only the parser has one."""
+        root = id(node), names, cmap
+        stack = [(*root, node, node)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, list):  # [item, its operands], whose jets are in the memo
+                (_, names, cmap, node, self.site), ops = item
+                rule = self._expression if isinstance(node, Expression) else self._field
+                self.memo[item[0][:3]] = rule(node, names, cmap, *[self.memo[o[:3]] for o in ops])
+            elif item[:3] not in self.memo:
+                ops = self._operands(*item[1:])
+                stack += [[item, ops], *reversed(ops)]
+        return self.memo[root]
 
-    def _expression(self, e, names, cmap):
+    def _operands(self, names, cmap, node, site):
+        if isinstance(node, Expression):
+            return [(id(a), names, cmap, a, site) for a in operands(node)]
+        if node.node == "reindexed":
+            inner = node.inner
+            return [(id(inner), None, tuple(cmap[i] for i in node.index_map), inner, inner)]
+        if node.node == "expression":
+            return [(id(node.expr), node.chart.names, cmap, node.expr, node)]
+        return [(id(a), None, cmap, a, a) for a in node.args]
+
+    def _expression(self, e, names, cmap, a=None, b=None):
         if isinstance(e, Num):
             return float(e.value), self.zero, self.zero2
         if isinstance(e, Var):
@@ -298,7 +316,6 @@ class _Writer:
                 raise UnknownIdentifier(e.name)
             return self.coord(cmap[names.index(e.name)])
         if isinstance(e, Neg):
-            a = self.jet(e.arg, names, cmap)
             return self.each(lambda t, _: self.comb([(-1.0, t)]), a, a)
         if isinstance(e, Call):
             if e.fn == "abs" and self.order:  # derivatives come from fields, on charts
@@ -308,8 +325,7 @@ class _Writer:
                     vals = Jets(chart.names, e.args)(chart.sample(256, seed=17), 0)[0][0]
                     require_one_sign(vals.min(), vals.max())
                     field.one_signed.add(arg)
-            return self.unary(e.fn, self.jet(e.args[0], names, cmap))
-        a, b = self.jet(e.left, names, cmap), self.jet(e.right, names, cmap)
+            return self.unary(e.fn, a)
         if e.op == "^" and isinstance(b[0], float) and not any(b[1] or ()):  # as x^-2
             return self.power(a, b[0])
         if e.op in "+-":
@@ -317,18 +333,14 @@ class _Writer:
             return self.each(lambda ta, tb: self.comb([(1.0, ta), (sign, tb)]), a, b)
         return {"*": self.product, "/": self.quotient, "^": self.general_power}[e.op](a, b)
 
-    def _field(self, f, names, cmap):
+    def _field(self, f, names, cmap, *args):
         node = f.node
-        if node == "reindexed":
-            return self.jet(f.inner, None, tuple(cmap[i] for i in f.index_map))
-        args = [self.jet(a, None, cmap) for a in f.args]
-        self.site = f
+        if node in ("reindexed", "expression"):  # the jet of what it wraps
+            return args[0]
         if node == "constant":
             return f.value, self.zero, self.zero2
         if node == "coordinate":
             return self.coord(cmap[f.index])
-        if node == "expression":
-            return self.jet(f.expr, f.chart.names, cmap)
         if node == "sum":
             return self.each(lambda ta, tb: self.comb([(1.0, ta), (f.sign, tb)]), *args)
         if node == "product":
@@ -365,7 +377,6 @@ def _build(names, outputs, order):
     """The generated function of outputs (fields or expressions) at order."""
     n = len(names)
     w = _Writer(n, order)
-    w.site = outputs[0]  # field nodes set their own; an expression is alone
     jets = [w.jet(o, names if isinstance(o, Expression) else None, tuple(range(n)))
             for o in outputs]
     parts = [[j[0] for j in jets]]

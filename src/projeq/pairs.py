@@ -29,6 +29,7 @@ from .fields import (
     require,
     require_finite,
     scan,
+    solve_metric,
     worst_point,
 )
 from .jets import _mapped, _pow
@@ -252,12 +253,13 @@ def bm_from_flow(spec: ProjectiveFlowSpec, x):
     Returns A - tr(A)/(n+1) Id with A = g^{-1} (L_v g). A Killing
     generator gives the zero matrix; a projective one gives a solution
     of the compatibility identity (up to sign conventions this is the
-    time derivative of the pulled-back metric at t = 0).
+    time derivative of the pulled-back metric at t = 0). A singular g is
+    SingularMetric at its point.
     """
     g = spec.metric
     n = g.dim
     lie = lie_derivative_metric(g, spec.generator, x)
-    a = np.linalg.solve(g.matrix(x), lie)
+    a = solve_metric(g.matrix(x), lie, x)
     return a - (np.trace(a, axis1=-2, axis2=-1)[..., None, None] / (n + 1)) * np.eye(n)
 
 

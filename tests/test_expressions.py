@@ -16,7 +16,7 @@ from projeq.errors import (
     ExpressionSyntaxError,
     UnknownIdentifier,
 )
-from projeq.expressions import CONSTANTS, FUNCTIONS, Num, parse_expression
+from projeq.expressions import CONSTANTS, FUNCTIONS, BinOp, Call, Num, Var, parse_expression
 
 NAMES = ("x", "y", "z")
 
@@ -222,6 +222,31 @@ def test_structural_equality_ignores_whitespace():
     a = parse_expression("x+y*z", names=NAMES)
     b = parse_expression("x + y * z", names=NAMES)
     assert a == b
+
+
+def test_a_5000_term_sum_compares_hashes_and_prints():
+    # a left-deep tree 5,000 operations high, far past the default stack
+    text = " + ".join(f"{k % 9}*x*y" for k in range(5000))
+    a, b = parse_expression(text, names=NAMES), parse_expression(text, names=NAMES)
+    assert a == b and hash(a) == hash(b)
+    assert a != parse_expression("z + " + text, names=NAMES)
+    text = repr(a)
+    assert text.startswith("BinOp(op='+', left=" * 4999 + "BinOp(op='*', left=BinOp(")
+    assert text.endswith(", right=Var(name='y')))") and text.count("BinOp(") == 14999
+
+
+def test_records_keep_their_equality_hash_and_text():
+    x = Var("x")
+    assert Num(1) == Num(1.0) and hash(Num(1)) == hash(Num(1.0))
+    assert Num(0.0) == Num(-0.0) and hash(Num(0.0)) == hash(Num(-0.0))
+    assert Call("f", (x,)) != Call("f", (x, x)) and Num(1.0) != Var("x")
+    shared = BinOp("*", x, Num(2.0))
+    unshared = BinOp("+", BinOp("*", Var("x"), Num(2.0)), BinOp("*", Var("x"), Num(2.0)))
+    assert BinOp("+", shared, shared) == unshared
+    assert hash(BinOp("+", shared, shared)) == hash(unshared)
+    assert repr(parse_expression("sin(x) + -y^2", names=NAMES)) == (
+        "BinOp(op='+', left=Call(fn='sin', args=(Var(name='x'),)), "
+        "right=Neg(arg=BinOp(op='^', left=Var(name='y'), right=Num(value=2.0))))")
 
 
 def test_an_infinite_or_huge_literal_prints_as_its_repr():

@@ -8,6 +8,8 @@ through the Christoffel/Riemann oracle of test_curvature.
 """
 
 import math
+import re
+import time
 
 import mpmath
 import numpy as np
@@ -263,6 +265,58 @@ def test_a_long_sum_compiles_without_deep_recursion():
     x = np.array([0.5, 0.5])
     assert f.eval(x) == pytest.approx(225.5, rel=1e-14)
     assert f.d2(x)[0, 1] == pytest.approx(900.0, rel=1e-14)
+
+
+def test_a_3000_link_field_sum_equals_the_term_by_term_loop():
+    # a field DAG 3,000 operator nodes deep, far past the default stack
+    terms = [as_field(CHART2, f"sin({k}*x + y) * y") for k in range(1, 8)]
+    total = terms[0]
+    for k in range(1, 3000):
+        total = total + terms[k % 7]
+    xs = np.array([[0.3, -0.7], [-1.1, 0.2]])
+    for method in ("eval", "d1", "d2"):
+        want = getattr(terms[0], method)(xs)
+        for k in range(1, 3000):
+            want = want + getattr(terms[k % 7], method)(xs)
+        np.testing.assert_array_equal(getattr(total, method)(xs), want)
+
+
+def test_a_shared_operand_is_visited_once():
+    # forty squarings: a walk that expanded both operands would visit 2^40 nodes
+    s = as_field(CHART2, "1 + 1e-12*x*y")
+    for _ in range(40):
+        s = s * s
+    x = np.array([0.3, 0.4])
+    start = time.perf_counter()
+    h = s.d2(x)
+    assert time.perf_counter() - start < 1.0
+    n, u = 2.0 ** 40, 1.0 + 1e-12 * 0.3 * 0.4
+    assert h[0, 1] == pytest.approx(n * 1e-12 * u ** (n - 1) + n * (n - 1) * 1.2e-25
+                                    * u ** (n - 2), rel=1e-3)
+
+
+def test_a_domain_error_deep_in_a_sum_names_its_field():
+    terms = [as_field(CHART2, f"{k}*x*y") for k in range(1500)]
+    terms[999] = as_field(CHART2, "log(x - 5)")
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    message = "math domain error in 'log(x - 5)' at [0.1, 0.2]"
+    for order in (0, 2):
+        with pytest.raises(DomainViolation, match=re.escape(message)):
+            total._jet(np.array([0.1, 0.2]), order)
+
+
+def test_the_abs_sign_scan_is_cached_on_the_field_that_owns_it():
+    chart = Chart(("x", "y"), ((0.5, 2.0), (-1.0, 1.0)))
+    owner = as_field(chart, "2 + abs(x)")
+    terms = [as_field(chart, f"{k}*y") for k in range(600)]
+    terms[300] = owner * as_field(chart, "y^2")
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    total.d1(np.array([1.0, 0.5]))
+    assert owner.one_signed == {"x"} and not any(t.one_signed for t in terms[:300])
 
 
 def test_repeated_calls_reuse_the_generated_function(monkeypatch):

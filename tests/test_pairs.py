@@ -5,6 +5,7 @@ independent hand computation frozen in the test.
 """
 
 import math
+import re
 import subprocess
 import sys
 
@@ -19,6 +20,7 @@ from projeq.errors import (
     NotPositiveDefinite,
     NotSelfAdjoint,
     SingularMatrix,
+    SingularMetric,
 )
 from projeq.fields import (
     ConstantField,
@@ -393,6 +395,17 @@ def test_flow_solution_is_nontrivial_on_sphere():
     spec = ProjectiveFlowSpec(SPHERE, gen)
     x = np.array([1.2, 0.7])
     assert np.max(np.abs(bm_from_flow(spec, x))) > 1e-3
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["point", "stack"])
+@pytest.mark.parametrize("through_field", [False, True], ids=["pointwise", "field"])
+def test_a_singular_metric_in_the_flow_is_singular_metric_at_its_point(through_field, stacked):
+    ch = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
+    g = MetricField.from_rows(ch, [["x^2", "0"], ["0", "1"]], validate=False)
+    spec = ProjectiveFlowSpec(g, VectorField(ch, ("y", "x")))
+    x = np.array([[0.5, 0.1], [0.0, 0.2], [0.3, 0.3]]) if stacked else np.array([0.0, 0.2])
+    with pytest.raises(SingularMetric, match=re.escape("metric singular at [0.0, 0.2]")):
+        bm_from_flow_field(spec).matrix(x) if through_field else bm_from_flow(spec, x)
 
 
 def test_flow_field_samples_the_matrix_once_per_stencil_point(monkeypatch):
