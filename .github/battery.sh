@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The 13 commands of perfbench's cli-battery, plus `example` on the
 # example1, example2 and sphere_beltrami bundles (manifests in
-# .github/manifests/), so that every audit of `example` is covered. Each
+# .github/manifests/), so that every audit of `example` is covered, and
+# check-bm, pair and weyl on the 4-D lc4 manifest, so that the 4-D
+# curvature and compatibility kernels are in the byte check too. Each
 # runs on the projeq sources in SRC_DIR with its output in OUT_DIR/<label>.
 # Run it from the repository root, which holds the manifests. It fails on
 # the first command whose exit code differs from the expected one (2: a
@@ -39,4 +41,7 @@ probe-singular geodesic perfbench/manifests/probe_singular_metric.json 2
 example1 example .github/manifests/example1.json 0
 example2 example .github/manifests/example2.json 0
 example-sphere example .github/manifests/sphere_beltrami.json 0
+check-bm-lc4 check-bm .github/manifests/lc4.json 0
+pair-lc4 pair .github/manifests/lc4.json 0
+weyl-lc4 weyl .github/manifests/lc4.json 0
 LIST

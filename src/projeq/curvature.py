@@ -11,16 +11,16 @@ Index conventions used throughout the package:
 Every kernel takes one point x (n,) or an (N, n) stack, which leads each
 result with an N axis. Each einsum has a leading ``...`` and sums as at
 one point, so a stack equals its points bit for bit; it fails at its
-first failing point (fields.pointwise_errors). The metric is
-inverted by MetricField.inverse, which refuses a non-finite or
-numerically singular metric.
+first failing point (fields.pointwise_errors). A kernel reads g from one
+jet at the highest order it needs and inverts its matrix by
+fields.inverse_metric, which refuses a non-finite or numerically singular one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import pointwise_errors
+from .fields import inverse_metric, pointwise_errors
 
 
 def _term(dg):
@@ -28,20 +28,22 @@ def _term(dg):
     return np.einsum("...mkj->...mjk", dg) + dg - np.einsum("...jkm->...mjk", dg)
 
 
+def christoffel_from(gmat, dg, x):
+    """Gamma^i_{jk} from the matrix of g at x and dg[i, j, k] = d g_ij / d x_k."""
+    return 0.5 * np.einsum("...im,...mjk->...ijk", inverse_metric(gmat, x), _term(dg))
+
+
 @pointwise_errors(1)
 def christoffel(g, x):
     """Levi-Civita connection coefficients Gamma^i_{jk} at x."""
-    ginv = g.inverse(x)
-    dg = g.dmatrix(x)  # dg[i, j, k] = d g_ij / d x_k
-    return 0.5 * np.einsum("...im,...mjk->...ijk", ginv, _term(dg))
+    return christoffel_from(*g.jet(x, 1), x)
 
 
 @pointwise_errors(1)
 def christoffel_with_derivative(g, x):
     """Gamma and its partials dGamma[i, j, k, l] = d_l Gamma^i_{jk}."""
-    ginv = g.inverse(x)
-    dg = g.dmatrix(x)
-    d2g = g.d2matrix(x)  # d2g[i, j, k, l] = d_k d_l g_ij
+    gmat, dg, d2g = g.jet(x, 2)  # d2g[i, j, k, l] = d_k d_l g_ij
+    ginv = inverse_metric(gmat, x)
 
     term = _term(dg)
     gam = 0.5 * np.einsum("...im,...mjk->...ijk", ginv, term)

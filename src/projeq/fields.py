@@ -36,14 +36,14 @@ from .records import Record
 from .tolerances import DEFAULT
 
 _PD_SAMPLES = 1500        # points of the construction scan
-_COND_CAP = 1e12          # MetricField.inverse refuses this condition number or more
+_COND_CAP = 1e12          # inverse_metric refuses this condition number or more
 
 
 def _shaped(part, shape):
-    """One part of a jet as an array of the given shape, led by N for the
-    (size, N) part of a stack of N points."""
-    a = np.array(part)
-    return a.reshape(shape) if a.ndim == 1 else a.T.reshape(a.shape[1:] + shape)
+    """One part of a jet as an array of shape; a stack's (size, N) part gains a leading N axis."""
+    if isinstance(part, tuple):  # one point's floats
+        return np.fromiter(part, float, len(part)).reshape(shape)
+    return part.T.reshape(part.shape[1:] + shape)
 
 
 def pointwise_errors(*at):
@@ -409,18 +409,16 @@ class MetricField(_EntryTable):
         return self.jet(x, 2)[2]
 
     def inverse(self, x):
-        """g^{-1} at one point x or at each of an (N, n) stack, refusing a
-        non-finite metric, then one whose condition number is 1e12 or more,
-        at its first such point."""
-        m = require_finite(self.matrix(x), x, "metric")
-        s = np.linalg.svd(m, compute_uv=False).T  # s[0] / s[-1] is the condition number
-        with np.errstate(over="ignore"):  # an infinite cap compares as the exact product
-            require(s[0] < _COND_CAP * s[-1], x, SingularMetric, "metric numerically singular")
-        return np.linalg.inv(m)
+        """g^{-1} at one point x or at each of an (N, n) stack (inverse_metric)."""
+        return inverse_metric(self.matrix(x), x)
 
+    @pointwise_errors(1)
     def det(self, x):
-        """det g at x: a float at one point, an (N,) array at an (N, n) stack."""
-        det = np.linalg.det(self.matrix(x))
+        """det g at x: a float at one point, an (N,) array at an (N, n) stack; a non-finite
+        entry, then determinant, is a DomainViolation at its first such point."""
+        m = require_finite(self.matrix(x), x, "metric")  # refused before det, which warns on it
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = require_finite(np.linalg.det(m), x, "determinant")
         return det if det.ndim else float(det)
 
     def pd_report(self, samples=10_000, seed=0):
@@ -475,38 +473,14 @@ class EndomorphismField(_EntryTable):
         """Gradient of trace L."""
         return np.trace(self.dmatrix(x), axis1=-3, axis2=-2)
 
-    def _lowered(self, g, x):
-        """(g L, |g L - (g L)^T|) at x, refusing a non-finite g, then a
-        non-finite L, then a product that overflows, with DomainViolation
-        at its first such point."""
-        g_mat = require_finite(g.matrix(x), x, "metric")
-        l_mat = require_finite(self.matrix(x), x, "endomorphism")
-        with np.errstate(over="ignore"):  # an overflow is refused at its point
-            gl = require_finite(g_mat @ l_mat, x, "g*L")
-        return gl, np.abs(gl - np.swapaxes(gl, -1, -2))
-
     def self_adjoint_defect(self, g, x):
-        """max |g L - (g L)^T| at x, or over an (N, n) stack of points; a
-        non-finite g, then a non-finite L, then a g L that overflows, raises
-        DomainViolation at its first such point."""
-        return float(np.max(self._lowered(g, x)[1]))
+        """max |g L - (g L)^T| over x, one point or an (N, n) stack; refused as _lowered does."""
+        return float(np.max(_lowered(g.matrix(x), self.matrix(x), x)[1]))
 
     @pointwise_errors(2)
     def require_self_adjoint(self, g, x, eps_sym_factor=DEFAULT.eps_sym_factor):
-        """Raise NotSelfAdjoint at the first point of x (one point or an
-        (N, n) stack) where g L is asymmetric beyond eps_sym_factor times
-        max(1, |g L|), |.| the Frobenius norm; a non-finite g, then a
-        non-finite L, then a g L or a norm that overflows, is a
-        DomainViolation there."""
-        gl, asym = self._lowered(g, x)
-        flat = gl.reshape(gl.shape[:-2] + (1, -1))
-        with np.errstate(over="ignore"):  # an overflow is refused at its point
-            norm = np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])  # as np.linalg.norm
-            require_finite(norm, x, "g*L norm")
-        tol = eps_sym_factor * np.fmax(1.0, norm)
-        defect = np.max(asym, axis=(-2, -1))
-        require(defect <= tol, x, NotSelfAdjoint,
-                lambda k: f"g*L asymmetric by {defect.flat[k]:.3e} (tol {tol.flat[k]:.3e})")
+        """require_self_adjoint on the matrices of g and L at x."""
+        require_self_adjoint(g.matrix(x), self.matrix(x), x, eps_sym_factor)
 
     @classmethod
     def identity(cls, chart):
@@ -528,7 +502,11 @@ class VectorField:
 
     def jacobian(self, x):
         """J[i, k] = d v^i / d x_k."""
-        return _shaped(self._jets(x, 1)[1], (self.chart.dim,) * 2)
+        return self.jet(x)[1]
+
+    def jet(self, x):
+        """(values, jacobian) at x from one call."""
+        return tuple(map(_shaped, self._jets(x, 1), ((self.chart.dim,), (self.chart.dim,) * 2)))
 
 
 class PhaseState(Record):
@@ -561,6 +539,42 @@ def require_finite(values, points, what):
     first point with a non-finite entry, values laid out as require's ok."""
     require(np.isfinite(values), points, DomainViolation, f"non-finite {what} entry")
     return values
+
+
+def inverse_metric(gmat, x):
+    """The checked inverse of the metric matrix (or (N, n, n) stack) gmat at x: it
+    refuses a non-finite entry, then a condition number of 1e12 or more, at its first point."""
+    m = require_finite(gmat, x, "metric")
+    s = np.linalg.svd(m, compute_uv=False).T  # s[0] / s[-1] is the condition number
+    with np.errstate(over="ignore"):  # an infinite cap compares as the exact product
+        require(s[0] < _COND_CAP * s[-1], x, SingularMetric, "metric numerically singular")
+    return np.linalg.inv(m)
+
+
+def _lowered(gmat, lmat, x):
+    """(g L, |g L - (g L)^T|) from the matrices at x, refusing a non-finite g, then
+    L, then an overflowing product, with DomainViolation at its first such point."""
+    g_mat = require_finite(gmat, x, "metric")
+    l_mat = require_finite(lmat, x, "endomorphism")
+    with np.errstate(over="ignore"):  # an overflow is refused at its point
+        gl = require_finite(g_mat @ l_mat, x, "g*L")
+    return gl, np.abs(gl - np.swapaxes(gl, -1, -2))
+
+
+def require_self_adjoint(gmat, lmat, x, eps_sym_factor=DEFAULT.eps_sym_factor):
+    """Raise NotSelfAdjoint at the first point of x (one point or an (N, n) stack)
+    where g L, from the matrices there, is asymmetric beyond eps_sym_factor times
+    max(1, |g L|) (Frobenius norm); a non-finite g, then L, then an overflowing
+    g L or norm, is a DomainViolation there."""
+    gl, asym = _lowered(gmat, lmat, x)
+    flat = gl.reshape(gl.shape[:-2] + (1, -1))
+    with np.errstate(over="ignore"):  # an overflow is refused at its point
+        norm = np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])  # as np.linalg.norm
+        require_finite(norm, x, "g*L norm")
+    tol = eps_sym_factor * np.fmax(1.0, norm)
+    defect = np.max(asym, axis=(-2, -1))
+    require(defect <= tol, x, NotSelfAdjoint,
+            lambda k: f"g*L asymmetric by {defect.flat[k]:.3e} (tol {tol.flat[k]:.3e})")
 
 
 def worst_point(values, points, what):
@@ -603,7 +617,7 @@ def solve_metric(gmat, b, points):
     or an (N, n, n) stack at an (N, n) stack of points, b shaped for one
     matrix or led by N. A matrix LAPACK refuses raises SingularMetric at the
     first point whose own solve fails; the one solve against g of the
-    phase-space paths (MetricField.inverse is the checked inverse)."""
+    phase-space paths (inverse_metric is the checked inverse)."""
     try:
         return np.linalg.solve(gmat, b)
     except np.linalg.LinAlgError:

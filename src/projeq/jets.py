@@ -20,6 +20,7 @@ point, naming the failing field; a power that overflows gives an infinity.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -397,7 +398,18 @@ def _build(names, outputs, order):
     ns = dict(w.ns, **_COLUMNS)  # the leaves, and the column namespace
     exec(code, ns)
     fn.columns = ns["jet"]
+    fn.layout = [_layout(p) for p in parts]
     return fn
+
+
+def _layout(part):
+    """For Jets._stack: a part's rows of locals with a getter of their columns,
+    and its rows of constants with their values as a column."""
+    locs = [i for i, t in enumerate(part) if isinstance(t, str)]
+    consts = [i for i, t in enumerate(part) if not isinstance(t, str)]
+    columns = operator.itemgetter(*locs) if locs else lambda _: np.empty((0, 1))
+    values = np.array([part[i] for i in consts]).reshape(-1, 1)
+    return np.array(locs, np.intp), columns, np.array(consts, np.intp), values
 
 
 def per_point(jet, xs, order, outputs):
@@ -408,15 +420,6 @@ def per_point(jet, xs, order, outputs):
     n = xs.shape[-1]
     return [np.array([r[k] for r in rows]).reshape(len(xs), outputs * n ** k).T
             for k in range(order + 1)]
-
-
-def _block(part, count):
-    """One part of a column result, (count,) columns and constant floats,
-    as a (len(part), count) array."""
-    out = np.empty((len(part), count))
-    for i, t in enumerate(part):
-        out[i] = t
-    return out
 
 
 _TEXT = {"sum": "{0} + {sign!r}*({1})", "product": "({0})*({1})", "constant": "{value!r}",
@@ -474,6 +477,11 @@ class Jets:
     def _stack(self, fn, xs, order):
         try:
             with np.errstate(all="ignore", divide="raise", invalid="raise"):
-                return [_block(p, len(xs)) for p in fn.columns(xs)]
+                parts = fn.columns(xs)
         except (ArithmeticError, ValueError, ProjeqError):  # replayed: earlier points fail first
             return per_point(self, xs, order, len(self.outputs))
+        blocks = [np.empty((len(p), len(xs))) for p in parts]
+        for block, part, (locs, columns, consts, values) in zip(blocks, parts, fn.layout):
+            block[locs] = np.array(columns(part))  # a sequence of columns is slow to assign
+            block[consts] = values
+        return blocks

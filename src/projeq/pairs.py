@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curvature import christoffel, ricci, riemann
+from .curvature import christoffel, christoffel_from, ricci, riemann
 from .errors import NonPositiveSpectrum, NotPositiveDefinite, SingularMatrix
 from .fields import (
     EndomorphismField,
@@ -28,6 +28,7 @@ from .fields import (
     pointwise_errors,
     require,
     require_finite,
+    require_self_adjoint,
     scan,
     solve_metric,
     worst_point,
@@ -82,11 +83,13 @@ def spectrum_at(g: MetricField, L: EndomorphismField, x):
 @pointwise_errors(2)
 def covariant_endo_derivative(g, L, x):
     """(nabla L)[i, j, k] = (nabla_k L)^i_j."""
-    gam = christoffel(g, x)
-    dL = L.dmatrix(x)
-    lm = L.matrix(x)
+    return _covariant(christoffel(g, x), *L.jet(x, 1))
+
+
+def _covariant(gam, lm, dl):
+    """nabla L from Gamma, the matrix of L and its gradient dl[i, j, k] = d_k L^i_j."""
     return (
-        dL
+        dl
         + np.einsum("...ikm,...mj->...ijk", gam, lm)
         - np.einsum("...mkj,...im->...ijk", gam, lm)
     )
@@ -104,11 +107,12 @@ def bm_residual(g, L, x, eps_sym_factor=DEFAULT.eps_sym_factor):
     scale-honest: residuals from different metrics are comparable. A float
     at one point x, an (N,) array on an (N, n) stack.
     """
-    L.require_self_adjoint(g, x, eps_sym_factor)
-    gmat = g.matrix(x)
+    gmat, dg = g.jet(x, 1)
+    lm, dl = L.jet(x, 1)
+    require_self_adjoint(gmat, lm, x, eps_sym_factor)
     frame = g_orthonormal_frame(gmat)  # columns e_a
-    cov = covariant_endo_derivative(g, L, x)
-    tau = (np.swapaxes(frame, -1, -2) @ L.trace_d1(x)[..., None])[..., 0]
+    cov = _covariant(christoffel_from(gmat, dg, x), lm, dl)
+    tau = (np.swapaxes(frame, -1, -2) @ np.trace(dl, axis1=-3, axis2=-2)[..., None])[..., 0]
 
     # lhs[a, b, c] = g((nabla_{e_a} L) e_b, e_c)
     m = np.einsum("...ijk,...ka->...aij", cov, frame)
@@ -116,9 +120,9 @@ def bm_residual(g, L, x, eps_sym_factor=DEFAULT.eps_sym_factor):
     lhs = np.einsum("...aij,...ic,...jb->...abc", gm, frame, frame)
 
     eye = np.eye(g.dim)
-    rhs = 0.5 * np.einsum("ab,...c->...abc", eye, tau) + 0.5 * np.einsum(
-        "ac,...b->...abc", eye, tau
-    )
+    # rhs[a, b, c] = (delta_ab tau_c + delta_ac tau_b) / 2; a -0.0 product is 0 in |lhs - rhs|
+    rhs = 0.5 * (eye[:, :, None] * tau[..., None, None, :]) + 0.5 * (
+        eye[:, None, :] * tau[..., None, :, None])
     res = np.max(np.abs(lhs - rhs), axis=(-3, -2, -1))
     return res if res.ndim else float(res)
 
@@ -236,10 +240,11 @@ class ProjectiveFlowSpec(Record):
 def lie_derivative_metric(g, v: VectorField, x):
     """(L_v g)_ij = v^k d_k g_ij + g_kj d_i v^k + g_ik d_j v^k, at one point
     x or with a leading N axis at an (N, n) stack."""
-    gmat = g.matrix(x)
-    dg = g.dmatrix(x)
-    vv = v.values(x)
-    jac = v.jacobian(x)  # jac[k, i] = d v^k / d x_i
+    return _lie(*g.jet(x, 1), *v.jet(x))
+
+
+def _lie(gmat, dg, vv, jac):
+    """L_v g from the matrix of g, its gradient, v and jac[k, i] = d v^k / d x_i."""
     return (
         np.einsum("...ijk,...k->...ij", dg, vv)
         + np.einsum("...kj,...ki->...ij", gmat, jac)
@@ -247,6 +252,7 @@ def lie_derivative_metric(g, v: VectorField, x):
     )
 
 
+@pointwise_errors(1)
 def bm_from_flow(spec: ProjectiveFlowSpec, x):
     """Trace-adjusted velocity of the metric under the flow, at one point or a stack x.
 
@@ -256,10 +262,9 @@ def bm_from_flow(spec: ProjectiveFlowSpec, x):
     time derivative of the pulled-back metric at t = 0). A singular g is
     SingularMetric at its point.
     """
-    g = spec.metric
-    n = g.dim
-    lie = lie_derivative_metric(g, spec.generator, x)
-    a = solve_metric(g.matrix(x), lie, x)
+    n = spec.metric.dim
+    gmat, dg = spec.metric.jet(x, 1)
+    a = solve_metric(gmat, _lie(gmat, dg, *spec.generator.jet(x)), x)
     return a - (np.trace(a, axis1=-2, axis2=-1)[..., None, None] / (n + 1)) * np.eye(n)
 
 
@@ -276,12 +281,13 @@ def bm_from_flow_field(spec: ProjectiveFlowSpec) -> EndomorphismField:
 # --- obstructions ------------------------------------------------------
 
 
+@pointwise_errors(1)
 def nijenhuis_torsion(L: EndomorphismField, x):
     """Torsion N[i, j, k] of L at x, or N[s, i, j, k] at each point of an
     (N, n) stack; identically zero is necessary for L to come from a metric
-    pair in normal form."""
-    lm = L.matrix(x)
-    dl = L.dmatrix(x)  # dl[i, j, k] = d_k L^i_j
+    pair in normal form. A non-finite L or dL is a DomainViolation at its first point."""
+    lm, dl = L.jet(x, 1)  # dl[i, j, k] = d_k L^i_j
+    require_finite(np.concatenate((lm[..., None], dl), axis=-1), x, "endomorphism")
     return (
         np.einsum("...aj,...ika->...ijk", lm, dl)
         - np.einsum("...ak,...ija->...ijk", lm, dl)

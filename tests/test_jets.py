@@ -378,3 +378,32 @@ def test_generated_code_has_no_power_operator(monkeypatch):
     assert len(sources) >= 3  # one per order, and the abs sign scan's
     assert not any("**" in src for src in sources)
     assert "_pow(" in sources[-1]
+
+
+# -- stacked parts from the per-function layout ---------------------------------------
+
+
+def _part_table(case):
+    """A metric whose Hessian part has some, all or no constant entries."""
+    if case == "some constants":  # block-diagonal
+        return MetricField.diagonal(CHART2, ["3 + x^2", "2 + sin(y)"], validate=False)
+    if case == "all constants":
+        return MetricField.euclidean(CHART2)
+    entries = [["2 + exp(x*y)", "sin(x*y)"], ["sin(x*y)", "3 + cosh(x - y)"]]
+    return MetricField.from_rows(CHART2, entries, validate=False)
+
+
+@pytest.mark.parametrize("case, kinds", [("some constants", (True, True)),
+                                         ("all constants", (False, True)),
+                                         ("no constants", (True, False))])
+def test_a_stacked_part_equals_the_point_by_point_parts_byte_for_byte(case, kinds):
+    table = _part_table(case)
+    locs, _, consts, _ = table._jets.function(2).layout[2]  # the Hessian part
+    assert (len(locs) > 0, len(consts) > 0) == kinds
+    xs = CHART2.sample(12, seed=3)
+    for order in (0, 1, 2):
+        stacked = table._jets(xs, order)
+        for k in range(order + 1):
+            loop = np.array([table._jets(x, order)[k] for x in xs]).T
+            assert stacked[k].shape == loop.shape
+            assert stacked[k].tobytes() == loop.tobytes()

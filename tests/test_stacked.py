@@ -810,3 +810,88 @@ def test_a_degenerate_plane_raises_at_its_first_point():
     with pytest.raises(ValueError, match=r"do not span a plane") as err:
         sectional(g, xs, us, vs)
     assert str(xs[6].tolist()) in str(err.value)
+
+
+# -- one field evaluation per kernel call ----------------------------------------------
+
+
+@pytest.mark.parametrize("count", [None, 1, 12, 200])
+@pytest.mark.parametrize("case", ["lc3", "random_spec(2, 4)", "torus"])
+def test_jet_parts_equal_matrix_dmatrix_and_d2matrix_byte_for_byte(case, count):
+    tables = _tables(case)[:1] if case == "torus" else _tables(case)
+    for table in tables:
+        xs = table.chart.sample(count or 1, seed=5)
+        x = xs[0] if count is None else xs
+        want = [table.matrix(x), table.dmatrix(x)]
+        if isinstance(table, MetricField):
+            want.append(table.d2matrix(x))
+        for order in (1, 2):
+            for part, single in zip(table.jet(x, order), want):
+                assert part.shape == single.shape
+                assert part.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("count", [None, 30])
+def test_each_kernel_reads_each_field_once(monkeypatch, count):
+    (g, gbar), L, eps = _linked("random_spec(2, 4)")
+    xs = g.chart.sample(count or 1, seed=2)
+    x = xs[0] if count is None else xs
+    calls, real = [], jets.Jets.__call__  # the Jets of each evaluation, in order
+    monkeypatch.setattr(jets.Jets, "__call__", lambda self, *a: calls.append(self) or real(self, *a))
+    for kernel, want in ((lambda: christoffel(g, x), [g._jets]),
+                         (lambda: riemann(g, x), [g._jets]),
+                         (lambda: projective_weyl(gbar, x), [gbar._jets]),
+                         (lambda: bm_residual(g, L, x, eps), [g._jets, L._jets]),
+                         (lambda: nijenhuis_torsion(L, x), [L._jets])):
+        calls.clear()
+        kernel()
+        assert calls == want
+
+
+def _faults(kind):
+    """(g, L, text, kernels): a closed-form g and L on [-1, 1]^2 that fail at
+    the bad points below, the one-point text there and the kernels that meet it."""
+    chart = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
+    g_rows = {"nan": [["1 + x^2 + y^1000 - y^1000", "0"], ["0", "2"]],  # inf - inf at y = 3
+              "svd cap": [["1 + y^2", "0"], ["0", "x^2 + 1e-14"]]}.get(
+        kind, [["1 + x^2", "0"], ["0", "2 + y"]])
+    l_rows = {"log": [["log(x)", "0"], ["0", "2"]],  # as in probe_log_domain.json
+              "asymmetric": [["2", "exp(-1000*x^2)"], ["0", "3"]]}.get(
+        kind, [["2 + x*y", "0"], ["0", "3"]])
+    g = MetricField.from_rows(chart, g_rows, validate=False)
+    L = EndomorphismField.from_rows(chart, l_rows)
+    pair = [lambda x: bm_residual(g, L, x), lambda x: covariant_endo_derivative(g, L, x)]
+    metric = [lambda x, k=k: k(g, x) for k in (christoffel, riemann, projective_weyl)]
+    return g, L, *{
+        "nan": ("non-finite metric entry", metric + pair),
+        "svd cap": ("metric numerically singular", metric + pair),
+        "log": ("math domain error in 'log(x)'", pair + [lambda x: nijenhuis_torsion(L, x)]),
+        "asymmetric": ("g*L asymmetric by 1.000e+00", pair[:1]),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["nan", "svd cap", "log", "asymmetric"])
+def test_a_kernel_stack_fails_at_its_first_failing_point_with_the_one_point_text(kind):
+    g, L, text, kernels = _faults(kind)
+    xs = np.column_stack([np.linspace(0.3, 0.9, 12), np.linspace(-0.5, 0.5, 12)])
+    bad = [0.0, 3.0 if kind == "nan" else 0.2]
+    xs[4], xs[9] = bad, [0.0, bad[1] + 0.1]  # failing points: the 5th, then the 10th
+    for kernel in kernels:
+        with pytest.raises(ProjeqError) as one:
+            kernel(xs[4])
+        assert str(one.value).startswith(text) and one.value.point == bad
+        with pytest.raises(type(one.value)) as many:
+            kernel(xs)
+        assert str(many.value) == str(one.value) and many.value.point == bad
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("stacked", [False, True], ids=["one point", "3-point stack"])
+def test_det_and_the_torsion_refuse_a_nan_point(stacked):
+    g, _, L = build_lc_pair(random_spec(2, 4), partner=False)
+    good, nan = g.chart.center(), np.full(4, math.nan)
+    x = np.array([good, nan, good]) if stacked else nan
+    for call, what in ((g.det, "metric"), (lambda p: nijenhuis_torsion(L, p), "endomorphism")):
+        with pytest.raises(DomainViolation) as err:
+            call(x)
+        assert str(err.value) == f"non-finite {what} entry at [nan, nan, nan, nan]"
