@@ -3,7 +3,9 @@
 # example1, example2 and sphere_beltrami bundles (manifests in
 # .github/manifests/), so that every audit of `example` is covered, and
 # check-bm, pair and weyl on the 4-D lc4 manifest, so that the 4-D
-# curvature and compatibility kernels are in the byte check too. Each
+# curvature and compatibility kernels are in the byte check too, and two
+# more probes that the data stage (projeq.request) refuses before numpy
+# loads: a negative tolerance and a run budget of the wrong type. Each
 # runs on the projeq sources in SRC_DIR with its output in OUT_DIR/<label>.
 # Run it from the repository root, which holds the manifests. It fails on
 # the first command whose exit code differs from the expected one (2: a
@@ -44,4 +46,6 @@ example-sphere example .github/manifests/sphere_beltrami.json 0
 check-bm-lc4 check-bm .github/manifests/lc4.json 0
 pair-lc4 pair .github/manifests/lc4.json 0
 weyl-lc4 weyl .github/manifests/lc4.json 0
+probe-bad-tolerance check-bm .github/manifests/probe_bad_tolerance.json 2
+probe-run-type check-bm .github/manifests/probe_run_type.json 2
 LIST

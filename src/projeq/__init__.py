@@ -55,6 +55,7 @@ _EXPORTS = {
     ),
     "records": (),
     "reports": (),
+    "request": (),
     "sampling": (),
     "surfaces": (
         "ExampleBundle", "LiouvilleData", "ModelClass", "PrincipalForm",

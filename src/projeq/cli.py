@@ -5,21 +5,21 @@
 Commands: check-bm, pair, geodesic, conserve, weyl, classify2d,
 lc-build, split, example. Exit 0 when every audit passes, 1 when any
 fails, 2 on structural errors (bad manifest, unsatisfiable geometry).
+projeq.request checks a request as data before this module loads.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
-import sys
 
 import numpy as np
 
-from . import reports
+from . import reports, request
+from .request import main  # noqa: F401  (the command: request.read, then run below)
 from .curvature import sectional
 from .errors import EnergyProportional, ManifestError, ProjeqError
 from .fields import PhaseState, as_field, scan, worst_point
-from .manifest import Manifest, RunParams, Scene, default_t_grid, seeded_states
+from .manifest import Scene, default_t_grid, seeded_states
 from .pairs import (
     ProjectiveFlowSpec,
     bm_from_flow_field,
@@ -485,61 +485,16 @@ _DISPATCH = {
 }
 
 
-def _parse_tol_overrides(items):
-    out = {}
-    for item in items or ():
-        if "=" not in item:
-            raise ManifestError(f"--tol expects KEY=VALUE, got {item!r}")
-        key, _, val = item.partition("=")
-        try:
-            out[key.strip()] = float(val)
-        except ValueError:
-            raise ManifestError(f"--tol value for {key!r} is not numeric") from None
-    return out
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="projeq",
-        description="Audits for geodesically linked metric pairs and their integrals.",
-    )
-    parser.add_argument("command", choices=_DISPATCH)
-    parser.add_argument("--manifest", required=True)
-    parser.add_argument("--out", required=True)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--tol", action="append", default=[], metavar="KEY=VALUE")
-    return parser
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    out_dir = args.out
-    try:  # no report.json can be written where the output directory cannot be
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as e:
-        print(f"error: cannot write to --out {out_dir}: {e}", file=sys.stderr)
-        return 2
+def run(command, manifest, out_dir) -> int:
+    """The numeric stage of a request that request.read passed: the scene,
+    built once, and the command's audits and report; the exit code."""
     try:
-        manifest = Manifest.load(args.manifest)
-        try:  # the values pass the check of Tolerances, as the manifest's did
-            tols = manifest.tolerances.override(**_parse_tol_overrides(args.tol))
-        except (KeyError, ValueError) as e:
-            raise ManifestError(str(e.args[0])) from None
-        run = manifest.run
-        if args.seed is not None:
-            run = RunParams(**{**vars(run), "seed": args.seed})
-        manifest = Manifest(**{**vars(manifest), "run": run, "tolerances": tols})
-        manifest.run.check()
-        audits, extra, csvs = _DISPATCH[args.command](manifest.scene, manifest, out_dir)
+        audits, extra, csvs = _DISPATCH[command](manifest.build_scene(), manifest, out_dir)
     except ProjeqError as e:
-        payload = {"command": args.command, "error": f"{type(e).__name__}: {e}",
-                   "pass": False}
-        reports.write_report(out_dir, payload)
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    payload = reports.summarize(args.command, audits, manifest.tolerances,
-                                manifest.run, extra={"detail": extra,
-                                                     "csv_files": [os.path.basename(c) for c in csvs]})
+        return request.refuse(command, out_dir, e)
+    payload = reports.summarize(command, audits, manifest.tolerances, manifest.run,
+                                extra={"detail": extra,
+                                       "csv_files": [os.path.basename(c) for c in csvs]})
     reports.write_report(out_dir, payload)
     return 0 if payload["pass"] else 1
 

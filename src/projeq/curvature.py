@@ -39,10 +39,14 @@ def christoffel(g, x):
     return christoffel_from(*g.jet(x, 1), x)
 
 
-@pointwise_errors(1)
 def christoffel_with_derivative(g, x):
     """Gamma and its partials dGamma[i, j, k, l] = d_l Gamma^i_{jk}."""
-    gmat, dg, d2g = g.jet(x, 2)  # d2g[i, j, k, l] = d_k d_l g_ij
+    return _with_derivative(x, *g.jet(x, 2))
+
+
+@pointwise_errors(0, 1, 2, 3)
+def _with_derivative(x, gmat, dg, d2g):
+    """christoffel_with_derivative from g's order-2 jet at x; d2g[i, j, k, l] = d_k d_l g_ij."""
     ginv = inverse_metric(gmat, x)
 
     term = _term(dg)
@@ -63,9 +67,9 @@ def christoffel_with_derivative(g, x):
     return gam, dgam
 
 
-def riemann(g, x):
-    """Curvature tensor R[i, j, k, l]; see module docstring for slots."""
-    gam, dgam = christoffel_with_derivative(g, x)
+def riemann(g, x, jet=None):
+    """Curvature tensor R[i, j, k, l]; see module docstring for slots; jet: g.jet(x, 2)."""
+    gam, dgam = _with_derivative(x, *(g.jet(x, 2) if jet is None else jet))
     # R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
     #             + Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} Gamma^m_{kj}
     return (
@@ -88,10 +92,12 @@ def sectional(g, x, u, v, riem=None):
     """Sectional curvature of the plane spanned by u, v at x: a float at one
     point, an (N,) array on an (N, n) stack, with u and v one vector each or
     (N, n) stacks. Every plane is checked before any curvature: a degenerate
-    Gram determinant raises ValueError at its first point."""
+    Gram determinant raises ValueError at its first point. Without riem, g is
+    evaluated once, first: the Gram matrix is that of the jet riemann reads."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    gmat = g.matrix(x)
+    jet = g.jet(x, 2) if riem is None else (g.matrix(x),)
+    gmat = jet[0]
 
     def gdot(a, b):  # g(a, b), summed as the one-point a @ g @ b
         return (a[..., None, :] @ gmat @ b[..., None])[..., 0, 0]
@@ -104,7 +110,7 @@ def sectional(g, x, u, v, riem=None):
         raise ValueError("u, v do not span a plane (degenerate Gram determinant) "
                          f"at {[float(c) for c in np.atleast_2d(x)[k]]}")
     if riem is None:
-        riem = riemann(g, x)
+        riem = riemann(g, x, jet)
     # g(R(u, v) v, u)
     w = np.einsum("...ijkl,...k,...l,...j->...i", riem, u, v, v)
     kappa = gdot(u, w) / gram

@@ -23,17 +23,13 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .chart import Chart
 from .errors import ExpressionError, ManifestError, ProjeqError
-from .fields import EndomorphismField, MetricField, PhaseState, VectorField
-from .pairs import MetricPair, l_field_from_pair, spectrum_at
 from .records import Record
-from .sampling import halton_points
 from .tolerances import DEFAULT, Tolerances
 
-if TYPE_CHECKING:  # imported where they are built, so a command loads only its own
+if TYPE_CHECKING:  # imported where they are built: Manifest.parse loads no numeric module
+    from .chart import Chart
+    from .fields import EndomorphismField, MetricField, VectorField
     from .flows import IntegralFamily
     from .levicivita import LeviCivitaSpec
     from .surfaces import LiouvilleData
@@ -157,6 +153,8 @@ class Scene:
 
     @property
     def pair(self):
+        from .pairs import MetricPair
+
         if self.metric is not None and self.partner is not None:
             return MetricPair(self.metric, self.partner)
         return None
@@ -170,7 +168,7 @@ class Scene:
 
 
 class Manifest(Record):
-    # scene, built by from_dict while validating and run by the CLI, is no field
+    # scene, built by from_dict and load (None from parse), is no field
     _fields = ("version", "geometry", "chart_spec", "endomorphism", "vector_field", "run",
                "tolerances")
 
@@ -182,15 +180,17 @@ class Manifest(Record):
 
     @classmethod
     def load(cls, path) -> "Manifest":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh, parse_int=_json_int)
-        except (OSError, ValueError, RecursionError) as e:  # ValueError: a decode error, too
-            raise ManifestError(f"cannot read manifest {path}: {e}") from None
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(path))
 
     @classmethod
     def from_dict(cls, data: dict) -> "Manifest":
+        m = cls.parse(data)  # then the scene: all expressions must parse
+        return cls(**{**vars(m), "scene": m.build_scene()})
+
+    @classmethod
+    def parse(cls, data: dict) -> "Manifest":
+        """The manifest of data, every check but the scene's made: no numeric
+        module loads, and the scene is None until from_dict builds it."""
         if not isinstance(data, dict):
             raise ManifestError("manifest root must be an object")
         _refuse_huge_ints(data)
@@ -222,7 +222,7 @@ class Manifest(Record):
             tols = DEFAULT.override(**tol_over)
         except (KeyError, TypeError, ValueError) as e:
             raise ManifestError(f"bad tolerance override: {e}") from None
-        m = cls(
+        return cls(
             version=str(data.get("version", "1")),
             geometry=geometry,
             chart_spec=chart_spec or {},
@@ -231,10 +231,10 @@ class Manifest(Record):
             run=run,
             tolerances=tols,
         )
-        # validate eagerly: all expressions must parse
-        return cls(**{**vars(m), "scene": m.build_scene()})
 
     def _chart(self) -> Chart:
+        from .chart import Chart
+
         try:
             return Chart(
                 tuple(self.chart_spec["names"]),
@@ -244,6 +244,8 @@ class Manifest(Record):
             raise ManifestError(f"bad chart: {e}") from None
 
     def build_scene(self) -> Scene:
+        from .fields import EndomorphismField, VectorField
+
         kind = self.geometry["kind"]
         try:
             scene = getattr(self, f"_scene_{kind}")()
@@ -264,22 +266,25 @@ class Manifest(Record):
             raise ManifestError(f"bad endomorphism or vector field: {e}") from None
         return scene
 
+    def _metric(self, chart, key):
+        """The metric of the n x n table geometry[key] on chart."""
+        from .fields import MetricField
+
+        rows = _table(self.geometry[key], chart.dim, f"geometry.{key}")
+        return MetricField.from_rows(chart, rows, validate=False)
+
     def _scene_metric(self) -> Scene:
         chart = self._chart()
-        entries = _table(self.geometry["entries"], chart.dim, "geometry.entries")
-        g = MetricField.from_rows(chart, entries, validate=False)
-        return Scene(chart=chart, metric=g)
+        return Scene(chart=chart, metric=self._metric(chart, "entries"))
 
     def _scene_pair(self) -> Scene:
+        from .pairs import l_field_from_pair
+
         chart = self._chart()
-        n = chart.dim
-        g = MetricField.from_rows(chart, _table(self.geometry["g"], n, "geometry.g"),
-                                  validate=False)
-        gbar = MetricField.from_rows(chart, _table(self.geometry["gbar"], n, "geometry.gbar"),
-                                     validate=False)
-        pair = MetricPair(g, gbar)
-        return Scene(chart=chart, metric=g, partner=gbar,
-                     endo=l_field_from_pair(pair))
+        scene = Scene(chart=chart, metric=self._metric(chart, "g"),
+                      partner=self._metric(chart, "gbar"))
+        scene.endo = l_field_from_pair(scene.pair)
+        return scene
 
     def _scene_lc(self) -> Scene:
         from .levicivita import LeviCivitaSpec, build_lc_pair
@@ -322,6 +327,15 @@ class Manifest(Record):
         return scene
 
 
+def read_json(path):
+    """The JSON data of the file at path; a ManifestError if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, parse_int=_json_int)
+    except (OSError, ValueError, RecursionError) as e:  # ValueError: a decode error, too
+        raise ManifestError(f"cannot read manifest {path}: {e}") from None
+
+
 def _table(rows, n, key):
     """``rows`` if it is an n x n table, else ManifestError naming ``key``."""
     if not (isinstance(rows, (list, tuple)) and len(rows) == n
@@ -332,6 +346,10 @@ def _table(rows, n, key):
 
 def default_t_grid(scene: Scene, count=5):
     """Deterministic parameter grid straddling the spectrum at the center."""
+    import numpy as np
+
+    from .pairs import spectrum_at
+
     lam = spectrum_at(scene.metric, scene.endo, scene.chart.center())
     lo = float(lam.min()) - 1.0
     hi = float(lam.max()) + 1.0
@@ -347,6 +365,11 @@ def seeded_states(metric: MetricField, box: Chart, count: int, seed: int):
     call, which refuses the first start whose metric is non-finite or
     numerically singular.
     """
+    import numpy as np
+
+    from .fields import PhaseState
+    from .sampling import halton_points
+
     xs = box.sample(count, seed=seed)
     dirs = 2.0 * halton_points(count, metric.dim, seed=seed + 101) - 1.0
     dirs[np.linalg.norm(dirs, axis=1) < 1e-6] = np.eye(metric.dim)[0]

@@ -105,11 +105,14 @@ def bm_residual(g, L, x, eps_sym_factor=DEFAULT.eps_sym_factor):
 
     where dtr is the differential of trace L. The frame makes the result
     scale-honest: residuals from different metrics are comparable. A float
-    at one point x, an (N,) array on an (N, n) stack.
+    at one point x, an (N,) array on an (N, n) stack. A non-finite dg or dL
+    is a DomainViolation at its first point, before any product.
     """
     gmat, dg = g.jet(x, 1)
     lm, dl = L.jet(x, 1)
     require_self_adjoint(gmat, lm, x, eps_sym_factor)
+    require_finite(dg, x, "metric derivative")
+    require_finite(dl, x, "endomorphism derivative")
     frame = g_orthonormal_frame(gmat)  # columns e_a
     cov = _covariant(christoffel_from(gmat, dg, x), lm, dl)
     tau = (np.swapaxes(frame, -1, -2) @ np.trace(dl, axis1=-3, axis2=-2)[..., None])[..., 0]

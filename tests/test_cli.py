@@ -757,6 +757,27 @@ def test_example_command_audits_are_frozen(tmp_path, name):
             assert value == pytest.approx(pinned, rel=1e-6, abs=1e-12), audit
 
 
+def test_the_parser_offers_the_commands_cli_runs():
+    from projeq import cli, request
+
+    command = next(a for a in request.build_parser()._actions if a.dest == "command")
+    assert tuple(command.choices) == tuple(cli._DISPATCH)
+
+
+def test_a_run_error_is_reported_before_a_geometry_error(tmp_path):
+    # the data stage checks the run budgets before the scene is built
+    bad_phis = {**LC3["geometry"], "phis": ["1 + (x1", "3", "6 + x3^2"]}
+    errors = {}
+    for label, doc in (("both", {**LC3, "geometry": bad_phis, "run": {"samples": 0}}),
+                       ("run", {**LC3, "run": {"samples": 0}}),
+                       ("geometry", {**LC3, "geometry": bad_phis})):
+        out = tmp_path / label
+        assert run("check-bm", write_manifest(tmp_path, doc), out) == 2
+        errors[label] = report_of(out)["error"]
+    assert errors["both"] == errors["run"] == "ManifestError: run.samples must be >= 1, got 0"
+    assert errors["geometry"].startswith("ManifestError: geometry 'lc' invalid: ")
+
+
 def test_unknown_command_rejected_by_parser(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--manifest", "x", "--out", "y"])

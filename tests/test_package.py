@@ -81,6 +81,43 @@ def test_a_command_path_defines_no_dataclass(tmp_path):
     assert not {name for name in loaded if name.startswith("dataclass:")}
 
 
+# the modules that load numpy or evaluate fields: none of them answers a data fault
+NUMERIC = {"numpy", *(f"projeq.{name}" for name in (
+    "chart", "jets", "fields", "curvature", "pairs", "levicivita", "surfaces", "flows",
+    "geodesics", "sampling"))}
+DATA_FAULTS = {
+    "samples-0": ({**LC3, "run": {"samples": 0}}, []),
+    "horizon-negative": ({**LC3, "run": {"horizon": -1}}, []),
+    "samples-text": ({**LC3, "run": {"samples": "abc"}}, []),
+    "unknown-run-key": ({**LC3, "run": {"steps": 3}}, []),
+    "negative-tolerance": ({**LC3, "tolerances": {"bm_tol": -1}}, []),
+    "tol-not-numeric": (LC3, ["--tol", "bm_tol=x"]),
+    "not-json": ("{not json", []),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(DATA_FAULTS))
+def test_python_m_projeq_answers_a_data_fault_before_numpy_loads(tmp_path, fault):
+    from projeq.cli import main
+
+    doc, extra = DATA_FAULTS[fault]
+    path = tmp_path / "m.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    argv = ["check-bm", "--manifest", str(path), *extra, "--out"]
+    code = (f"import runpy, sys\nsys.argv = ['projeq', *{argv + [str(tmp_path / 'fresh')]!r}]\n"
+            "try:\n    runpy.run_module('projeq', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as e:\n    print('exit', e.code)\n"
+            "print(*sorted(sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out[:2] == ["exit", "2"]
+    assert not set(out) & NUMERIC
+    assert main(argv + [str(tmp_path / "main")]) == 2
+    report = (tmp_path / "fresh" / "report.json").read_bytes()
+    assert report == (tmp_path / "main" / "report.json").read_bytes()
+    assert b'"error": "ManifestError: ' in report
+
+
 def test_every_name_resolves_to_its_defining_module():
     submodules = {m.name for m in pkgutil.iter_modules(projeq.__path__)} - {"__main__"}
     assert set(projeq._EXPORTS) == submodules

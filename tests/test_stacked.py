@@ -472,7 +472,7 @@ def test_a_nan_endomorphism_is_a_domain_violation_in_the_residual_and_the_defect
     assert err.value.point == first
 
 
-def test_a_finite_endomorphism_with_a_nan_derivative_is_a_non_finite_residual():
+def test_a_finite_endomorphism_with_a_nan_derivative_is_refused_before_the_residual():
     pts = UNIT.sample(50, seed=0)
     samples = {tuple(x) for x in pts}
     # finite at every sample point; NaN at the stencil's neighbours where x > 0.5
@@ -482,7 +482,7 @@ def test_a_finite_endomorphism_with_a_nan_derivative_is_a_non_finite_residual():
     L = EndomorphismField(UNIT, [[nan_near, zero], [zero, two]])
     g = MetricField.euclidean(UNIT)
     assert np.isfinite(L.matrix(pts)).all()
-    with pytest.raises(DomainViolation, match="non-finite compatibility residual") as err:
+    with pytest.raises(DomainViolation, match="non-finite endomorphism derivative entry") as err:
         bm_residual_stats(g, L, pts)
     assert err.value.point == pts[int(np.argmax(pts[:, 0] > 0.5))].tolist()
 
@@ -842,10 +842,22 @@ def test_each_kernel_reads_each_field_once(monkeypatch, count):
                          (lambda: riemann(g, x), [g._jets]),
                          (lambda: projective_weyl(gbar, x), [gbar._jets]),
                          (lambda: bm_residual(g, L, x, eps), [g._jets, L._jets]),
-                         (lambda: nijenhuis_torsion(L, x), [L._jets])):
+                         (lambda: nijenhuis_torsion(L, x), [L._jets]),
+                         (lambda: sectional(g, x, *np.eye(4)[:2]), [g._jets])):
         calls.clear()
         kernel()
         assert calls == want
+
+
+@pytest.mark.parametrize("count", [None, 30])
+def test_sectional_from_one_jet_equals_the_matrix_and_riemann_byte_for_byte(count):
+    g = _linked("random_spec(2, 4)")[0][0]
+    xs = g.chart.sample(count or 1, seed=2)
+    x = xs[0] if count is None else xs
+    u, v = np.eye(4)[0], np.array([0.5, 1.0, -0.25, 2.0])
+    # riem given: the Gram matrix is g.matrix(x) and the curvature riemann(g, x)
+    want = sectional(g, x, u, v, riem=riemann(g, x))
+    assert np.asarray(sectional(g, x, u, v)).tobytes() == np.asarray(want).tobytes()
 
 
 def _faults(kind):
@@ -883,6 +895,20 @@ def test_a_kernel_stack_fails_at_its_first_failing_point_with_the_one_point_text
         with pytest.raises(type(one.value)) as many:
             kernel(xs)
         assert str(many.value) == str(one.value) and many.value.point == bad
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("stacked", [False, True], ids=["one point", "3-point stack"])
+def test_the_residual_refuses_an_infinite_gradient_before_its_products(stacked):
+    # d/dx x^0.01 = 0.01 x^-0.99 overflows at x = 5e-324; the matrices stay finite
+    g = MetricField.euclidean(UNIT)
+    L = EndomorphismField.from_rows(UNIT, [["2 + x^0.01", "0"], ["0", "3"]])
+    bad = [5e-324, 0.5]
+    x = np.array([[0.3, 0.5], bad, [0.6, 0.5]]) if stacked else np.array(bad)
+    with pytest.raises(DomainViolation) as err:
+        bm_residual(g, L, x)
+    assert str(err.value) == f"non-finite endomorphism derivative entry at {bad}"
+    assert err.value.point == bad
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
