@@ -1,0 +1,144 @@
+"""The library's answer to a bad value, swept over every public kernel.
+
+Each public kernel runs on the random_spec(2, 4) pair at six bad points,
+every coordinate NaN, +inf, -inf, 1e300, 5e-324 or 100 (outside the
+chart), each alone and as the middle row of a 3-point stack whose other
+rows are the chart's centre, with numpy's RuntimeWarnings as errors. A run
+breaks when the kernel raises anything but a named error (a ProjeqError),
+names no point or a point other than the bad one, or returns a non-finite
+value. Raw field evaluation (matrix, dmatrix, jet, eval) is the hot path
+and is left unchecked on purpose, so it is not swept. The deep trees run
+too: a 5,000-term expression's ==, hash and repr, and a 3,000-link field
+sum's value, gradient and Hessian, each equal to the sum taken term by
+term. Run it from the repository root:
+
+    PYTHONPATH=src python .github/library_sweep.py
+
+It prints every broken run and exits 1 if there is one, else 0.
+"""
+
+import itertools
+import math
+import sys
+import warnings
+
+import numpy as np
+
+from projeq.chart import box_chart
+from projeq.curvature import christoffel, ricci, riemann
+from projeq.errors import ProjeqError
+from projeq.expressions import parse_expression
+from projeq.fields import PhaseState, as_field
+from projeq.flows import IntegralFamily
+from projeq.geodesics import hamiltonian
+from projeq.levicivita import build_lc_pair, random_spec
+from projeq.pairs import bm_residual, l_from_pair, nijenhuis_torsion, projective_weyl, spectra_at
+
+BAD_VALUES = [math.nan, math.inf, -math.inf, 1e300, 5e-324, 100.0]
+T = 0.5  # the I_t kernels' parameter
+
+
+def kernels():
+    """(name, kernel of one point or an (N, n) stack) of every public kernel."""
+    g, gbar, L = build_lc_pair(random_spec(2, 4))
+    fam = IntegralFamily(g, L)
+
+    def state(x):
+        return PhaseState(x, np.ones_like(x))
+
+    return [
+        ("christoffel", lambda x: christoffel(g, x)),
+        ("riemann", lambda x: riemann(g, x)),
+        ("ricci", lambda x: ricci(g, x)),
+        ("projective_weyl", lambda x: projective_weyl(g, x)),
+        ("bm_residual", lambda x: bm_residual(g, L, x)),
+        ("l_from_pair", lambda x: l_from_pair(g, gbar, x)),
+        ("spectra_at", lambda x: spectra_at(g, L, x)),
+        ("MetricField.inverse", g.inverse),
+        ("MetricField.det", g.det),
+        ("nijenhuis_torsion", lambda x: nijenhuis_torsion(L, x)),
+        ("hamiltonian", lambda x: hamiltonian(g, x, np.ones_like(x))),
+        ("IntegralFamily.value", lambda x: fam.value(state(x), T)),
+        ("IntegralFamily.t_coefficients", lambda x: fam.t_coefficients(state(x))),
+        ("IntegralFamily.gradients", lambda x: fam.gradients(state(x), T)),
+        ("IntegralFamily.roots", lambda x: fam.roots(state(x))),
+    ], g.chart.center()
+
+
+def finite(value):
+    """Whether every number in value, an array or a tuple or list of them, is finite."""
+    if isinstance(value, (tuple, list)):
+        return all(finite(v) for v in value)
+    return bool(np.isfinite(np.asarray(value, dtype=float)).all())
+
+
+def broken(kernel, x, bad):
+    """Why kernel(x) is no finite value and no named error at the bad point, or None."""
+    try:
+        value = kernel(x)
+    except ProjeqError as err:
+        point = getattr(err, "point", None)
+        if point is None:
+            return f"{type(err).__name__} at no point: {err}"
+        if not np.array_equal(point, bad, equal_nan=True):
+            return f"{type(err).__name__} at {point}, not at the bad point: {err}"
+        return None
+    except Exception as err:  # noqa: BLE001 - any other exception breaks the run
+        return f"raised {type(err).__name__}: {err}"
+    return None if finite(value) else "returned a non-finite value"
+
+
+def deep_trees():
+    """(name, why the deep-tree check breaks or None) of each deep-tree run."""
+    names = ("x", "y", "z")
+    text = " + ".join(f"{k % 9}*x*y" for k in range(5000))
+    a, b = parse_expression(text, names=names), parse_expression(text, names=names)
+    chart = box_chart(("x", "y"))
+    terms = [as_field(chart, f"sin({k}*x + y) * y") for k in range(1, 8)]
+    total = terms[0]
+    for k in range(1, 3000):
+        total = total + terms[k % 7]
+    xs = np.array([[0.3, -0.7], [-1.1, 0.2]])
+
+    def term_by_term(method):
+        want = getattr(terms[0], method)(xs)
+        for k in range(1, 3000):
+            want = want + getattr(terms[k % 7], method)(xs)
+        return np.array_equal(getattr(total, method)(xs), want)
+
+    checks = [("5,000-term expression ==", lambda: a == b),
+              ("5,000-term expression hash", lambda: hash(a) == hash(b)),
+              ("5,000-term expression repr", lambda: repr(a).count("BinOp(") == 14999)]
+    checks += [(f"3,000-link field sum {method}", lambda m=method: term_by_term(m))
+               for method in ("eval", "d1", "d2")]
+    for name, check in checks:
+        try:
+            yield name, None if check() else "gave a wrong result"
+        except Exception as err:  # noqa: BLE001 - any exception breaks the run
+            yield name, f"raised {type(err).__name__}: {err}"
+
+
+def main_sweep():
+    runs, breaks = 0, []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        table, good = kernels()
+        for (name, kernel), value in itertools.product(table, BAD_VALUES):
+            bad = np.full(len(good), value)
+            for label, x in (("one point", bad), ("3-point stack", np.array([good, bad, good]))):
+                runs += 1
+                why = broken(kernel, x, bad)
+                if why:
+                    breaks.append(f"{name} at {value!r}, {label}: {why}")
+                    print("BROKEN:", breaks[-1], flush=True)
+        for name, why in deep_trees():
+            runs += 1
+            if why:
+                breaks.append(f"{name}: {why}")
+                print("BROKEN:", breaks[-1], flush=True)
+    print(f"{runs} runs, {len(breaks)} broken")
+    return 1 if breaks else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_sweep())

@@ -31,7 +31,8 @@ from .errors import (
     SingularMetric,
 )
 from .expressions import FUNCTIONS, Expression, parse_expression
-from .jets import Jets, finite_differences, require_one_sign  # finite_differences: re-exported
+from .jets import finite_differences  # re-exported
+from .jets import Jets, replay, require_one_sign
 from .records import Record
 from .tolerances import DEFAULT
 
@@ -49,7 +50,7 @@ def _shaped(part, shape):
 def pointwise_errors(*at):
     """Decorate a kernel whose arguments at positions ``at`` are one point
     each, or (N, ...) stacks of N points. A stacked call that raises fails
-    as the loop over its points would: _replay runs the points again as
+    as the loop over its points would: jets.replay runs the points again as
     stacks of one, so the first failing point raises its error."""
     def decorate(kernel):
         @functools.wraps(kernel)
@@ -57,10 +58,11 @@ def pointwise_errors(*at):
             try:
                 return kernel(*args, **kw)
             except (ProjeqError, np.linalg.LinAlgError):
-                if np.ndim(args[at[0]]) > 1:
-                    _replay(range(len(args[at[0]])), lambda ks: kernel(
+                xs = args[at[0]]
+                if np.ndim(xs) > 1 and len(xs) > 1:  # a stack of one already failed
+                    replay(range(len(xs)), lambda ks: kernel(
                         *(a[ks.start:ks.stop] if i in at else a for i, a in enumerate(args)),
-                        **kw), lambda values, ks: None)
+                        **kw))
                 raise
         return run
     return decorate
@@ -510,7 +512,8 @@ class VectorField:
 
 
 class PhaseState(Record):
-    """A point and a momentum covector."""
+    """A point and a momentum covector, or (N, n) stacks of N of each. A
+    stack has a length and slices as x does, so pointwise_errors replays it."""
 
     _fields = ("x", "p")
 
@@ -518,6 +521,14 @@ class PhaseState(Record):
         self._set(x=np.asarray(x, dtype=float).copy(), p=np.asarray(p, dtype=float).copy())
         if self.x.shape != self.p.shape:
             raise ValueError("x and p must have equal shapes")
+
+    ndim = property(lambda self: self.x.ndim)
+
+    def __len__(self):
+        return len(self.x)
+
+    def __getitem__(self, k):
+        return PhaseState(self.x[k], self.p[k])
 
 
 def require(ok, points, error, text):
@@ -592,24 +603,17 @@ def scan(points, evaluate, check=lambda values, points: None):
     """evaluate(points) from one stacked call, checked by check(values,
     points), which raises at its first failing point. It fails as the loop
     over points it stands for did: when the stacked evaluation raises a
-    ProjeqError or LinAlgError, _replay runs the points again, so
-    that whatever failed at an earlier point, in evaluation or in the
-    check, is raised first."""
+    ProjeqError or LinAlgError, jets.replay evaluates and checks the points
+    again as stacks of one, so that whatever failed at an earlier point, in
+    evaluation or in the check, is raised first."""
     try:
         values = evaluate(points)
     except (ProjeqError, np.linalg.LinAlgError):
-        _replay(points, evaluate, check)
+        if len(points) > 1:  # a stack of one already failed
+            replay(points, lambda p: check(evaluate(p), p))
         raise
     check(values, points)
     return values
-
-
-def _replay(points, evaluate, check):
-    """The one replay of a failing kernel or scan stack (a field's is Jets'):
-    evaluate and check each point in order as a stack of one, points[k:k+1],
-    so the first failing point raises its error; a stack of one already failed."""
-    for k in range(len(points) if len(points) > 1 else 0):
-        check(evaluate(points[k:k + 1]), points[k:k + 1])
 
 
 def solve_metric(gmat, b, points):

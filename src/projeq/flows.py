@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ComplexRoots, DomainViolation, ZeroVelocity
-from .fields import PhaseState, require, scan, solve_metric
+from .fields import PhaseState, pointwise_errors, require, require_finite, scan, solve_metric
 from .pairs import spectra_at
 from .tolerances import DEFAULT
 
@@ -133,8 +133,10 @@ class IntegralFamily:
 
     # -- evaluation ---------------------------------------------------------
 
+    @pointwise_errors(1)
     def value(self, state: PhaseState, t: float):
-        """I_t at one phase state (a float) or at (N, n) stacks x, p (an (N,) array)."""
+        """I_t at one phase state (a float) or at (N, n) stacks x, p (an (N,) array);
+        a non-finite value is a DomainViolation at its first point."""
         return next(self.values(state, (t,)))
 
     def values(self, state: PhaseState, ts):
@@ -145,15 +147,19 @@ class IntegralFamily:
         cs = self.coeff_matrices(state.x)
         for t in ts:  # S_t as s_matrix forms it
             out = (p[..., None, :] @ (sum(t ** j * c for j, c in enumerate(cs)) @ v))[..., 0, 0]
+            require_finite(out, state.x, "I_t")
             yield float(out) if p.ndim == 1 else out
 
+    @pointwise_errors(1)
     def t_coefficients(self, state: PhaseState):
         """a_j with I_t = sum_j a_j t^j, (n,) at one state or (N, n) on
-        stacks; leading a_{n-1} = +-2H != 0."""
+        stacks; leading a_{n-1} = +-2H != 0. A non-finite a_j is a
+        DomainViolation at its first point."""
         p = state.p
         v = solve_metric(self.g.matrix(state.x), p[..., None], state.x)
-        return np.stack([(p[..., None, :] @ (c @ v))[..., 0, 0]
-                         for c in self.coeff_matrices(state.x)], axis=-1)
+        return require_finite(np.stack([(p[..., None, :] @ (c @ v))[..., 0, 0]
+                                        for c in self.coeff_matrices(state.x)], axis=-1),
+                              state.x, "I_t coefficient")
 
     def roots(self, state: PhaseState):
         """The n-1 real roots of t -> I_t, ascending, (n-1,) at one state or
@@ -208,11 +214,13 @@ class IntegralFamily:
         hx = -0.5 * np.einsum("...i,...ijk,...j->...k", v, dg, v)
         return _StateJet(a, ax, ap, hx, v)
 
+    @pointwise_errors(1)
     def gradients(self, state: PhaseState, t: float):
-        """(dI/dx, dI/dp) at the phase point, both length n."""
+        """(dI/dx, dI/dp) at the phase point, both length n, or (N, n) at stacks
+        x, p; a non-finite entry is a DomainViolation at its first point."""
         jet = self._jet(state)
         w = _powers(t, self.g.dim)
-        return w @ jet.ax, w @ jet.ap
+        return tuple(require_finite(w @ d, state.x, "I_t gradient") for d in (jet.ax, jet.ap))
 
     def commutation_report(self, phase_points, t_values, tol=DEFAULT.commutation_tol) -> dict:
         """Pairwise brackets over the t-grid, scaled by 1 + |I_a| + |I_b|.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutsideChart, StepUnderflow
+from .errors import DomainViolation, OutsideChart, StepUnderflow
 from .fields import MetricField, PhaseState, pointwise_errors, require_finite, scan, solve_metric
 from .tolerances import DEFAULT
 
@@ -96,11 +96,12 @@ def geodesic_rhs(g: MetricField):
 @pointwise_errors(1, 2)
 def hamiltonian(g: MetricField, x, p):
     """Kinetic energy 1/2 p^T g^{-1} p: a float at one point, an (N,) array
-    along (N, n) stacks of points x and covectors p."""
+    along (N, n) stacks of points x and covectors p; a non-finite value is a
+    DomainViolation at its first point."""
     p = np.asarray(p, dtype=float)
     v = solve_metric(g.matrix(x), p[..., None], x)
     # a matmul of a row by a column sums as the vector dot does; einsum and sum do not
-    h = 0.5 * (p[..., None, :] @ v)[..., 0, 0]
+    h = require_finite(0.5 * (p[..., None, :] @ v)[..., 0, 0], x, "hamiltonian")
     return float(h) if p.ndim == 1 else h
 
 
@@ -176,7 +177,8 @@ def integrate(rhs, y0, t_span, tol, inside=None, max_steps=1_000_000):
     by bisection on the dense output. A span that is not finite with
     t1 > t0 is a ValueError. Raises StepUnderflow when the controller
     pushes the step below 1e-12 times the horizon, or to a step that does
-    not advance t.
+    not advance t, and DomainViolation at the state y a step starts from
+    when that step's error norm is NaN.
 
     A stack's trajectories are stepped together, each with its own t,
     step size, error norm, acceptance, step budget, dense output and
@@ -307,6 +309,9 @@ def _lockstep(rhs, y, t_span, tol, inside, max_steps):
                 factor = _SAFETY * err ** -0.2 if err > 0.0 else _FAC_MAX
                 run.h *= min(_FAC_MAX, max(_FAC_MIN, factor))
             else:
+                if err != err:  # a NaN norm would shrink the step to StepUnderflow
+                    raise DomainViolation(f"non-finite error norm in the step from t={run.t:.6g}",
+                                          point=y_row)
                 run.rejected += 1
                 run.h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
         if accepted == len(ok):

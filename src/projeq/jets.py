@@ -11,10 +11,11 @@ nonzero gradient and Hessian entries. Constants and structural zeros fold
 while the code is written and an identical line is written once, so a
 subexpression shared by several outputs (det L in every partner entry)
 costs one evaluation. A black box (NumericField) is a leaf whose one line,
-finite_differences on its fn, serves every leaf of that fn; Jets alone
-replays a failing stack. A division by zero, a math domain or range error,
-or a negative base to a fractional power is a DomainViolation at the
-point, naming the failing field; a power that overflows gives an infinity.
+finite_differences on its fn, serves every leaf of that fn; `replay` is
+the one replay of a failing stack, for Jets and fields. A division by
+zero, a math domain or range error, or a negative base to a fractional
+power is a DomainViolation at the point, naming the failing field; a
+power that overflows gives an infinity.
 """
 
 from __future__ import annotations
@@ -412,14 +413,11 @@ def _layout(part):
     return np.array(locs, np.intp), columns, np.array(consts, np.intp), values
 
 
-def per_point(jet, xs, order, outputs):
-    """A stack of points evaluated one point at a time by jet(x, order),
-    laid out as Jets lays out a stack: part k is an (outputs * n^k, N)
-    array. An error is raised at the first point that fails."""
-    rows = [jet(x, order) for x in xs]
-    n = xs.shape[-1]
-    return [np.array([r[k] for r in rows]).reshape(len(xs), outputs * n ** k).T
-            for k in range(order + 1)]
+def replay(points, evaluate):
+    """The one replay of a failing stack: evaluate(points[k:k + 1]) for each
+    point in order, as a stack of one, so that the first failing point raises
+    its own error, as the loop over the points the stack stands for did."""
+    return [evaluate(points[k:k + 1]) for k in range(len(points))]
 
 
 _TEXT = {"sum": "{0} + {sign!r}*({1})", "product": "({0})*({1})", "constant": "{value!r}",
@@ -479,7 +477,10 @@ class Jets:
             with np.errstate(all="ignore", divide="raise", invalid="raise"):
                 parts = fn.columns(xs)
         except (ArithmeticError, ValueError, ProjeqError):  # replayed: earlier points fail first
-            return per_point(self, xs, order, len(self.outputs))
+            rows = replay(xs, lambda p: self(p[0], order))
+            size = len(self.outputs)  # part k: outputs * n^k rows of N columns
+            return [np.array([r[k] for r in rows]).reshape(len(xs), size * xs.shape[-1] ** k).T
+                    for k in range(order + 1)]
         blocks = [np.empty((len(p), len(xs))) for p in parts]
         for block, part, (locs, columns, consts, values) in zip(blocks, parts, fn.layout):
             block[locs] = np.array(columns(part))  # a sequence of columns is slow to assign

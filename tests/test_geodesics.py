@@ -286,14 +286,14 @@ def test_a_stack_of_states_gives_each_state_its_own_run():
 
 def test_a_stack_fails_at_its_first_failing_state_not_at_the_first_failure_in_lockstep():
     # state 1 leaves sqrt's domain at x > 1 after many steps; state 2 starts
-    # where the metric is NaN and underflows within a few
+    # where the metric is NaN, so its first step's error norm is NaN
     chart = Chart(("x", "y"), ((-4.0, 4.0), (-4.0, 4.0)))
     f = "2 + sin(10*x) + 1e-300*sqrt(1 - x) + (y^1000 - y^1000)"
     g = MetricField.diagonal(chart, (f, f), validate=False)
     states = [PhaseState([0.0, 0.0], [0.0, 1.0]), PhaseState([0.0, 0.0], [1.0, 0.0]),
               PhaseState([0.0, 3.0], [1.0, 0.0])]
     assert integrate_geodesic(g, states[0], 5.0).status == "completed"
-    with pytest.raises(StepUnderflow, match="at t=0$"):
+    with pytest.raises(DomainViolation, match=r"from t=0 at \[0.0, 3.0, 1.0, 0.0\]$"):
         integrate_geodesic(g, states[2], 5.0)
     with pytest.raises(DomainViolation) as one:
         integrate_geodesic(g, states[1], 5.0)
@@ -301,6 +301,32 @@ def test_a_stack_fails_at_its_first_failing_state_not_at_the_first_failure_in_lo
         integrate_geodesic(g, _stack(states), 5.0)
     assert str(stacked.value) == str(one.value)
     assert stacked.value.point == one.value.point and one.value.point[0] > 1.0
+
+
+def _nan_above_2(t, y):
+    """y' = 1 on y <= 2, NaN above: a rhs that is NaN at finite states."""
+    return np.where(y > 2.0, math.nan, 1.0)
+
+
+def test_a_nan_error_norm_is_refused_at_the_state_its_step_starts_from():
+    with pytest.raises(DomainViolation) as err:
+        integrate(_nan_above_2, np.array([1.5]), (0.0, 1.0), 1e-8)
+    (y,) = err.value.point  # y = 1.5 + t on the accepted steps
+    assert 1.5 < y <= 2.0
+    assert str(err.value) == f"non-finite error norm in the step from t={y - 1.5:.6g} at [{y!r}]"
+
+
+def test_a_stack_with_a_nan_error_norm_fails_at_its_first_failing_start():
+    # start 2 fails in its first step, start 1 later: start 1's error is raised
+    y0 = np.array([[-5.0], [1.5], [3.0]])
+    with pytest.raises(DomainViolation) as one:
+        integrate(_nan_above_2, y0[1], (0.0, 1.0), 1e-8)
+    with pytest.raises(DomainViolation) as stacked:
+        integrate(_nan_above_2, y0, (0.0, 1.0), 1e-8)
+    assert str(stacked.value) == str(one.value)
+    assert stacked.value.point == one.value.point
+    with pytest.raises(DomainViolation, match=r"from t=0 at \[3.0\]$"):
+        integrate(_nan_above_2, y0[2], (0.0, 1.0), 1e-8)
 
 
 def test_a_stack_with_a_singular_start_names_it():

@@ -109,7 +109,7 @@ def columns_only(monkeypatch):
     def refuse(*args):
         raise AssertionError("stack evaluated point by point")
 
-    monkeypatch.setattr(jets, "per_point", refuse)
+    monkeypatch.setattr(jets, "replay", refuse)
 
 
 @pytest.mark.parametrize("count", [1, 201])
@@ -921,3 +921,39 @@ def test_det_and_the_torsion_refuse_a_nan_point(stacked):
         with pytest.raises(DomainViolation) as err:
             call(x)
         assert str(err.value) == f"non-finite {what} entry at [nan, nan, nan, nan]"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("stacked", [False, True], ids=["one point", "3-point stack"])
+def test_the_flow_kernels_refuse_a_nan_point(stacked):
+    g, _, L = build_lc_pair(random_spec(2, 4), partner=False)
+    fam = IntegralFamily(g, L)
+    good, nan = g.chart.center(), np.full(4, math.nan)
+    x = np.array([good, nan, good]) if stacked else nan
+    p = np.ones_like(x)
+    state = PhaseState(x, p)
+    for call, what in ((lambda: hamiltonian(g, x, p), "hamiltonian"),
+                       (lambda: fam.value(state, 0.5), "I_t"),
+                       (lambda: fam.t_coefficients(state), "I_t coefficient"),
+                       (lambda: fam.gradients(state, 0.5), "I_t gradient")):
+        with pytest.raises(DomainViolation) as err:
+            call()
+        assert str(err.value) == f"non-finite {what} entry at [nan, nan, nan, nan]"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_flow_kernels_fail_a_stack_at_its_first_failing_state():
+    # g is NaN at the first state and singular at the second: the stacked solve
+    # fails at the second, and the replay names the first, as a loop over states does
+    chart = Chart(("x", "y"), ((-4.0, 4.0), (-4.0, 4.0)))
+    g = MetricField.diagonal(chart, ["x^2", "1 + y^1000 - y^1000"], validate=False)
+    fam = IntegralFamily(g, EndomorphismField.identity(chart), check_points=0)
+    x = np.array([[0.5, 3.0], [0.0, 0.5]])
+    stack, first = PhaseState(x, np.ones_like(x)), PhaseState(x[0], np.ones(2))
+    for call in (lambda s: hamiltonian(g, s.x, s.p), lambda s: fam.value(s, 0.5),
+                 fam.t_coefficients, lambda s: fam.gradients(s, 0.5)):
+        with pytest.raises(DomainViolation) as one:
+            call(first)
+        with pytest.raises(DomainViolation) as stacked:
+            call(stack)
+        assert str(stacked.value) == str(one.value) and one.value.point == [0.5, 3.0]
