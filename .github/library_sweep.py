@@ -10,7 +10,17 @@ value. Raw field evaluation (matrix, dmatrix, jet, eval) is the hot path
 and is left unchecked on purpose, so it is not swept. The deep trees run
 too: a 5,000-term expression's ==, hash and repr, and a 3,000-link field
 sum's value, gradient and Hessian, each equal to the sum taken term by
-term. Run it from the repository root:
+term.
+
+The two-fault mode runs the kernels on a 2-D pair with three faults in y:
+g = diag(1, y + y^1000 - y^1000) and gbar = diag(2, y + y^1000 - y^1000)
+are numerically singular at y = 1e-13 and singular at y = 0, and at y = 3,
+where y^1000 overflows, they and L = diag(2 + y^1000 - y^1000, 3) are NaN.
+Each stack is a good row (y = 0.5) followed by two distinct fault rows, in
+each of the 6 orders. A run breaks unless the stack raises exactly the
+error (class, text and point) that a loop over its rows raises first.
+
+Run it from the repository root:
 
     PYTHONPATH=src python .github/library_sweep.py
 
@@ -24,11 +34,11 @@ import warnings
 
 import numpy as np
 
-from projeq.chart import box_chart
-from projeq.curvature import christoffel, ricci, riemann
+from projeq.chart import Chart, box_chart
+from projeq.curvature import christoffel, ricci, riemann, sectional
 from projeq.errors import ProjeqError
 from projeq.expressions import parse_expression
-from projeq.fields import PhaseState, as_field
+from projeq.fields import EndomorphismField, MetricField, PhaseState, as_field
 from projeq.flows import IntegralFamily
 from projeq.geodesics import hamiltonian
 from projeq.levicivita import build_lc_pair, random_spec
@@ -36,12 +46,20 @@ from projeq.pairs import bm_residual, l_from_pair, nijenhuis_torsion, projective
 
 BAD_VALUES = [math.nan, math.inf, -math.inf, 1e300, 5e-324, 100.0]
 T = 0.5  # the I_t kernels' parameter
+FAULT_YS = [1e-13, 0.0, 3.0]  # the two-fault pair's numerically singular, singular and NaN rows
+TWO_FAULT_EXEMPT = {
+    # a stack's finite check runs before its NotPositiveDefinite, which names the
+    # worst point, the smallest eigenvalue, not the first failing one
+    "spectra_at",
+    # every plane of a stack is checked before any curvature
+    "sectional",
+}
 
 
-def kernels():
-    """(name, kernel of one point or an (N, n) stack) of every public kernel."""
-    g, gbar, L = build_lc_pair(random_spec(2, 4))
-    fam = IntegralFamily(g, L)
+def kernels(g, gbar, L, fam):
+    """(name, kernel of one point or an (N, n) stack) of every public kernel
+    on the pair (g, gbar), its endomorphism L and their IntegralFamily fam."""
+    e1, e2 = np.eye(g.dim)[:2]
 
     def state(x):
         return PhaseState(x, np.ones_like(x))
@@ -51,6 +69,7 @@ def kernels():
         ("riemann", lambda x: riemann(g, x)),
         ("ricci", lambda x: ricci(g, x)),
         ("projective_weyl", lambda x: projective_weyl(g, x)),
+        ("sectional", lambda x: sectional(g, x, e1, e2)),
         ("bm_residual", lambda x: bm_residual(g, L, x)),
         ("l_from_pair", lambda x: l_from_pair(g, gbar, x)),
         ("spectra_at", lambda x: spectra_at(g, L, x)),
@@ -59,10 +78,19 @@ def kernels():
         ("nijenhuis_torsion", lambda x: nijenhuis_torsion(L, x)),
         ("hamiltonian", lambda x: hamiltonian(g, x, np.ones_like(x))),
         ("IntegralFamily.value", lambda x: fam.value(state(x), T)),
+        ("IntegralFamily.values", lambda x: fam.values(state(x), (T,))),
         ("IntegralFamily.t_coefficients", lambda x: fam.t_coefficients(state(x))),
         ("IntegralFamily.gradients", lambda x: fam.gradients(state(x), T)),
         ("IntegralFamily.roots", lambda x: fam.roots(state(x))),
-    ], g.chart.center()
+    ]
+
+
+def two_fault_pair():
+    """(g, gbar, L) of the two-fault mode, on x, y in (-4, 4)."""
+    chart = Chart(("x", "y"), ((-4.0, 4.0), (-4.0, 4.0)))
+    g = MetricField.diagonal(chart, ["1", "y + y^1000 - y^1000"], validate=False)
+    gbar = MetricField.diagonal(chart, ["2", "y + y^1000 - y^1000"], validate=False)
+    return g, gbar, EndomorphismField(chart, [["2 + y^1000 - y^1000", 0.0], [0.0, 3.0]])
 
 
 def finite(value):
@@ -118,25 +146,53 @@ def deep_trees():
             yield name, f"raised {type(err).__name__}: {err}"
 
 
+def outcome(kernel, x):
+    """(class name, text, point) of the error kernel(x) raises, or None."""
+    try:
+        kernel(x)
+    except Exception as err:  # noqa: BLE001 - any exception is compared
+        return type(err).__name__, str(err), getattr(err, "point", None)
+    return None
+
+
+def loop_broken(kernel, stack):
+    """Why kernel(stack) fails otherwise than a loop over its rows first does, or None."""
+    want = next(filter(None, (outcome(kernel, row) for row in stack)), None)
+    got = outcome(kernel, stack)
+    return None if got == want else f"stack gave {got}, the loop over its rows {want}"
+
+
 def main_sweep():
-    runs, breaks = 0, []
+    breaks = []
+
+    def run(name, why):
+        if why:
+            breaks.append(f"{name}: {why}")
+            print("BROKEN:", breaks[-1], flush=True)
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        table, good = kernels()
+        g, gbar, L = build_lc_pair(random_spec(2, 4))
+        table, good = kernels(g, gbar, L, IntegralFamily(g, L)), g.chart.center()
+        runs = 0
         for (name, kernel), value in itertools.product(table, BAD_VALUES):
             bad = np.full(len(good), value)
             for label, x in (("one point", bad), ("3-point stack", np.array([good, bad, good]))):
                 runs += 1
-                why = broken(kernel, x, bad)
-                if why:
-                    breaks.append(f"{name} at {value!r}, {label}: {why}")
-                    print("BROKEN:", breaks[-1], flush=True)
+                run(f"{name} at {value!r}, {label}", broken(kernel, x, bad))
         for name, why in deep_trees():
             runs += 1
-            if why:
-                breaks.append(f"{name}: {why}")
-                print("BROKEN:", breaks[-1], flush=True)
-    print(f"{runs} runs, {len(breaks)} broken")
+            run(name, why)
+        print(f"{runs} runs, {len(breaks)} broken")
+        g, gbar, L = two_fault_pair()
+        table = kernels(g, gbar, L, IntegralFamily(g, L, check_points=0))
+        runs, bad_point_breaks = 0, len(breaks)
+        for (name, kernel), faults in itertools.product(table, itertools.permutations(FAULT_YS, 2)):
+            if name not in TWO_FAULT_EXEMPT:
+                runs += 1
+                stack = np.array([[0.0, 0.5], *([0.0, y] for y in faults)])
+                run(f"{name} on y = 0.5, {faults[0]!r}, {faults[1]!r}", loop_broken(kernel, stack))
+        print(f"{runs} two-fault runs, {len(breaks) - bad_point_breaks} broken")
     return 1 if breaks else 0
 
 

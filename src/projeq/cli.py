@@ -148,18 +148,20 @@ def _run_trajectories(scene, m, monitored):
 def _sample_columns(g, trajs, monitored):
     """Each run on monitor_along's 201-point time grid as columns t, x, p, H
     and one per monitored quantity: one table per run, each column filled for
-    every run by one stacked call (the family's I_t from one lazy `values` call)."""
+    every run by one stacked call (the family's I_t from one `values` call, made
+    after H's column, so that H's error comes first)."""
     from .geodesics import hamiltonian, monitored_values
 
     grids = [np.linspace(traj.ts[0], traj.t_end, 201) for traj in trajs]
     ys = np.concatenate([traj.sample(ts) for traj, ts in zip(trajs, grids)])
     n = trajs[0].dim
     xs, ps = ys[:, :n], ys[:, n:]
-    fns = [lambda x, p: hamiltonian(g, x, p)] + [fn for _, fn in monitored]
+    columns = [monitored_values(lambda x, p: hamiltonian(g, x, p), xs, ps)]
+    fns = [fn for _, fn in monitored]
     its = [fn for fn in fns if isinstance(fn, _FamilyColumn)]  # the I_t of _monitored's family
-    cols = its and its[0].family.values(PhaseState(xs, ps), [fn.t for fn in its])
-    columns = [monitored_values((lambda x, p: next(cols)) if fn in its else fn, xs, ps) for fn in fns]
-    del cols  # the family's coefficient matrices go before the table is built
+    cols = iter(its and its[0].family.values(PhaseState(xs, ps), [fn.t for fn in its]))
+    columns += [monitored_values((lambda x, p: next(cols)) if fn in its else fn, xs, ps)
+                for fn in fns]
     return np.split(np.column_stack([np.concatenate(grids), xs, ps, *columns]), len(trajs))
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import inverse_metric, pointwise_errors
+from .fields import inverse_metric, pointwise_errors, require_finite
 
 
 def _term(dg):
@@ -91,13 +91,14 @@ def ricci(g, x, riem=None):
 def sectional(g, x, u, v, riem=None):
     """Sectional curvature of the plane spanned by u, v at x: a float at one
     point, an (N,) array on an (N, n) stack, with u and v one vector each or
-    (N, n) stacks. Every plane is checked before any curvature: a degenerate
+    (N, n) stacks. A non-finite metric entry is a DomainViolation at its first
+    point; then every plane is checked before any curvature: a degenerate
     Gram determinant raises ValueError at its first point. Without riem, g is
     evaluated once, first: the Gram matrix is that of the jet riemann reads."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     jet = g.jet(x, 2) if riem is None else (g.matrix(x),)
-    gmat = jet[0]
+    gmat = require_finite(jet[0], x, "metric")
 
     def gdot(a, b):  # g(a, b), summed as the one-point a @ g @ b
         return (a[..., None, :] @ gmat @ b[..., None])[..., 0, 0]

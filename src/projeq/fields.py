@@ -18,6 +18,7 @@ g(x), its entry gradients dg(x), entry Hessians d2g(x).
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -295,7 +296,7 @@ def coord(chart, name_or_index):
 def as_field(chart, obj):
     """Coerce a number, string, Expression or field onto `chart`."""
     if isinstance(obj, ScalarField):
-        if obj.chart != chart:
+        if obj.chart is not chart and obj.chart != chart:
             raise ValueError("field lives on a different chart")
         return obj
     if isinstance(obj, (str, Expression)):
@@ -329,8 +330,8 @@ class _EntryTable:
         views = [[NumericField(chart, fn) for j in range(n)] for i in range(n)]
         for i, j in np.ndindex(n, n):
             views[i][j]._entry = (i, j)
-        if issubclass(cls, MetricField):
-            views = [[views[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        if issubclass(cls, MetricField):  # shared pairs: no agreement scan calls fn
+            views = block_diagonal(chart, [views])
         return cls(chart, views, **kw)
 
     @classmethod
@@ -381,21 +382,18 @@ class MetricField(_EntryTable):
 
     def __init__(self, chart, entries, validate=True):
         n = chart.dim
-        table = [[entries[i][j] for j in range(n)] for i in range(n)]
-        if not all(isinstance(f, ScalarField) for row in table for f in row):
+        if not all(isinstance(f, ScalarField) for row in entries for f in row):
             raise TypeError("metric entries must be ScalarFields")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if table[i][j] is not table[j][i]:
-                    # distinct objects allowed only if they agree numerically
-                    def agree(diff, pts, i=i, j=j):
-                        if not (np.abs(diff) <= 1e-12).all():
-                            raise ValueError(f"metric entries ({i},{j}) vs ({j},{i}) differ")
+        for i, j in itertools.combinations(range(n), 2):
+            if entries[i][j] is not entries[j][i]:
+                # distinct objects allowed only if they agree numerically
+                def agree(diff, pts, i=i, j=j):
+                    if not (np.abs(diff) <= 1e-12).all():
+                        raise ValueError(f"metric entries ({i},{j}) vs ({j},{i}) differ")
 
-                    scan(chart.sample(16, seed=3),
-                         lambda pts, a=table[i][j], b=table[j][i]: a.eval(pts) - b.eval(pts), agree)
-                    table[j][i] = table[i][j]
-        super().__init__(chart, tuple(tuple(row) for row in table))
+                scan(chart.sample(16, seed=3),
+                     lambda pts, a=entries[i][j], b=entries[j][i]: a.eval(pts) - b.eval(pts), agree)
+        super().__init__(chart, block_diagonal(chart, [entries]))
         if validate:
             rep = self.pd_report(samples=_PD_SAMPLES)
             if not rep["positive_definite"]:
@@ -410,6 +408,7 @@ class MetricField(_EntryTable):
         """D[i, j, k, l] = d^2 g_ij / (d x_k d x_l)."""
         return self.jet(x, 2)[2]
 
+    @pointwise_errors(1)
     def inverse(self, x):
         """g^{-1} at one point x or at each of an (N, n) stack (inverse_metric)."""
         return inverse_metric(self.matrix(x), x)
@@ -443,7 +442,7 @@ class MetricField(_EntryTable):
     @classmethod
     def euclidean(cls, chart, **kw):
         kw.setdefault("validate", False)
-        return cls.constant(chart, np.eye(chart.dim), **kw)
+        return cls.diagonal(chart, [1.0] * chart.dim, **kw)
 
     @classmethod
     def conformal(cls, chart, factor, **kw):
@@ -452,11 +451,7 @@ class MetricField(_EntryTable):
 
     @classmethod
     def diagonal(cls, chart, diag_fields, **kw):
-        fields = [as_field(chart, f) for f in diag_fields]
-        zero = ConstantField(chart, 0.0)
-        n = chart.dim
-        entries = [[fields[i] if i == j else zero for j in range(n)] for i in range(n)]
-        return cls(chart, entries, **kw)
+        return cls(chart, block_diagonal(chart, [[[f]] for f in diag_fields]), **kw)
 
 
 class EndomorphismField(_EntryTable):
@@ -643,6 +638,22 @@ def g_orthonormal_frame(g_matrix):
 
 
 # --- matrices of fields ----------------------------------------------------
+
+
+def block_diagonal(chart, blocks):
+    """The n x n table of fields on chart with the square tables ``blocks`` (numbers,
+    text or fields) down its diagonal and one shared zero field elsewhere. Only each
+    block's upper triangle is read, so (i, j) and (j, i) hold one object."""
+    if sum(map(len, blocks)) != chart.dim:
+        raise ValueError(f"blocks of {sum(map(len, blocks))} rows on a {chart.dim}-D chart")
+    zero = ConstantField(chart, 0.0)
+    table = [[zero] * chart.dim for _ in range(chart.dim)]
+    off = 0
+    for block in blocks:
+        for a, b in itertools.combinations_with_replacement(range(len(block)), 2):
+            table[off + a][off + b] = table[off + b][off + a] = as_field(chart, block[a][b])
+        off += len(block)
+    return tuple(map(tuple, table))
 
 
 def fmat_mul(a, b):

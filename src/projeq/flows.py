@@ -133,22 +133,24 @@ class IntegralFamily:
 
     # -- evaluation ---------------------------------------------------------
 
-    @pointwise_errors(1)
     def value(self, state: PhaseState, t: float):
         """I_t at one phase state (a float) or at (N, n) stacks x, p (an (N,) array);
         a non-finite value is a DomainViolation at its first point."""
-        return next(self.values(state, (t,)))
+        return self.values(state, (t,))[0]
 
+    @pointwise_errors(1)
     def values(self, state: PhaseState, ts):
-        """I_t for each t of ts in order, each as `value` gives it, from one g build,
-        solve and Faddeev-LeVerrier pass made when the first value is asked for."""
+        """The list of I_t for each t of ts in order, each as `value` gives it, from
+        one g build, solve and Faddeev-LeVerrier pass; a non-finite value is a
+        DomainViolation at its first point, checked t by t."""
         p = state.p
         v = solve_metric(self.g.matrix(state.x), p[..., None], state.x)
         cs = self.coeff_matrices(state.x)
+        out = []
         for t in ts:  # S_t as s_matrix forms it
-            out = (p[..., None, :] @ (sum(t ** j * c for j, c in enumerate(cs)) @ v))[..., 0, 0]
-            require_finite(out, state.x, "I_t")
-            yield float(out) if p.ndim == 1 else out
+            i_t = (p[..., None, :] @ (sum(t ** j * c for j, c in enumerate(cs)) @ v))[..., 0, 0]
+            out.append(require_finite(i_t, state.x, "I_t"))
+        return [float(i_t) for i_t in out] if p.ndim == 1 else out
 
     @pointwise_errors(1)
     def t_coefficients(self, state: PhaseState):

@@ -205,11 +205,9 @@ class _Writer:
     # -- jets ----------------------------------------------------------------
 
     def sym(self, entry):
-        h = [[None] * self.n for _ in range(self.n)]
-        for k in range(self.n):
-            for l in range(k, self.n):
-                h[k][l] = h[l][k] = entry(k, l)
-        return h
+        """The symmetric n x n table of entry(k, l), written for k <= l in row order."""
+        up = {(k, l): entry(k, l) for k in range(self.n) for l in range(k, self.n)}
+        return [[up[min(k, l), max(k, l)] for l in range(self.n)] for k in range(self.n)]
 
     def each(self, fn, a, b):
         """Entry by entry fn of two jets, for the linear operations."""

@@ -37,6 +37,7 @@ from .fields import (
     NumericField,
     ReindexedField,
     as_field,
+    block_diagonal,
     pointwise_errors,
     require,
     scan,
@@ -85,7 +86,7 @@ class LeviCivitaSpec(Record):
         if chart.dim != n:
             raise ValueError("bounds must cover exactly the summed block sizes")
         if block_metrics is None:
-            block_metrics = [None] * len(sizes)
+            block_metrics = (None,) * len(sizes)
         if not (len(phis) == len(sizes) == len(block_metrics)):
             raise ValueError("block_sizes, phis, block_metrics must align")
 
@@ -149,10 +150,6 @@ class LeviCivitaSpec(Record):
     def dim(self):
         return sum(self.block_sizes)
 
-    @property
-    def offsets(self):
-        return _block_offsets(self.block_sizes)
-
     def p_fields(self):
         """P_i = prod_{j<i}(phi_i - phi_j) * prod_{j>i}(phi_j - phi_i), all > 0."""
         phis = self.phis  # the product starts from 1, which returns its first factor
@@ -171,11 +168,6 @@ def build_lc_pair(spec: LeviCivitaSpec, partner=True):
     ordering and PD block metrics, and pd_report() remains available.
     """
     chart = spec.chart
-    n = spec.dim
-    zero = ConstantField(chart, 0.0)
-    ps = spec.p_fields()
-    offsets = spec.offsets
-
     if partner:
         def positive(vals, pts):
             ok = np.array(vals).T > DEFAULT.eig_floor
@@ -189,32 +181,19 @@ def build_lc_pair(spec: LeviCivitaSpec, partner=True):
         scan(chart.sample(_ORDERING_SAMPLES, seed=7),
              lambda p: [phi.eval(p) for phi in spec.phis], positive)
 
-    g_entries = [[zero] * n for _ in range(n)]
-    gbar_entries = [[zero] * n for _ in range(n)] if partner else None
-    l_entries = [[zero] * n for _ in range(n)]
-
+    blocks = [[[p * e for e in row] for row in table]
+              for p, table in zip(spec.p_fields(), spec.block_metrics)]
+    g = MetricField(chart, block_diagonal(chart, blocks), validate=False)
+    gbar = None
     if partner:
         prod = functools.reduce(operator.mul,
                                 [phi ** k for phi, k in zip(spec.phis, spec.block_sizes)])
         rhos = [1.0 / (prod * phi) for phi in spec.phis]
-
-    for i, table in enumerate(spec.block_metrics):
-        k = spec.block_sizes[i]
-        base = offsets[i]
-        for a in range(k):
-            l_entries[base + a][base + a] = spec.phis[i]
-            for b in range(a, k):
-                entry = ps[i] * table[a][b]
-                g_entries[base + a][base + b] = entry
-                g_entries[base + b][base + a] = entry
-                if partner:
-                    pentry = rhos[i] * entry
-                    gbar_entries[base + a][base + b] = pentry
-                    gbar_entries[base + b][base + a] = pentry
-
-    g = MetricField(chart, g_entries, validate=False)
-    gbar = MetricField(chart, gbar_entries, validate=False) if partner else None
-    L = EndomorphismField(chart, l_entries)
+        gbar = MetricField(chart, block_diagonal(chart, [
+            [[rho * e for e in row] for row in block] for rho, block in zip(rhos, blocks)]),
+            validate=False)
+    L = EndomorphismField(chart, block_diagonal(
+        chart, [[[phi]] for phi, k in zip(spec.phis, spec.block_sizes) for _ in range(k)]))
     return g, gbar, L
 
 
@@ -281,30 +260,22 @@ class WarpedSpec(Record):
 
 
 def _lifted_base(spec: WarpedSpec, names, bounds):
-    """(chart, entries, lift): the product of the base chart with the
-    coordinates `names` in `bounds`, its entry table holding the lifted base
-    metric in the leading block and zeros elsewhere, and the index map that
-    lifts a base field."""
+    """(chart, block, lift): the product of the base chart with the
+    coordinates `names` in `bounds`, the base metric's table lifted to it,
+    and the index map that lifts a base field."""
     base = spec.base_chart
     chart = Chart(base.names + tuple(names), base.bounds + tuple(bounds))
     lift = tuple(range(base.dim))
-    zero = ConstantField(chart, 0.0)
-    entries = [[zero] * chart.dim for _ in range(chart.dim)]
-    for i in lift:
-        for j in range(i, base.dim):
-            entries[i][j] = entries[j][i] = ReindexedField(
-                chart, spec.base_metric.entries[i][j], lift)
-    return chart, entries, lift
+    return chart, [[ReindexedField(chart, e, lift) for e in row]
+                   for row in spec.base_metric.entries], lift
 
 
 def adjusted_metric(spec: WarpedSpec) -> MetricField:
     """g0 + sum_i sigma_i dy_i^2 on the base-times-fibers product chart."""
-    k0 = spec.base_chart.dim
-    chart, entries, lift = _lifted_base(
+    chart, block, lift = _lifted_base(
         spec, [f"y{i + 1}" for i in range(len(spec.warps))], spec.y_bounds)
-    for i, w in enumerate(spec.warps):
-        entries[k0 + i][k0 + i] = ReindexedField(chart, w, lift)
-    return MetricField(chart, entries, validate=False)
+    warps = [[[ReindexedField(chart, w, lift)]] for w in spec.warps]
+    return MetricField(chart, block_diagonal(chart, [block, *warps]), validate=False)
 
 
 def warped_metric(spec: WarpedSpec) -> MetricField:
@@ -316,19 +287,15 @@ def warped_metric(spec: WarpedSpec) -> MetricField:
     bounds = [b for fm in spec.fiber_metrics for b in fm.chart.bounds]
     if len(set(names)) != len(names) or set(names) & set(base.names):
         raise ValueError("fiber coordinate names must be disjoint")
-    chart, entries, lift_base = _lifted_base(spec, names, bounds)
-    off = base.dim
+    chart, block, lift_base = _lifted_base(spec, names, bounds)
+    blocks, off = [block], base.dim
     for fm, w in zip(spec.fiber_metrics, spec.warps):
-        kf = fm.chart.dim
-        lift_fiber = tuple(range(off, off + kf))
+        lift_fiber = tuple(range(off, off + fm.chart.dim))
         wlift = ReindexedField(chart, w, lift_base)
-        for a in range(kf):
-            for b in range(a, kf):
-                f = wlift * ReindexedField(chart, fm.entries[a][b], lift_fiber)
-                entries[off + a][off + b] = f
-                entries[off + b][off + a] = f
-        off += kf
-    return MetricField(chart, entries, validate=False)
+        blocks.append([[wlift * ReindexedField(chart, e, lift_fiber) for e in row]
+                       for row in fm.entries])
+        off += fm.chart.dim
+    return MetricField(chart, block_diagonal(chart, blocks), validate=False)
 
 
 # -- block curvature constants -------------------------------------------

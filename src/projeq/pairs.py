@@ -20,6 +20,7 @@ from .fields import (
     EndomorphismField,
     MetricField,
     VectorField,
+    block_diagonal,
     fmat_adjugate,
     fmat_det,
     fmat_mul,
@@ -215,14 +216,9 @@ def gbar_from_l(g, L, eig_floor=DEFAULT.eig_floor, samples=500, seed=0, validate
     n = g.dim
     adj_t = [[adj[j][i] for j in range(n)] for i in range(n)]
     raw = fmat_scale(fmat_mul(adj_t, g.entries), det_l ** -2.0)
-    sym = [[None] * n for _ in range(n)]
-    for i in range(n):
-        sym[i][i] = raw[i][i]
-        for j in range(i + 1, n):
-            shared = (raw[i][j] + raw[j][i]) * 0.5
-            sym[i][j] = shared
-            sym[j][i] = shared
-    return MetricField(chart, sym, validate=validate)
+    sym = [[(raw[i][j] + raw[j][i]) * 0.5 if i != j else raw[i][i] for j in range(n)]
+           for i in range(n)]
+    return MetricField(chart, block_diagonal(chart, [sym]), validate=validate)
 
 
 # --- flows -------------------------------------------------------------

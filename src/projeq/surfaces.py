@@ -411,15 +411,8 @@ def liouville_build(data: LiouvilleData):
     diff = X - Y
     g = MetricField.conformal(chart, diff, validate=False)
     weight = 1.0 / Y - 1.0 / X
-    zero = ConstantField(chart, 0.0)
-    gbar = MetricField(
-        chart,
-        [[weight / X, zero], [zero, weight / Y]],
-        validate=False,
-    )
-    integral = QuadraticIntegral2D.from_quadratic_form(
-        chart, Y / diff, zero, X / diff
-    )
+    gbar = MetricField.diagonal(chart, [weight / X, weight / Y], validate=False)
+    integral = QuadraticIntegral2D.from_quadratic_form(chart, Y / diff, 0.0, X / diff)
     return g, gbar, integral
 
 
@@ -566,25 +559,12 @@ def _example_torus() -> ExampleBundle:
     chart = Chart(("x", "y"), ((-8.0, 8.0), (-8.0, 8.0)))
     fx = "(3 + cos(2*pi*x))"
     fy = "(3 + cos(2*pi*y))"
-    zero = ConstantField(chart, 0.0)
     weight = as_field(chart, f"{fx} - 1/{fy}")
-    g = MetricField(
-        chart,
-        [
-            [weight * as_field(chart, f"sqrt{fx}"), zero],
-            [zero, weight * as_field(chart, f"1/sqrt{fy}")],
-        ],
-        validate=False,
-    )
+    g = MetricField.diagonal(chart, [weight * as_field(chart, f"sqrt{fx}"),
+                                     weight * as_field(chart, f"1/sqrt{fy}")], validate=False)
     weight_bar = as_field(chart, f"{fy} - 1/{fx}")
-    gbar = MetricField(
-        chart,
-        [
-            [weight_bar * as_field(chart, f"1/sqrt{fx}"), zero],
-            [zero, weight_bar * as_field(chart, f"sqrt{fy}")],
-        ],
-        validate=False,
-    )
+    gbar = MetricField.diagonal(chart, [weight_bar * as_field(chart, f"1/sqrt{fx}"),
+                                        weight_bar * as_field(chart, f"sqrt{fy}")], validate=False)
     pair = MetricPair(g, gbar)
     return ExampleBundle(
         name="torus",

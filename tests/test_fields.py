@@ -35,6 +35,7 @@ from projeq.fields import (
     ReindexedField,
     VectorField,
     as_field,
+    block_diagonal,
     coord,
     finite_differences,
     fmat_adjugate,
@@ -45,6 +46,15 @@ from projeq.fields import (
     require,
     require_finite,
 )
+from projeq.levicivita import (
+    WarpedSpec,
+    adjusted_metric,
+    build_lc_pair,
+    random_spec,
+    warped_metric,
+)
+from projeq.pairs import gbar_from_l
+from projeq.surfaces import LiouvilleData, builtin_example, liouville_build
 
 CHART2 = Chart(("x", "y"), ((-2.0, 2.0), (-2.0, 2.0)))
 CHART3 = Chart(("x", "y", "z"), ((-1.5, 1.5), (-1.5, 1.5), (-1.5, 1.5)))
@@ -320,6 +330,48 @@ def test_metric_symmetric_distinct_objects_accepted():
     x = POINTS2[0]
     m = g.matrix(x)
     assert m[0, 1] == m[1, 0]
+
+
+def test_block_diagonal_places_blocks_and_reads_only_upper_triangles():
+    # the lower entry "?" does not parse, so reading it would raise
+    table = block_diagonal(CHART3, [[["1", "x"], ["?", "2 + y^2"]], [[3.0]]])
+    zero = table[0][2]
+    assert isinstance(zero, ConstantField) and zero.value == 0.0
+    assert all(table[i][j] is zero for i, j in ((0, 2), (2, 0), (1, 2), (2, 1)))
+    assert table[1][0] is table[0][1]
+    m = MetricField(CHART3, table, validate=False).matrix(np.array([0.5, 1.0, 0.0]))
+    assert np.array_equal(m, [[1.0, 0.5, 0.0], [0.5, 3.0, 0.0], [0.0, 0.0, 3.0]])
+    with pytest.raises(ValueError, match="blocks of 2 rows on a 3-D chart"):
+        block_diagonal(CHART3, [[[1.0]], [[1.0]]])
+
+
+def test_every_block_diagonal_table_holds_each_symmetric_pair_as_one_object():
+    g, gbar, L = build_lc_pair(random_spec(2, 4))
+    base = MetricField.from_rows(CHART2, [["2 + x^2", "0.1*x*y"], ["0.1*x*y", "3"]],
+                                 validate=False)
+    fiber = MetricField.from_rows(Chart(("a", "b"), ((0.5, 1.0), (0.5, 1.0))),
+                                  [["2", "0.3*a"], ["0.3*a", "2 + b^2"]], validate=False)
+    liouville = liouville_build(LiouvilleData.create("x^2 + 2", "-y^2 - 1",
+                                                     bounds=((-1.5, 1.5), (-1.5, 1.5))))
+    torus = builtin_example("torus")
+    tables = {
+        "diagonal": MetricField.diagonal(CHART3, ["1", "2 + y^2", 3.0], validate=False),
+        "conformal": MetricField.conformal(CHART3, "2 + x^2", validate=False),
+        "euclidean": MetricField.euclidean(CHART3),
+        "from_function": MetricField.from_function(
+            CHART2, lambda xs: np.array([np.diag(2.0 + x ** 2) for x in xs]), validate=False),
+        "from_rows": MetricField.from_rows(CHART2, [["1", "x*y"], ["y*x", "2"]], validate=False),
+        "build_lc_pair g": g, "build_lc_pair gbar": gbar, "build_lc_pair L": L,
+        "gbar_from_l": gbar_from_l(g, L),
+        "adjusted_metric": adjusted_metric(WarpedSpec(base, ("2 + tanh(y)",), ((0.5, 1.0),))),
+        "warped_metric": warped_metric(WarpedSpec(base, ("2 + tanh(y)",), ((0.5, 1.0),),
+                                                  fiber_metrics=(fiber,))),
+        "liouville g": liouville[0], "liouville gbar": liouville[1],
+        "torus g": torus.metric, "torus gbar": torus.partner,
+    }
+    for name, table in tables.items():
+        for i, j in np.ndindex(table.dim, table.dim):
+            assert table.entries[i][j] is table.entries[j][i], (name, i, j)
 
 
 def test_metric_dmatrix_matches_fd():

@@ -951,9 +951,42 @@ def test_the_flow_kernels_fail_a_stack_at_its_first_failing_state():
     x = np.array([[0.5, 3.0], [0.0, 0.5]])
     stack, first = PhaseState(x, np.ones_like(x)), PhaseState(x[0], np.ones(2))
     for call in (lambda s: hamiltonian(g, s.x, s.p), lambda s: fam.value(s, 0.5),
-                 fam.t_coefficients, lambda s: fam.gradients(s, 0.5)):
+                 lambda s: fam.values(s, (0.5,)), fam.t_coefficients,
+                 lambda s: fam.gradients(s, 0.5)):
         with pytest.raises(DomainViolation) as one:
             call(first)
         with pytest.raises(DomainViolation) as stacked:
             call(stack)
         assert str(stacked.value) == str(one.value) and one.value.point == [0.5, 3.0]
+
+
+# g is numerically singular at y = 1e-13, singular at y = 0 and NaN at y = 3, where y^1000 overflows
+FAULTY = MetricField.diagonal(Chart(("x", "y"), ((-4.0, 4.0), (-4.0, 4.0))),
+                              ["1", "y + y^1000 - y^1000"], validate=False)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("y", [1e-13, 0.0])
+def test_the_metric_inverse_fails_a_stack_as_its_loop_does(y):
+    # the stacked check refuses the NaN row first; the loop stops at the singular row before it
+    x = np.array([[0.0, 0.5], [0.0, y], [0.0, 3.0]])
+    with pytest.raises(SingularMetric) as one:
+        FAULTY.inverse(x[1])
+    with pytest.raises(SingularMetric) as stacked:
+        FAULTY.inverse(x)
+    assert str(stacked.value) == str(one.value) == f"metric numerically singular at [0.0, {y}]"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("stacked", [False, True], ids=["one point", "3-point stack"])
+def test_sectional_refuses_a_nan_metric_before_the_plane_check(stacked):
+    g, _, _ = build_lc_pair(random_spec(2, 4), partner=False)
+    good, nan = g.chart.center(), np.full(4, math.nan)
+    x = np.array([good, nan, good]) if stacked else nan
+    with pytest.raises(DomainViolation) as err:
+        sectional(g, x, *np.eye(4)[:2])
+    assert str(err.value) == "non-finite metric entry at [nan, nan, nan, nan]"
+    y3 = np.array([[0.0, 0.5], [0.0, 3.0], [0.0, 0.5]]) if stacked else np.array([0.0, 3.0])
+    with pytest.raises(DomainViolation) as err:
+        sectional(FAULTY, y3, *np.eye(2))
+    assert str(err.value) == "non-finite metric entry at [0.0, 3.0]"
