@@ -44,6 +44,20 @@ _FLOW_SYM = 1e-3         # example: eps_sym_factor of the flow's finite-differen
 _SECTIONAL = 1e-8        # example: sectional curvature against its expected value
 
 
+def _at_most(name, value, bound, points=None, what=None, /, **detail):
+    """The audit that passes when value <= bound. Per-point values with their
+    points (and what they are, for the error) are first reduced to their
+    worst by fields.worst_point, which raises at a non-finite value."""
+    if points is not None:
+        value, _ = worst_point(value, points, what)
+    return reports.audit(name, value, bound, value <= bound, **detail)
+
+
+def _above(name, value, bound, **detail):
+    """The audit that passes when value > bound."""
+    return reports.audit(name, value, bound, value > bound, **detail)
+
+
 def _ensure_endo(scene: Scene):
     if scene.endo is None and scene.pair is not None:
         scene.endo = l_field_from_pair(scene.pair)
@@ -91,9 +105,7 @@ def _cmd_check_bm(scene, m, out_dir):
     pts = scene.chart.sample(m.run.samples, seed=m.run.seed)
     stats = bm_residual_stats(scene.metric, scene.endo, pts,
                               eps_sym_factor=tols.eps_sym_factor)
-    audits = [reports.audit("bm_residual_max", stats["max"], tols.bm_tol,
-                            stats["max"] <= tols.bm_tol, **stats)]
-    return audits, {"bm": stats}, []
+    return [_at_most("bm_residual_max", stats["max"], tols.bm_tol, **stats)], {"bm": stats}, []
 
 
 def _cmd_pair(scene, m, out_dir):
@@ -109,14 +121,12 @@ def _cmd_pair(scene, m, out_dir):
         extra["built"] = "partner"
         extra["gbar_at_center"] = gbar.matrix(center)
         rep = gbar.pd_report(samples=m.run.samples, seed=m.run.seed)
-        audits.append(reports.audit(
-            "partner_positive_definite", rep["min_eigenvalue"], tols.eps_pd,
-            rep["min_eigenvalue"] > tols.eps_pd, worst_point=rep["worst_point"]))
+        audits.append(_above("partner_positive_definite", rep["min_eigenvalue"], tols.eps_pd,
+                             worst_point=rep["worst_point"]))
         pts = scene.chart.sample(50, seed=m.run.seed + 1)
-        worst, _ = worst_point(np.max(np.abs(
+        audits.append(_at_most("round_trip_endo", np.max(np.abs(
             l_from_pair(scene.metric, gbar, pts) - scene.endo.matrix(pts)), axis=(-2, -1)),
-            pts, "round-trip endomorphism")
-        audits.append(reports.audit("round_trip_endo", worst, _ROUND_TRIP, worst <= _ROUND_TRIP))
+            _ROUND_TRIP, pts, "round-trip endomorphism"))
     else:
         endo = _ensure_endo(scene)
         extra["built"] = "endomorphism"
@@ -124,9 +134,7 @@ def _cmd_pair(scene, m, out_dir):
         extra["spectrum_at_center"] = spectrum_at(scene.metric, endo, center)
         worst = endo.self_adjoint_defect(
             scene.metric, scene.chart.sample(min(m.run.samples, 200), seed=m.run.seed))
-        bound = 10.0 * tols.eps_sym_factor
-        audits.append(reports.audit(
-            "self_adjoint_defect", worst, bound, worst <= bound))
+        audits.append(_at_most("self_adjoint_defect", worst, 10.0 * tols.eps_sym_factor))
     return audits, extra, []
 
 
@@ -175,10 +183,8 @@ def _cmd_geodesic(scene, m, out_dir):
     for idx, (traj, table) in enumerate(zip(trajs, tables)):
         drift = span_stats(table[:, 1 + 2 * traj.dim])
         bound = tols.energy_drift_factor * tols.integrator_tol
-        audits.append(reports.audit(
-            f"energy_drift[{idx}]", drift["drift"], bound,
-            drift["drift"] <= bound, status=traj.status,
-            t_end=traj.t_end))
+        audits.append(_at_most(f"energy_drift[{idx}]", drift["drift"], bound,
+                               status=traj.status, t_end=traj.t_end))
     # written once every trajectory has finished: a structural error leaves no CSV
     cols = (["t"] + [f"x_{nm}" for nm in scene.chart.names]
             + [f"p_{nm}" for nm in scene.chart.names] + ["H"]
@@ -210,13 +216,10 @@ def _cmd_conserve(scene, m, out_dir):
         path, ["trajectory", "integral", "first", "last", "min", "max", "drift"],
         rows)
     energy_worst, *worst = np.max(drifts, axis=0, initial=0.0).tolist()
-    audits = [
-        reports.audit(f"drift[{name}]", w, tols.drift_bound, w <= tols.drift_bound)
-        for (name, _), w in zip(monitored, worst)
-    ]
-    bound = tols.energy_drift_factor * tols.integrator_tol
-    audits.append(reports.audit("energy_drift", energy_worst, bound,
-                                energy_worst <= bound))
+    audits = [_at_most(f"drift[{name}]", w, tols.drift_bound)
+              for (name, _), w in zip(monitored, worst)]
+    audits.append(_at_most("energy_drift", energy_worst,
+                           tols.energy_drift_factor * tols.integrator_tol))
     extra = {"trajectories": len(drifts)}
 
     if scene.endo is not None and not scene.integrals:
@@ -227,19 +230,15 @@ def _cmd_conserve(scene, m, out_dir):
                                min(m.run.geodesics, 20), m.run.seed + 7)
         ts = m.run.t_grid or default_t_grid(scene)
         comm = fam.commutation_report(states, list(ts), tol=tols.commutation_tol)
-        audits.append(reports.audit("commutation", comm["max_scaled_bracket"],
-                                    tols.commutation_tol, comm["pass"],
-                                    worst=comm.get("worst")))
+        audits.append(_at_most("commutation", comm["max_scaled_bracket"],
+                               tols.commutation_tol, worst=comm.get("worst")))
         inter = interlacing_audit(fam, states, slack=tols.interlace_slack)
-        audits.append(reports.audit("interlacing", inter["max_violation"],
-                                    tols.interlace_slack, inter["pass"],
-                                    worst=inter.get("worst")))
+        audits.append(_at_most("interlacing", inter["max_violation"],
+                               tols.interlace_slack, worst=inter.get("worst")))
         pts = scene.chart.sample(min(m.run.samples, 200), seed=m.run.seed)
         order = ordering_audit(scene.metric, scene.endo, pts,
                                tau_ord=tols.tau_ord)
-        audits.append(reports.audit("eigenvalue_ordering",
-                                    order["max_violation"], tols.tau_ord,
-                                    order["pass"]))
+        audits.append(_at_most("eigenvalue_ordering", order["max_violation"], tols.tau_ord))
         extra["ordering_bands"] = order["bands"]
     return audits, extra, [path]
 
@@ -249,18 +248,14 @@ def _cmd_weyl(scene, m, out_dir):
     pts = scene.chart.sample(min(m.run.samples, 500), seed=m.run.seed)
     audits = []
     extra = {}
-    trace_worst, _ = worst_point(weyl_trace_defect(projective_weyl(scene.metric, pts[:20])),
-                                 pts[:20], "Weyl trace")
-    audits.append(reports.audit("weyl_trace_defect", trace_worst,
-                                tols.weyl_trace_tol,
-                                trace_worst <= tols.weyl_trace_tol))
+    audits.append(_at_most("weyl_trace_defect",
+                           weyl_trace_defect(projective_weyl(scene.metric, pts[:20])),
+                           tols.weyl_trace_tol, pts[:20], "Weyl trace"))
     if scene.pair is not None:
         rep = weyl_pair_defect(scene.pair, pts)
         extra["pair_defect"] = rep
-        audits.append(reports.audit("weyl_pair_invariance", rep["max"],
-                                    tols.weyl_pair_tol,
-                                    rep["max"] <= tols.weyl_pair_tol,
-                                    worst_point=rep["worst_point"]))
+        audits.append(_at_most("weyl_pair_invariance", rep["max"], tols.weyl_pair_tol,
+                               worst_point=rep["worst_point"]))
     else:
         entries = np.abs(projective_weyl(scene.metric, pts[:50]))
         extra["weyl_max_entry"], _ = worst_point(np.max(entries, axis=(-4, -3, -2, -1)),
@@ -272,20 +267,18 @@ def _pick_integral(scene, m):
     from .surfaces import integral_from_pair2d
 
     name = m.run.integral
-    if scene.bundle is not None and name:
-        try:
-            return name, scene.bundle.integrals[name]
-        except KeyError:
-            raise ManifestError(
-                f"bundle has no integral {name!r}; available: "
-                f"{sorted(scene.bundle.integrals)}"
-            ) from None
-    if scene.integrals and (name in scene.integrals or not name):
-        name = name or min(scene.integrals)  # the first by name when none is asked for
+    # a geometry with no integrals of its own offers a 2-D pair's, built once chosen
+    available = sorted(scene.integrals) or (
+        ["pair_integral"] if scene.pair is not None and scene.chart.dim == 2 else [])
+    if name and name not in available:
+        raise ManifestError(f"{'bundle' if scene.bundle is not None else 'geometry'} has no "
+                            f"integral {name!r}; available: {available}")
+    if not available:
+        raise ManifestError("classify2d needs a named integral or a 2-D pair")
+    name = name or available[0]  # the first by name when none is asked for
+    if name in scene.integrals:
         return name, scene.integrals[name]
-    if scene.pair is not None and scene.chart.dim == 2:
-        return "pair_integral", integral_from_pair2d(scene.pair)
-    raise ManifestError("classify2d needs a named integral or a 2-D pair")
+    return name, integral_from_pair2d(scene.pair)
 
 
 def _cmd_classify2d(scene, m, out_dir):
@@ -330,14 +323,13 @@ def _cmd_lc_build(scene, m, out_dir):
     chart = scene.chart
     pts = chart.sample(m.run.samples, seed=m.run.seed)
     stats = bm_residual_stats(g, endo, pts, eps_sym_factor=tols.eps_sym_factor)
-    audits = [reports.audit("bm_residual_max", stats["max"], tols.bm_tol,
-                            stats["max"] <= tols.bm_tol)]
+    audits = [_at_most("bm_residual_max", stats["max"], tols.bm_tol)]
 
     rebuilt = gbar_from_l(g, endo, eig_floor=tols.eig_floor,
                           samples=min(m.run.samples, 300), seed=m.run.seed)
     mats = scan(pts[:50], lambda p: (rebuilt.matrix(p), gbar.matrix(p)))
     worst = float(np.max(np.abs(mats[0] - mats[1]), initial=0.0))
-    audits.append(reports.audit("partner_round_trip", worst, _ROUND_TRIP, worst <= _ROUND_TRIP))
+    audits.append(_at_most("partner_round_trip", worst, _ROUND_TRIP))
 
     vals = np.array(scan(pts, lambda p: [phi.eval(p) for phi in scene.lc_spec.phis]))
     sep = float(np.min(vals[1:] - vals[:-1], initial=np.inf))
@@ -346,9 +338,7 @@ def _cmd_lc_build(scene, m, out_dir):
 
     for label, metric in (("g", g), ("gbar", gbar)):
         rep = metric.pd_report(samples=min(m.run.samples, 2000), seed=m.run.seed)
-        audits.append(reports.audit(f"{label}_positive_definite",
-                                    rep["min_eigenvalue"], tols.eps_pd,
-                                    rep["min_eigenvalue"] > tols.eps_pd))
+        audits.append(_above(f"{label}_positive_definite", rep["min_eigenvalue"], tols.eps_pd))
     center = chart.center()
     extra = {
         "g_at_center": g.matrix(center),
@@ -372,12 +362,8 @@ def _cmd_split(scene, m, out_dir):
     h, rep = split(scene.metric, scene.endo, r,
                    tau_deg_factor=tols.tau_deg_factor,
                    samples=min(m.run.samples, 200), seed=m.run.seed)
-    audits = [
-        reports.audit("h_positive_definite", rep["h_min_eigenvalue"], tols.eps_pd,
-                      rep["h_min_eigenvalue"] > tols.eps_pd),
-        reports.audit("spectral_gap", rep["gap_min"], 0.0, rep["gap_min"] > 0.0),
-    ]
-    return audits, rep, []
+    return [_above("h_positive_definite", rep["h_min_eigenvalue"], tols.eps_pd),
+            _above("spectral_gap", rep["gap_min"], 0.0)], rep, []
 
 
 def _killing_audits(scene, m, expected):
@@ -422,8 +408,7 @@ def _pair_bm_audits(scene, m, expected):
     pts = scene.chart.sample(min(m.run.samples, 200), seed=m.run.seed)
     stats = bm_residual_stats(scene.metric, scene.endo, pts,
                               eps_sym_factor=m.tolerances.eps_sym_factor)
-    tol_bm = expected["bm_residual_tol"]
-    yield reports.audit("pair_bm_residual", stats["max"], tol_bm, stats["max"] <= tol_bm)
+    yield _at_most("pair_bm_residual", stats["max"], expected["bm_residual_tol"])
     margin = expected.get("margin_at_least", 0.0)
     for label in ("weight", "weight_partner"):
         floor = float(np.min(as_field(scene.chart, scene.bundle.params[label]).eval(pts)))
@@ -434,18 +419,15 @@ def _flow_bm_audits(scene, m, expected):
     flow = ProjectiveFlowSpec(scene.metric, scene.bundle.vector_fields["projective_generator"])
     stats = bm_residual_stats(scene.metric, bm_from_flow_field(flow),
                               scene.chart.sample(100, seed=m.run.seed), eps_sym_factor=_FLOW_SYM)
-    tol_bm = expected["flow_bm_residual_tol"]
-    yield reports.audit("flow_bm_residual", stats["max"], tol_bm, stats["max"] <= tol_bm)
+    yield _at_most("flow_bm_residual", stats["max"], expected["flow_bm_residual_tol"])
 
 
 def _sectional_audits(scene, m, expected):
     want_k = expected["sectional"]
     pts = scene.chart.sample(100, seed=m.run.seed)[:20]
     e1, e2 = np.eye(scene.chart.dim)[:2]
-    worst, _ = worst_point(np.abs(sectional(scene.metric, pts, e1, e2) - want_k),
-                           pts, "sectional curvature")
-    yield reports.audit("sectional_curvature", worst, _SECTIONAL, worst <= _SECTIONAL,
-                        expected=want_k)
+    yield _at_most("sectional_curvature", np.abs(sectional(scene.metric, pts, e1, e2) - want_k),
+                   _SECTIONAL, pts, "sectional curvature", expected=want_k)
 
 
 # the audits of `example` in report order, each run when the bundle's

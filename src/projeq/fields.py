@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -149,8 +150,9 @@ class ScalarField:
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        if isinstance(other, ConstantField):
-            return self * (1.0 / other.value)
+        if isinstance(other, ConstantField) and (
+                recip := _folded(self.chart, lambda: 1.0 / other.value)) is not None:
+            return self * recip
         return self * _OpField("unary", other, fn_name="recip")
 
     def __rtruediv__(self, other):
@@ -165,8 +167,9 @@ class ScalarField:
             return ConstantField(self.chart, 1.0)
         if e == 1.0:
             return self
-        if isinstance(self, ConstantField):
-            return ConstantField(self.chart, self.value ** e)
+        if isinstance(self, ConstantField) and (
+                power := _folded(self.chart, lambda: self.value ** e)) is not None:
+            return power
         return _OpField("power", self, exponent=e)
 
     def apply(self, fn_name):
@@ -184,6 +187,19 @@ class ScalarField:
     def sample_range(self, count=200, seed=0):
         vals = self.eval(self.chart.sample(count, seed=seed))
         return float(vals.min()), float(vals.max())
+
+
+def _folded(chart, compute):
+    """ConstantField(chart, compute()) when that is a finite real float, else
+    None: a constant operation that fails stays a node, which raises
+    DomainViolation at the first point it is evaluated at, as jets does."""
+    try:
+        value = compute()
+    except ArithmeticError:
+        return None
+    if isinstance(value, float) and math.isfinite(value):
+        return ConstantField(chart, value)
+    return None
 
 
 class ConstantField(ScalarField):

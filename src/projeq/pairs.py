@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curvature import christoffel, christoffel_from, ricci, riemann
-from .errors import NonPositiveSpectrum, NotPositiveDefinite, SingularMatrix
+from .errors import NonPositiveSpectrum, NotPositiveDefinite, SingularMatrix, WrongDimension
 from .fields import (
     EndomorphismField,
     MetricField,
@@ -300,9 +300,12 @@ def projective_weyl(g, x, riem=None):
 
     W = R + (delta^i_l Ric_jk - delta^i_k Ric_jl) / (n - 1). Both traces
     over (i, k) and (i, l) vanish; constant-curvature metrics give W = 0.
-    Identically zero in dimension 2.
+    Identically zero in dimension 2, and undefined in dimension 1
+    (WrongDimension).
     """
     n = g.dim
+    if n < 2:
+        raise WrongDimension(f"the projective Weyl tensor needs dimension >= 2, got {n}")
     if riem is None:
         riem = riemann(g, x)
     ric = ricci(g, x, riem=riem)

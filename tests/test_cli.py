@@ -148,6 +148,18 @@ CONTRACT_PAIR = {
     "geometry": {"kind": "pair", "g": [["2 - x", "0"], ["0", "4 - 2*x"]],
                  "gbar": [["1", "0"], ["0", "1"]]},
 }
+# the "metric-1d" and "pair-numeric" bases: a chart with no Weyl tensor, and a pair
+# whose JSON numbers fold to constants as the fields are built
+CONTRACT_METRIC_1D = {
+    "chart": {"names": ["x"], "bounds": [[0.5, 1.5]]},
+    "geometry": {"kind": "metric", "entries": [["1 + x^2"]]},
+    "endomorphism": [["x"]],
+    "vector_field": ["1"],
+}
+CONTRACT_PAIR_NUMERIC = {
+    "chart": CONTRACT_PAIR["chart"],
+    "geometry": {"kind": "pair", "g": [[2, 0], [0, 4]], "gbar": [[1, 0], [0, 1]]},
+}
 
 
 @pytest.mark.parametrize("command, manifest, error, names", [
@@ -200,6 +212,15 @@ CONTRACT_PAIR = {
     ("check-bm", {**CONTRACT_METRIC, "geometry": {**CONTRACT_METRIC["geometry"], "entries": [
         ["1 + x^2", "0"], ["0", 1e300]]}, "run": {"seed": 0, "samples": 12}},
      "DomainViolation", "non-finite g*L norm entry at ["),
+    ("weyl", {**CONTRACT_METRIC_1D, "run": {"seed": 0, "samples": 12}},
+     "WrongDimension", "the projective Weyl tensor needs dimension >= 2, got 1"),
+    ("pair", {**CONTRACT_PAIR_NUMERIC, "geometry": {**CONTRACT_PAIR_NUMERIC["geometry"],
+                                                    "gbar": [[0, 0], [0, 1]]},
+              "run": {"seed": 0, "samples": 12}},
+     "DomainViolation", "0.0 cannot be raised to a negative power in '(0.0)^"),
+    ("classify2d", liouville_manifest(integral="liouville_intgral"),
+     "ManifestError", "geometry has no integral 'liouville_intgral'; "
+                      "available: ['liouville_integral']"),
     ("check-bm", {**CONTRACT_PAIR, "geometry": {**CONTRACT_PAIR["geometry"], "g": [
         ["2 - x", "0"], ["0", 1e300]]}, "run": {"seed": 0, "samples": 12}},
      "DomainViolation", "non-finite g*L entry at ["),
@@ -210,6 +231,7 @@ CONTRACT_PAIR = {
         "tol-abc", "tol-null", "tol-true", "tol-negative", "tol-nan",
         "t-grid-inf", "t-grid-1e300", "phis-longer-than-blocks", "coordinate-named-e",
         "metric-entry-1e300",
+        "weyl-1d", "gbar-zero-determinant", "unknown-integral",
         "pair-entry-1e300"])
 def test_bad_input_exits_2_with_named_error(tmp_path, command, manifest, error, names):
     m = write_manifest(tmp_path, manifest)
@@ -371,6 +393,24 @@ def test_the_family_columns_build_g_and_l_once(tmp_path, monkeypatch):
     assert run("conserve", str(lc3), tmp_path / "out") == 0
     # H's column, then every I_t column from one build of each (five of each before)
     assert calls == {"g": 2, "L": 1}
+
+
+@pytest.mark.parametrize("command, audit, tol, code", [
+    ("check-bm", "bm_residual_max", "bm_tol", 0),         # at most: passes at its bound
+    ("split", "h_positive_definite", "eps_pd", 1),       # above: fails at its bound
+    ("lc-build", "ordering_margin", "ordering_margin", 0),  # at least: passes at its bound
+])
+def test_each_verdict_rule_at_its_bound(tmp_path, command, audit, tol, code):
+    lc3 = str(Path(__file__).parents[1] / "perfbench" / "manifests" / "lc3.json")
+    assert run(command, lc3, tmp_path / "free") == 0
+    value = next(a["value"] for a in report_of(tmp_path / "free")["audits"]
+                 if a["audit"] == audit)
+    out = tmp_path / "at-bound"
+    assert run(command, lc3, out, "--tol", f"{tol}={value!r}") == code
+    rep = report_of(out)
+    assert rep["tolerances"][tol] == value
+    failed = [a["audit"] for a in rep["audits"] if not a["pass"]]
+    assert failed == ([audit] if code else [])
 
 
 def test_a_non_finite_monitored_value_is_a_structural_error(tmp_path, monkeypatch):
@@ -812,6 +852,8 @@ CONTRACT_BASES = {
     "pair": CONTRACT_PAIR,
     "liouville": liouville_manifest(),
     "example": {"geometry": {"kind": "example", "name": "example1", "gamma": 1.0}},
+    "metric-1d": CONTRACT_METRIC_1D,
+    "pair-numeric": CONTRACT_PAIR_NUMERIC,
 }
 # where a value may be replaced (a missing key is added)
 COMMON_PATHS = [
@@ -831,6 +873,11 @@ KIND_PATHS = {
              ("geometry", "gbar", 0, 0), ("vector_field",)],
     "liouville": [("geometry", "X"), ("geometry", "Y"), ("vector_field",)],
     "example": [("geometry", "name"), ("geometry", "gamma"), ("vector_field",)],
+    "metric-1d": [("geometry", "entries"), ("geometry", "entries", 0),
+                  ("geometry", "entries", 0, 0), ("endomorphism", 0), ("endomorphism", 0, 0),
+                  ("vector_field",), ("vector_field", 0)],
+    "pair-numeric": [("geometry", "g"), ("geometry", "g", 0, 0), ("geometry", "g", 1, 1),
+                     ("geometry", "gbar"), ("geometry", "gbar", 0, 0), ("vector_field",)],
 }
 BAD_VALUES = [0, -1, "abc", None, [], [["1", "0"], ["0"]], "log(x1)", "x", "y",
               [1.0, -1.0], [0.5, 0.5], ["x", "x"], float("nan"), 1e300, "inf",
