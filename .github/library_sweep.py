@@ -6,11 +6,12 @@ chart), each alone and as the middle row of a 3-point stack whose other
 rows are the chart's centre, with numpy's RuntimeWarnings as errors. A run
 breaks when the kernel raises anything but a named error (a ProjeqError),
 names no point or a point other than the bad one, or returns a non-finite
-value. Raw field evaluation (matrix, dmatrix, jet, eval) is the hot path
-and is left unchecked on purpose, so it is not swept. The deep trees run
-too: a 5,000-term expression's ==, hash and repr, and a 3,000-link field
-sum's value, gradient and Hessian, each equal to the sum taken term by
-term.
+value; an audit's dict (bm_residual_stats, ordering_audit) breaks it too
+when a point it reports is not one of the points it was given. Raw field
+evaluation (matrix, dmatrix, jet, eval) is the hot path and is left
+unchecked on purpose, so it is not swept. The deep trees run too: a
+5,000-term expression's ==, hash and repr, and a 3,000-link field sum's
+value, gradient and Hessian, each equal to the sum taken term by term.
 
 The two-fault mode runs the kernels on a 2-D pair with three faults in y:
 g = diag(1, y + y^1000 - y^1000) and gbar = diag(2, y + y^1000 - y^1000)
@@ -39,18 +40,27 @@ from projeq.curvature import christoffel, ricci, riemann, sectional
 from projeq.errors import ProjeqError
 from projeq.expressions import parse_expression
 from projeq.fields import EndomorphismField, MetricField, PhaseState, as_field
-from projeq.flows import IntegralFamily
+from projeq.flows import IntegralFamily, ordering_audit
 from projeq.geodesics import hamiltonian
 from projeq.levicivita import build_lc_pair, random_spec
-from projeq.pairs import bm_residual, l_from_pair, nijenhuis_torsion, projective_weyl, spectra_at
+from projeq.pairs import (
+    bm_residual,
+    bm_residual_stats,
+    l_from_pair,
+    nijenhuis_torsion,
+    projective_weyl,
+    spectra_at,
+)
 
 BAD_VALUES = [math.nan, math.inf, -math.inf, 1e300, 5e-324, 100.0]
 T = 0.5  # the I_t kernels' parameter
+POINT_KEYS = ("worst_point", "argmax", "argmin")  # the points an audit's dict reports
 FAULT_YS = [1e-13, 0.0, 3.0]  # the two-fault pair's numerically singular, singular and NaN rows
 TWO_FAULT_EXEMPT = {
     # a stack's finite check runs before its NotPositiveDefinite, which names the
     # worst point, the smallest eigenvalue, not the first failing one
     "spectra_at",
+    "ordering_audit",  # through spectra_at
     # every plane of a stack is checked before any curvature
     "sectional",
 }
@@ -71,8 +81,10 @@ def kernels(g, gbar, L, fam):
         ("projective_weyl", lambda x: projective_weyl(g, x)),
         ("sectional", lambda x: sectional(g, x, e1, e2)),
         ("bm_residual", lambda x: bm_residual(g, L, x)),
+        ("bm_residual_stats", lambda x: bm_residual_stats(g, L, x)),
         ("l_from_pair", lambda x: l_from_pair(g, gbar, x)),
         ("spectra_at", lambda x: spectra_at(g, L, x)),
+        ("ordering_audit", lambda x: ordering_audit(g, L, x)),
         ("MetricField.inverse", g.inverse),
         ("MetricField.det", g.det),
         ("nijenhuis_torsion", lambda x: nijenhuis_torsion(L, x)),
@@ -94,7 +106,9 @@ def two_fault_pair():
 
 
 def finite(value):
-    """Whether every number in value, an array or a tuple or list of them, is finite."""
+    """Whether every number in value, an array or a tuple, list or dict of them, is finite."""
+    if isinstance(value, dict):  # its points echo the input, checked in broken
+        return finite([v for k, v in value.items() if k not in POINT_KEYS])
     if isinstance(value, (tuple, list)):
         return all(finite(v) for v in value)
     return bool(np.isfinite(np.asarray(value, dtype=float)).all())
@@ -113,7 +127,22 @@ def broken(kernel, x, bad):
         return None
     except Exception as err:  # noqa: BLE001 - any other exception breaks the run
         return f"raised {type(err).__name__}: {err}"
-    return None if finite(value) else "returned a non-finite value"
+    if not finite(value):
+        return "returned a non-finite value"
+    points = np.reshape(x, (-1, len(bad)))
+    for point in reported_points(value):
+        if not any(np.array_equal(point, row, equal_nan=True) for row in points):
+            return f"reported {point}, which is not one of its points"
+    return None
+
+
+def reported_points(value):
+    """The points in an audit's dict (and in its bands), or none for another value."""
+    if isinstance(value, list):
+        return [p for v in value for p in reported_points(v)]
+    if not isinstance(value, dict):
+        return []
+    return [value[k] for k in POINT_KEYS if k in value] + reported_points(value.get("bands"))
 
 
 def deep_trees():

@@ -154,13 +154,13 @@ def _run_trajectories(scene, m, monitored):
 
 
 def _sample_columns(g, trajs, monitored):
-    """Each run on monitor_along's 201-point time grid as columns t, x, p, H
+    """Each run on monitor_along's time grid as columns t, x, p, H
     and one per monitored quantity: one table per run, each column filled for
     every run by one stacked call (the family's I_t from one `values` call, made
     after H's column, so that H's error comes first)."""
-    from .geodesics import hamiltonian, monitored_values
+    from .geodesics import _MONITOR_GRID, hamiltonian, monitored_values
 
-    grids = [np.linspace(traj.ts[0], traj.t_end, 201) for traj in trajs]
+    grids = [np.linspace(traj.ts[0], traj.t_end, _MONITOR_GRID) for traj in trajs]
     ys = np.concatenate([traj.sample(ts) for traj, ts in zip(trajs, grids)])
     n = trajs[0].dim
     xs, ps = ys[:, :n], ys[:, n:]
@@ -246,11 +246,10 @@ def _cmd_conserve(scene, m, out_dir):
 def _cmd_weyl(scene, m, out_dir):
     tols = m.tolerances
     pts = scene.chart.sample(min(m.run.samples, 500), seed=m.run.seed)
-    audits = []
+    audits = [_at_most("weyl_trace_defect",
+                       weyl_trace_defect(projective_weyl(scene.metric, pts[:20])),
+                       tols.weyl_trace_tol, pts[:20], "Weyl trace")]
     extra = {}
-    audits.append(_at_most("weyl_trace_defect",
-                           weyl_trace_defect(projective_weyl(scene.metric, pts[:20])),
-                           tols.weyl_trace_tol, pts[:20], "Weyl trace"))
     if scene.pair is not None:
         rep = weyl_pair_defect(scene.pair, pts)
         extra["pair_defect"] = rep
@@ -281,38 +280,39 @@ def _pick_integral(scene, m):
     return name, integral_from_pair2d(scene.pair)
 
 
-def _cmd_classify2d(scene, m, out_dir):
+def _classify(integral, m, linear=False):
+    """A surface integral's principal form and model class under the run's
+    tolerances, as (tag, fit, model): ("EnergyProportional", None, None)
+    when the form is undefined. `linear` attests a linear reduction."""
     from .surfaces import classify_model, principal_form
 
-    tols = m.tolerances
+    try:
+        pf = principal_form(integral, samples=64, seed=m.run.seed,
+                            fit_tol_factor=m.tolerances.fit_tol_factor)
+    except EnergyProportional:
+        return "EnergyProportional", None, None
+    mc = classify_model(pf, has_linear_reduction=linear, tau_root=m.tolerances.tau_root)
+    return mc.tag, pf, mc
+
+
+def _cmd_classify2d(scene, m, out_dir):
     name, integral = _pick_integral(scene, m)
     expected = None
     if scene.bundle is not None and scene.bundle.expected:
         expected = scene.bundle.expected.get("model_of", {}).get(name)
-    audits = []
-    extra = {"integral": name}
-    try:
-        pf = principal_form(integral, samples=64, seed=m.run.seed,
-                            fit_tol_factor=tols.fit_tol_factor)
-    except EnergyProportional:
-        extra["model"] = "EnergyProportional"
-        ok = expected is None or expected == "EnergyProportional"
-        audits.append(reports.audit("classification", "EnergyProportional",
-                                    expected, ok))
-        return audits, extra, []
-    mc = classify_model(pf, has_linear_reduction=m.run.has_linear_reduction,
-                        tau_root=tols.tau_root)
-    extra.update({
-        "model": mc.tag,
-        "roots": list(mc.roots),  # each complex number a {"re", "im"} pair in the report
-        "flatten": mc.flatten_id,
-        "coefficients": {"alpha": pf.alpha, "beta": pf.beta, "gamma": pf.gamma},
-        "fit_residual": pf.residual,
-    })
-    ok = expected is None or mc.tag == expected
-    audits.append(reports.audit("classification", mc.tag, expected, ok,
-                                residual=pf.residual))
-    return audits, extra, []
+    tag, pf, mc = _classify(integral, m, m.run.has_linear_reduction)
+    extra = {"integral": name, "model": tag}
+    detail = {}
+    if pf is not None:
+        extra.update({
+            "roots": list(mc.roots),  # each complex number a {"re", "im"} pair in the report
+            "flatten": mc.flatten_id,
+            "coefficients": {"alpha": pf.alpha, "beta": pf.beta, "gamma": pf.gamma},
+            "fit_residual": pf.residual,
+        })
+        detail["residual"] = pf.residual
+    return [reports.audit("classification", tag, expected, expected is None or tag == expected,
+                          **detail)], extra, []
 
 
 def _cmd_lc_build(scene, m, out_dir):
@@ -379,26 +379,15 @@ def _killing_audits(scene, m, expected):
 
 
 def _model_audits(scene, m, expected):
-    from .surfaces import classify_model, principal_form
-
-    tols = m.tolerances
     for name, want_tag in sorted(expected["model_of"].items()):
-        pf = principal_form(scene.bundle.integrals[name], samples=64, seed=m.run.seed,
-                            fit_tol_factor=tols.fit_tol_factor)
-        mc = classify_model(pf, tau_root=tols.tau_root)
-        yield reports.audit(f"model[{name}]", mc.tag, want_tag, mc.tag == want_tag)
+        tag, _, _ = _classify(scene.bundle.integrals[name], m)
+        yield reports.audit(f"model[{name}]", tag, want_tag, tag == want_tag)
 
 
 def _energy_proportional_audits(scene, m, expected):
-    from .surfaces import principal_form
-
     for name in expected["energy_proportional"]:
-        try:
-            principal_form(scene.bundle.integrals[name], samples=64, seed=m.run.seed,
-                           fit_tol_factor=m.tolerances.fit_tol_factor)
-            got = "classified"
-        except EnergyProportional:
-            got = "EnergyProportional"
+        tag, _, _ = _classify(scene.bundle.integrals[name], m)
+        got = tag if tag == "EnergyProportional" else "classified"
         yield reports.audit(f"energy_proportional[{name}]", got, "EnergyProportional",
                             got == "EnergyProportional")
 

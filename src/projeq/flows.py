@@ -282,7 +282,8 @@ def ordering_audit(g, L, points, tau_ord=DEFAULT.tau_ord) -> dict:
     strong form needed for the roots of different phase points to be
     comparable; pointwise ordering is weaker and not what is audited.
     """
-    lams = spectra_at(g, L, points)
+    pts = np.reshape(points, (-1, g.dim))
+    lams = spectra_at(g, L, pts)
     his, los = lams[:, :-1].max(axis=0), lams[:, 1:].min(axis=0)
     his_at, los_at = np.argmax(lams[:, :-1], axis=0), np.argmin(lams[:, 1:], axis=0)
     bands = [{
@@ -290,8 +291,8 @@ def ordering_audit(g, L, points, tau_ord=DEFAULT.tau_ord) -> dict:
         "upper_max": float(his[i]),
         "next_min": float(los[i]),
         "violation": float(his[i] - los[i]),
-        "argmax": [float(v) for v in points[his_at[i]]],
-        "argmin": [float(v) for v in points[los_at[i]]],
+        "argmax": [float(v) for v in pts[his_at[i]]],
+        "argmin": [float(v) for v in pts[los_at[i]]],
     } for i in range(len(his))]
     worst = max((band["violation"] for band in bands), default=-np.inf)
     return {
@@ -299,7 +300,7 @@ def ordering_audit(g, L, points, tau_ord=DEFAULT.tau_ord) -> dict:
         "max_violation": worst,
         "tau_ord": tau_ord,
         "pass": bool(worst <= tau_ord),
-        "points": int(len(points)),
+        "points": len(pts),
     }
 
 

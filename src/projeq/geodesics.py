@@ -70,25 +70,20 @@ _FAC_MIN = 0.2
 _FAC_MAX = 5.0
 _UNDERFLOW_FACTOR = 1e-12  # h_min = this times the horizon
 _BISECT_ITERS = 80         # halvings that locate a chart exit
+_MONITOR_GRID = 201        # times of monitor_along's grid, and of the CLI's run tables
 
 
 def geodesic_rhs(g: MetricField):
     """Right-hand side f(t, y) of the geodesic flow for metric g, at one
-    state y or along a (K, size) stack of states with t of shape (K,)."""
+    state y or along a (K, size) stack of states with t of shape (K,); a
+    stack that raises fails as its loop over states would."""
     n = g.chart.dim
 
     @pointwise_errors(1, 0)
-    def stacked(t, y):
-        gmat, dg = g.jet(y[:, :n], 1)
-        v = solve_metric(gmat, y[:, n:, None], y[:, :n])[..., 0]
-        return np.concatenate([v, 0.5 * np.einsum("ki,kijl,kj->kl", v, dg, v)], axis=1)
-
     def rhs(t, y):
-        if y.ndim > 1:
-            return stacked(t, y)
-        gmat, dg = g.jet(y[:n], 1)
-        v = solve_metric(gmat, y[n:], y[:n])
-        return np.concatenate((v, 0.5 * np.einsum("i,ijk,j->k", v, dg, v)))
+        gmat, dg = g.jet(y[..., :n], 1)
+        v = solve_metric(gmat, y[..., n:, None], y[..., :n])[..., 0]
+        return np.concatenate([v, 0.5 * np.einsum("...i,...ijl,...j->...l", v, dg, v)], axis=-1)
 
     return rhs
 
@@ -358,7 +353,7 @@ def integrate_geodesic(g: MetricField, state: PhaseState, horizon: float,
     return integrate(geodesic_rhs(g), y0, (0.0, horizon), tol, inside=inside)
 
 
-def monitor_along(traj: Trajectory, fn, samples: int = 201) -> dict:
+def monitor_along(traj: Trajectory, fn, samples: int = _MONITOR_GRID) -> dict:
     """Span statistics (`span_stats`) of fn on a uniform time grid of the
     run, from one call fn(xs, ps) on the (samples, n) stacks (see
     `monitored_values`)."""

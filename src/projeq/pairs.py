@@ -141,7 +141,7 @@ def bm_residual_stats(g, L, points, eps_sym_factor=DEFAULT.eps_sym_factor) -> di
         "max": float(vals.max()),
         "mean": float(vals.mean()),
         "points": int(len(vals)),
-        "worst_point": [float(v) for v in points[worst]],
+        "worst_point": [float(v) for v in pts[worst]],
     }
 
 

@@ -797,6 +797,17 @@ def test_example_command_audits_are_frozen(tmp_path, name):
             assert value == pytest.approx(pinned, rel=1e-6, abs=1e-12), audit
 
 
+def test_an_energy_proportional_model_of_integral_is_a_failed_model_audit(tmp_path):
+    import projeq.cli as cli
+    from projeq.manifest import Manifest
+
+    man = Manifest.load(write_manifest(tmp_path, {
+        "geometry": {"kind": "example", "name": "example1"}, "run": {"seed": 3}}))
+    audits = cli._model_audits(man.scene, man, {"model_of": {"F2": "Model4", "H": "Model1a"}})
+    assert [(a["audit"], a["value"], a["pass"]) for a in audits] == [
+        ("model[F2]", "Model4", True), ("model[H]", "EnergyProportional", False)]
+
+
 def test_the_parser_offers_the_commands_cli_runs():
     from projeq import cli, request
 

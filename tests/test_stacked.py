@@ -607,6 +607,16 @@ def test_stacked_audit_kernels_equal_the_one_point_kernels(case):
     assert l_from_pair(g, gbar, xs[0]).shape == (g.dim,) * 2
 
 
+def test_the_point_audits_take_one_point_as_its_stack_of_one():
+    from projeq.flows import ordering_audit
+
+    g, _, L = build_lc_pair(random_spec(2, 3), partner=False)
+    for x in g.chart.sample(4, seed=1):
+        assert bm_residual_stats(g, L, x) == bm_residual_stats(g, L, [x])
+        assert ordering_audit(g, L, x) == ordering_audit(g, L, [x])
+        assert ordering_audit(g, L, x)["points"] == 1
+
+
 def _commutation_loop(fam, states, ts):
     """The report as the loop over states computed it, one _jet per state."""
     n, m = fam.g.dim, len(ts)
