@@ -20,6 +20,10 @@ where y^1000 overflows, they and L = diag(2 + y^1000 - y^1000, 3) are NaN.
 Each stack is a good row (y = 0.5) followed by two distinct fault rows, in
 each of the 6 orders. A run breaks unless the stack raises exactly the
 error (class, text and point) that a loop over its rows raises first.
+This mode also runs the geodesic right-hand side at y = (x, 1...1), t = 0,
+so that its one-state body, which the loop runs, fails as its stacked body
+does. It is kept out of the bad-point mode: at a NaN point it returns NaN,
+and integrate refuses that at the state its step starts from.
 
 Run it from the repository root:
 
@@ -41,7 +45,7 @@ from projeq.errors import ProjeqError
 from projeq.expressions import parse_expression
 from projeq.fields import EndomorphismField, MetricField, PhaseState, as_field
 from projeq.flows import IntegralFamily, ordering_audit
-from projeq.geodesics import hamiltonian
+from projeq.geodesics import geodesic_rhs, hamiltonian
 from projeq.levicivita import build_lc_pair, random_spec
 from projeq.pairs import (
     bm_residual,
@@ -57,10 +61,6 @@ T = 0.5  # the I_t kernels' parameter
 POINT_KEYS = ("worst_point", "argmax", "argmin")  # the points an audit's dict reports
 FAULT_YS = [1e-13, 0.0, 3.0]  # the two-fault pair's numerically singular, singular and NaN rows
 TWO_FAULT_EXEMPT = {
-    # a stack's finite check runs before its NotPositiveDefinite, which names the
-    # worst point, the smallest eigenvalue, not the first failing one
-    "spectra_at",
-    "ordering_audit",  # through spectra_at
     # every plane of a stack is checked before any curvature
     "sectional",
 }
@@ -95,6 +95,14 @@ def kernels(g, gbar, L, fam):
         ("IntegralFamily.gradients", lambda x: fam.gradients(state(x), T)),
         ("IntegralFamily.roots", lambda x: fam.roots(state(x))),
     ]
+
+
+def flow_kernel(rhs):
+    """rhs at y = (x, 1...1) and t = 0, at one point x or along an (N, n) stack."""
+    def kernel(x):
+        y = np.concatenate([x, np.ones_like(x)], axis=-1)
+        return rhs(np.zeros(len(y)) if y.ndim > 1 else 0.0, y)
+    return kernel
 
 
 def two_fault_pair():
@@ -215,6 +223,7 @@ def main_sweep():
         print(f"{runs} runs, {len(breaks)} broken")
         g, gbar, L = two_fault_pair()
         table = kernels(g, gbar, L, IntegralFamily(g, L, check_points=0))
+        table.append(("geodesic_rhs", flow_kernel(geodesic_rhs(g))))
         runs, bad_point_breaks = 0, len(breaks)
         for (name, kernel), faults in itertools.product(table, itertools.permutations(FAULT_YS, 2)):
             if name not in TWO_FAULT_EXEMPT:

@@ -51,9 +51,9 @@ def _shaped(part, shape):
 
 def pointwise_errors(*at):
     """Decorate a kernel whose arguments at positions ``at`` are one point
-    each, or (N, ...) stacks of N points. A stacked call that raises fails
-    as the loop over its points would: jets.replay runs the points again as
-    stacks of one, so the first failing point raises its error."""
+    each, or (N, ...) stacks of N points, or None. A stacked call that raises
+    fails as the loop over its points would: jets.replay runs the points
+    again as stacks of one, so the first failing point raises its error."""
     def decorate(kernel):
         @functools.wraps(kernel)
         def run(*args, **kw):
@@ -63,7 +63,8 @@ def pointwise_errors(*at):
                 xs = args[at[0]]
                 if np.ndim(xs) > 1 and len(xs) > 1:  # a stack of one already failed
                     replay(range(len(xs)), lambda ks: kernel(
-                        *(a[ks.start:ks.stop] if i in at else a for i, a in enumerate(args)),
+                        *(a[ks.start:ks.stop] if i in at and a is not None else a
+                          for i, a in enumerate(args)),
                         **kw))
                 raise
         return run
@@ -378,6 +379,11 @@ class _EntryTable:
         """(matrix, dmatrix) at x, and d2matrix at order 2, from one call;
         at an (N, n) stack x each has a leading N axis."""
         return tuple(map(_shaped, self._jets(x, order), self._shapes))
+
+    def compiled_jet(self, order):
+        """The generated code of jet at order: at one point x, an (n,) array,
+        its parts as flat tuples of floats, unchecked (jet names its errors)."""
+        return self._jets.function(order)
 
 
 class MetricField(_EntryTable):

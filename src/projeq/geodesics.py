@@ -10,8 +10,8 @@ State layout is y = (x_1..x_n, p_1..p_n). The flow is
     dp_k/dt = 1/2 (g^{-1}p)^T (d_k g) (g^{-1}p)
 
 which conserves H = 1/2 p^T g^{-1} p along trajectories. The rhs and H
-solve g v = p through fields.solve_metric, so a g that LAPACK cannot
-solve against is SingularMetric at its point, one state or a stack.
+solve g v = p with LAPACK, and a g that it cannot solve against is
+SingularMetric at its point, one state or a stack.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, OutsideChart, StepUnderflow
+from .errors import DomainViolation, OutsideChart, SingularMetric, StepUnderflow
 from .fields import MetricField, PhaseState, pointwise_errors, require_finite, scan, solve_metric
 from .tolerances import DEFAULT
 
@@ -76,14 +76,40 @@ _MONITOR_GRID = 201        # times of monitor_along's grid, and of the CLI's run
 def geodesic_rhs(g: MetricField):
     """Right-hand side f(t, y) of the geodesic flow for metric g, at one
     state y or along a (K, size) stack of states with t of shape (K,); a
-    stack that raises fails as its loop over states would."""
+    stack that raises fails as its loop over states would.
+
+    It has two bodies, and both give the same bits. A stack goes through
+    g.jet and fields.solve_metric. One state runs g's generated order-1
+    jet, bound here once, on its floats, then one solve and the same
+    contraction: it has nothing to replay. A jet that fails there is run
+    again through g.jet, which raises the error naming the failing field,
+    and a matrix that LAPACK refuses is SingularMetric at x. A non-finite
+    metric gives a non-finite value, not an error, in either body."""
     n = g.chart.dim
+    jet = g.compiled_jet(1)
 
     @pointwise_errors(1, 0)
-    def rhs(t, y):
+    def stacked(t, y):
         gmat, dg = g.jet(y[..., :n], 1)
         v = solve_metric(gmat, y[..., n:, None], y[..., :n])[..., 0]
         return np.concatenate([v, 0.5 * np.einsum("...i,...ijl,...j->...l", v, dg, v)], axis=-1)
+
+    def rhs(t, y):
+        if y.ndim > 1:
+            return stacked(t, y)
+        x = y[:n]
+        try:
+            values, grads = jet(x)
+        except (ArithmeticError, ValueError):
+            g.jet(x, 1)  # raises the error naming the failing field
+            raise
+        gmat = np.fromiter(values, float, n * n).reshape(n, n)
+        dg = np.fromiter(grads, float, n ** 3).reshape(n, n, n)
+        try:
+            v = np.linalg.solve(gmat, y[n:])
+        except np.linalg.LinAlgError:
+            raise SingularMetric("metric singular", point=x) from None
+        return np.concatenate((v, 0.5 * np.einsum("i,ijl,j->l", v, dg, v)))
 
     return rhs
 

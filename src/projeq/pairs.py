@@ -49,14 +49,20 @@ def pencil_spectrum(gmat, lmat, points=None):
     Non-finite entries raise DomainViolation and a g that is not
     positive-definite raises NotPositiveDefinite; a product that
     overflows is a DomainViolation too. Each names the point when
-    ``points`` (one per matrix, in stack order) is given.
+    ``points`` (one per matrix, in stack order) is given. A stack that
+    raises fails as the loop over its pairs would.
     """
     g = np.asarray(gmat, dtype=float)
-    lm = np.asarray(lmat, dtype=float)
     n = g.shape[-1]
-    lead = g.shape[:-2]
-    g = require_finite(g.reshape(-1, n, n), points, "metric")
-    lm = require_finite(lm.reshape(-1, n, n), points, "endomorphism")
+    lm = np.asarray(lmat, dtype=float).reshape(-1, n, n)
+    return _pencil(g.reshape(-1, n, n), lm, points).reshape(g.shape[:-2] + (n,))
+
+
+@pointwise_errors(0, 1, 2)
+def _pencil(g, lm, points):
+    """pencil_spectrum of an (N, n, n) stack of pairs."""
+    require_finite(g, points, "metric")
+    require_finite(lm, points, "endomorphism")
     try:
         c = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -67,7 +73,7 @@ def pencil_spectrum(gmat, lmat, points=None):
     with np.errstate(over="ignore", invalid="ignore"):  # refused at its point below
         m = c.transpose(0, 2, 1) @ lm @ np.linalg.inv(c).transpose(0, 2, 1)
         m = 0.5 * (m + m.transpose(0, 2, 1))
-    return np.linalg.eigvalsh(require_finite(m, points, "pencil product")).reshape(lead + (n,))
+    return np.linalg.eigvalsh(require_finite(m, points, "pencil product"))
 
 
 def spectra_at(g: MetricField, L: EndomorphismField, points):

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from projeq import jets
 from projeq.chart import Chart, box_chart
 from projeq.errors import DomainViolation, OutsideChart, SingularMetric, StepUnderflow
 from projeq.fields import MetricField, PhaseState
@@ -390,6 +391,33 @@ def test_the_one_state_rhs_equals_its_row_of_the_stacked_rhs():
         rows = rhs(np.zeros(len(ys)), ys)
         for y, row in zip(ys, rows):
             assert rhs(0.0, y).tobytes() == row.tobytes()
+
+
+def test_the_one_state_rhs_names_a_jet_error_as_a_stack_of_one_does():
+    g = MetricField.diagonal(box_chart(("x", "y")), ["1 + sqrt(x)", "1"], validate=False)
+    rhs = geodesic_rhs(g)
+    y = np.array([-0.5, 0.2, 1.0, 1.0])
+    errors = []
+    for t, state in ((0.0, y), (np.zeros(1), y[None])):
+        with pytest.raises(DomainViolation) as exc:
+            rhs(t, state)
+        errors.append((type(exc.value), str(exc.value), exc.value.point))
+    assert errors[0] == errors[1]
+    assert "'1 + sqrt(x)'" in errors[0][1] and errors[0][2] == [-0.5, 0.2]
+
+
+def test_geodesic_rhs_builds_the_metric_jet_once_not_per_call(monkeypatch):
+    built, evaluated = [], []
+    build, call = jets._build, jets.Jets.__call__
+    monkeypatch.setattr(jets, "_build", lambda *args: built.append(args[-1]) or build(*args))
+    monkeypatch.setattr(jets.Jets, "__call__",
+                        lambda self, *args: evaluated.append(args) or call(self, *args))
+    g = MetricField.diagonal(box_chart(("x", "y")), ["1 + x^2", "2"], validate=False)
+    rhs = geodesic_rhs(g)
+    assert built == [1]
+    for x0 in (0.1, 0.2, 0.3):
+        rhs(0.0, np.array([x0, 0.0, 1.0, 1.0]))
+    assert built == [1] and evaluated == []
 
 
 @pytest.mark.parametrize("t_span", [(0.0, 5e-324), (1e17, 1e17 + 1e3)])

@@ -274,6 +274,15 @@ def test_non_finite_pencil_input_is_a_domain_violation():
         pencil_spectrum(gm[1], lm[1])
 
 
+def test_a_stack_of_pencils_fails_as_the_loop_over_its_pairs_does():
+    gm = np.array([np.eye(2), np.diag([1.0, -2.0]), np.diag([1.0, np.nan])])
+    lm = np.array([np.eye(2)] * 3)
+    pts = np.array([[0.0, 0.5], [0.0, 0.0], [0.0, 3.0]])
+    with pytest.raises(NotPositiveDefinite, match="min eigenvalue -2.000e[+]00") as err:
+        pencil_spectrum(gm, lm, points=pts)
+    assert err.value.point == [0.0, 0.0]
+
+
 def test_spectrum_scans_name_the_non_finite_point():
     g = MetricField.euclidean(CHART2)
     L = EndomorphismField(CHART2, [[nan_beyond(CHART2, 1.0), 0.0], [0.0, 2.0]])
