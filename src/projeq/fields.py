@@ -381,8 +381,8 @@ class _EntryTable:
         return tuple(map(_shaped, self._jets(x, order), self._shapes))
 
     def compiled_jet(self, order):
-        """The generated code of jet at order: at one point x, an (n,) array,
-        its parts as flat tuples of floats, unchecked (jet names its errors)."""
+        """The generated function behind jet at order, built on first use: at one
+        point x, an (n,) array, its parts as flat tuples; jet names its errors."""
         return self._jets.function(order)
 
 
